@@ -3,9 +3,10 @@
 The replica group's sequencer may drain *all* submissions waiting at the
 sequencer lock into one ordered batch, which the transport marshals once
 and ships to every replica.  On the multiprocess backend each command
-otherwise pays its own pickle plus one queue hop per replica, so batching
-under sustained load should buy real throughput; on the threaded backend
-the per-command cost is just a lock + queue put, so the win is smaller.
+otherwise pays its own pickle plus one pipe write per replica (and one
+reply frame back from each), so batching under sustained load should buy
+real throughput; on the threaded backend the per-command cost is just a
+lock + queue put, so the win is smaller.
 
 Two workloads per (backend, mode):
 
@@ -144,7 +145,7 @@ def run_benchmark(quick: bool = False) -> dict[str, dict[bool, dict[str, float]]
                   res[True]["pipelined"], res[True]["batch"],
                   f"{speedup:.2f}x")
     table.note(
-        "batching amortizes one pickle + one queue hop per replica per "
+        "batching amortizes one pickle + one pipe write per replica per "
         "command into one per batch; it pays off once the sequencer is "
         "saturated (pipelined column), most on the multiproc backend"
     )

@@ -2,7 +2,7 @@
 
 The single-sequencer deployment totally orders every command through one
 sequencer and applies it on **every** replica: with R replicas, each
-``out`` costs one batch pickle plus R queue hops plus R state-machine
+``out`` costs one batch pickle plus R pipe writes plus R state-machine
 applies.  ``shards=N`` splits the space into N content-partitioned
 replica groups with independent sequencers, and a single-shard statement
 touches only its own group — the per-command multicast and apply cost

@@ -44,7 +44,7 @@ from typing import Any, Callable, Sequence
 from repro._errors import RuntimeFailure
 from repro.core.statemachine import Command
 from repro.replication.group import CLIENT_ORIGIN, ReplicaGroup
-from repro.replication.transport import InMemoryTransport, PickleQueueTransport
+from repro.replication.transport import InMemoryTransport, PipeTransport
 
 __all__ = ["ChaosMonkey", "Detonate"]
 
@@ -138,7 +138,7 @@ class ChaosMonkey:
         notice.
         """
         transport = self.group.transport
-        if isinstance(transport, PickleQueueTransport):
+        if isinstance(transport, PipeTransport):
             proc = transport.processes[replica_id]
             if proc.pid is not None and proc.is_alive():
                 os.kill(proc.pid, signal.SIGKILL)

@@ -29,7 +29,7 @@ import abc
 import itertools
 import threading
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro._errors import AGSError, RuntimeFailure, TimeoutError_
 from repro.core.ags import AGS, AGSResult, Guard, Op
@@ -52,6 +52,8 @@ __all__ = ["BaseRuntime", "LocalRuntime", "ProcessView", "SnapshotView"]
 #: a HostFailed command drops blocked statements whose origin matches the
 #: failed host — the runtime's own statements must never match.
 _LOCAL_ORIGIN = -1
+
+_RT = TypeVar("_RT", bound="BaseRuntime")
 
 
 def _autoname(fields: Sequence[Any]) -> tuple[list[Any], list[tuple[int, str]]]:
@@ -198,6 +200,20 @@ class BaseRuntime(abc.ABC):
         server, self._telemetry = self._telemetry, None
         if server is not None:
             server.close()
+
+    def shutdown(self) -> None:
+        """Release what the runtime holds (idempotent).
+
+        The base holds only the telemetry endpoint; replicated backends
+        extend this to stop their replica workers.
+        """
+        self._close_telemetry()
+
+    def __enter__(self: _RT) -> _RT:
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.shutdown()
 
     # ------------------------------------------------------------------ #
     # the Linda operations (single-op AGS sugar)

@@ -4,10 +4,9 @@ The closest single-machine stand-in for the paper's network of
 workstations: each replica is a separate Python **process** with its own
 state machine, driven by the shared :class:`~repro.replication.group.
 ReplicaGroup` core over a :class:`~repro.replication.transport.
-PickleQueueTransport` — commands get the same marshalling they would get
+PipeTransport` — commands get the same marshalling they would get
 on a wire, and the sequencer pickles each ordered batch exactly once and
-ships the blob to every replica (the batching optimization this backend
-benefits from most).
+writes that one frame to every replica's command pipe itself.
 
 Queries (fingerprints, space sizes) travel in-band on the command FIFOs,
 so they see exactly the state after every previously sequenced command —
@@ -42,7 +41,7 @@ from repro.obs.tracing import FlightRecorder
 from repro.parallel._liveness import resolve_liveness
 from repro.replication import (
     LivenessPolicy,
-    PickleQueueTransport,
+    PipeTransport,
     ReplicaGroup,
     ShardedGroup,
 )
@@ -80,7 +79,7 @@ class MultiprocessRuntime(BaseRuntime):
         super().__init__()
         liveness = resolve_liveness(detect_failures, auto_recover)
         self.sharded = ShardedGroup(
-            lambda: PickleQueueTransport(n_replicas, start_method=start_method),
+            lambda: PipeTransport(n_replicas, start_method=start_method),
             shards,
             batching=batching,
             read_fastpath=read_fastpath,
@@ -203,14 +202,8 @@ class MultiprocessRuntime(BaseRuntime):
     # ------------------------------------------------------------------ #
 
     def shutdown(self) -> None:
-        self._close_telemetry()
+        super().shutdown()
         self.sharded.shutdown()
-
-    def __enter__(self) -> "MultiprocessRuntime":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.shutdown()
 
     def __del__(self) -> None:  # pragma: no cover - best effort
         try:

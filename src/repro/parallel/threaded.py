@@ -20,6 +20,9 @@ replica mid-stream (its FIFO is dropped on the floor), deposits the
 failure tuple via an ordered ``HostFailed`` command, and the group
 continues — N-1 replicas hold the stable spaces.
 
+Use as a context manager (or call :meth:`ThreadedReplicaRuntime.shutdown`)
+to stop the replica threads.
+
 All sequencing, completion dedup and query logic lives in the shared
 replication core; this file only binds the :class:`~repro.core.runtime.
 BaseRuntime` API to it.
@@ -188,5 +191,5 @@ class ThreadedReplicaRuntime(BaseRuntime):
         return self.sharded.stop_profiling()
 
     def shutdown(self) -> None:
-        self._close_telemetry()
+        super().shutdown()
         self.sharded.shutdown()

@@ -29,14 +29,14 @@ from repro.replication.group import LivenessPolicy, ReplicaGroup
 from repro.replication.sharding import ShardedGroup
 from repro.replication.transport import (
     InMemoryTransport,
-    PickleQueueTransport,
+    PipeTransport,
     Transport,
 )
 
 __all__ = [
     "InMemoryTransport",
     "LivenessPolicy",
-    "PickleQueueTransport",
+    "PipeTransport",
     "ReplicaGroup",
     "ShardedGroup",
     "Transport",

@@ -854,10 +854,8 @@ class ReplicaGroup:
         kind = item[0]
         if kind == "PONG":
             return  # the timestamp refresh above was the whole point
-        if kind == "COMP":
-            self._complete(replica_id, item[1], item[2])
-        elif kind == "COMPS":
-            # one READS batch's worth of fast-path answers
+        if kind == "COMPS":
+            # one applied BATCH's, or one READS batch's, worth of answers
             for rid, result in item[1]:
                 self._complete(replica_id, rid, result)
         elif kind == "READMISS":

@@ -13,12 +13,13 @@ Two implementations ship with the library:
 
 - :class:`InMemoryTransport` — one FIFO + applier thread per replica, the
   substrate of :class:`~repro.parallel.threaded.ThreadedReplicaRuntime`;
-- :class:`PickleQueueTransport` — one spawned OS process per replica with
-  pickling queues (the same marshalling commands would get on a wire),
-  the substrate of :class:`~repro.parallel.multiproc.MultiprocessRuntime`.
-  Its ``broadcast`` pickles a batch ONCE and ships the blob to every
-  replica, instead of letting each queue re-marshal the same commands —
-  the amortization that makes batching measurably faster.
+- :class:`PipeTransport` — one spawned OS process per replica, joined to
+  the parent by two one-way pipes carrying length-prefixed pickles (the
+  same marshalling commands would get on a wire), the substrate of
+  :class:`~repro.parallel.multiproc.MultiprocessRuntime`.  ``broadcast``
+  pickles a batch ONCE and the calling thread writes that one frame to
+  every live replica — one ``write`` per replica per batch, no feeder
+  thread, no re-marshalling.
 
 A future asyncio or socket backend is a third class in this file (or a
 user module) and nothing else.
@@ -27,14 +28,18 @@ user module) and nothing else.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue
+import select
+import struct
 import threading
+from collections import deque
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.replication.worker import replica_loop, run_replica_process
 
-__all__ = ["InMemoryTransport", "PickleQueueTransport", "Transport"]
+__all__ = ["InMemoryTransport", "PipeTransport", "Transport"]
 
 #: What a transport calls with every item a worker emits: (replica_id, item).
 Sink = Callable[[int, tuple], None]
@@ -205,23 +210,67 @@ class InMemoryTransport:
             self.stop_replica(i)
 
 
-class PickleQueueTransport:
-    """One spawned OS process per replica, connected by pickling queues.
+def _frame(blob: bytes) -> bytes:
+    """Length-prefix *blob* exactly as ``Connection.send_bytes`` would.
+
+    The parent writes command frames with ``os.write`` on a non-blocking
+    descriptor, which ``Connection`` cannot do; matching its framing lets
+    the child side stay a plain ``recv_bytes``.
+    """
+    n = len(blob)
+    if n > 0x7FFFFFFF:
+        return struct.pack("!iQ", -1, n) + blob
+    return struct.pack("!i", n) + blob
+
+
+class _Lane:
+    """The parent's write end of one replica's command pipe.
+
+    ``lock`` serialises everyone who writes to the replica — the
+    sequencer, clients on the read lane, the liveness monitor, the
+    drain thread — so frames never interleave; ``backlog`` holds, in
+    order, whatever the pipe has refused so far.
+    """
+
+    __slots__ = ("backlog", "closed", "conn", "fd", "lock")
+
+    def __init__(self, conn: Any):
+        os.set_blocking(conn.fileno(), False)
+        self.conn = conn
+        self.fd = conn.fileno()
+        self.lock = threading.Lock()
+        self.backlog: deque[memoryview] = deque()
+        self.closed = False
+
+
+class PipeTransport:
+    """One spawned OS process per replica, joined to it by two framed pipes.
 
     ``spawn`` is the default start method: the parent is multi-threaded
     (clients, collectors), and forking a multi-threaded process can
-    capture another thread's held queue lock in the child — a deadlock
-    observed under full-suite load before switching.
+    capture another thread's held lock in the child — a deadlock observed
+    under full-suite load before switching.
 
-    One result queue PER replica: a replica SIGKILLed mid-``put`` can
-    corrupt its queue's pipe, and with a shared queue that would silently
-    strand every other replica's completions.
+    Each replica has a command pipe (parent writes, child reads) and a
+    reply pipe (child writes, parent's collector thread reads), both
+    carrying length-prefixed pickles.  Nothing sits between a caller and
+    the pipe: ``send``/``broadcast`` write the frame from the calling
+    thread.  They are called under the sequencer lock — which declaring
+    a replica dead also needs — so they must never block on a replica
+    that has stopped reading: the parent's write ends are non-blocking,
+    and what a full pipe refuses goes to the lane's backlog, which one
+    drain thread empties as ``poll`` reports the pipe writable again.
+    A frame is written inline only while the backlog is empty, so
+    per-replica order is kept across the transition both ways.
+
+    One reply pipe PER replica: a replica SIGKILLed mid-write leaves a
+    torn frame, and on a shared pipe that would silently strand every
+    other replica's completions.
 
     Replica slots are fenced by *incarnation*: ``stop_replica`` bumps the
-    slot's incarnation, and both the collector loop and final delivery
-    check it — a feedback item from the dead child (still sitting in the
-    poisoned result queue, or mid-read by the stale collector) can never
-    be attributed to the reincarnated replica that reuses the slot.
+    slot's incarnation and ``_deliver`` checks it, so a reply from the
+    dead child that its collector is still holding can never be
+    attributed to the reincarnated replica that reuses the slot.
     """
 
     supports_recovery = True
@@ -232,9 +281,8 @@ class PickleQueueTransport:
             raise ValueError("need at least one replica")
         self.n_replicas = n_replicas
         self._ctx = mp.get_context(start_method)
-        self.cmd_queues = [self._ctx.Queue() for _ in range(n_replicas)]
-        self.result_qs = [self._ctx.Queue() for _ in range(n_replicas)]
         self.processes: list[Any] = []
+        self._lanes: list[_Lane] = []
         self._collectors: list[threading.Thread] = []
         self._incarnations = [0] * n_replicas
         self._running = False
@@ -243,50 +291,68 @@ class PickleQueueTransport:
     def start(self, sink: Sink) -> None:
         self._sink = sink
         self._running = True
-        self.processes = [
-            self._ctx.Process(
-                target=run_replica_process,
-                args=(i, self.cmd_queues[i], self.result_qs[i]),
-                daemon=True,
-            )
-            for i in range(self.n_replicas)
-        ]
-        for p in self.processes:
-            p.start()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         for i in range(self.n_replicas):
-            self._start_collector(i)
+            proc, lane = self._spawn(i)
+            self.processes.append(proc)
+            self._lanes.append(lane)
+        self._drainer = threading.Thread(
+            target=self._drain_loop, name="mp-pipe-drain", daemon=True
+        )
+        self._drainer.start()
 
-    def _start_collector(self, replica_id: int) -> None:
+    def _spawn(self, replica_id: int) -> tuple[Any, _Lane]:
+        """Start one replica process on fresh pipes, with its collector."""
+        cmd_r, cmd_w = self._ctx.Pipe(duplex=False)
+        reply_r, reply_w = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=run_replica_process,
+            args=(replica_id, cmd_r, reply_w),
+            daemon=True,
+        )
+        try:
+            proc.start()
+        finally:
+            # the child has its own copies now; while ours stay open its
+            # death cannot close the reply pipe and the collector would
+            # never see EOF
+            cmd_r.close()
+            reply_w.close()
+        incarnation = self._incarnations[replica_id]
         t = threading.Thread(
             target=self._collect,
-            args=(
-                replica_id,
-                self.result_qs[replica_id],
-                self._incarnations[replica_id],
-            ),
-            name=f"mp-collector-{replica_id}.{self._incarnations[replica_id]}",
+            args=(replica_id, reply_r, incarnation),
+            name=f"mp-collector-{replica_id}.{incarnation}",
             daemon=True,
         )
         self._collectors.append(t)
         t.start()
+        return proc, _Lane(cmd_w)
 
-    def _collect(self, replica_id: int, result_q: Any, incarnation: int) -> None:
-        # bind the queue AND incarnation at thread start: restart_replica
-        # swaps the slot in self.result_qs, and the stale collector must
-        # neither steal from the new queue nor deliver from the old one
-        while self._running and self._incarnations[replica_id] == incarnation:
-            try:
-                item = result_q.get(timeout=0.2)
-            except Exception:
-                continue
-            self._deliver(replica_id, incarnation, item)
+    def _collect(self, replica_id: int, conn: Any, incarnation: int) -> None:
+        # conn and incarnation are bound at thread start: a restarted slot
+        # gets a new pipe and a new collector, and this one ends when the
+        # child it was started for closes (or dies holding) its end
+        with conn:
+            while True:
+                try:
+                    buf = conn.recv_bytes()
+                except (EOFError, OSError):
+                    return
+                try:
+                    item = pickle.loads(buf)
+                except Exception:  # noqa: BLE001 - torn frame, SIGKILLed writer
+                    continue
+                self._deliver(replica_id, incarnation, item)
 
     def _deliver(self, replica_id: int, incarnation: int, item: tuple) -> None:
         """Forward *item* to the sink unless its incarnation is stale.
 
-        The final fence: even an item already pulled off the dead child's
-        result queue is dropped here once ``stop_replica`` has bumped the
-        slot, so it cannot be attributed to the reincarnated replica.
+        The fence: even a reply already read off the dead child's pipe is
+        dropped here once ``stop_replica`` has bumped the slot, so it
+        cannot be attributed to the reincarnated replica.
         """
         if self._incarnations[replica_id] != incarnation:
             return
@@ -294,50 +360,117 @@ class PickleQueueTransport:
         if sink is not None:
             sink(replica_id, item)
 
+    # ------------------------------------------------------------------ #
+    # the command lane: inline write, backlog, drain thread
+    # ------------------------------------------------------------------ #
+
+    def _write(self, lane: _Lane, frame: bytes) -> None:
+        """Queue *frame* on *lane* without ever blocking the caller."""
+        with lane.lock:
+            if lane.closed:
+                return
+            lane.backlog.append(memoryview(frame))
+            # behind already: the drain thread has the lane.  Otherwise
+            # write inline, and hand over only what the pipe refused —
+            # waking under the lane lock, so never after shutdown (which
+            # closes every lane first) has closed the wake pipe.
+            if len(lane.backlog) == 1 and not self._flush(lane):
+                self._wake()
+
+    @staticmethod
+    def _flush(lane: _Lane) -> bool:
+        """Write the backlog out; False if the pipe filled first.
+
+        Caller holds ``lane.lock``.
+        """
+        backlog = lane.backlog
+        while backlog:
+            head = backlog[0]
+            try:
+                n = os.write(lane.fd, head)
+            except BlockingIOError:
+                return False
+            except OSError:
+                backlog.clear()  # EPIPE: the child is gone, nobody will read
+                return True
+            if n == len(head):
+                backlog.popleft()
+            else:
+                backlog[0] = head[n:]
+        return True
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # already full of wake-ups
+
+    def _drain_loop(self) -> None:
+        """Empty backlogs as their pipes become writable (one thread)."""
+        while True:
+            behind = [ln for ln in self._lanes if ln.backlog and not ln.closed]
+            # poll, not select: descriptor numbers are not bounded by
+            # FD_SETSIZE, and a lane closed under us reads as ready
+            # (POLLNVAL) instead of raising, and is skipped below
+            poller = select.poll()
+            poller.register(self._wake_r, select.POLLIN)
+            for lane in behind:
+                poller.register(lane.fd, select.POLLOUT)
+            ready = {fd for fd, _event in poller.poll()}
+            if self._wake_r in ready:
+                try:
+                    os.read(self._wake_r, 4096)
+                except BlockingIOError:
+                    pass
+                if not self._running:
+                    return
+            for lane in behind:
+                if lane.fd in ready:
+                    with lane.lock:
+                        if not lane.closed:
+                            self._flush(lane)
+
+    def _close_lane(self, lane: _Lane) -> None:
+        with lane.lock:
+            if lane.closed:
+                return
+            lane.closed = True
+            lane.conn.close()
+            if lane.backlog:
+                lane.backlog.clear()
+                self._wake()  # the drain thread is polling this fd
+
     def send(self, replica_id: int, item: tuple) -> None:
-        self.cmd_queues[replica_id].put(item)
+        blob = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+        self._write(self._lanes[replica_id], _frame(blob))
 
     def broadcast(self, item: tuple, alive: Sequence[bool]) -> int:
-        # marshal once, ship the same blob to every replica: pickling the
-        # batch is the dominant per-command cost on this transport
+        # marshal and frame once; every live replica gets the same bytes
+        # in one write from this (the sequencer's) thread
         blob = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
-        wrapped = ("BLOB", blob)
-        for i, q in enumerate(self.cmd_queues):
+        frame = _frame(blob)
+        for i, lane in enumerate(self._lanes):
             if alive[i]:
-                q.put(wrapped)
+                self._write(lane, frame)
         return len(blob)
 
     def stop_replica(self, replica_id: int) -> None:
-        # fence first: once the incarnation is bumped the old collector
-        # exits and anything it already pulled is dropped at _deliver
+        # fence first: once the incarnation is bumped, anything the old
+        # collector still reads is dropped at _deliver
         self._incarnations[replica_id] += 1
+        self._close_lane(self._lanes[replica_id])
         proc = self.processes[replica_id]
         if proc.is_alive():
             proc.kill()
         proc.join(timeout=10)
 
     def restart_replica(self, replica_id: int) -> None:
-        # fresh queues: the old ones may be poisoned by the SIGKILL.
-        # Retire the dead child's queues explicitly so their feeder
-        # threads don't linger; the stale collector's blocked get() raises
-        # on the closed queue, is swallowed, and the incarnation check
-        # ends its loop.
-        for stale in (self.cmd_queues[replica_id], self.result_qs[replica_id]):
-            try:
-                stale.cancel_join_thread()
-                stale.close()
-            except Exception:
-                pass
-        self.cmd_queues[replica_id] = self._ctx.Queue()
-        self.result_qs[replica_id] = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=run_replica_process,
-            args=(replica_id, self.cmd_queues[replica_id], self.result_qs[replica_id]),
-            daemon=True,
+        # fresh pipes: the old ones may hold a torn frame or commands that
+        # must not reach the blank restarted state machine
+        self._collectors = [t for t in self._collectors if t.is_alive()]
+        self.processes[replica_id], self._lanes[replica_id] = self._spawn(
+            replica_id
         )
-        proc.start()
-        self.processes[replica_id] = proc
-        self._start_collector(replica_id)
 
     def probe(self, replica_id: int) -> bool:
         if not self.processes:
@@ -345,23 +478,25 @@ class PickleQueueTransport:
         return bool(self.processes[replica_id].is_alive())
 
     def depth(self, replica_id: int) -> int:
-        # mp.Queue.qsize raises NotImplementedError on some platforms
-        # (macOS); treat any failure as "cannot say"
-        try:
-            return self.cmd_queues[replica_id].qsize()
-        except Exception:
-            return 0
+        """Frames waiting in the backlog (0 while the pipe keeps up)."""
+        return len(self._lanes[replica_id].backlog)
 
     def shutdown(self, alive: Sequence[bool]) -> None:
         if not self._running:
             return
-        self._running = False
-        for i, q in enumerate(self.cmd_queues):
+        for i in range(self.n_replicas):
             if alive[i]:
-                q.put(("STOP",))
+                self.send(i, ("STOP",))
         for p in self.processes:
             p.join(timeout=5)
             if p.is_alive():
                 p.kill()
+        for lane in self._lanes:
+            self._close_lane(lane)
+        self._running = False
+        self._wake()
+        self._drainer.join(timeout=5)
+        os.close(self._wake_r)
+        os.close(self._wake_w)
         for t in self._collectors:
             t.join(timeout=5)

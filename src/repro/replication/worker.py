@@ -12,10 +12,10 @@ received                              meaning
                                       appends its broadcast stamp —
                                       ``("BATCH", cmds, t_send)`` — and
                                       the replica answers with a STAGES
-                                      emission (below)
-``("BLOB", bytes)``                   a pickled BATCH, marshalled once by
-                                      the sequencer and shared by every
-                                      replica (the batching optimization)
+                                      emission (below); a process
+                                      transport pickles the item once for
+                                      all replicas and each decodes its
+                                      frame once, before this loop
 ``("QUERY", qid, what, arg)``         in-band state query; answered after
                                       everything sequenced before it.
                                       ``profile_start``/``profile_stop``
@@ -67,7 +67,10 @@ emitted
   ...])``                             the group deduplicates) — one item
                                       per BATCH applied or per READS batch
                                       that fired, so the reply lane is as
-                                      batched as the command lane
+                                      batched as the command lane: one
+                                      frame, encoded once by the replica's
+                                      transport end, decoded once by the
+                                      parent's
 ``("READMISS", request_id)``          a read whose blocking guard cannot
                                       fire on local state; the group
                                       reroutes it through the total order
@@ -189,9 +192,6 @@ def replica_loop(
         kind = item[0]
         if kind == "STOP":
             return
-        if kind == "BLOB":
-            item = pickle.loads(item[1])
-            kind = item[0]
         if kind == "BATCH":
             # A third element is the sequencer's broadcast stamp: stage
             # attribution is on and this batch owes a STAGES answer.  The
@@ -201,10 +201,9 @@ def replica_loop(
             t_dequeue = time.monotonic() if t_send is not None else 0.0
             spans: list[tuple] | None = None
             # Completions for the whole batch travel as one COMPS item:
-            # with process transports every emitted item is a pickled queue
-            # message, so per-command COMP replies would make the reply
-            # lane as chatty as the unbatched command lane the BLOB
-            # optimization already removed.
+            # with process transports every emitted item is a pickled
+            # frame and a pipe write, so per-command replies would make the
+            # reply lane as chatty as an unbatched command lane.
             comps: list[tuple[int, Any]] = []
             for cmd in item[1]:
                 if stopped():
@@ -320,6 +319,23 @@ def replica_loop(
                 drain_reads()
 
 
-def run_replica_process(replica_id: int, cmd_q: Any, result_q: Any) -> None:
-    """Process entry point for the pickling-queue transport (spawn-safe)."""
-    replica_loop(replica_id, cmd_q.get, result_q.put)
+def run_replica_process(replica_id: int, cmd_conn: Any, reply_conn: Any) -> None:
+    """Process entry point for the pipe transport (spawn-safe).
+
+    *cmd_conn* is the read end of this replica's command pipe, *reply_conn*
+    the write end of its reply pipe; both carry one pickled item per
+    ``send_bytes`` frame.  EOF on the command pipe (the parent closed the
+    lane, or died) ends the loop like a STOP.
+    """
+
+    def recv() -> Any:
+        try:
+            buf = cmd_conn.recv_bytes()
+        except (EOFError, OSError):
+            return None
+        return pickle.loads(buf)
+
+    def emit(item: tuple) -> None:
+        reply_conn.send_bytes(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+
+    replica_loop(replica_id, recv, emit)

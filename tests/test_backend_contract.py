@@ -52,6 +52,19 @@ def _replicated(runtime) -> bool:
     return hasattr(runtime, "crash_replica")
 
 
+def test_runtime_is_a_context_manager(rt):
+    with rt as entered:
+        assert entered is rt
+        rt.out(rt.main_ts, "cm", 1)
+        assert rt.inp(rt.main_ts, "cm", formal(int)) == ("cm", 1)
+    if _replicated(rt):
+        # leaving the block shut the replica workers down
+        for group in rt.shard_groups:
+            assert not any(
+                group.transport.probe(i) for i in range(group.n_replicas)
+            )
+
+
 class TestLindaOps:
     def test_out_in_roundtrip(self, rt):
         rt.out(rt.main_ts, "x", 1)

@@ -15,6 +15,8 @@ transport incarnation fence that keeps a dead replica's last words from
 being attributed to its successor.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -79,7 +81,16 @@ class TestDetection:
         # the corpse
         elapsed = monkey.wait_detected(1, timeout=5.0)
         assert elapsed < POLICY.suspect_after + 4 * POLICY.probe_interval + 1.0
+        # the monitor flips the alive mask (what wait_detected polls) a
+        # few instructions before it counts the detection
+        deadline = time.monotonic() + 2.0
         snap = rt.metrics_snapshot()
+        while (
+            not snap["histograms"]["detection_latency"]["count"]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+            snap = rt.metrics_snapshot()
         assert snap["counters"]["failures_detected"] >= 1
         assert snap["histograms"]["detection_latency"]["count"] >= 1
 
@@ -141,6 +152,38 @@ class TestDetection:
         assert rt.metrics_snapshot()["counters"].get("failures_detected", 0) == 0
         rt.out(rt.main_ts, "after-delay", 1)
         assert rt.converged()
+
+    def test_stopped_replica_cannot_wedge_the_group(self):
+        """SIGSTOP, not SIGKILL: the replica stops reading its command pipe.
+
+        A transport write that blocked on the full pipe would park the
+        sequencer inside the sequencer lock: every later call would hang,
+        and so would declaring the replica dead, which takes the same
+        lock.  Silence alone never kills (the process probe still
+        passes), so the detector declares the replica dead only once the
+        stopped process is killed — with its backlog still pending.
+        """
+        rt = _make_runtime("multiproc")
+        try:
+            monkey = ChaosMonkey(rt)
+            transport = rt.group.transport
+            pid = transport.processes[1].pid
+            os.kill(pid, signal.SIGSTOP)
+            payload = "x" * 1024
+            for i in range(300):  # several times what the pipe holds
+                out = AGS.atomic(Op.out(rt.main_ts, "stalled", i, payload))
+                assert not rt.execute(out, timeout=30.0).aborted
+            assert transport.depth(1) > 0
+            assert rt.group.alive == [True, True, True]
+            os.kill(pid, signal.SIGKILL)
+            monkey.wait_detected(1, timeout=5.0)
+            for i in range(5):
+                rt.out(rt.main_ts, "mid", i)
+            monkey.wait_recovered(1, timeout=10.0)
+            assert rt.converged()
+            assert len(rt.fingerprints()) == 3
+        finally:
+            rt.shutdown()
 
 
 class TestKillMidBatch:
