@@ -19,11 +19,11 @@ detector.
 **A5c — recovery time vs snapshot interval (runner schema).**  The
 segmented WAL's acceptance bar: recovery must be bounded by the snapshot
 cadence, not the history.  A single-host workload of 10x–100x the A5b
-log sizes runs once against the full-log :class:`WALRuntime` (replay is
-O(history)) and once per snapshot interval against the
-:class:`SegmentedWALRuntime` (replay is one snapshot load plus the delta
-since the last compaction, with a mid-interval crash so the delta is
-representative).  The headline metric is the 10x speedup, which the
+log sizes runs once against a :class:`SegmentedWALRuntime` that never
+compacts (the full-log reference: replay is O(history)) and once per
+snapshot interval against one that does (replay is one snapshot load
+plus the delta since the last compaction, with a mid-interval crash so
+the delta is representative).  The headline metric is the 10x speedup, which the
 durable plane promises to keep ≥5x; ``main()`` publishes the curves as
 ``BENCH_ablation_recovery.json`` for the perf-regression harness.
 """
@@ -188,15 +188,15 @@ def _timed_recovery(kind: str, n_ops: int, interval: int | None, tmp: str):
     import os
     import time
 
-    from repro.persist import SegmentedWALRuntime, WALRuntime
+    from repro.persist import SegmentedWALRuntime
 
     if kind == "fulllog":
         path = os.path.join(tmp, f"full-{n_ops}.wal")
-        rt = WALRuntime(path, fsync=False)
+        rt = SegmentedWALRuntime(path, fsync=False)
         _populate(rt, n_ops, None)
         rt.crash()
         t0 = time.perf_counter()
-        back = WALRuntime.recover(path)
+        back = SegmentedWALRuntime.recover(path, fsync=False)
     else:
         path = os.path.join(tmp, f"seg-{n_ops}-{interval}")
         # segments must rotate well below the snapshot interval or

@@ -11,6 +11,10 @@ logging alternative (:mod:`repro.persist`) and measure what each costs:
 - **recovery**: log replay time as the log grows, and what compaction
   buys.
 
+The logging arm is :class:`~repro.persist.SegmentedWALRuntime` with no
+compaction trigger: every command journaled, nothing ever snapshotted
+unless the benchmark asks — the O(history) reference.
+
 The replication side's costs are E2/E4's (one multicast, ~3 ms on the
 simulated testbed); the comparison the table's note draws is the paper's:
 logging is cheap *per op* on one machine (buffered) or brutally expensive
@@ -25,22 +29,29 @@ import time
 from repro import AGS, Guard, LocalRuntime, Op, formal, ref
 from repro.bench import Table, save_table
 from repro.core.spaces import MAIN_TS
-from repro.persist import WALRuntime
+from repro.persist import SegmentedWALRuntime
 
 N_OPS = 300
 
 
 def time_ops(rt) -> float:
-    """Mean microseconds per atomic increment on *rt*."""
+    """Microseconds per atomic increment on *rt*: best of three windows.
+
+    The ordering assertions below gate CI, so one window that lands on a
+    slow stretch of a shared runner must not decide them.
+    """
     rt.out(MAIN_TS, "c", 0)
     incr = AGS.single(
         Guard.in_(MAIN_TS, "c", formal(int, "v")),
         [Op.out(MAIN_TS, "c", ref("v") + 1)],
     )
-    t0 = time.perf_counter()
-    for _ in range(N_OPS):
-        rt.execute(incr)
-    return (time.perf_counter() - t0) / N_OPS * 1e6
+    best = float("inf")
+    for _window in range(3):
+        t0 = time.perf_counter()
+        for _ in range(N_OPS):
+            rt.execute(incr)
+        best = min(best, time.perf_counter() - t0)
+    return best / N_OPS * 1e6
 
 
 def test_a5_logging_overhead(benchmark, tmp_path):
@@ -50,10 +61,10 @@ def test_a5_logging_overhead(benchmark, tmp_path):
             ["configuration", "us per atomic update"],
         )
         plain = time_ops(LocalRuntime())
-        buffered_rt = WALRuntime(str(tmp_path / "buf.wal"), fsync=False)
+        buffered_rt = SegmentedWALRuntime(str(tmp_path / "buf.wal"), fsync=False)
         buffered = time_ops(buffered_rt)
         buffered_rt.close()
-        durable_rt = WALRuntime(str(tmp_path / "dur.wal"), fsync=True)
+        durable_rt = SegmentedWALRuntime(str(tmp_path / "dur.wal"), fsync=True)
         durable = time_ops(durable_rt)
         durable_rt.close()
         table.add("in-memory (no stability)", plain)
@@ -82,17 +93,17 @@ def test_a5_recovery_replay(benchmark, tmp_path):
         rows = {}
         for n in (100, 1000, 5000):
             path = str(tmp_path / f"replay{n}.wal")
-            rt = WALRuntime(path, fsync=False)
+            rt = SegmentedWALRuntime(path, fsync=False)
             for i in range(n):
                 rt.out(MAIN_TS, "x", i % 50)
             rt.crash()
             t0 = time.perf_counter()
-            back = WALRuntime.recover(path)
+            back = SegmentedWALRuntime.recover(path)
             replay_ms = (time.perf_counter() - t0) * 1000
             back.compact()
             back.crash()
             t0 = time.perf_counter()
-            again = WALRuntime.recover(path)
+            again = SegmentedWALRuntime.recover(path)
             compact_ms = (time.perf_counter() - t0) * 1000
             assert again.replayed == 1
             again.close()

@@ -316,22 +316,22 @@ def _workload_parser(prog: str, description: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _build_runtime(opts: argparse.Namespace, tracer: Any = None) -> Any:
+def _build_runtime(opts: argparse.Namespace, **kwargs: Any) -> Any:
+    """The one place the CLI constructs a runtime from ``--backend``.
+
+    *kwargs* go to the runtime's constructor; ``--shards`` and
+    ``--no-batching`` apply when the subcommand's parser has them.
+    """
     if opts.backend == "local":
-        return LocalRuntime(tracer=tracer)
-    shards = getattr(opts, "shards", 1)
-    if opts.backend == "threaded":
-        from repro.parallel import ThreadedReplicaRuntime
+        return LocalRuntime(**kwargs)
+    from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
 
-        return ThreadedReplicaRuntime(
-            opts.replicas, shards=shards,
-            batching=not opts.no_batching, tracer=tracer,
-        )
-    from repro.parallel import MultiprocessRuntime
-
-    return MultiprocessRuntime(
-        opts.replicas, shards=shards,
-        batching=not opts.no_batching, tracer=tracer,
+    backends = {"threaded": ThreadedReplicaRuntime, "multiproc": MultiprocessRuntime}
+    return backends[opts.backend](
+        opts.replicas,
+        shards=getattr(opts, "shards", 1),
+        batching=not getattr(opts, "no_batching", False),
+        **kwargs,
     )
 
 
@@ -532,8 +532,8 @@ def _top_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--wal",
-        metavar="PATH",
-        help="use a write-ahead-logged runtime at PATH (local backend only)",
+        metavar="DIR",
+        help="use a journaling runtime on directory DIR (local backend only)",
     )
     parser.add_argument(
         "--url",
@@ -550,9 +550,9 @@ def _top_main(argv: list[str]) -> int:
     if opts.wal:
         if opts.backend != "local":
             parser.error("--wal requires --backend local")
-        from repro.persist.wal import WALRuntime
+        from repro.persist import SegmentedWALRuntime
 
-        rt: Any = WALRuntime(opts.wal, fsync=False)
+        rt: Any = SegmentedWALRuntime(opts.wal, fsync=False)
     else:
         rt = _build_runtime(opts)
 
@@ -870,24 +870,7 @@ def _chaos_main(argv: list[str]) -> int:
         auto_recover=True,
         backoff_initial=0.05,
     )
-    if opts.backend == "threaded":
-        from repro.parallel import ThreadedReplicaRuntime
-
-        rt: Any = ThreadedReplicaRuntime(
-            opts.replicas,
-            shards=opts.shards,
-            batching=not opts.no_batching,
-            detect_failures=policy,
-        )
-    else:
-        from repro.parallel import MultiprocessRuntime
-
-        rt = MultiprocessRuntime(
-            opts.replicas,
-            shards=opts.shards,
-            batching=not opts.no_batching,
-            detect_failures=policy,
-        )
+    rt = _build_runtime(opts, detect_failures=policy)
     # On a sharded runtime the monkey torments one seeded-random shard
     # group; the report names it so reruns with the same seed replay it.
     monkey = ChaosMonkey(
@@ -1172,16 +1155,8 @@ def _wal_smoke(opts) -> int:
     import tempfile
     import time
 
-    from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
-
-    make = (
-        ThreadedReplicaRuntime
-        if opts.backend == "threaded"
-        else MultiprocessRuntime
-    )
-
     if opts.child:  # victim role
-        rt = make(opts.replicas, durable_dir=opts.child)
+        rt = _build_runtime(opts, durable_dir=opts.child)
         for i in range(opts.ops):
             rt.out(rt.main_ts, "smoke", i)
         rt.quiesce()
@@ -1228,7 +1203,7 @@ def _wal_smoke(opts) -> int:
         print(f"victim journaled {opts.ops} commands, killed -9 "
               f"(rc={child.returncode})")
 
-        rt = make(opts.replicas, durable_dir=d)
+        rt = _build_runtime(opts, durable_dir=d)
         try:
             rt.quiesce()
             got = set(rt.fingerprints())
@@ -1469,18 +1444,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     opts = parser.parse_args(argv)
     if opts.backend == "local":
-        rt: Any = LocalRuntime()
-    elif opts.backend == "threaded":
-        from repro.parallel import ThreadedReplicaRuntime
-
-        rt = ThreadedReplicaRuntime(
-            opts.replicas, detect_failures=True, auto_recover=opts.auto_recover
-        )
+        rt = _build_runtime(opts)
     else:
-        from repro.parallel import MultiprocessRuntime
-
-        rt = MultiprocessRuntime(
-            opts.replicas, detect_failures=True, auto_recover=opts.auto_recover
+        rt = _build_runtime(
+            opts, detect_failures=True, auto_recover=opts.auto_recover
         )
     shell = FtlShell(rt=rt)
     try:

@@ -36,6 +36,7 @@ from repro.core.ags import AGS, AGSResult, Guard, Op
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
 from repro.core.statemachine import (
     Command,
+    Completion,
     CreateSpace,
     DestroySpace,
     ExecuteAGS,
@@ -478,7 +479,7 @@ class LocalRuntime(BaseRuntime):
             t_ordered = _now()
             self._h_submit.record(t_ordered - t_submit)
             rid = next(self._req_ids)
-            completions = self._sm.apply(
+            completions = self._apply(
                 ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags)
             )
             t_applied = _now()
@@ -539,6 +540,15 @@ class LocalRuntime(BaseRuntime):
     def _cancel_blocked(self, rid: int) -> None:
         self._sm.unpark(rid)
 
+    def _apply(self, command: Command) -> list[Completion]:
+        """Every command reaches the machine here, under the runtime lock.
+
+        The lock order is the total order, so a subclass that overrides
+        this (the journaling runtime: append, then apply) sees commands
+        in exactly the order they execute.
+        """
+        return self._sm.apply(command)
+
     def create_space(
         self,
         name: str,
@@ -548,7 +558,7 @@ class LocalRuntime(BaseRuntime):
     ) -> TSHandle:
         with self._cond:
             rid = next(self._req_ids)
-            completions = self._sm.apply(
+            completions = self._apply(
                 CreateSpace(rid, _LOCAL_ORIGIN, name, resilience, scope, owner)
             )
             result = completions[0].result
@@ -559,7 +569,7 @@ class LocalRuntime(BaseRuntime):
     def destroy_space(self, handle: TSHandle) -> None:
         with self._cond:
             rid = next(self._req_ids)
-            completions = self._sm.apply(DestroySpace(rid, _LOCAL_ORIGIN, handle))
+            completions = self._apply(DestroySpace(rid, _LOCAL_ORIGIN, handle))
             result = completions[0].result
             if isinstance(result, Exception):
                 raise result
@@ -587,7 +597,7 @@ class LocalRuntime(BaseRuntime):
 
         with self._cond:
             rid = next(self._req_ids)
-            completions = self._sm.apply(HostFailed(rid, _LOCAL_ORIGIN, host_id))
+            completions = self._apply(HostFailed(rid, _LOCAL_ORIGIN, host_id))
             for c in completions:
                 self._results[c.request_id] = c.result
             if completions:
@@ -599,7 +609,7 @@ class LocalRuntime(BaseRuntime):
 
         with self._cond:
             rid = next(self._req_ids)
-            completions = self._sm.apply(HostRecovered(rid, _LOCAL_ORIGIN, host_id))
+            completions = self._apply(HostRecovered(rid, _LOCAL_ORIGIN, host_id))
             for c in completions:
                 self._results[c.request_id] = c.result
             if completions:

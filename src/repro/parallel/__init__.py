@@ -2,25 +2,20 @@
 
 The simulated cluster (:mod:`repro.consul`) gives deterministic virtual
 time; these backends give actual concurrency on one machine, with the same
-:class:`~repro.core.runtime.BaseRuntime` API.  Both are thin adapters over
-the shared replication core (:mod:`repro.replication`): a
-:class:`~repro.replication.group.ReplicaGroup` owns sequencing (with
-command batching), completion dedup, in-band queries and metrics, and a
-:class:`~repro.replication.transport.Transport` moves the ordered stream:
-
-- :class:`~repro.parallel.threaded.ThreadedReplicaRuntime` — N replica
-  state machines, each applied by its own thread, fed by an in-memory
-  FIFO transport.  Crash a replica and the others carry on; fingerprints
-  verify convergence under real thread interleavings.
-- :class:`~repro.parallel.multiproc.MultiprocessRuntime` — replicas in
-  separate OS processes connected by pickling queues; ordered batches are
-  marshalled once and shipped to every replica, exactly as they would be
-  onto a network.  This is the network-of-workstations substitute for
-  running real parallel examples, and supports SIGKILL crash injection
-  plus snapshot-based replica recovery.
+:class:`~repro.core.runtime.BaseRuntime` API.  There is one runtime class,
+:class:`~repro.parallel.runtime.ReplicatedRuntime` — a thin adapter over
+the shared replication core (:mod:`repro.replication`) — and two
+subclasses that each pick the transport moving the ordered stream and
+nothing else: :class:`ThreadedReplicaRuntime` (replica threads, in-memory
+FIFOs) and :class:`MultiprocessRuntime` (replica processes joined to the
+parent by framed-pickle pipes — the network-of-workstations substitute).
+See :mod:`repro.parallel.runtime`.
 """
 
-from repro.parallel.multiproc import MultiprocessRuntime
-from repro.parallel.threaded import ThreadedReplicaRuntime
+from repro.parallel.runtime import (
+    MultiprocessRuntime,
+    ReplicatedRuntime,
+    ThreadedReplicaRuntime,
+)
 
-__all__ = ["MultiprocessRuntime", "ThreadedReplicaRuntime"]
+__all__ = ["MultiprocessRuntime", "ReplicatedRuntime", "ThreadedReplicaRuntime"]

@@ -4,23 +4,23 @@ The paper chooses replication for stable tuple spaces and says why
 (Sec. 3): stable storage via logging serves a single processor, but "in
 situations where stable values must also be shared among multiple
 processors — as is the case here — replication is a more appropriate
-choice."  This package implements the road not taken, so the choice can
-be measured instead of asserted:
+choice."  This package implements the road not taken — once — so the
+choice can be measured instead of asserted:
 
-- :class:`~repro.persist.wal.WALRuntime` — a LocalRuntime whose command
-  stream is written to a write-ahead log before execution; after a crash,
-  :meth:`~repro.persist.wal.WALRuntime.recover` replays the log into an
-  identical state (the state machine's determinism does the heavy
-  lifting — replay *is* re-execution);
-- the A5 ablation benchmark compares per-op overhead and recovery time
-  of logging (with and without fsync) against the replicated cluster;
-- :class:`~repro.persist.segments.SegmentedWALRuntime` — the scaled-up
-  durability plane: rotated log segments, incremental copy-on-write
-  snapshots taken by a background compactor, and recovery bounded by the
-  snapshot cadence instead of the full history (see
-  :mod:`repro.persist.segments`), with env-gated SIGKILL crash points
-  (:mod:`repro.persist.crashpoints`) so the crash-safety argument is
-  exercised, not assumed.
+- :class:`~repro.persist.segments.SegmentedWALRuntime` — a LocalRuntime
+  whose command stream is journaled before execution into a directory of
+  rotated segments, with copy-on-write snapshots taken by a background
+  compactor.  Its constructor *is* recovery: it replays whatever the
+  directory holds (the state machine's determinism does the heavy
+  lifting — replay is re-execution) and journals on from there, so
+  recovery is bounded by the snapshot cadence instead of the full
+  history.  With no compaction trigger it is also the O(history)
+  reference arm of the A5 ablations;
+- :class:`~repro.persist.segments.SegmentedLog` — the payload-agnostic
+  segment/snapshot/manifest layout underneath, which the replica groups
+  reuse for their durable journal (``durable_dir=``);
+- env-gated SIGKILL crash points (:mod:`repro.persist.crashpoints`) so
+  the crash-safety argument is exercised, not assumed.
 """
 
 from repro.persist.crashpoints import CRASHPOINT_ENV, crash_here
@@ -31,10 +31,8 @@ from repro.persist.segments import (
     fsync_dir,
     replay_dir,
 )
-from repro.persist.wal import WALRuntime
 
 __all__ = [
-    "WALRuntime",
     "SegmentedWALRuntime",
     "SegmentedLog",
     "ReplayResult",

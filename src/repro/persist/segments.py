@@ -1,8 +1,7 @@
 """Segmented WAL: rotated segments, background compaction, bounded recovery.
 
-:mod:`repro.persist.wal` keeps the whole history in one file, so both
-compaction and recovery are O(history).  This module bounds recovery time
-by *structure* instead:
+A log kept as one file makes both compaction and recovery O(history).
+This module bounds recovery time by *structure* instead:
 
 - the log is a **directory** of fixed-size-ish segment files
   (``segment-00000042.log``), each a sequence of length-prefixed pickled
@@ -46,7 +45,7 @@ import time
 from typing import Any, BinaryIO
 
 from repro.core.runtime import LocalRuntime
-from repro.core.statemachine import Command, TSStateMachine
+from repro.core.statemachine import Command, Completion, TSStateMachine
 from repro.persist.crashpoints import armed, crash_here
 
 __all__ = [
@@ -133,10 +132,10 @@ class SegmentedLog:
     """A directory of rotated, length-prefixed record segments.
 
     Not thread-safe by itself — callers serialize appends (the runtimes
-    append under their submission lock) and run compaction-side methods
-    (``write_snapshot``/``write_manifest``/``prune``) from one compactor
-    thread at a time.  Appends and compaction may interleave: compaction
-    only ever touches *closed* segments and snapshot/manifest files.
+    append under their submission lock) and run :meth:`compact` from one
+    compactor thread at a time.  Appends and compaction may interleave:
+    compaction only ever touches *closed* segments and snapshot/manifest
+    files.
     """
 
     def __init__(self, dir: str, *, fsync: bool = True, segment_bytes: int = 1 << 20):
@@ -329,6 +328,40 @@ class SegmentedLog:
             fsync_dir(self.dir)
         return removed
 
+    def compact(self, slot: int, snapshot: dict[str, Any], **owner: Any) -> list[str]:
+        """Install *snapshot* as covering everything up to *slot*; prune.
+
+        The one compaction routine — snapshot, manifest, prune, in the
+        order the crash points assume — shared by the journaling runtime
+        and the replica-group journal.  *owner* tags the events (the
+        group passes its name).  Returns the files removed.
+        """
+        from repro.obs.events import emit
+
+        t0 = time.perf_counter()
+        emit("snapshot_started", dir=self.dir, slot=slot, **owner)
+        blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        self.write_snapshot(slot, blob)
+        self.write_manifest(slot)
+        removed = self.prune(slot)
+        emit(
+            "snapshot_finished",
+            dir=self.dir,
+            slot=slot,
+            bytes=len(blob),
+            seconds=time.perf_counter() - t0,
+            **owner,
+        )
+        emit(
+            "wal_compacted",
+            dir=self.dir,
+            covered_slot=slot,
+            removed=len(removed),
+            bytes=self.status()["total_bytes"],
+            **owner,
+        )
+        return removed
+
     # ------------------------------------------------------------------ #
     # introspection / lifecycle
     # ------------------------------------------------------------------ #
@@ -385,6 +418,23 @@ class ReplayResult:
         self.manifest_ok = False
         self.segments_read = 0
 
+    def highest_request_id(self) -> int:
+        """The largest request id anywhere in the replayed history.
+
+        A recovered machine remembers completed ids (duplicate
+        suppression) and still holds the parked ones, so whoever resumes
+        on this history must mint fresh ids strictly past this.
+        """
+        highest = 0
+        if self.snapshot is not None:
+            for rid, _result in self.snapshot.get("completed", ()):
+                highest = max(highest, rid)
+            for blocked in self.snapshot["blocked"]:
+                highest = max(highest, blocked[0])
+        for _slot, command in self.records:
+            highest = max(highest, getattr(command, "request_id", 0))
+        return highest
+
 
 def replay_dir(dir: str) -> ReplayResult:
     """Scan a segmented-WAL directory into a :class:`ReplayResult`.
@@ -436,19 +486,32 @@ def replay_dir(dir: str) -> ReplayResult:
 class SegmentedWALRuntime(LocalRuntime):
     """A LocalRuntime journaling through a :class:`SegmentedLog`.
 
-    Same contract as :class:`~repro.persist.wal.WALRuntime` — every
-    command is durably framed before it applies, recovery replays the
-    surviving prefix — but with segments, incremental copy-on-write
-    snapshots, and compaction running on a background thread instead of
-    stop-the-world inside the submission lock.
+    The total order on a single host is the submission order under the
+    runtime lock; every command — probes and statements that end up
+    parked included, so replay is literally identical — is durably framed
+    before it applies.  Because the state machine is deterministic,
+    recovery is re-execution: the same argument that makes replica state
+    transfer sound makes log replay sound.
+
+    **Construction is recovery.**  The constructor replays whatever
+    :func:`replay_dir` finds in *dir* — the newest readable snapshot plus
+    the delta records after it; an empty or absent directory is a fresh
+    start — and then journals from the recovered slot.  Replay costs one
+    snapshot load plus the delta since it: bounded by the snapshot
+    cadence, or O(history) for a runtime that never compacts.  Torn tails
+    (records, snapshots, manifest) are tolerated and reported: a torn
+    record was never acknowledged, so discarding it is correct.
+    Statements parked before the crash stay parked — the tuples and
+    obligations survive, the processes do not.
 
     Parameters
     ----------
     dir:
         Log directory (created as needed).
     fsync:
-        Force every record (and rotation) to disk.  The durability /
-        latency knob, as in :class:`WALRuntime`.
+        Force every record (and rotation) to disk before the command
+        executes — real stable storage, at real cost.  When False the OS
+        buffers writes (fast, but a crash can lose the tail).
     segment_bytes:
         Rotate the active segment once it exceeds this size.
     compact_every:
@@ -456,7 +519,8 @@ class SegmentedWALRuntime(LocalRuntime):
         trigger).
     compact_interval:
         Take a snapshot at least this often, in seconds (None = no
-        time-based trigger).  Either trigger starts the compactor thread.
+        time-based trigger).  Either trigger starts the compactor thread,
+        which snapshots copy-on-write off the apply path.
     """
 
     def __init__(
@@ -469,36 +533,38 @@ class SegmentedWALRuntime(LocalRuntime):
         compact_interval: float | None = None,
     ):
         super().__init__()
-        self._init_wal(
-            dir,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            compact_every=compact_every,
-            compact_interval=compact_interval,
-        )
-
-    def _init_wal(
-        self,
-        dir: str,
-        *,
-        fsync: bool,
-        segment_bytes: int,
-        compact_every: int | None,
-        compact_interval: float | None,
-    ) -> None:
         self.dir = dir
         self.fsync = fsync
         self.compact_every = compact_every
         self.compact_interval = compact_interval
+        res = replay_dir(dir)
+        if res.snapshot is not None:
+            self._sm = TSStateMachine.from_snapshot(res.snapshot)
+        for _slot, command in res.records:
+            # completions are dropped: their clients died with the crash
+            self._sm.apply(command)
+        self._req_ids = itertools.count(res.highest_request_id() + 1)
         self.records_written = 0
-        self.replayed = 0
-        self.torn_bytes = 0
-        self.torn_records = 0
-        self.torn_snapshots = 0
+        self.replayed = len(res.records) + (1 if res.snapshot is not None else 0)
+        self.torn_bytes = res.torn_bytes
+        self.torn_records = res.torn_records
+        self.torn_snapshots = res.torn_snapshots
         self.snapshots_written = 0
-        self.snapshot_slot = 0
+        self.snapshot_slot = res.snapshot_slot
         self._snapshot_time: float | None = None
         self._records_since_snapshot = 0
+        if res.torn_bytes or res.torn_snapshots:
+            from repro.obs.events import emit
+
+            emit(
+                "wal_torn_tail",
+                severity="warning",
+                path=dir,
+                torn_bytes=res.torn_bytes,
+                torn_records=res.torn_records,
+                torn_snapshots=res.torn_snapshots,
+                replayed=self.replayed,
+            )
         self.log = SegmentedLog(dir, fsync=fsync, segment_bytes=segment_bytes)
         self._g_segments = self.metrics.gauge("wal_segments")
         self._g_wal_bytes = self.metrics.gauge("wal_bytes")
@@ -514,17 +580,20 @@ class SegmentedWALRuntime(LocalRuntime):
             )
             self._compactor.start()
 
+    @classmethod
+    def recover(cls, dir: str, **kwargs: Any) -> "SegmentedWALRuntime":
+        """Rebuild a runtime from *dir* — the constructor, by its other name."""
+        return cls(dir, **kwargs)
+
     # ------------------------------------------------------------------ #
-    # logging hook (same proxy pattern as WALRuntime)
+    # the journaling hook
     # ------------------------------------------------------------------ #
 
-    def _append(self, command: Command) -> None:
+    def _apply(self, command: Command) -> list[Completion]:
         # applied_count is the machine's position in the total order and
-        # advances by exactly one per apply; _append runs under the
-        # submission lock immediately before apply, so this command will
-        # land at slot applied_count + 1.
-        slot = self._logging_sm._inner.applied_count + 1
-        self.log.append(slot, command)
+        # advances by exactly one per apply; _apply runs under the
+        # submission lock, so this command will land at applied_count + 1.
+        self.log.append(self._sm.applied_count + 1, command)
         self.records_written += 1
         self._records_since_snapshot += 1
         if (
@@ -532,16 +601,7 @@ class SegmentedWALRuntime(LocalRuntime):
             and self._records_since_snapshot >= self.compact_every
         ):
             self._wake.set()
-
-    @property
-    def _sm(self):  # type: ignore[override]
-        return self._logging_sm
-
-    @_sm.setter
-    def _sm(self, machine) -> None:
-        from repro.persist.wal import _LoggingSM
-
-        object.__setattr__(self, "_logging_sm", _LoggingSM(self, machine))
+        return self._sm.apply(command)
 
     def _wal_bytes(self) -> int | None:
         try:
@@ -581,42 +641,17 @@ class SegmentedWALRuntime(LocalRuntime):
         manifest rewrite and pruning all run off the apply path.  Returns
         the covered slot, or None when nothing new had applied.
         """
-        from repro.obs.events import emit
-
         with self._compact_lock:
-            t0 = time.perf_counter()
             with self._lock:
-                image = self._logging_sm._inner.cow_snapshot(retain=False)
+                image = self._sm.cow_snapshot(retain=False)
+                self._records_since_snapshot = 0
             slot = image.applied_count
             if slot <= self.snapshot_slot:
                 return None
-            emit("snapshot_started", dir=self.dir, slot=slot)
-            blob = pickle.dumps(image.to_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
-            self.log.write_snapshot(slot, blob)
+            self.log.compact(slot, image.to_snapshot())
             self.snapshots_written += 1
             self.snapshot_slot = slot
             self._snapshot_time = time.monotonic()
-            # Reset races with concurrent appends; the counter is only a
-            # compaction trigger, so a lost increment just delays the
-            # next snapshot by one command.
-            self._records_since_snapshot = 0
-            self.log.write_manifest(slot)
-            removed = self.log.prune(slot)
-            elapsed = time.perf_counter() - t0
-            emit(
-                "snapshot_finished",
-                dir=self.dir,
-                slot=slot,
-                bytes=len(blob),
-                seconds=elapsed,
-            )
-            emit(
-                "wal_compacted",
-                dir=self.dir,
-                covered_slot=slot,
-                removed=len(removed),
-                bytes=self._wal_bytes(),
-            )
             self._update_gauges()
             return slot
 
@@ -638,7 +673,7 @@ class SegmentedWALRuntime(LocalRuntime):
         st["torn_snapshots"] = self.torn_snapshots
         st["snapshots_written"] = self.snapshots_written
         st["snapshot_slot"] = max(st["snapshot_slot"], self.snapshot_slot)
-        st["applied"] = self._logging_sm._inner.applied_count
+        st["applied"] = self._sm.applied_count
         st["fsync"] = self.fsync
         st["snapshot_age_s"] = (
             time.monotonic() - self._snapshot_time
@@ -652,79 +687,22 @@ class SegmentedWALRuntime(LocalRuntime):
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def _stop_compaction_thread(self) -> None:
+    def close(self) -> None:
+        """Stop the compactor and close the log (idempotent).
+
+        Nothing is flushed here that an append had not already flushed,
+        so this is also what a crash leaves behind: everything volatile
+        dropped, only the directory kept — hence :meth:`crash` below.
+        """
         if self._compactor is not None:
             self._stop_compactor.set()
             self._wake.set()
             self._compactor.join(timeout=5.0)
             self._compactor = None
-
-    def close(self) -> None:
-        self._stop_compaction_thread()
         self.log.close()
 
-    def crash(self) -> None:
-        """Simulate a crash: drop everything volatile, keep only the dir."""
-        self._stop_compaction_thread()
-        self.log.close()
+    crash = close
 
-    @classmethod
-    def recover(
-        cls,
-        dir: str,
-        *,
-        fsync: bool = True,
-        segment_bytes: int = 1 << 20,
-        compact_every: int | None = None,
-        compact_interval: float | None = None,
-    ) -> "SegmentedWALRuntime":
-        """Rebuild a runtime from the newest snapshot plus the delta log.
-
-        Replay cost is bounded by the snapshot cadence: one snapshot load
-        plus however many commands applied since it was taken — never the
-        full history.  Torn tails (records, snapshots, manifest) are
-        tolerated and reported, same argument as WALRuntime: a torn
-        record was never acknowledged, so discarding it is correct.
-        """
-        res = replay_dir(dir)
-        rt = cls.__new__(cls)
-        LocalRuntime.__init__(rt)
-        highest_rid = 0
-        if res.snapshot is not None:
-            rt._sm = TSStateMachine.from_snapshot(res.snapshot)
-        inner = rt._logging_sm._inner
-        for rid in inner.completed:
-            highest_rid = max(highest_rid, rid)
-        for b in inner.blocked:
-            highest_rid = max(highest_rid, b.command.request_id)
-        for _slot, command in res.records:
-            highest_rid = max(highest_rid, getattr(command, "request_id", 0))
-            inner.apply(command)
-        # recovery completions are dropped: their clients died with the crash
-        rt._results.clear()
-        rt._req_ids = itertools.count(highest_rid + 1)
-        rt._init_wal(
-            dir,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            compact_every=compact_every,
-            compact_interval=compact_interval,
-        )
-        rt.replayed = len(res.records) + (1 if res.snapshot is not None else 0)
-        rt.torn_bytes = res.torn_bytes
-        rt.torn_records = res.torn_records
-        rt.torn_snapshots = res.torn_snapshots
-        rt.snapshot_slot = res.snapshot_slot
-        if res.torn_bytes or res.torn_snapshots:
-            from repro.obs.events import emit
-
-            emit(
-                "wal_torn_tail",
-                severity="warning",
-                path=dir,
-                torn_bytes=res.torn_bytes,
-                torn_records=res.torn_records,
-                torn_snapshots=res.torn_snapshots,
-                replayed=rt.replayed,
-            )
-        return rt
+    def shutdown(self) -> None:
+        super().shutdown()
+        self.close()

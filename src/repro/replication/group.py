@@ -66,11 +66,10 @@ One object owns everything the paper's ordered-update pipeline needs
 from __future__ import annotations
 
 import itertools
-import pickle
 import threading
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Iterator
 
 from repro._errors import HostFailedError, RuntimeFailure, TimeoutError_
 from repro.core.ags import AGSResult
@@ -184,6 +183,9 @@ class _Waiter:
 class ReplicaGroup:
     """Sequencing, parking, dedup, queries and metrics over a Transport."""
 
+    #: Chunk size for resumable, incarnation-fenced replica state transfer.
+    transfer_chunk_bytes = 256 * 1024
+
     def __init__(
         self,
         transport: Transport,
@@ -197,8 +199,6 @@ class ReplicaGroup:
         shard_info: tuple[int, int] | None = None,
         durable_dir: str | None = None,
         durable_fsync: bool = True,
-        journal_segment_bytes: int = 1 << 20,
-        transfer_chunk_bytes: int | None = 256 * 1024,
     ):
         self.transport = transport
         self.n_replicas = transport.n_replicas
@@ -315,9 +315,6 @@ class ReplicaGroup:
         #: sequencer lock, so a full-group restart replays the stream and
         #: recovers every replica to the last fsynced slot.
         self.durable_dir = durable_dir
-        #: Chunk size for resumable, incarnation-fenced replica state
-        #: transfer; None falls back to the legacy one-shot SNAPSHOT item.
-        self.transfer_chunk_bytes = transfer_chunk_bytes
         self._journal = None
         self._journal_slot = 0
         self._journal_replaying = False
@@ -330,10 +327,7 @@ class ReplicaGroup:
         if durable_dir is not None:
             from repro.persist.segments import SegmentedLog
 
-            self._journal = SegmentedLog(
-                durable_dir, fsync=durable_fsync,
-                segment_bytes=journal_segment_bytes,
-            )
+            self._journal = SegmentedLog(durable_dir, fsync=durable_fsync)
         transport.start(self._on_worker_item)
         self._kick = threading.Event()
         self._seq_thread: threading.Thread | None = None
@@ -938,13 +932,48 @@ class ReplicaGroup:
             with self._state_lock:
                 self._queries.pop((qid, replica_id), None)
             raise TimeoutError_(f"replica {replica_id} has crashed")
+        return self._await_answer(replica_id, qid, event, slot, timeout, "query")
+
+    def _await_answer(
+        self,
+        replica_id: int,
+        qid: int,
+        event: threading.Event,
+        slot: list,
+        timeout: float,
+        what: str,
+    ) -> Any:
+        """The tail of every in-band round trip, once the item is sent.
+
+        Wait for the answer; on timeout drop the registration (it must
+        never outlive the call); surface the crash sentinel as the same
+        :class:`TimeoutError_` a dead replica gets up front.
+        """
         if not event.wait(timeout):
             with self._state_lock:
                 self._queries.pop((qid, replica_id), None)
-            raise TimeoutError_(f"replica {replica_id} did not answer query")
+            raise TimeoutError_(f"replica {replica_id} did not answer {what}")
         if slot[0] is _REPLICA_CRASHED:
-            raise TimeoutError_(f"replica {replica_id} crashed during query")
+            raise TimeoutError_(f"replica {replica_id} crashed during {what}")
         return slot[0]
+
+    def _ask_live(
+        self, what: str, arg: Any = None, timeout: float = 30.0
+    ) -> Iterator[tuple[int, Any]]:
+        """Query each live replica in turn; yield ``(replica, answer)``.
+
+        A replica crashing mid-iteration is skipped, not an error — it is
+        no longer part of the live set; a timeout from one that is still
+        alive is a genuine stall and propagates.
+        """
+        for i in self.live_replicas():
+            try:
+                answer = self.query(i, what, arg, timeout)
+            except TimeoutError_:
+                if self.alive[i]:
+                    raise
+                continue
+            yield i, answer
 
     # ------------------------------------------------------------------ #
     # membership: crash, failure notification, recovery
@@ -1018,10 +1047,7 @@ class ReplicaGroup:
         declared through the same path as a cooperative ``crash_replica``,
         so survivors see one ordered failure tuple at one slot.
         """
-        # lazy: parallel._liveness imports replication the other way round
-        from repro.parallel._liveness import register_monitor_thread
-
-        register_monitor_thread(self.name)
+        register_thread(self._role("liveness-monitor"))
         policy = self.liveness
         assert policy is not None
         while not self._monitor_stop.wait(policy.probe_interval):
@@ -1138,9 +1164,9 @@ class ReplicaGroup:
         slip between capture and readmission.  A ``HostRecovered`` command
         then deposits the recovery tuple, as on the simulated cluster.
 
-        With ``transfer_chunk_bytes`` set (the default) the snapshot
-        travels as bounded chunks instead of one item, and the fetch is
-        *resumable*: a donor dying mid-transfer is noticed within a probe
+        The snapshot travels as bounded chunks (``transfer_chunk_bytes``
+        each) instead of one item, and the fetch is *resumable*: a donor
+        dying mid-transfer is noticed within a probe
         interval and the remaining chunks come from the next live donor
         (donors frozen at the same slot produce identical snapshot bytes,
         so already-fetched chunks stay valid; a byte-level mismatch is
@@ -1166,41 +1192,15 @@ class ReplicaGroup:
     ) -> None:
         with self._seq_lock:  # freeze the order: nothing sequenced past us
             self._flush_pending_locked()
-            chunks: list[bytes] | None = None
-            snapshot = None
-            if self.transfer_chunk_bytes:
-                chunks, applied = self._fetch_snapshot_chunked(
-                    timeout, dead_donors
-                )
-            else:
-                donor = next(
-                    (i for i in self.live_replicas() if i not in dead_donors),
-                    None,
-                )
-                if donor is None:
-                    raise TimeoutError_("no live replica to transfer state from")
-                qid, event, slot = self._register_query(donor)
-                self.transport.send(donor, ("SNAPSHOT", qid))
-                if not event.wait(timeout):
-                    with self._state_lock:
-                        self._queries.pop((qid, donor), None)
-                    raise TimeoutError_("donor replica did not produce a snapshot")
-                snapshot, applied = slot[0]
+            chunks, applied = self._fetch_snapshot_chunked(timeout, dead_donors)
             self.transport.restart_replica(replica_id)
-            qid2, event2, slot2 = self._register_query(replica_id)
-            if chunks is not None:
-                total = len(chunks)
-                for idx, chunk in enumerate(chunks):
-                    self.transport.send(
-                        replica_id, ("INSTALL_CHUNK", qid2, idx, total, chunk)
-                    )
+            qid, event, slot = self._register_query(replica_id)
+            total = len(chunks)
+            for idx, chunk in enumerate(chunks):
                 self.transport.send(
-                    replica_id, ("INSTALL_DONE", qid2, qid2, total)
+                    replica_id, ("INSTALL_CHUNK", qid, idx, total, chunk)
                 )
-            else:
-                self.transport.send(
-                    replica_id, ("INSTALL", qid2, snapshot, applied)
-                )
+            self.transport.send(replica_id, ("INSTALL_DONE", qid, qid, total))
             self.alive[replica_id] = True
             # a rejoining replica starts with a clean liveness slate —
             # without this the monitor would re-suspect it instantly
@@ -1222,13 +1222,12 @@ class ReplicaGroup:
             self._broadcast_batch([(rec, None)])
         self._g_live.set(len(self.live_replicas()))
         self._recover_pending.pop(replica_id, None)
-        if not event2.wait(timeout):
-            with self._state_lock:
-                self._queries.pop((qid2, replica_id), None)
-            raise TimeoutError_("recovered replica did not confirm install")
-        if slot2[0] != "installed":
+        answer = self._await_answer(
+            replica_id, qid, event, slot, timeout, "state install"
+        )
+        if answer != "installed":
             raise TimeoutError_(
-                f"recovered replica rejected the transferred state: {slot2[0]!r}"
+                f"recovered replica rejected the transferred state: {answer!r}"
             )
         if self.tracer is not None:
             self.tracer.record_span(
@@ -1294,7 +1293,6 @@ class ReplicaGroup:
         Donors that die mid-transfer are appended to *dead_donors* for
         the caller to declare dead after the lock is released.
         """
-        assert self.transfer_chunk_bytes
         chunks: list[bytes] = []
         meta: tuple[int, int, int] | None = None
         tried: set[int] = set()
@@ -1378,35 +1376,26 @@ class ReplicaGroup:
         if res.snapshot is None and not res.records:
             return
         t0 = time.monotonic()
-        highest_rid = 0
         self._journal_replaying = True
         try:
             with self._seq_lock:
                 if res.snapshot is not None:
                     waits = []
                     for i in self.live_replicas():
-                        qid, event, _slot = self._register_query(i)
+                        qid, event, slot = self._register_query(i)
                         self.transport.send(
                             i, ("INSTALL", qid, res.snapshot, res.snapshot_slot)
                         )
-                        waits.append((i, qid, event))
-                    for i, qid, event in waits:
-                        if not event.wait(30.0):
-                            with self._state_lock:
-                                self._queries.pop((qid, i), None)
-                            raise RuntimeFailure(
-                                f"replica {i} did not confirm journal "
-                                "snapshot install"
-                            )
+                        waits.append((i, qid, event, slot))
+                    for sent in waits:
+                        self._await_answer(
+                            *sent, 30.0, "journal snapshot install"
+                        )
                     self._journal_slot = res.snapshot_slot
                     with self._pending_lock:
                         # replicas resume at applied == snapshot_slot, so
                         # read floors must count from there too
                         self._sequenced = res.snapshot_slot
-                    for rid, _result in res.snapshot.get("completed", []):
-                        highest_rid = max(highest_rid, rid)
-                    for b in res.snapshot.get("blocked", []):
-                        highest_rid = max(highest_rid, b[0])
                 if res.records:
                     with self._pending_lock:
                         self._sequenced += len(res.records)
@@ -1414,13 +1403,9 @@ class ReplicaGroup:
                         [(cmd, None) for _slot, cmd in res.records]
                     )
                     self._journal_slot = res.records[-1][0]
-                    for _slot, cmd in res.records:
-                        highest_rid = max(
-                            highest_rid, getattr(cmd, "request_id", 0)
-                        )
         finally:
             self._journal_replaying = False
-        self._req_ids = itertools.count(highest_rid + 1)
+        self._req_ids = itertools.count(res.highest_request_id() + 1)
         self.journal_replayed = len(res.records) + (
             1 if res.snapshot is not None else 0
         )
@@ -1450,35 +1435,8 @@ class ReplicaGroup:
         donor = next(iter(self.live_replicas()), None)
         if donor is None:
             raise TimeoutError_("no live replica to snapshot the journal from")
-        qid, event, slot = self._register_query(donor)
-        with self._seq_lock:
-            self._flush_pending_locked()
-            self.transport.send(donor, ("SNAPSHOT", qid))
-        if not event.wait(timeout):
-            with self._state_lock:
-                self._queries.pop((qid, donor), None)
-            raise TimeoutError_("donor replica did not produce a journal snapshot")
-        if slot[0] is _REPLICA_CRASHED:
-            raise TimeoutError_("donor crashed during journal compaction")
-        snapshot, applied = slot[0]
-        emit_event(
-            "snapshot_started", group=self.name or "group", slot=applied
-        )
-        blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        self._journal.write_snapshot(applied, blob)
-        self._journal.write_manifest(applied)
-        removed = self._journal.prune(applied)
-        emit_event(
-            "snapshot_finished",
-            group=self.name or "group", slot=applied, bytes=len(blob),
-        )
-        emit_event(
-            "wal_compacted",
-            group=self.name or "group",
-            covered_slot=applied,
-            removed=len(removed),
-            bytes=self._journal.status()["total_bytes"],
-        )
+        snapshot, applied = self.query(donor, "snapshot", timeout=timeout)
+        self._journal.compact(applied, snapshot, group=self.name or "group")
         return applied
 
     def journal_status(self) -> dict[str, Any] | None:
@@ -1501,12 +1459,8 @@ class ReplicaGroup:
         only arrive after everything ahead of it on the FIFO has applied.
         A replica crashing mid-iteration is skipped, not an error.
         """
-        for i in self.live_replicas():
-            try:
-                self.query(i, "applied", timeout=timeout)
-            except TimeoutError_:
-                if self.alive[i]:
-                    raise  # a genuine stall, not a crash race
+        for _answered in self._ask_live("applied", timeout=timeout):
+            pass
 
     def fingerprints(self) -> list[int]:
         """Stable-state fingerprints of all live replicas.
@@ -1514,25 +1468,14 @@ class ReplicaGroup:
         Tolerates a replica crashing mid-iteration: its fingerprint is
         simply omitted (it is no longer part of the live set).
         """
-        prints: list[int] = []
-        for i in self.live_replicas():
-            try:
-                prints.append(self.query(i, "fingerprint"))
-            except TimeoutError_:
-                if self.alive[i]:
-                    raise
-        return prints
+        return [fp for _i, fp in self._ask_live("fingerprint")]
 
     def converged(self) -> bool:
         return len(set(self.fingerprints())) <= 1
 
     def space_size(self, handle: TSHandle) -> int:
-        for i in self.live_replicas():
-            try:
-                return self.query(i, "space_size", handle)
-            except TimeoutError_:
-                if self.alive[i]:
-                    raise  # crashed mid-query: ask the next live replica
+        for _i, size in self._ask_live("space_size", handle):
+            return size  # the first live replica to answer speaks for all
         raise TimeoutError_("all replicas have crashed")
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -1567,12 +1510,8 @@ class ReplicaGroup:
         """
         if getattr(self.transport, "per_process_workers", False):
             self._remote_profiling = True
-            for i in self.live_replicas():
-                try:
-                    self.query(i, "profile_start", hz)
-                except TimeoutError_:
-                    if self.alive[i]:
-                        raise  # crashed mid-query: its sampler dies with it
+            for _started in self._ask_live("profile_start", hz):
+                pass  # a replica that crashes takes its sampler with it
         if local_sampler and self._profiler is None:
             self._profiler = SamplingProfiler(hz=hz).start()
 
@@ -1594,13 +1533,8 @@ class ReplicaGroup:
             folded = prof.stop()
         if self._remote_profiling:
             self._remote_profiling = False
-            for i in self.live_replicas():
-                try:
-                    remote = self.query(i, "profile_stop")
-                except TimeoutError_:
-                    if self.alive[i]:
-                        raise
-                    continue  # crashed while sampling: keep the survivors
+            # a replica that crashed while sampling is skipped: keep the survivors
+            for _i, remote in self._ask_live("profile_stop"):
                 if isinstance(remote, dict) and remote:
                     if self.name:
                         remote = {
@@ -1639,13 +1573,9 @@ class ReplicaGroup:
             }
             for i in range(self.n_replicas)
         ]
-        live = self.live_replicas()
-        if live:
-            try:
-                snap["sm"] = self.query(live[0], "introspect")
-            except TimeoutError_:
-                if self.alive[live[0]]:
-                    raise
+        for _i, image in self._ask_live("introspect"):
+            snap["sm"] = image
+            break
         with self._pending_lock:
             snap["pending"] = len(self._pending)
         return snap

@@ -12,11 +12,11 @@ pure plumbing.
 Two implementations ship with the library:
 
 - :class:`InMemoryTransport` — one FIFO + applier thread per replica, the
-  substrate of :class:`~repro.parallel.threaded.ThreadedReplicaRuntime`;
+  substrate of :class:`~repro.parallel.ThreadedReplicaRuntime`;
 - :class:`PipeTransport` — one spawned OS process per replica, joined to
   the parent by two one-way pipes carrying length-prefixed pickles (the
   same marshalling commands would get on a wire), the substrate of
-  :class:`~repro.parallel.multiproc.MultiprocessRuntime`.  ``broadcast``
+  :class:`~repro.parallel.MultiprocessRuntime`.  ``broadcast``
   pickles a batch ONCE and the calling thread writes that one frame to
   every live replica — one ``write`` per replica per batch, no feeder
   thread, no re-marshalling.
@@ -50,7 +50,7 @@ class Transport(Protocol):
     """The seam between the ReplicaGroup core and a delivery mechanism."""
 
     n_replicas: int
-    #: True when restart_replica / SNAPSHOT / INSTALL round-trips work.
+    #: True when restart_replica and the state-transfer round trips work.
     supports_recovery: bool
     #: True when replica workers run in their own OS processes — the
     #: profiler then starts a per-process sampler in each worker via the

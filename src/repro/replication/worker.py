@@ -18,6 +18,9 @@ received                              meaning
                                       frame once, before this loop
 ``("QUERY", qid, what, arg)``         in-band state query; answered after
                                       everything sequenced before it.
+                                      ``snapshot`` answers ``(snapshot,
+                                      applied)`` — the journal compactor's
+                                      covered-slot image.
                                       ``profile_start``/``profile_stop``
                                       drive this process's sampling
                                       profiler: the answers (and the
@@ -33,7 +36,6 @@ received                              meaning
                                       group's read flusher batches many
                                       reads into one item, mirroring the
                                       write lane's batch amortization
-``("SNAPSHOT", qid)``                 emit a state-transfer snapshot
 ``("INSTALL", qid, snap, applied)``   replace state with a snapshot
 ``("XFER_BEGIN", qid, chunk_bytes)``  chunked state transfer, donor side:
                                       pickle ``(snapshot, applied)`` once,
@@ -260,6 +262,8 @@ def replica_loop(
                 answer = len(sm.blocked)
             elif what == "introspect":
                 answer = sm.introspection()
+            elif what == "snapshot":
+                answer = (sm.snapshot(), applied)
             elif what == "profile_start":
                 answer = process_profile_start(arg)
             elif what == "profile_stop":
@@ -267,8 +271,6 @@ def replica_loop(
             else:
                 answer = None
             emit(("QUERY", qid, replica_id, answer))
-        elif kind == "SNAPSHOT":
-            emit(("QUERY", item[1], replica_id, (sm.snapshot(), applied)))
         elif kind == "INSTALL":
             _k, qid, snapshot, count = item
             sm = TSStateMachine.from_snapshot(snapshot)

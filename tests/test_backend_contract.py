@@ -1,10 +1,10 @@
-"""One contract, three runtimes.
+"""One contract, every runtime.
 
-Every backend — single-process ``LocalRuntime``, thread-replicated
-``ThreadedReplicaRuntime``, process-replicated ``MultiprocessRuntime`` —
-implements the same :class:`~repro.core.runtime.BaseRuntime` API, so the
+Every backend — single-process ``LocalRuntime``, its journaling subclass
+``SegmentedWALRuntime``, thread-replicated ``ThreadedReplicaRuntime``,
+process-replicated ``MultiprocessRuntime`` — implements the same :class:`~repro.core.runtime.BaseRuntime` API, so the
 observable Linda semantics must be identical.  This suite states that
-contract once and runs it over all three, replacing the per-backend
+contract once and runs it over all of them, replacing the per-backend
 near-duplicate tests; backend-specific behaviour (ordered cancel,
 pickling, snapshot recovery) stays in the per-backend files.
 """
@@ -23,17 +23,21 @@ from repro import (
 )
 from repro.core.ags import Branch
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
+from repro.persist import SegmentedWALRuntime
 
 # The -s4 variants run the same runtimes partitioned into 4 shard groups
 # (still 3 replicas per shard): the whole contract — semantics, crash
 # handling, fingerprint convergence, metrics — must be shard-transparent.
-BACKENDS = ["local", "threaded", "multiproc", "threaded-s4", "multiproc-s4"]
+# "journaled" is LocalRuntime under the journaling ``_apply`` hook.
+BACKENDS = ["local", "journaled", "threaded", "multiproc", "threaded-s4", "multiproc-s4"]
 
 
 @pytest.fixture(params=BACKENDS)
-def rt(request):
+def rt(request, tmp_path):
     if request.param == "local":
         runtime = LocalRuntime()
+    elif request.param == "journaled":
+        runtime = SegmentedWALRuntime(str(tmp_path / "journal"), fsync=False)
     elif request.param == "threaded":
         runtime = ThreadedReplicaRuntime(n_replicas=3)
     elif request.param == "threaded-s4":

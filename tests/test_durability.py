@@ -109,6 +109,28 @@ class TestSegmentedRuntime:
         assert back.state_machine.fingerprint() == before
         back.close()
 
+    def test_plain_constructor_on_existing_dir_recovers(self, tmp_path):
+        """Reopening with the constructor (not ``recover``) must not fork history."""
+        d = str(tmp_path / "wal")
+        rt = SegmentedWALRuntime(d, fsync=False)
+        for i in range(5):
+            rt.out(MAIN_TS, "old", i)
+        rt.compact()
+        rt.out(MAIN_TS, "old", 5)
+        rt.close()
+
+        again = SegmentedWALRuntime(d, fsync=False)
+        assert again.space_size(MAIN_TS) == 6
+        again.out(MAIN_TS, "new", 1)
+        again.out(MAIN_TS, "new", 2)
+        before = again.state_machine.fingerprint()
+        again.close()
+
+        back = SegmentedWALRuntime(d, fsync=False)
+        assert back.space_size(MAIN_TS) == 8
+        assert back.state_machine.fingerprint() == before
+        back.close()
+
     def test_compaction_prunes_covered_segments(self, tmp_path):
         d = str(tmp_path / "wal")
         rt = SegmentedWALRuntime(d, segment_bytes=512, fsync=False)

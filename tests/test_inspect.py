@@ -290,9 +290,9 @@ class TestBackendSnapshots:
             rt.shutdown()
 
     def test_wal_bytes_gauge(self, introspect, tmp_path):
-        from repro.persist.wal import WALRuntime
+        from repro.persist import SegmentedWALRuntime
 
-        rt = WALRuntime(str(tmp_path / "test.wal"), fsync=False)
+        rt = SegmentedWALRuntime(str(tmp_path / "test.wal"), fsync=False)
         rt.out(rt.main_ts, "x", 1)
         snap = rt.introspection_snapshot()
         assert snap["wal_bytes"] > 0

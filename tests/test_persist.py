@@ -1,27 +1,30 @@
-"""Tests for the write-ahead-logged stable tuple space (the A5 design)."""
+"""Tests for the journaled stable tuple space (the A5 design alternative)."""
+
+import os
 
 import pytest
 
 from repro import AGS, Guard, Op, formal, ref
 from repro.core.spaces import MAIN_TS
-from repro.persist import WALRuntime
+from repro.core.statemachine import ExecuteAGS
+from repro.persist import SegmentedWALRuntime
 
 
 @pytest.fixture
-def wal_path(tmp_path):
+def wal_dir(tmp_path):
     return str(tmp_path / "ts.wal")
 
 
 class TestLogging:
-    def test_basic_roundtrip_still_works(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
+    def test_basic_roundtrip_still_works(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
         rt.out(MAIN_TS, "x", 1)
         assert rt.in_(MAIN_TS, "x", formal(int)) == ("x", 1)
         assert rt.records_written == 2
         rt.close()
 
-    def test_crash_and_recover_restores_tuples(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
+    def test_crash_and_recover_restores_tuples(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
         for i in range(5):
             rt.out(MAIN_TS, "data", i)
         rt.in_(MAIN_TS, "data", 2)
@@ -30,30 +33,28 @@ class TestLogging:
         before = rt.state_machine.fingerprint()
         rt.crash()
 
-        back = WALRuntime.recover(wal_path)
+        back = SegmentedWALRuntime.recover(wal_dir)
         assert back.state_machine.fingerprint() == before
         assert sorted(t[1] for t in back.space_tuples(MAIN_TS)) == [0, 1, 3, 4]
         assert back.space_tuples(h) == [("k", "v")]
         back.close()
 
-    def test_parked_statements_survive_recovery(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
-        # park a statement via the state machine directly (no thread races)
-        from repro.core.statemachine import ExecuteAGS
-
-        rt.state_machine.apply(
-            ExecuteAGS(999, -1, 0, AGS.single(Guard.in_(MAIN_TS, "later")))
-        )
+    def test_parked_statements_survive_recovery(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
+        # park a statement through the journaling hook directly (no
+        # client thread to race)
+        with rt._lock:
+            rt._apply(ExecuteAGS(999, -1, 0, AGS.single(Guard.in_(MAIN_TS, "later"))))
         rt.crash()
-        back = WALRuntime.recover(wal_path)
+        back = SegmentedWALRuntime.recover(wal_dir)
         assert len(back.state_machine.blocked) == 1
         # the parked obligation still consumes the next matching tuple
         back.out(MAIN_TS, "later")
         assert back.space_size(MAIN_TS) == 0
         back.close()
 
-    def test_recovery_after_atomic_updates(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
+    def test_recovery_after_atomic_updates(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
         rt.out(MAIN_TS, "c", 0)
         incr = AGS.single(
             Guard.in_(MAIN_TS, "c", formal(int, "v")),
@@ -62,83 +63,81 @@ class TestLogging:
         for _ in range(7):
             rt.execute(incr)
         rt.crash()
-        back = WALRuntime.recover(wal_path)
+        back = SegmentedWALRuntime.recover(wal_dir)
         assert back.rd(MAIN_TS, "c", formal(int)) == ("c", 7)
         back.close()
 
-    def test_recovered_runtime_keeps_logging(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
+    def test_recovered_runtime_keeps_logging(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
         rt.out(MAIN_TS, "a", 1)
         rt.crash()
-        mid = WALRuntime.recover(wal_path, fsync=False)
+        mid = SegmentedWALRuntime.recover(wal_dir, fsync=False)
         mid.out(MAIN_TS, "b", 2)
         mid.crash()
-        back = WALRuntime.recover(wal_path)
+        back = SegmentedWALRuntime.recover(wal_dir)
         names = sorted(t[0] for t in back.space_tuples(MAIN_TS))
         assert names == ["a", "b"]
         back.close()
 
-    def test_torn_final_record_discarded(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
+    def test_torn_final_record_discarded(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
         rt.out(MAIN_TS, "a", 1)
         rt.out(MAIN_TS, "b", 2)
+        segment = rt.log.active_segment
         rt.crash()
         # simulate a crash mid-write: truncate the last few bytes
-        import os
-
-        size = os.path.getsize(wal_path)
-        with open(wal_path, "r+b") as f:
-            f.truncate(size - 3)
-        back = WALRuntime.recover(wal_path)
+        with open(segment, "r+b") as f:
+            f.truncate(os.path.getsize(segment) - 3)
+        back = SegmentedWALRuntime.recover(wal_dir)
         assert back.replayed == 1
         assert back.space_tuples(MAIN_TS) == [("a", 1)]
         back.close()
 
-    def test_fsync_mode_works(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=True)
+    def test_fsync_mode_works(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=True)
         rt.out(MAIN_TS, "durable", 1)
         rt.crash()
-        back = WALRuntime.recover(wal_path)
+        back = SegmentedWALRuntime.recover(wal_dir)
         assert back.space_tuples(MAIN_TS) == [("durable", 1)]
         back.close()
 
-
-class TestCompaction:
-    def test_compact_preserves_state(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
-        for i in range(20):
-            rt.out(MAIN_TS, "x", i)
-        for i in range(10):
-            rt.in_(MAIN_TS, "x", i)
-        before = rt.state_machine.fingerprint()
-        eliminated = rt.compact()
-        assert eliminated == 29  # 30 records became 1 snapshot
-        rt.crash()
-        back = WALRuntime.recover(wal_path)
-        assert back.state_machine.fingerprint() == before
-        assert back.replayed == 1
-        back.close()
-
-    def test_appends_after_compaction_replay(self, wal_path):
-        rt = WALRuntime(wal_path, fsync=False)
-        rt.out(MAIN_TS, "old", 1)
-        rt.compact()
-        rt.out(MAIN_TS, "new", 2)
-        rt.crash()
-        back = WALRuntime.recover(wal_path)
-        names = sorted(t[0] for t in back.space_tuples(MAIN_TS))
-        assert names == ["new", "old"]
-        back.close()
-
-    def test_timeout_cancellation_through_proxy(self, wal_path):
-        # the runtime rewrites _sm.blocked on a timeout; the logging proxy
-        # must forward that set to the real machine
+    def test_timed_out_in_leaves_nothing_parked(self, wal_dir):
+        # the timed-out in_ was journaled as a parked statement; the
+        # cancellation must reach the real machine so a later out is not
+        # swallowed by a waiter nobody is waiting on
         from repro import TimeoutError_
 
-        rt = WALRuntime(wal_path, fsync=False)
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
         with pytest.raises(TimeoutError_):
             rt.in_(MAIN_TS, "never", timeout=0.05)
         assert len(rt.state_machine.blocked) == 0
         rt.out(MAIN_TS, "never")
         assert rt.inp(MAIN_TS, "never") is not None
         rt.close()
+
+
+class TestCompaction:
+    def test_compact_preserves_state(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
+        for i in range(20):
+            rt.out(MAIN_TS, "x", i)
+        for i in range(10):
+            rt.in_(MAIN_TS, "x", i)
+        before = rt.state_machine.fingerprint()
+        assert rt.compact() == 30  # 30 records became 1 snapshot
+        rt.crash()
+        back = SegmentedWALRuntime.recover(wal_dir)
+        assert back.state_machine.fingerprint() == before
+        assert back.replayed == 1
+        back.close()
+
+    def test_appends_after_compaction_replay(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
+        rt.out(MAIN_TS, "old", 1)
+        rt.compact()
+        rt.out(MAIN_TS, "new", 2)
+        rt.crash()
+        back = SegmentedWALRuntime.recover(wal_dir)
+        names = sorted(t[0] for t in back.space_tuples(MAIN_TS))
+        assert names == ["new", "old"]
+        back.close()

@@ -10,15 +10,13 @@ and all.
 
 from __future__ import annotations
 
-import os
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.core.spaces import MAIN_TS
 from repro.core.statemachine import ExecuteAGS, HostFailed
-from repro.persist import WALRuntime
+from repro.persist import SegmentedWALRuntime
 from tests.test_prop_statemachine import ags_statement
 
 
@@ -37,19 +35,18 @@ def command_stream(draw):
 @given(command_stream(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_recovery_reproduces_any_stream(tmp_path_factory, cmds, compact_midway):
-    tmp = tmp_path_factory.mktemp("wal")
-    path = str(tmp / "stream.wal")
-    rt = WALRuntime(path, fsync=False)
+    path = str(tmp_path_factory.mktemp("wal") / "stream")
+    rt = SegmentedWALRuntime(path, fsync=False)
     half = len(cmds) // 2
     for i, cmd in enumerate(cmds):
-        rt.state_machine.apply(cmd)
+        with rt._lock:
+            rt._apply(cmd)
         if compact_midway and i == half:
             rt.compact()
-    before = rt._logging_sm._inner.fingerprint()
-    blocked_before = len(rt._logging_sm._inner.blocked)
+    before = rt.state_machine.fingerprint()
+    blocked_before = len(rt.state_machine.blocked)
     rt.crash()
-    back = WALRuntime.recover(path)
-    assert back._logging_sm._inner.fingerprint() == before
-    assert len(back._logging_sm._inner.blocked) == blocked_before
+    back = SegmentedWALRuntime.recover(path)
+    assert back.state_machine.fingerprint() == before
+    assert len(back.state_machine.blocked) == blocked_before
     back.close()
-    os.remove(path)
