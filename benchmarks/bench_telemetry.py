@@ -1,19 +1,18 @@
 """Telemetry-plane overhead — what the networked endpoint costs.
 
-The HTTP endpoint's acceptance bar: the fully-enabled plane — windowed
-instruments recording on the hot path, the alert engine evaluating at
-1 Hz, and an external scraper hitting ``/metrics`` ~4×/s — must cost
-<5% of blocking out-throughput.  The windowed instruments are the only
-per-operation addition (one extra ring-slice bucket add per recorded
-latency; everything else rides threads outside the pipeline), so the
-budget is expected to be dominated by GIL pressure from the scrape
-handler rendering the Prometheus text.
+The HTTP endpoint's acceptance bar: the fully-enabled plane — the alert
+engine evaluating at 1 Hz and an external scraper hitting ``/metrics``
+~4×/s — must cost <5% of blocking out-throughput.  Nothing is added per
+operation (the windowed view is read from the slices every instrument
+already records into; everything else rides threads outside the
+pipeline), so the budget is expected to be dominated by GIL pressure
+from the scrape handler folding slices and rendering the Prometheus
+text.
 
 Measured as blocking out-throughput with concurrent clients on both
 real backends, two configurations each:
 
-- **off** — no endpoint, no alert engine (the windowed instruments
-  themselves always record; they are part of the metrics layer now);
+- **off** — no endpoint, no alert engine;
 - **on**  — ``serve_telemetry()`` with the default alert rules plus a
   client thread scraping ``GET /metrics`` every 250 ms for the whole
   measurement — still far more aggressive than any real Prometheus
@@ -156,8 +155,9 @@ def run_benchmark(quick: bool = False) -> dict[str, dict[str, float]]:
         f"at 1 Hz plus an in-process client scraping GET /metrics every "
         f"{SCRAPE_INTERVAL * 1000:.0f} ms for the whole measurement "
         "(an external scraper costs strictly less); "
-        "windowed instruments record in both configurations (they are "
-        "part of the metrics layer); 'vs off' is the median of "
+        "the instruments record identically in both configurations (the "
+        "windowed view is read from them, not recorded); 'vs off' is the "
+        "median of "
         f"{REPEATS} paired off/on measurements inside the same runtime "
         "(out/s columns are the best single measurements)"
     )

@@ -40,9 +40,9 @@ stall-detector verdicts), replica queue depth/lag, and WAL size.
 watch the stall detector fire; ``--export FILE`` also writes each frame
 as a Prometheus text-format snapshot; ``--json`` emits the frame's raw
 data (introspection snapshot, metrics, stall verdicts, stage budget) as
-one JSON document instead of the rendered panel.  With ``REPRO_STAGES=1``
-in the environment the metrics carry the per-stage pipeline histograms
-and the panel ends with the "where does a millisecond go" budget.
+one JSON document instead of the rendered panel.  On the parallel
+backends the metrics carry the sampled per-stage pipeline histograms and
+the panel ends with the "where does a millisecond go" budget.
 
 The ``profile`` subcommand runs the continuous sampling profiler over a
 churn workload: hot runtime threads appear under their registered role
@@ -93,9 +93,11 @@ Commands (everything else is compiled as an FT-lcc statement)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import shlex
 import sys
-from typing import Any, TextIO
+import threading
+from typing import Any, Iterator, TextIO
 
 from repro._errors import LindaError
 from repro.core.ags import AGSResult
@@ -341,8 +343,6 @@ def _run_churn(rt: Any, clients: int, ops: int) -> int:
     The rd in the middle exercises the replica group's read fast path on
     backends that have one — visible as the `read_fastpath` counter.
     """
-    import threading
-
     per_client = max(1, ops // max(1, clients))
 
     def churn(client: int) -> None:
@@ -360,6 +360,45 @@ def _run_churn(rt: Any, clients: int, ops: int) -> int:
     for t in threads:
         t.join()
     return per_client * clients
+
+
+@contextlib.contextmanager
+def _background_churn(
+    rt: Any, clients: int, tag: str, *, with_rd: bool = False
+) -> Iterator[list[int]]:
+    """Keep `clients` threads cycling out[/rd]/in on `tag` tuples.
+
+    Yields the per-client completed-cycle counts (live: the threads keep
+    bumping them); leaving the block stops the threads and joins them, so
+    callers shut the runtime down only after its last client is gone.
+    """
+    stop = threading.Event()
+    completed = [0] * clients
+
+    def churn(client: int) -> None:
+        k = 0
+        while not stop.is_set():
+            rt.out(rt.main_ts, tag, client, k)
+            if with_rd:
+                rt.rd(rt.main_ts, tag, client, k)
+            rt.in_(rt.main_ts, tag, client, k)
+            k += 1
+            completed[client] = k
+
+    threads = [
+        threading.Thread(
+            target=churn, args=(c,), name=f"client-{c}", daemon=True
+        )
+        for c in range(clients)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        yield completed
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=30.0)
 
 
 def _shutdown(rt: Any) -> None:
@@ -456,27 +495,8 @@ def _trace_main(argv: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _jsonable(value: Any) -> Any:
-    """Recursively coerce a snapshot into JSON-clean data.
-
-    Introspection snapshots key hot-template counters by template tuples;
-    JSON needs string keys, so non-primitive keys become their ``repr``.
-    """
-    if isinstance(value, dict):
-        return {
-            (k if isinstance(k, str) else repr(k)): _jsonable(v)
-            for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 def _top_main(argv: list[str]) -> int:
     """``python -m repro.cli top``: the live introspection dashboard."""
-    import threading
     import time
 
     from repro.core.tuples import formal
@@ -486,6 +506,7 @@ def _top_main(argv: list[str]) -> int:
         render_top,
         to_prometheus,
     )
+    from repro.obs.server import jsonable
 
     parser = _workload_parser(
         "ftlsh top",
@@ -556,15 +577,6 @@ def _top_main(argv: list[str]) -> int:
     else:
         rt = _build_runtime(opts)
 
-    stop = threading.Event()
-
-    def churn_forever(client: int) -> None:
-        k = 0
-        while not stop.is_set():
-            rt.out(rt.main_ts, "top-op", client, k)
-            rt.in_(rt.main_ts, "top-op", client, k)
-            k += 1
-
     try:
         # one synchronous burst so even --once has state worth showing
         _run_churn(rt, opts.clients, opts.ops)
@@ -577,12 +589,6 @@ def _top_main(argv: list[str]) -> int:
                 daemon=True,
             ).start()
             time.sleep(0.05)  # let the guard reach the replicas and park
-        if not opts.once:
-            for c in range(opts.clients):
-                threading.Thread(
-                    target=churn_forever, args=(c,),
-                    name=f"churn-{c}", daemon=True,
-                ).start()
         from repro.obs.slo import AlertEngine, default_rules
 
         engine = AlertEngine(
@@ -590,52 +596,57 @@ def _top_main(argv: list[str]) -> int:
         )
         frames = 1 if opts.once else opts.iterations
         n = 0
-        while True:
-            snap = rt.introspection_snapshot()
-            stalls = detect_stalls(snap, opts.stall_threshold)
-            metrics = rt.metrics_snapshot()
-            ctx = {"introspection": snap, "metrics": metrics, "stalls": stalls}
-            if opts.once:
-                # a single frame gives hysteresis only one shot — prime it
-                # so a stalled/wedged state is visible in the one render
-                engine.evaluate(ctx)
-            alerts = engine.evaluate(ctx)
-            if opts.json:
-                import json
+        churn = (
+            contextlib.nullcontext()
+            if opts.once
+            else _background_churn(rt, opts.clients, "top-op")
+        )
+        with churn:
+            while True:
+                snap = rt.introspection_snapshot()
+                stalls = detect_stalls(snap, opts.stall_threshold)
+                metrics = rt.metrics_snapshot()
+                ctx = {"introspection": snap, "metrics": metrics, "stalls": stalls}
+                if opts.once:
+                    # a single frame gives hysteresis only one shot — prime
+                    # it so a stalled/wedged state is visible in the one render
+                    engine.evaluate(ctx)
+                alerts = engine.evaluate(ctx)
+                if opts.json:
+                    import json
 
-                from repro.obs.stages import stage_budget
+                    from repro.obs.stages import stage_budget
 
-                print(json.dumps(
-                    _jsonable(
-                        {
-                            "introspection": snap,
-                            "metrics": metrics,
-                            "stalls": stalls,
-                            "alerts": alerts,
-                            "stage_budget": stage_budget(metrics),
-                        }
-                    ),
-                    indent=2,
-                    sort_keys=True,
-                ))
-            else:
-                frame = render_top(snap, metrics, stalls, alerts)
-                if not opts.once:
-                    sys.stdout.write("\x1b[2J\x1b[H")  # clear + home
-                print(frame)
-            sys.stdout.flush()
-            if opts.export:
-                with open(opts.export, "w") as f:
-                    f.write(to_prometheus(snap, metrics, stalls, alerts))
-            n += 1
-            if frames and n >= frames:
-                break
-            try:
-                time.sleep(opts.interval)
-            except KeyboardInterrupt:
-                break
+                    print(json.dumps(
+                        jsonable(
+                            {
+                                "introspection": snap,
+                                "metrics": metrics,
+                                "stalls": stalls,
+                                "alerts": alerts,
+                                "stage_budget": stage_budget(metrics),
+                            }
+                        ),
+                        indent=2,
+                        sort_keys=True,
+                    ))
+                else:
+                    frame = render_top(snap, metrics, stalls, alerts)
+                    if not opts.once:
+                        sys.stdout.write("\x1b[2J\x1b[H")  # clear + home
+                    print(frame)
+                sys.stdout.flush()
+                if opts.export:
+                    with open(opts.export, "w") as f:
+                        f.write(to_prometheus(snap, metrics, stalls, alerts))
+                n += 1
+                if frames and n >= frames:
+                    break
+                try:
+                    time.sleep(opts.interval)
+                except KeyboardInterrupt:
+                    break
     finally:
-        stop.set()
         _shutdown(rt)
     return 0
 
@@ -696,7 +707,6 @@ def _serve_main(argv: list[str]) -> int:
     on an unrecovered replica kill) and exits — the CI gate.
     """
     import json
-    import threading
     import time
     import urllib.error
     import urllib.request
@@ -743,7 +753,6 @@ def _serve_main(argv: list[str]) -> int:
     from repro.obs.tracing import FlightRecorder
 
     rt = _build_runtime(opts, tracer=FlightRecorder())
-    stop = threading.Event()
     try:
         _run_churn(rt, opts.clients, opts.ops)
         server = rt.serve_telemetry(
@@ -755,26 +764,18 @@ def _serve_main(argv: list[str]) -> int:
         if opts.smoke:
             return _serve_smoke(rt, server.url)
 
-        def churn_forever(client: int) -> None:
-            k = 0
-            while not stop.is_set():
-                rt.out(rt.main_ts, "serve-op", client, k)
-                rt.in_(rt.main_ts, "serve-op", client, k)
-                k += 1
-
-        if not opts.no_churn:
-            for c in range(opts.clients):
-                threading.Thread(
-                    target=churn_forever, args=(c,),
-                    name=f"churn-{c}", daemon=True,
-                ).start()
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            return 0
+        churn = (
+            contextlib.nullcontext()
+            if opts.no_churn
+            else _background_churn(rt, opts.clients, "serve-op")
+        )
+        with churn:
+            try:
+                while True:
+                    time.sleep(3600)
+            except KeyboardInterrupt:
+                return 0
     finally:
-        stop.set()
         _shutdown(rt)
 
 
@@ -837,7 +838,6 @@ def _serve_smoke(rt: Any, base: str) -> int:
 def _chaos_main(argv: list[str]) -> int:
     """``python -m repro.cli chaos``: kill a replica under churn, report."""
     import json
-    import threading
     import time
 
     parser = _workload_parser(
@@ -876,34 +876,13 @@ def _chaos_main(argv: list[str]) -> int:
     monkey = ChaosMonkey(
         rt, seed=opts.seed, shard="random" if opts.shards > 1 else None
     )
-    stop = threading.Event()
-    completed = [0] * opts.clients
-
-    def churn(client: int) -> None:
-        k = 0
-        while not stop.is_set():
-            rt.out(rt.main_ts, "chaos-op", client, k)
-            rt.in_(rt.main_ts, "chaos-op", client, k)
-            completed[client] += 1
-            k += 1
-
-    threads = [
-        threading.Thread(target=churn, args=(c,), name=f"chaos-client-{c}")
-        for c in range(opts.clients)
-    ]
-    try:
-        for t in threads:
-            t.start()
+    with _background_churn(rt, opts.clients, "chaos-op") as completed:
         time.sleep(opts.warmup)
         victim = monkey.rng.randrange(1, opts.replicas)
         monkey.kill_replica(victim)
         t_detect = monkey.wait_detected(victim)
         t_recover = monkey.wait_recovered(victim)
         time.sleep(opts.warmup)  # churn over the healed group
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
     converged = rt.converged()
     snap = rt.metrics_snapshot()
     _shutdown(rt)
@@ -942,7 +921,6 @@ def _chaos_main(argv: list[str]) -> int:
 def _profile_main(argv: list[str]) -> int:
     """``python -m repro.cli profile``: sample a churn workload, export."""
     import json
-    import threading
     import time
 
     from repro.obs.profile import (
@@ -989,34 +967,13 @@ def _profile_main(argv: list[str]) -> int:
     duration = 0.8 if opts.once else opts.duration
 
     rt = _build_runtime(opts)
-    stop = threading.Event()
-
-    def churn_forever(client: int) -> None:
-        k = 0
-        while not stop.is_set():
-            rt.out(rt.main_ts, "prof-op", client, k)
-            rt.rd(rt.main_ts, "prof-op", client, k)
-            rt.in_(rt.main_ts, "prof-op", client, k)
-            k += 1
-
     try:
         _run_churn(rt, opts.clients, min(opts.ops, 50))  # absorb startup
         rt.start_profiling(opts.hz)
-        threads = [
-            threading.Thread(
-                target=churn_forever, args=(c,), name=f"client-{c}"
-            )
-            for c in range(opts.clients)
-        ]
-        for t in threads:
-            t.start()
-        time.sleep(duration)
-        stop.set()
-        for t in threads:
-            t.join(timeout=30.0)
+        with _background_churn(rt, opts.clients, "prof-op", with_rd=True):
+            time.sleep(duration)
         folded = rt.stop_profiling()
     finally:
-        stop.set()
         _shutdown(rt)
 
     total = sum(folded.values())

@@ -472,18 +472,18 @@ class LocalRuntime(BaseRuntime):
     ) -> AGSResult:
         t_submit = _now()
         tracer = self.tracer
-        self._c_cmds.inc()
+        self._c_cmds.inc(1, t_submit)
         with self._cond:
             # lock acquisition is this runtime's total order: waiting for
             # the lock is the submit->order leg, executing is order->apply
             t_ordered = _now()
-            self._h_submit.record(t_ordered - t_submit)
+            self._h_submit.record(t_ordered - t_submit, t_ordered)
             rid = next(self._req_ids)
             completions = self._apply(
                 ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags)
             )
             t_applied = _now()
-            self._h_apply.record(t_applied - t_ordered)
+            self._h_apply.record(t_applied - t_ordered, t_applied)
             trace_id = None
             if tracer is not None:
                 # same span vocabulary as the replica group: one trace per
@@ -525,7 +525,7 @@ class LocalRuntime(BaseRuntime):
 
     def _finish_e2e(self, t_submit: float, rid: int, trace_id: int | None) -> None:
         now = _now()
-        self._h_e2e.record(now - t_submit)
+        self._h_e2e.record(now - t_submit, now)
         if self.tracer is not None and trace_id is not None:
             self.tracer.record_span(
                 t_submit,

@@ -12,11 +12,14 @@ checker built on top of the recorded apply streams
 registry, hot-template profiler, stall detector, Prometheus exporter —
 behind ``python -m repro.cli top`` (:mod:`repro.obs.inspect`).
 
-PR 8 grows the package into a *networked telemetry plane*: sliding
-time-window aggregation (:mod:`repro.obs.window`), a declarative SLO
-alert engine (:mod:`repro.obs.slo`), a structured event log
-(:mod:`repro.obs.events`), and the HTTP endpoint that serves all of it
-(:mod:`repro.obs.server` — ``rt.serve_telemetry()``).
+On top of those sits the *networked telemetry plane*: every instrument
+serves a trailing 10s/60s/5m view beside its cumulative one (one write
+per sample, two views — :mod:`repro.obs.metrics`), a declarative SLO
+alert engine reads the trailing view (:mod:`repro.obs.slo`), a
+structured event log records transitions (:mod:`repro.obs.events`), and
+an HTTP endpoint serves all of it (:mod:`repro.obs.server` —
+``rt.serve_telemetry()``).  Stage attribution (:mod:`repro.obs.stages`)
+is always on, sampled one batch in 64.
 """
 
 from repro.obs.check import ConsistencyReport, check_consistency
@@ -33,7 +36,6 @@ from repro.obs.inspect import (
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, format_snapshot
 from repro.obs.server import TelemetryServer, serve_telemetry
 from repro.obs.slo import AlertEngine, AlertRule, default_rules
-from repro.obs.window import SlidingHistogram, SlidingRate, WindowRegistry
 from repro.obs.profile import (
     SamplingProfiler,
     merge_folded,
@@ -41,13 +43,7 @@ from repro.obs.profile import (
     to_collapsed,
     to_speedscope,
 )
-from repro.obs.stages import (
-    disable_stage_attribution,
-    enable_stage_attribution,
-    render_budget,
-    stage_budget,
-    stages_enabled,
-)
+from repro.obs.stages import render_budget, stage_budget
 from repro.obs.tracing import FlightRecorder, SpanEvent, render_events, to_chrome_trace
 
 __all__ = [
@@ -61,19 +57,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SamplingProfiler",
-    "SlidingHistogram",
-    "SlidingRate",
     "SpanEvent",
     "TelemetryServer",
-    "WindowRegistry",
     "check_consistency",
     "default_rules",
     "detect_stalls",
     "disable_introspection",
-    "disable_stage_attribution",
     "emit",
     "enable_introspection",
-    "enable_stage_attribution",
     "format_snapshot",
     "get_log",
     "introspection_enabled",
@@ -84,7 +75,6 @@ __all__ = [
     "render_top",
     "serve_telemetry",
     "stage_budget",
-    "stages_enabled",
     "telemetry_port",
     "to_chrome_trace",
     "to_collapsed",

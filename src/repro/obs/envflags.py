@@ -1,12 +1,15 @@
 """Process-wide opt-in switches, inherited by spawned replica processes.
 
-Three observability planes share the same enablement discipline: off by
-default, flipped on before runtime construction, and **exported through
-the environment** so replica OS processes spawned afterwards come up
-with the setting too (``multiprocessing`` re-imports modules in the
-child, which re-reads ``os.environ``).  The pattern grew up ad hoc —
-``REPRO_INTROSPECT`` in :mod:`repro.core.matching`, ``REPRO_STAGES`` in
-:mod:`repro.obs.stages` — and this module is its one implementation:
+Opt-in observability follows one enablement discipline: off by default,
+flipped on before runtime construction, and **exported through the
+environment** so replica OS processes spawned afterwards come up with
+the setting too (``multiprocessing`` re-imports modules in the child,
+which re-reads ``os.environ``).  Two variables use it:
+``REPRO_INTROSPECT`` — switched through the :class:`EnvFlag` in
+:mod:`repro.obs.inspect`, and read once more, directly, at import of
+:mod:`repro.core.matching` (``core`` does not import ``obs``; that read
+is what a spawned child's template profiler sees) — and
+``REPRO_TELEMETRY``, an integer.  This module holds the two shapes:
 
 - :class:`EnvFlag` — a boolean switch backed by an env var.  ``enable``
   sets both the in-process flag and the variable (children inherit);

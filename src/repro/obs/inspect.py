@@ -226,7 +226,7 @@ def _histogram_lines(name: str, snap: Mapping[str, Any]) -> list[str]:
 
 
 def _window_lines(windows: Mapping[str, Any]) -> list[str]:
-    """Sliding-window quantiles and rates as labelled gauge families."""
+    """Trailing-window quantiles and rates as labelled gauge families."""
     lines: list[str] = []
     whists = windows.get("histograms", {})
     if whists:

@@ -16,52 +16,181 @@ and a log scale keeps relative resolution constant across that span.
 Everything is thread-safe; the replica-group collector threads and any
 number of client threads record concurrently.
 
+**One write, two views.**  A sample is recorded once, into the slice of
+the second it arrived in (allocated lazily — an idle instrument holds
+none); when a new second opens, slices older than the longest window are
+folded into a *retired* total under the same lock.  Every
+:class:`Histogram` and :class:`Counter` serves from that one store
+
+- the **cumulative** view — retired + every live slice
+  (``snapshot``/``count``/``value``): what happened since process start;
+- the **windowed** view — the live slices stamped inside the trailing
+  10s / 60s / 5m: what the pipeline looks like *now*.  A cumulative p99
+  barely moves when latency regresses after ten minutes of traffic, so
+  alerting (``repro.obs.slo``) and ``cli top`` read this one.
+
+Clocks are injectable (default ``time.monotonic``) and the windowed view
+is defensive about them: a slice counts only when its stamp lies in
+``(now - window, now]``, so a clock stepping far forward expires
+everything (the window really is empty of recent samples) and a slice
+stamped in the "future" after a backward step is ignored rather than
+double-counted; the cumulative view loses no sample either way.
+Hot-path callers that already hold a ``time.monotonic`` stamp pass it as
+``now``, so a record reads no clock of its own.
+
 Units: the real-time backends record **seconds**; the simulated cluster
 records virtual microseconds divided by 1e6, i.e. virtual seconds — the
-same scale, so snapshots render identically.
+same scale, so snapshots render identically (its slices carry real-clock
+stamps: "now" for a simulation is when it ran).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left
-from typing import Any
-
-from .window import WindowRegistry
+from math import inf
+from operator import add
+from typing import Any, Callable, Iterable
 
 __all__ = [
+    "WINDOWS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "format_snapshot",
     "merged",
+    "window_label",
 ]
 
+#: The trailing windows every instrument reports, in seconds.
+WINDOWS: tuple[int, ...] = (10, 60, 300)
 
-class Counter:
-    """A monotonically increasing, thread-safe counter."""
 
-    __slots__ = ("name", "_value", "_lock")
+def window_label(seconds: int) -> str:
+    """The snapshot key for a window length ("10s", "60s", "5m")."""
+    if seconds % 60 == 0 and seconds > 60:
+        return f"{seconds // 60}m"
+    return f"{seconds}s"
 
-    def __init__(self, name: str):
+
+class _Sliced:
+    """What a :class:`Counter` and a :class:`Histogram` share: one lock,
+    the per-second slices written under it, the retired total that
+    expired slices fold into, and the rule for what a window sees."""
+
+    __slots__ = (
+        "name", "windows", "_horizon", "_slices", "_retired", "_clock", "_lock",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        windows: Iterable[int],
+        clock: Callable[[], float],
+        retired: Any,
+    ):
         self.name = name
-        self._value = 0
+        self.windows = tuple(sorted(int(w) for w in windows))
+        if not self.windows or self.windows[0] < 1:
+            raise ValueError("windows must be positive second counts")
+        self._horizon = self.windows[-1]
+        self._slices: dict[int, Any] = {}  # epoch second -> its samples
+        self._retired = retired
+        self._clock = clock
         self._lock = threading.Lock()
 
-    def inc(self, n: int = 1) -> None:
+    def _expired(self, sec: int) -> list[int]:
+        """Stamps to retire when a slice opens at second *sec* (lock held).
+
+        Older than the longest window: no windowed view can include them
+        again.  More than a horizon *ahead*: left behind by a backward
+        clock step — retiring them bounds the live set at two horizons
+        however the clock misbehaves, while slices a few seconds ahead
+        (callers' stamps arrive slightly out of order) stay live.
+        """
+        lo, hi = sec - self._horizon, sec + self._horizon
+        return [k for k in self._slices if not (lo < k <= hi)]
+
+    def _in_window(self, window_s: int) -> list[Any]:
+        """The live slices of the trailing *window_s* seconds (lock held)."""
+        now = self._clock()
+        lo = now - window_s
+        # strictly (now - window, now]: future-stamped slices left behind
+        # by a backward clock step are not recent samples
+        return [
+            s for stamp, s in self._slices.items()
+            if not (stamp <= lo - 1 or stamp > now)
+        ]
+
+    def _check_span(self, other: "_Sliced") -> None:
+        if other._horizon != self._horizon:
+            raise ValueError(
+                f"cannot merge instruments of different spans "
+                f"({self.name!r} vs {other.name!r})"
+            )
+
+    def window_snapshots(self) -> dict[str, dict[str, Any]]:
+        """All configured windows, keyed by label ("10s"/"60s"/"5m")."""
+        return {window_label(w): self.window_snapshot(w) for w in self.windows}
+
+
+class Counter(_Sliced):
+    """A monotonically increasing, thread-safe counter.
+
+    ``value`` is the cumulative count; ``window_count`` and
+    ``window_snapshot`` (count + events per second) report the trailing
+    windows from the same per-second slices.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        windows: Iterable[int] = WINDOWS,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        super().__init__(name, windows, clock, 0)
+
+    def inc(self, n: int = 1, now: float | None = None) -> None:
+        sec = int(self._clock() if now is None else now)
         with self._lock:
-            self._value += n
+            slices = self._slices
+            try:
+                slices[sec] += n
+            except KeyError:  # first event of this second: open its slice
+                for k in self._expired(sec):
+                    self._retired += slices.pop(k)
+                slices[sec] = n
 
     @property
     def value(self) -> int:
-        return self._value
+        with self._lock:
+            return self._retired + sum(self._slices.values())
+
+    def window_count(self, window_s: int) -> int:
+        with self._lock:
+            return sum(self._in_window(window_s))
 
     def merge(self, other: "Counter") -> None:
-        self.inc(other.value)
+        """Fold *other* in, second by second (same-second slices sum)."""
+        self._check_span(other)
+        with other._lock:
+            retired, slices = other._retired, dict(other._slices)
+        with self._lock:
+            self._retired += retired
+            for stamp, n in slices.items():
+                self._slices[stamp] = self._slices.get(stamp, 0) + n
 
     def snapshot(self) -> int:
-        return self._value
+        return self.value
+
+    def window_snapshot(self, window_s: int) -> dict[str, Any]:
+        count = self.window_count(window_s)
+        return {"count": count, "rate": count / window_s}
 
 
 class Gauge:
@@ -98,19 +227,42 @@ class Gauge:
         return self._value
 
 
-class Histogram:
+class _Slice:
+    """One second of one histogram's samples — and the shape of any sum
+    of such seconds (the retired total, a folded view)."""
+
+    __slots__ = ("buckets", "count", "sum", "min", "max", "clamped")
+
+    def __init__(self, width: int):
+        self.buckets = [0] * width
+        self.count = 0
+        self.sum = 0.0
+        self.min = inf
+        self.max = 0.0  # samples are clamped to >= 0, so 0 is the floor
+        self.clamped = 0
+
+    def add(self, other: "_Slice") -> "_Slice":
+        self.buckets = list(map(add, self.buckets, other.buckets))
+        self.count += other.count
+        self.sum += other.sum
+        self.clamped += other.clamped
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        return self
+
+
+class Histogram(_Sliced):
     """Geometric-bucket histogram for latency-like values.
 
     Bucket *i* covers values up to ``lo * factor**i``; one overflow bucket
     catches everything beyond the last boundary.  Quantiles are resolved
     to a bucket upper bound — exact enough for latency reporting, cheap
-    enough for the hot path (one bisect + two adds per record).
+    enough for the hot path (one bisect + a handful of adds per record).
     """
 
-    __slots__ = (
-        "name", "_bounds", "_buckets", "_count", "_sum", "_min", "_max",
-        "_clamped", "_lock",
-    )
+    __slots__ = ("_bounds",)
 
     def __init__(
         self,
@@ -119,23 +271,18 @@ class Histogram:
         lo: float = 1e-6,
         factor: float = 2.0,
         n_buckets: int = 30,
+        windows: Iterable[int] = WINDOWS,
+        clock: Callable[[], float] = time.monotonic,
     ):
-        self.name = name
+        super().__init__(name, windows, clock, _Slice(n_buckets + 1))  # +1 = overflow
         bounds: list[float] = []
         b = lo
         for _ in range(n_buckets):
             bounds.append(b)
             b *= factor
         self._bounds = bounds
-        self._buckets = [0] * (n_buckets + 1)  # +1 = overflow
-        self._count = 0
-        self._sum = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
-        self._clamped = 0
-        self._lock = threading.Lock()
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, now: float | None = None) -> None:
         # A NaN would poison the running sum forever and a negative value
         # (e.g. from a clock source stepping backwards) would land in the
         # lowest bucket while dragging the sum down.  Clamp both to zero
@@ -144,24 +291,74 @@ class Histogram:
         if clamped:
             value = 0.0
         idx = bisect_left(self._bounds, value)
+        sec = int(self._clock() if now is None else now)
         with self._lock:
-            self._buckets[idx] += 1
-            self._count += 1
-            self._sum += value
+            try:
+                s = self._slices[sec]
+            except KeyError:  # first sample of this second: open its slice
+                for k in self._expired(sec):
+                    self._retired.add(self._slices.pop(k))
+                s = self._slices[sec] = self._empty()
+            s.buckets[idx] += 1
+            s.count += 1
+            s.sum += value
             if clamped:
-                self._clamped += 1
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
+                s.clamped += 1
+            if value < s.min:
+                s.min = value
+            if value > s.max:
+                s.max = value
+
+    def _empty(self) -> _Slice:
+        return _Slice(len(self._bounds) + 1)
+
+    def _fold(self, window_s: int | None = None) -> _Slice:
+        """Sum, under the lock, the slices one view is made of: retired +
+        every live slice (cumulative), or the live slices stamped inside
+        the trailing *window_s* seconds."""
+        total = self._empty()
+        with self._lock:
+            if window_s is None:
+                total.add(self._retired)
+                live = self._slices.values()
+            else:
+                live = self._in_window(window_s)
+            for s in live:
+                total.add(s)
+        return total
+
+    def _quantile(self, total: _Slice, q: float) -> float:
+        if not total.count:
+            return 0.0
+        # at least one sample must be at or below the answer: without
+        # the floor, q=0 would "satisfy" the first bucket with zero
+        # samples seen and report bounds[0] regardless of the data
+        target = max(q * total.count, 1.0)
+        seen = 0
+        for i, n in enumerate(total.buckets):
+            seen += n
+            if seen >= target:
+                if i < len(self._bounds):
+                    return self._bounds[i]
+                break
+        return total.max
+
+    def _quantiles(self, total: _Slice) -> dict[str, float]:
+        return {
+            "p50": self._quantile(total, 0.50),
+            "p95": self._quantile(total, 0.95),
+            "p99": self._quantile(total, 0.99),
+            "p999": self._quantile(total, 0.999),
+        }
 
     @property
     def count(self) -> int:
-        return self._count
+        return self._fold().count
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        total = self._fold()
+        return total.sum / total.count if total.count else 0.0
 
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket holding the q-th fraction of samples.
@@ -170,68 +367,76 @@ class Histogram:
         consistently report 0.0, like :attr:`mean` — callers never need a
         ``count()`` guard.
         """
-        with self._lock:
-            if not self._count:
-                return 0.0
-            # at least one sample must be at or below the answer: without
-            # the floor, q=0 would "satisfy" the first bucket with zero
-            # samples seen and report bounds[0] regardless of the data
-            target = max(q * self._count, 1.0)
-            seen = 0
-            for i, n in enumerate(self._buckets):
-                seen += n
-                if seen >= target:
-                    if i < len(self._bounds):
-                        return self._bounds[i]
-                    return self._max if self._max is not None else 0.0
-            return self._max if self._max is not None else 0.0
+        return self._quantile(self._fold(), q)
 
     def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s samples into this histogram (same bucket layout)."""
+        """Fold *other*'s samples into this histogram, second by second.
+
+        Used when aggregating per-shard (or per-replica) registries into
+        one runtime-wide view: retired totals sum, live slices holding
+        the same second sum, and a second only *other* saw is adopted
+        under its own stamp — so both views of the merged instrument are
+        what one instrument recording every sample would have served.
+        """
         if other._bounds != self._bounds:
             raise ValueError(
                 f"cannot merge histograms with different bucket layouts "
                 f"({self.name!r} vs {other.name!r})"
             )
-        with other._lock:
-            buckets = list(other._buckets)
-            count, total = other._count, other._sum
-            omin, omax = other._min, other._max
-            oclamped = other._clamped
+        self._check_span(other)
+        with other._lock:  # copies: other keeps recording into its own
+            retired = self._empty().add(other._retired)
+            incoming = {
+                stamp: self._empty().add(s) for stamp, s in other._slices.items()
+            }
         with self._lock:
-            for i, n in enumerate(buckets):
-                self._buckets[i] += n
-            self._count += count
-            self._sum += total
-            self._clamped += oclamped
-            if omin is not None and (self._min is None or omin < self._min):
-                self._min = omin
-            if omax is not None and (self._max is None or omax > self._max):
-                self._max = omax
+            self._retired.add(retired)
+            for stamp, s in incoming.items():
+                mine = self._slices.get(stamp)
+                if mine is None:
+                    self._slices[stamp] = s
+                else:
+                    mine.add(s)
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            count, total = self._count, self._sum
-            vmin, vmax = self._min, self._max
-            clamped = self._clamped
-            buckets = {
-                f"le_{self._bounds[i]:g}" if i < len(self._bounds) else "overflow": n
-                for i, n in enumerate(self._buckets)
-                if n
-            }
+        """The cumulative view: every sample since the instrument began."""
+        total = self._fold()
+        count = total.count
         return {
             "count": count,
-            "sum": total,
-            "mean": (total / count) if count else 0.0,
-            "min": vmin if vmin is not None else 0.0,
-            "max": vmax if vmax is not None else 0.0,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "p999": self.quantile(0.999),
-            "clamped": clamped,
-            "buckets": buckets,
+            "sum": total.sum,
+            "mean": (total.sum / count) if count else 0.0,
+            "min": total.min if count else 0.0,
+            "max": total.max,
+            **self._quantiles(total),
+            "clamped": total.clamped,
+            "buckets": {
+                f"le_{self._bounds[i]:g}" if i < len(self._bounds) else "overflow": n
+                for i, n in enumerate(total.buckets)
+                if n
+            },
         }
+
+    def window_snapshot(self, window_s: int) -> dict[str, Any]:
+        """Count/mean/quantiles/rate of the trailing *window_s* seconds."""
+        total = self._fold(window_s)
+        count = total.count
+        return {
+            "count": count,
+            "mean": (total.sum / count) if count else 0.0,
+            "max": total.max,
+            **self._quantiles(total),
+            "rate": count / window_s,
+        }
+
+
+def _live(per_name: dict[str, dict[str, dict[str, Any]]]) -> dict[str, Any]:
+    """Only the instruments that saw a sample inside some window."""
+    return {
+        name: per_window
+        for name, per_window in per_name.items()
+        if any(w["count"] for w in per_window.values())
+    }
 
 
 class MetricsRegistry:
@@ -239,38 +444,35 @@ class MetricsRegistry:
 
     ``counter``/``histogram`` are get-or-create and may be called from any
     thread; repeated calls with the same name return the same instrument
-    (creation kwargs only apply on first creation).
+    (creation kwargs only apply on first creation).  The *clock* set here
+    is inherited by every instrument it creates — tests inject a fake
+    clock once and every window follows it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
+        self._clock = clock
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: Sliding-window companions to the cumulative instruments —
-        #: same registry so merges and shard aggregation carry them too.
-        self.windows = WindowRegistry()
 
-    def counter(self, name: str) -> Counter:
+    def _get(self, table: dict[str, Any], cls: type, name: str, **kwargs: Any) -> Any:
         with self._lock:
-            c = self._counters.get(name)
-            if c is None:
-                c = self._counters[name] = Counter(name)
-            return c
+            inst = table.get(name)
+            if inst is None:
+                inst = table[name] = cls(name, **kwargs)
+            return inst
+
+    def counter(self, name: str, **kwargs: Any) -> Counter:
+        kwargs.setdefault("clock", self._clock)
+        return self._get(self._counters, Counter, name, **kwargs)
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            g = self._gauges.get(name)
-            if g is None:
-                g = self._gauges[name] = Gauge(name)
-            return g
+        return self._get(self._gauges, Gauge, name)
 
     def histogram(self, name: str, **kwargs: Any) -> Histogram:
-        with self._lock:
-            h = self._histograms.get(name)
-            if h is None:
-                h = self._histograms[name] = Histogram(name, **kwargs)
-            return h
+        kwargs.setdefault("clock", self._clock)
+        return self._get(self._histograms, Histogram, name, **kwargs)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Aggregate *other*'s instruments into this registry (per name)."""
@@ -279,7 +481,7 @@ class MetricsRegistry:
             gauges = list(other._gauges.values())
             histograms = list(other._histograms.values())
         for c in counters:
-            self.counter(c.name).merge(c)
+            self.counter(c.name, windows=c.windows).merge(c)
         for g in gauges:
             self.gauge(g.name).merge(g)
         for h in histograms:
@@ -288,21 +490,31 @@ class MetricsRegistry:
                 lo=h._bounds[0],
                 factor=h._bounds[1] / h._bounds[0] if len(h._bounds) > 1 else 2.0,
                 n_buckets=len(h._bounds),
+                windows=h.windows,
             )
             mine.merge(h)
-        self.windows.merge(other.windows)
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-data image of every instrument (what tests/CLI consume)."""
+        """Plain-data image of every instrument (what tests/CLI consume).
+
+        ``windows`` is derived from the same instruments: the trailing
+        view of every histogram (``histograms``) and counter (``rates``)
+        that saw a sample inside the longest window.
+        """
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
+            counters = sorted(self._counters.items())
+            gauges = sorted(self._gauges.items())
+            histograms = sorted(self._histograms.items())
         return {
-            "counters": {n: c.snapshot() for n, c in sorted(counters.items())},
-            "gauges": {n: g.snapshot() for n, g in sorted(gauges.items())},
-            "histograms": {n: h.snapshot() for n, h in sorted(histograms.items())},
-            "windows": self.windows.snapshot(),
+            "counters": {n: c.snapshot() for n, c in counters},
+            "gauges": {n: g.snapshot() for n, g in gauges},
+            "histograms": {n: h.snapshot() for n, h in histograms},
+            "windows": {
+                "histograms": _live(
+                    {n: h.window_snapshots() for n, h in histograms}
+                ),
+                "rates": _live({n: c.window_snapshots() for n, c in counters}),
+            },
         }
 
 

@@ -69,7 +69,12 @@ MAX_PROFILE_SECONDS = 30.0
 
 
 def jsonable(value: Any) -> Any:
-    """Coerce observability payloads (dataclasses, enums, tuples) to JSON."""
+    """Coerce observability payloads (dataclasses, enums, tuples) to JSON.
+
+    Introspection snapshots key hot-template counters by template tuples;
+    JSON needs string keys, so non-string keys become their ``repr`` — as
+    does any leaf JSON has no type for.
+    """
     if is_dataclass(value) and not isinstance(value, type):
         return jsonable(asdict(value))
     if isinstance(value, Enum):
@@ -81,7 +86,9 @@ def jsonable(value: Any) -> Any:
         }
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    return value
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
 
 
 class TelemetryServer:

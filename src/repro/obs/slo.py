@@ -24,7 +24,7 @@ This module closes that loop over the signals the repo already has:
   down, stalled waiters, windowed-p99 SLO burn, read-fallback ratio,
   and sequencer/replica backpressure.  All of them read *windowed*
   signals where rates matter — a cumulative counter can never resolve,
-  which is exactly why the sliding windows exist.
+  which is exactly why every instrument serves a trailing view.
 
 The engine treats the context as plain data (``Mapping``), so it runs
 identically against a live runtime, a remote ``/snapshot`` payload, or
@@ -287,7 +287,7 @@ def default_rules(
 
     def fallback(ctx: Mapping[str, Any]):
         metrics = ctx.get("metrics") or {}
-        fast = _window_rate_count(metrics, "read_fast", window)
+        fast = _window_rate_count(metrics, "read_fastpath", window)
         fb = _window_rate_count(metrics, "read_fallback", window)
         total = fast + fb
         if total < min_samples:

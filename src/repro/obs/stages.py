@@ -9,15 +9,13 @@ apply, and the reply hop that wakes the client — and optimizing the hot
 path (ROADMAP item 3) needs the budget decomposed per stage, the way the
 LLFT paper (PAPERS.md) decomposes its latency budget.
 
-Attribution is **opt-in** with the same discipline as
-``enable_introspection()``: off (the default), the sequencer ships the
-classic two-element ``("BATCH", cmds)`` item and replicas emit nothing
-extra — zero bytes and zero branches added to the off path beyond one
-flag check per *batch*.  On, the sequencer stamps each batch with its
-broadcast time, and every replica answers each applied batch with one
-small ``("STAGES", …)`` emission carrying its inbox delay, its mean
-per-command apply time and its emit stamp — from which the group records
-four histogram families:
+Attribution is **always on and sampled**, not switched: the sequencer
+stamps the first batch it ships and every :data:`STAGE_SAMPLE_EVERY`-th
+after it (``("BATCH", cmds, t_send)`` — ``t_send`` is ``None`` on the
+unsampled batches, which cost nothing extra), and every replica answers
+a stamped batch with one small ``("STAGES", …)`` emission carrying its
+inbox delay, its mean per-command apply time and its emit stamp — from
+which the group records four histogram families:
 
 ========================  ==================================================
 ``stage_broadcast``       transport.broadcast() duration per batch
@@ -33,10 +31,6 @@ and ``ags_e2e`` complete the budget.  All stamps are ``time.monotonic``
 — system-wide on Linux, so replica-process stamps subtract cleanly from
 group-side stamps.
 
-The switch exports ``REPRO_STAGES=1`` so replica processes spawned
-afterwards come up stamping too; enable **before** constructing the
-runtime (groups and workers read the flag once, at start).
-
 :func:`stage_budget` turns a metrics snapshot into the per-stage budget
 table and :func:`render_budget` is the ``repro.cli top`` panel; the
 histograms export as ``linda_stage_*_seconds`` Prometheus families
@@ -47,17 +41,14 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .envflags import EnvFlag
+__all__ = ["STAGE_SAMPLE_EVERY", "render_budget", "stage_budget"]
 
-__all__ = [
-    "disable_stage_attribution",
-    "enable_stage_attribution",
-    "render_budget",
-    "stage_budget",
-    "stages_enabled",
-]
-
-_FLAG = EnvFlag("REPRO_STAGES")
+#: One batch in this many carries a broadcast stamp (the first always
+#: does).  A sampled batch costs two clock reads on the sequencer and one
+#: STAGES answer per replica; at 1 in 64 that is noise on every workload,
+#: and a run of a few thousand batches still gives each stage a mean and
+#: a p95 worth reading.
+STAGE_SAMPLE_EVERY = 64
 
 #: The pipeline budget, in pipeline order: (display label, histogram name,
 #: per_command).  Batch-granularity stages still attribute per command —
@@ -70,25 +61,6 @@ BUDGET_STAGES: list[tuple[str, str]] = [
     ("apply", "stage_apply"),
     ("wake/reply", "stage_reply"),
 ]
-
-
-def enable_stage_attribution() -> None:
-    """Turn on per-stage pipeline timing for runtimes constructed after.
-
-    Exported through the environment so replica processes spawned later
-    inherit the setting (the same mechanism as introspection).
-    """
-    _FLAG.enable()
-
-
-def disable_stage_attribution() -> None:
-    """Revert :func:`enable_stage_attribution` for future runtimes."""
-    _FLAG.disable()
-
-
-def stages_enabled() -> bool:
-    """Read once at group/worker start — True in-process or inherited."""
-    return _FLAG.enabled()
 
 
 # ---------------------------------------------------------------------- #
@@ -160,8 +132,8 @@ def render_budget(metrics: Mapping[str, Any]) -> str:
     """The terminal "WHERE DOES A MILLISECOND GO" panel (pure string).
 
     Empty string when no stage histogram has samples — callers can
-    unconditionally append the panel and get nothing on runtimes where
-    attribution is off.
+    unconditionally append the panel and get nothing on runtimes with
+    no batch pipeline (``LocalRuntime``).
     """
     rows = stage_budget(metrics)
     if not any(r["n"] and r["metric"] and r["metric"].startswith("stage_") for r in rows):

@@ -55,12 +55,11 @@ One object owns everything the paper's ordered-update pipeline needs
   runs the :mod:`repro.obs.profile` sampler over this group's registered
   threads (sequencer, read flusher, monitor, in-process replicas) and,
   on per-process transports, drives per-replica samplers through the
-  in-band query lane; with :func:`repro.obs.stages.
-  enable_stage_attribution` set before construction, every batch carries
-  a broadcast stamp and replicas answer with per-batch STAGES emissions,
-  decomposing the e2e latency into broadcast / inbox / apply / reply
-  histograms (``linda_stage_*``).  Both are strictly opt-in: off, the
-  only residue is one boolean check per batch.
+  in-band query lane (strictly opt-in).  Stage attribution is always
+  on and sampled: one batch in :data:`repro.obs.stages.
+  STAGE_SAMPLE_EVERY` carries a broadcast stamp and replicas answer it
+  with a STAGES emission, decomposing the e2e latency into broadcast /
+  inbox / apply / reply histograms (``linda_stage_*``).
 """
 
 from __future__ import annotations
@@ -89,9 +88,10 @@ from repro.obs.profile import (
     merge_folded,
     register_thread,
 )
-from repro.obs.stages import stages_enabled
+from repro.obs.stages import STAGE_SAMPLE_EVERY
 from repro.obs.tracing import FlightRecorder
 from repro.replication.transport import Transport
+from repro.replication.worker import split_state
 
 __all__ = ["LivenessPolicy", "ReplicaGroup"]
 
@@ -268,27 +268,15 @@ class ReplicaGroup:
         self._g_seq_depth = self.metrics.gauge("sequencer_inbox_depth")
         self._g_read_depth = self.metrics.gauge("read_lane_depth")
         self._g_apply_depth = self.metrics.gauge("replica_inbox_max_depth")
-        #: Sliding-window companions (repro.obs.window): the same signals
-        #: over the trailing 10s/60s/5m, for `cli top`'s "now" view and
-        #: the SLO rules — a cumulative p99 can neither burn nor recover.
-        self._w_e2e = self.metrics.windows.histogram("ags_e2e")
-        self._w_read = self.metrics.windows.histogram("read_latency")
-        self._r_cmds = self.metrics.windows.rate("commands_submitted")
-        self._r_read_fast = self.metrics.windows.rate("read_fast")
-        self._r_read_fb = self.metrics.windows.rate("read_fallback")
-        self._r_failures = self.metrics.windows.rate("failures_detected")
-        self._r_autorec = self.metrics.windows.rate("auto_recoveries")
-        #: Stage attribution (opt-in, read once at construction): when on,
-        #: batches carry a broadcast stamp and replicas answer each with a
-        #: STAGES emission — see repro.obs.stages.  The histograms exist
-        #: only when enabled, so an off-path snapshot carries no empty
-        #: stage families.
-        self._stages = stages_enabled()
-        if self._stages:
-            self._h_stage_bcast = self.metrics.histogram("stage_broadcast")
-            self._h_stage_queue = self.metrics.histogram("stage_replica_queue")
-            self._h_stage_apply = self.metrics.histogram("stage_apply")
-            self._h_stage_reply = self.metrics.histogram("stage_reply")
+        #: Stage attribution (repro.obs.stages): sampled batches carry a
+        #: broadcast stamp and replicas answer each with a STAGES emission.
+        #: _batches_shipped picks the sample; only ever touched under
+        #: _seq_lock, like everything else in _broadcast_batch.
+        self._h_stage_bcast = self.metrics.histogram("stage_broadcast")
+        self._h_stage_queue = self.metrics.histogram("stage_replica_queue")
+        self._h_stage_apply = self.metrics.histogram("stage_apply")
+        self._h_stage_reply = self.metrics.histogram("stage_reply")
+        self._batches_shipped = 0
         #: The continuous-profiling plane (strictly opt-in): an in-process
         #: sampler for this group's threads plus, on per-process-worker
         #: transports, per-replica remote samplers driven over the in-band
@@ -435,8 +423,7 @@ class ReplicaGroup:
             with self._state_lock:
                 self._waiters.pop(cmd.request_id, None)
             raise RuntimeFailure(self._group_error)
-        self._c_cmds.inc()
-        self._r_cmds.inc()
+        self._c_cmds.inc(1, w.t_submit)
         if (
             self.read_fastpath
             and isinstance(cmd, ExecuteAGS)
@@ -539,15 +526,13 @@ class ReplicaGroup:
                 if self._reads.pop(cmd.request_id, None) is not None:
                     return False
         self._c_read_fast.inc()
-        self._r_read_fast.inc()
         return True
 
     def _await_read(self, cmd: ExecuteAGS, w: _Waiter, timeout: float | None) -> Any:
         """Wait out a fast-path read; degrade to the ordered ladder."""
         if w.event.wait(timeout):
-            elapsed = time.monotonic() - w.t_submit
-            self._h_read.record(elapsed)
-            self._w_read.record(elapsed)
+            now = time.monotonic()
+            self._h_read.record(now - w.t_submit, now)
             return self._resolve(w.slot[0])
         with self._state_lock:
             owned = self._reads.pop(cmd.request_id, None)
@@ -575,7 +560,6 @@ class ReplicaGroup:
             w = self._waiters.get(request_id) if entry is not None else None
         if entry is not None and w is not None:
             self._c_read_fallback.inc()
-            self._r_read_fb.inc()
             self._ship(entry[1], w)
             if w.fellback is not None:
                 w.fellback.set()
@@ -760,19 +744,20 @@ class ReplicaGroup:
             cmds.append(cmd)
             if w is not None:
                 w.t_ordered = now
-                self._h_submit.record(now - w.t_submit)
-        self._c_batches.inc()
-        self._h_batch.record(len(batch))
-        if self._stages:
-            # the stamp rides inside the batch item (and through the
-            # pickled blob), so every replica can report how long the
-            # batch sat in its inbox; CLOCK_MONOTONIC is system-wide on
-            # Linux, making the stamp comparable across processes
-            t_bcast = time.monotonic()
-            info = self.transport.broadcast(("BATCH", cmds, t_bcast), self.alive)
-            self._h_stage_bcast.record(time.monotonic() - t_bcast)
-        else:
-            info = self.transport.broadcast(("BATCH", cmds), self.alive)
+                self._h_submit.record(now - w.t_submit, now)
+        self._c_batches.inc(1, now)
+        self._h_batch.record(len(batch), now)
+        # On a sampled batch the stamp rides inside the batch item (and
+        # through the pickled blob), so every replica can report how long
+        # the batch sat in its inbox; CLOCK_MONOTONIC is system-wide on
+        # Linux, making the stamp comparable across processes.
+        sampled = self._batches_shipped % STAGE_SAMPLE_EVERY == 0
+        self._batches_shipped += 1
+        t_send = time.monotonic() if sampled else None
+        info = self.transport.broadcast(("BATCH", cmds, t_send), self.alive)
+        if t_send is not None:
+            t_sent = time.monotonic()
+            self._h_stage_bcast.record(t_sent - t_send, t_sent)
         tracer = self.tracer
         if tracer is not None:
             self._trace_batch(tracer, batch, now, info)
@@ -824,9 +809,8 @@ class ReplicaGroup:
         if w is not None:
             now = time.monotonic()
             if w.t_ordered is not None:
-                self._h_apply.record(now - w.t_ordered)
-            self._h_e2e.record(now - w.t_submit)
-            self._w_e2e.record(now - w.t_submit)
+                self._h_apply.record(now - w.t_ordered, now)
+            self._h_e2e.record(now - w.t_submit, now)
             tracer = self.tracer
             if tracer is not None and w.trace_id is not None:
                 tracer.record_span(
@@ -844,7 +828,7 @@ class ReplicaGroup:
     def _on_worker_item(self, replica_id: int, item: tuple) -> None:
         # any emission proves the apply loop is running: completions (and
         # everything else on the feedback lane) double as heartbeats
-        self._last_seen[replica_id] = time.monotonic()
+        now = self._last_seen[replica_id] = time.monotonic()
         kind = item[0]
         if kind == "PONG":
             return  # the timestamp refresh above was the whole point
@@ -871,14 +855,13 @@ class ReplicaGroup:
                         args={"slot": slot, "request_id": rid},
                     )
         elif kind == "STAGES":
-            if self._stages:
-                _k, queue_s, apply_s, t_emit = item
-                self._h_stage_queue.record(queue_s)
-                self._h_stage_apply.record(apply_s)
-                # the reply stage: how long the replica's answer took to
-                # reach this collector — the same hop a completion takes
-                # to wake its client
-                self._h_stage_reply.record(time.monotonic() - t_emit)
+            _k, queue_s, apply_s, t_emit = item
+            self._h_stage_queue.record(queue_s, now)
+            self._h_stage_apply.record(apply_s, now)
+            # the reply stage: how long the replica's answer took to
+            # reach this collector — the same hop a completion takes
+            # to wake its client
+            self._h_stage_reply.record(now - t_emit, now)
         elif kind == "QUERY":
             _k, qid, answering_replica, answer = item
             with self._state_lock:
@@ -1073,7 +1056,6 @@ class ReplicaGroup:
         if not self._declare_dead(replica_id, notify=True, cause="detector"):
             return  # raced a cooperative crash_replica; it owned the death
         self._c_failures.inc()
-        self._r_failures.inc()
         self._h_detect.record(silent)
         emit_event(
             "failure_detected", severity="warning",
@@ -1130,7 +1112,6 @@ class ReplicaGroup:
                 self._schedule_recovery(replica_id)
             else:
                 self._c_autorec.inc()
-                self._r_autorec.inc()
                 emit_event(
                     "auto_recovered",
                     group=self.name or "group", replica=replica_id,
@@ -1194,13 +1175,7 @@ class ReplicaGroup:
             self._flush_pending_locked()
             chunks, applied = self._fetch_snapshot_chunked(timeout, dead_donors)
             self.transport.restart_replica(replica_id)
-            qid, event, slot = self._register_query(replica_id)
-            total = len(chunks)
-            for idx, chunk in enumerate(chunks):
-                self.transport.send(
-                    replica_id, ("INSTALL_CHUNK", qid, idx, total, chunk)
-                )
-            self.transport.send(replica_id, ("INSTALL_DONE", qid, qid, total))
+            pending = self._send_install(replica_id, chunks)
             self.alive[replica_id] = True
             # a rejoining replica starts with a clean liveness slate —
             # without this the monitor would re-suspect it instantly
@@ -1222,13 +1197,7 @@ class ReplicaGroup:
             self._broadcast_batch([(rec, None)])
         self._g_live.set(len(self.live_replicas()))
         self._recover_pending.pop(replica_id, None)
-        answer = self._await_answer(
-            replica_id, qid, event, slot, timeout, "state install"
-        )
-        if answer != "installed":
-            raise TimeoutError_(
-                f"recovered replica rejected the transferred state: {answer!r}"
-            )
+        self._await_installed(pending, timeout)
         if self.tracer is not None:
             self.tracer.record_span(
                 time.monotonic(),
@@ -1243,8 +1212,38 @@ class ReplicaGroup:
         )
 
     # ------------------------------------------------------------------ #
-    # chunked state transfer (donor side driver)
+    # chunked state transfer (receiver side, then donor side driver)
     # ------------------------------------------------------------------ #
+
+    def _send_install(
+        self, replica_id: int, chunks: list[bytes]
+    ) -> tuple[int, int, threading.Event, list]:
+        """Ship a chunked ``(snapshot, applied)`` pickle into one replica.
+
+        The one way state enters a replica — recovery of a crashed one
+        and journal replay into fresh ones alike.  Returns the pending
+        answer for :meth:`_await_installed`; the two are separate so a
+        caller can ship to several replicas (or release the sequencer
+        lock) before waiting.
+        """
+        qid, event, slot = self._register_query(replica_id)
+        total = len(chunks)
+        for idx, chunk in enumerate(chunks):
+            self.transport.send(
+                replica_id, ("INSTALL_CHUNK", qid, idx, total, chunk)
+            )
+        self.transport.send(replica_id, ("INSTALL_DONE", qid, qid, total))
+        return replica_id, qid, event, slot
+
+    def _await_installed(
+        self, pending: tuple[int, int, threading.Event, list], timeout: float
+    ) -> None:
+        answer = self._await_answer(*pending, timeout, "state install")
+        if answer != "installed":  # ("incomplete", missing): chunks lost
+            raise TimeoutError_(
+                f"replica {pending[0]} rejected the transferred state: "
+                f"{answer!r}"
+            )
 
     def _xfer_query(self, donor: int, item_fn, timeout: float) -> Any:
         """One transfer round trip to *donor* while holding ``_seq_lock``.
@@ -1380,17 +1379,15 @@ class ReplicaGroup:
         try:
             with self._seq_lock:
                 if res.snapshot is not None:
-                    waits = []
-                    for i in self.live_replicas():
-                        qid, event, slot = self._register_query(i)
-                        self.transport.send(
-                            i, ("INSTALL", qid, res.snapshot, res.snapshot_slot)
-                        )
-                        waits.append((i, qid, event, slot))
-                    for sent in waits:
-                        self._await_answer(
-                            *sent, 30.0, "journal snapshot install"
-                        )
+                    chunks = split_state(
+                        res.snapshot, res.snapshot_slot, self.transfer_chunk_bytes
+                    )
+                    installs = [
+                        self._send_install(i, chunks)
+                        for i in self.live_replicas()
+                    ]
+                    for pending in installs:
+                        self._await_installed(pending, 30.0)
                     self._journal_slot = res.snapshot_slot
                     with self._pending_lock:
                         # replicas resume at applied == snapshot_slot, so

@@ -7,15 +7,16 @@ cross a pickling boundary unchanged:
 
 received                              meaning
 ------------------------------------  ------------------------------------
-``("BATCH", [cmd, ...])``             apply each command, in order; with
-                                      stage attribution on, the sequencer
-                                      appends its broadcast stamp —
-                                      ``("BATCH", cmds, t_send)`` — and
-                                      the replica answers with a STAGES
-                                      emission (below); a process
-                                      transport pickles the item once for
-                                      all replicas and each decodes its
-                                      frame once, before this loop
+``("BATCH", [cmd, ...], t_send)``     apply each command, in order;
+                                      ``t_send`` is the sequencer's
+                                      broadcast stamp on the batches
+                                      sampled for stage attribution (the
+                                      replica answers those with a STAGES
+                                      emission, below) and ``None`` on the
+                                      rest; a process transport pickles
+                                      the item once for all replicas and
+                                      each decodes its frame once, before
+                                      this loop
 ``("QUERY", qid, what, arg)``         in-band state query; answered after
                                       everything sequenced before it.
                                       ``snapshot`` answers ``(snapshot,
@@ -36,7 +37,6 @@ received                              meaning
                                       group's read flusher batches many
                                       reads into one item, mirroring the
                                       write lane's batch amortization
-``("INSTALL", qid, snap, applied)``   replace state with a snapshot
 ``("XFER_BEGIN", qid, chunk_bytes)``  chunked state transfer, donor side:
                                       pickle ``(snapshot, applied)`` once,
                                       cache it split into *chunk_bytes*
@@ -48,8 +48,10 @@ received                              meaning
                                       the transfer id is unknown — the
                                       group treats that as a lost donor)
 ``("XFER_END", xid)``                 drop the cached transfer
-``("INSTALL_CHUNK", xid, idx, n,      chunked install, receiver side:
-  chunk)``                            buffer chunk *idx* of *n*
+``("INSTALL_CHUNK", xid, idx, n,      chunked install, receiver side —
+  chunk)``                            the one way state enters a replica,
+                                      from a donor or from the journal:
+                                      buffer chunk *idx* of *n*
 ``("INSTALL_DONE", qid, xid, n)``     reassemble the buffered chunks,
                                       install the decoded snapshot,
                                       answer ``"installed"`` (or
@@ -87,7 +89,7 @@ emitted
                                       order (the consistency checker's
                                       input)
 ``("STAGES", queue_s, apply_s,        stage-attribution answer for one
-  t_emit)``                           stamped batch: time it sat in this
+  t_emit)``                           sampled batch: time it sat in this
                                       replica's inbox, mean apply time per
                                       command, and the emit stamp (the
                                       group turns ``now - t_emit`` into
@@ -112,7 +114,18 @@ from repro.obs.profile import (
     register_thread,
 )
 
-__all__ = ["replica_loop", "run_replica_process"]
+__all__ = ["replica_loop", "run_replica_process", "split_state"]
+
+
+def split_state(snapshot: Any, applied: int, chunk_bytes: int) -> list[bytes]:
+    """Pickle ``(snapshot, applied)`` once, split into *chunk_bytes* pieces.
+
+    What INSTALL_CHUNK/INSTALL_DONE reassemble: a donor answers
+    XFER_BEGIN with it, and the group ships a journal snapshot with it.
+    """
+    blob = pickle.dumps((snapshot, applied), protocol=pickle.HIGHEST_PROTOCOL)
+    n = max(1, int(chunk_bytes))
+    return [blob[i : i + n] for i in range(0, len(blob), n)] or [b""]
 
 
 def _apply_hardened(sm: TSStateMachine, cmd: Any) -> list[Completion]:
@@ -195,11 +208,11 @@ def replica_loop(
         if kind == "STOP":
             return
         if kind == "BATCH":
-            # A third element is the sequencer's broadcast stamp: stage
-            # attribution is on and this batch owes a STAGES answer.  The
-            # stamp is CLOCK_MONOTONIC — system-wide on Linux, so it
-            # subtracts cleanly even across the process boundary.
-            t_send = item[2] if len(item) > 2 else None
+            # A broadcast stamp means this batch was sampled for stage
+            # attribution and owes a STAGES answer.  The stamp is
+            # CLOCK_MONOTONIC — system-wide on Linux, so it subtracts
+            # cleanly even across the process boundary.
+            t_send = item[2]
             t_dequeue = time.monotonic() if t_send is not None else 0.0
             spans: list[tuple] | None = None
             # Completions for the whole batch travel as one COMPS item:
@@ -271,23 +284,12 @@ def replica_loop(
             else:
                 answer = None
             emit(("QUERY", qid, replica_id, answer))
-        elif kind == "INSTALL":
-            _k, qid, snapshot, count = item
-            sm = TSStateMachine.from_snapshot(snapshot)
-            applied = count
-            emit(("QUERY", qid, replica_id, "installed"))
-            drain_reads()
         elif kind == "XFER_BEGIN":
             _k, qid, chunk_bytes = item
-            blob = pickle.dumps(
-                (sm.snapshot(), applied), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            n = max(1, int(chunk_bytes))
-            chunks = [blob[i : i + n] for i in range(0, len(blob), n)] or [b""]
-            xfer_out[qid] = chunks
+            chunks = xfer_out[qid] = split_state(sm.snapshot(), applied, chunk_bytes)
             emit(
                 ("QUERY", qid, replica_id,
-                 ("xfer", qid, len(chunks), len(blob), applied))
+                 ("xfer", qid, len(chunks), sum(map(len, chunks)), applied))
             )
         elif kind == "XFER_CHUNK":
             _k, qid, xid, idx = item

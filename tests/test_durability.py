@@ -282,8 +282,10 @@ class TestDurableGroup:
         assert back.inp(back.main_ts, "post", 1) is not None
         back.shutdown()
 
-    def test_compacted_journal_restart(self, tmp_path):
+    def test_compacted_journal_restart(self, tmp_path, monkeypatch):
         from repro.parallel import ThreadedReplicaRuntime
+        from repro.replication import ReplicaGroup
+        from repro.replication.worker import split_state
 
         d = str(tmp_path / "journal")
         rt = ThreadedReplicaRuntime(3, durable_dir=d)
@@ -297,15 +299,21 @@ class TestDurableGroup:
         before = set(rt.fingerprints())
         rt.shutdown()
 
-        back = ThreadedReplicaRuntime(3, durable_dir=d)
-        back.quiesce()
-        assert set(back.fingerprints()) == before
-        # snapshot + 5 delta records, not the 50-command history
-        assert back.group.journal_replayed == 6
-        st = back.journal_status()[0]
-        assert st["snapshot_slot"] == 50
-        assert st["journal_slot"] == 55
-        back.shutdown()
+        # the snapshot enters the fresh replicas by the chunked install —
+        # as one chunk at the default size, and spanning many at 64 bytes
+        res = replay_dir(d)
+        assert len(split_state(res.snapshot, res.snapshot_slot, 64)) > 1
+        for chunk_bytes in (ReplicaGroup.transfer_chunk_bytes, 64):
+            monkeypatch.setattr(ReplicaGroup, "transfer_chunk_bytes", chunk_bytes)
+            back = ThreadedReplicaRuntime(3, durable_dir=d)
+            back.quiesce()
+            assert set(back.fingerprints()) == before
+            # snapshot + 5 delta records, not the 50-command history
+            assert back.group.journal_replayed == 6
+            st = back.journal_status()[0]
+            assert st["snapshot_slot"] == 50
+            assert st["journal_slot"] == 55
+            back.shutdown()
 
     def test_sharded_durable_restart(self, tmp_path):
         from repro.parallel import ThreadedReplicaRuntime

@@ -41,11 +41,9 @@ from repro.obs.profile import (
 )
 from repro.obs.stages import (
     BUDGET_STAGES,
-    disable_stage_attribution,
-    enable_stage_attribution,
+    STAGE_SAMPLE_EVERY,
     render_budget,
     stage_budget,
-    stages_enabled,
 )
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
 
@@ -280,15 +278,6 @@ class TestBackendProfiling:
 # --------------------------------------------------------------------------- #
 
 
-@pytest.fixture
-def stages():
-    was = stages_enabled()
-    enable_stage_attribution()
-    yield
-    if not was:
-        disable_stage_attribution()
-
-
 def _hist(n, mean, p95=None):
     return {"count": n, "mean": mean, "p95": mean if p95 is None else p95}
 
@@ -331,12 +320,15 @@ class TestStageBudget:
         assert "WHERE DOES A MILLISECOND GO" in panel
         assert "broadcast" in panel
 
-    def test_stage_histograms_recorded_end_to_end(self, stages):
+    def test_stage_histograms_recorded_end_to_end(self):
+        """Always on, sampled: the first batch is stamped, then one in
+        STAGE_SAMPLE_EVERY — never every batch."""
         rt = ThreadedReplicaRuntime(n_replicas=2)
         try:
             _churn(rt, 20)
             rt.quiesce()
-            hists = rt.metrics_snapshot()["histograms"]
+            snap = rt.metrics_snapshot()
+            hists = snap["histograms"]
             for name in (
                 "stage_broadcast",
                 "stage_replica_queue",
@@ -344,17 +336,11 @@ class TestStageBudget:
                 "stage_reply",
             ):
                 assert hists[name]["count"] > 0, name
-            assert render_budget(rt.metrics_snapshot())
-        finally:
-            rt.shutdown()
-
-    def test_stage_histograms_absent_when_disabled(self):
-        assert not stages_enabled()
-        rt = ThreadedReplicaRuntime(n_replicas=2)
-        try:
-            _churn(rt, 10)
-            hists = rt.metrics_snapshot()["histograms"]
-            assert "stage_broadcast" not in hists
+            batches = snap["counters"]["batches_shipped"]
+            assert hists["stage_broadcast"]["count"] == (
+                1 + (batches - 1) // STAGE_SAMPLE_EVERY
+            )
+            assert render_budget(snap)
         finally:
             rt.shutdown()
 

@@ -2,9 +2,10 @@
 
 Four layers under test, bottom-up:
 
-1. sliding-window instruments (:mod:`repro.obs.window`) — the ring of
-   per-second slices, with an injectable clock so wraparound, idle
-   windows, and clock jumps are exact rather than timing-dependent;
+1. the trailing-window view of the instruments (:mod:`repro.obs.metrics`)
+   — per-second slices folded into a retired total at the horizon, with
+   an injectable clock so expiry, idle windows, and clock jumps are exact
+   rather than timing-dependent;
 2. the structured event log (:mod:`repro.obs.events`) — ring semantics,
    incremental drains, the NDJSON sink;
 3. the alert engine (:mod:`repro.obs.slo`) — fire/resolve hysteresis
@@ -26,11 +27,17 @@ import urllib.request
 
 import pytest
 
+from repro.core.runtime import LocalRuntime
 from repro.obs.envflags import EnvFlag, int_env, telemetry_port
 from repro.obs.events import EventLog, get_log
-from repro.obs.metrics import MetricsRegistry, format_snapshot, merged
+from repro.obs.metrics import (
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    format_snapshot,
+    merged,
+)
 from repro.obs.slo import AlertEngine, AlertRule, default_rules
-from repro.obs.window import SlidingHistogram, SlidingRate, WindowRegistry
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
 
 BACKENDS = [
@@ -59,34 +66,35 @@ def _get(url: str) -> tuple[int, bytes]:
 
 
 # --------------------------------------------------------------------------- #
-# sliding windows
+# trailing windows
 # --------------------------------------------------------------------------- #
 
 
 class TestSlidingHistogram:
+    """The trailing-window view of :class:`Histogram` (the class keeps
+    its name so the test ids do)."""
+
     def test_windowed_quantiles_track_load_changes(self):
         """The acceptance property: windowed p99 follows the current
-        regime within one window while the cumulative p99 lags."""
+        regime within one window while the cumulative p99 lags — two
+        views of one instrument, one write per sample."""
         clock = FakeClock()
-        cumulative = MetricsRegistry().histogram("ags_e2e")
-        h = SlidingHistogram("ags_e2e", clock=clock)
+        h = Histogram("ags_e2e", clock=clock)
         for _ in range(100):  # slow regime
             h.record(0.1)
-            cumulative.record(0.1)
         clock.advance(15)  # past the 10s window
         for _ in range(100):  # fast regime
             h.record(0.001)
-            cumulative.record(0.001)
         w = h.window_snapshot(10)
         assert w["count"] == 100  # only the fast samples are in-window
         assert w["p99"] < 0.01  # windowed view reflects the new regime
-        assert cumulative.quantile(0.99) >= 0.05  # cumulative still lags
+        assert h.quantile(0.99) >= 0.05  # cumulative still lags
         # the longer windows still see both regimes
         assert h.window_snapshot(60)["count"] == 200
 
     def test_idle_window_reports_empty(self):
         clock = FakeClock()
-        h = SlidingHistogram("h", clock=clock)
+        h = Histogram("h", clock=clock)
         for _ in range(10):
             h.record(0.5)
         clock.advance(11)
@@ -97,40 +105,45 @@ class TestSlidingHistogram:
         assert h.window_snapshot(60)["count"] == 10
 
     def test_ring_wraparound_recycles_slices(self):
-        """Recording > ring-span seconds apart lands in the same slot;
-        the stale second must be evicted, not summed."""
+        """A record one full horizon after the last retires the stale
+        second — out of every window, still in the cumulative view."""
         clock = FakeClock()
-        h = SlidingHistogram("h", clock=clock)
+        h = Histogram("h", clock=clock)
         h.record(1.0)
-        clock.advance(300)  # exactly one full ring later: same slot index
+        clock.advance(300)  # exactly one horizon later
         h.record(2.0)
         w = h.window_snapshot(10)
         assert w["count"] == 1
         assert w["max"] == 2.0
+        assert h.window_snapshot(300)["count"] == 1
+        assert len(h._slices) == 1  # the stale second was folded away
+        assert h.count == 2 and h.snapshot()["min"] == 1.0
 
     def test_forward_clock_jump_expires_everything(self):
         clock = FakeClock()
-        h = SlidingHistogram("h", clock=clock)
+        h = Histogram("h", clock=clock)
         for _ in range(50):
             h.record(0.2)
-        clock.advance(10_000)  # way past the whole ring
+        clock.advance(10_000)  # way past the whole horizon
         assert h.window_snapshot(300)["count"] == 0
         h.record(0.3)  # still usable after the jump
         assert h.window_snapshot(10)["count"] == 1
+        assert h.count == 51
 
     def test_backward_clock_jump_ignores_future_slices(self):
         clock = FakeClock(2000.0)
-        h = SlidingHistogram("h", clock=clock)
+        h = Histogram("h", clock=clock)
         h.record(1.0)
         clock.t = 1500.0  # clock steps backwards
         w = h.window_snapshot(300)
         assert w["count"] == 0  # the "future" slice is not counted
         h.record(0.5)  # recording at the earlier time works
         assert h.window_snapshot(10)["count"] == 1
+        assert h.count == 2
 
     def test_per_second_rate(self):
         clock = FakeClock()
-        h = SlidingHistogram("h", clock=clock)
+        h = Histogram("h", clock=clock)
         for i in range(10):
             for _ in range(5):
                 h.record(0.01)
@@ -139,50 +152,93 @@ class TestSlidingHistogram:
 
     def test_merge_same_and_different_seconds(self):
         clock = FakeClock()
-        a = SlidingHistogram("h", clock=clock)
-        b = SlidingHistogram("h", clock=clock)
+        a = Histogram("h", clock=clock)
+        b = Histogram("h", clock=clock)
         a.record(0.1)
         b.record(0.2)  # same second: must sum
         a.merge(b)
         assert a.window_snapshot(10)["count"] == 2
-        # b records in a newer second: the newer slice wins a stale slot
-        clock.advance(300)  # same slot index, newer stamp
-        b2 = SlidingHistogram("h", clock=clock)
+        # b2 records in a newer second: adopted under its own stamp,
+        # so only it is inside the short window
+        clock.advance(300)
+        b2 = Histogram("h", clock=clock)
         b2.record(0.3)
         a.merge(b2)
         assert a.window_snapshot(10)["count"] == 1
+        assert a.count == 3  # and the cumulative view keeps all three
 
     def test_merge_rejects_different_layouts(self):
-        a = SlidingHistogram("a", n_buckets=30)
-        b = SlidingHistogram("b", n_buckets=10)
+        a = Histogram("a", n_buckets=30)
+        b = Histogram("b", n_buckets=10)
         with pytest.raises(ValueError):
             a.merge(b)
+        with pytest.raises(ValueError):  # same buckets, different span
+            a.merge(Histogram("c", windows=(10, 60)))
+        with pytest.raises(ValueError):
+            Counter("a").merge(Counter("b", windows=(10,)))
+
+    def test_cumulative_view_loses_nothing_at_the_horizon(self):
+        """The equality the twin registries could never state: whatever
+        the clock does, retired + live equals a plain bucket count of
+        everything recorded."""
+        import random
+        from bisect import bisect_left
+
+        rng = random.Random(7)
+        clock = FakeClock()
+        h = Histogram("h", clock=clock)
+        c = Counter("c", clock=clock)
+        plain = [0] * (len(h._bounds) + 1)
+        values = []
+        for _ in range(2000):
+            # mostly sub-second ticks, some idle gaps, steps both ways
+            clock.advance(rng.choice([0, 0.3, 1, 1, 7, 120, 301, 5000, -2, -400]))
+            v = rng.choice([rng.expovariate(100.0), float("nan"), -1.0])
+            h.record(v)
+            c.inc(3)
+            v = v if v >= 0.0 else 0.0
+            values.append(v)
+            plain[bisect_left(h._bounds, v)] += 1
+        snap = h.snapshot()
+        assert snap["count"] == 2000 and c.value == 6000
+        assert snap["sum"] == pytest.approx(sum(values))
+        assert snap["min"] == min(values) and snap["max"] == max(values)
+        assert snap["clamped"] == sum(1 for v in values if v == 0.0)
+        labels = [f"le_{b:g}" for b in h._bounds] + ["overflow"]
+        assert snap["buckets"] == {
+            label: n for label, n in zip(labels, plain) if n
+        }
+        # and the live set stayed bounded through every step
+        assert len(h._slices) <= 2 * 300 and len(c._slices) <= 2 * 300
 
 
 class TestSlidingRate:
+    """The trailing-window view of :class:`Counter`."""
+
     def test_rate_over_windows(self):
         clock = FakeClock()
-        r = SlidingRate("ops", clock=clock)
+        r = Counter("ops", clock=clock)
         for _ in range(20):
             r.inc(3)
             clock.advance(1)
         assert r.window_count(10) == 30
-        assert r.rate(10) == pytest.approx(3.0)
+        assert r.window_snapshot(10)["rate"] == pytest.approx(3.0)
         assert r.window_count(60) == 60
 
     def test_idle_then_reuse(self):
         clock = FakeClock()
-        r = SlidingRate("ops", clock=clock)
+        r = Counter("ops", clock=clock)
         r.inc(7)
         clock.advance(301)
         assert r.window_count(300) == 0
         r.inc(2)
         assert r.window_count(10) == 2
+        assert r.value == 9  # the idle gap retired 7, it did not drop them
 
     def test_merge(self):
         clock = FakeClock()
-        a = SlidingRate("ops", clock=clock)
-        b = SlidingRate("ops", clock=clock)
+        a = Counter("ops", clock=clock)
+        b = Counter("ops", clock=clock)
         a.inc(1)
         b.inc(2)
         a.merge(b)
@@ -190,28 +246,54 @@ class TestSlidingRate:
 
 
 class TestWindowRegistry:
+    """``MetricsRegistry.snapshot()["windows"]``: derived, not recorded."""
+
     def test_snapshot_shape(self):
         clock = FakeClock()
-        reg = WindowRegistry(clock=clock)
+        reg = MetricsRegistry(clock=clock)
         reg.histogram("ags_e2e").record(0.05)
-        reg.rate("cmds").inc(4)
-        snap = reg.snapshot()
+        reg.counter("cmds").inc(4)
+        reg.histogram("idle")  # never recorded: no window entry
+        snap = reg.snapshot()["windows"]
+        assert set(snap["histograms"]) == {"ags_e2e"}
         assert set(snap["histograms"]["ags_e2e"]) == {"10s", "60s", "5m"}
         assert snap["rates"]["cmds"]["10s"]["count"] == 4
         for w in snap["histograms"]["ags_e2e"].values():
             assert {"count", "p50", "p99", "p999", "rate"} <= set(w)
+        clock.advance(301)  # past the horizon: gone from "now", not from ever
+        after = reg.snapshot()
+        assert after["windows"] == {"histograms": {}, "rates": {}}
+        assert after["counters"]["cmds"] == 4
+        assert after["histograms"]["ags_e2e"]["count"] == 1
 
     def test_merge_across_replica_registries(self):
         """ShardedGroup's runtime-wide view: windows merge through
         MetricsRegistry.merge like every cumulative instrument."""
         regs = [MetricsRegistry() for _ in range(3)]
         for i, reg in enumerate(regs):
-            reg.windows.histogram("ags_e2e").record(0.01 * (i + 1))
-            reg.windows.rate("cmds").inc(10)
-        total = merged(regs)
-        snap = total.windows.snapshot()
+            reg.histogram("ags_e2e").record(0.01 * (i + 1))
+            reg.counter("cmds").inc(10)
+        snap = merged(regs).snapshot()["windows"]
         assert snap["histograms"]["ags_e2e"]["5m"]["count"] == 3
         assert snap["rates"]["cmds"]["5m"]["count"] == 30
+
+    def test_local_runtime_has_a_now_view(self):
+        """No backend is dark: LocalRuntime records through the same
+        instruments, so the windowed panel and the SLO rule work there."""
+        rt = LocalRuntime()
+        for i in range(50):
+            rt.out(rt.main_ts, "w", i)
+            rt.in_(rt.main_ts, "w", i)
+        snap = rt.metrics_snapshot()
+        windows = snap["windows"]
+        assert windows["histograms"]["ags_e2e"]["10s"]["count"] == 100
+        assert windows["rates"]["commands_submitted"]["10s"]["count"] == 100
+        engine = AlertEngine(
+            rules=default_rules(p99_slo_s=0.0, min_samples=1), events=EventLog()
+        )
+        for _ in range(2):  # the rule's fire_after
+            engine.evaluate({"metrics": snap})
+        assert "slo_latency_burn" in engine.firing()
 
 
 # --------------------------------------------------------------------------- #
@@ -367,7 +449,7 @@ class TestAlertEngine:
     def test_read_fallback_ratio_rule(self):
         def rates(fast, fb):
             return {"windows": {"histograms": {}, "rates": {
-                "read_fast": {"10s": {"count": fast, "rate": fast / 10}},
+                "read_fastpath": {"10s": {"count": fast, "rate": fast / 10}},
                 "read_fallback": {"10s": {"count": fb, "rate": fb / 10}},
             }}}
 

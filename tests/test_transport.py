@@ -195,7 +195,7 @@ def test_item_larger_than_the_pipe_arrives_intact(one):
     # whole on the reply pipe as well
     big = os.urandom(3 * (1 << 19)).hex()
     cmd = ExecuteAGS(1, -1, 0, AGS.atomic(Op.out(MAIN_TS, "big", big)))
-    transport.send(0, ("BATCH", [cmd]))
+    transport.send(0, ("BATCH", [cmd], None))
     transport.send(0, ("QUERY", 7, "space_tuples", MAIN_TS))
     assert sink.answer(0, 7) == [("big", big)]
     assert transport.depth(0) == 0
@@ -205,7 +205,7 @@ def test_sigkill_mid_frame_is_fenced_and_restartable(one):
     transport, sink = one
     big = "b" * (3 << 20)
     cmd = ExecuteAGS(1, -1, 0, AGS.atomic(Op.out(MAIN_TS, "big", big)))
-    transport.send(0, ("BATCH", [cmd]))
+    transport.send(0, ("BATCH", [cmd], None))
     for qid in range(20):  # the child now streams 3 MiB replies
         transport.send(0, ("QUERY", qid, "space_tuples", MAIN_TS))
     sink.answer(0, 0)
