@@ -1168,9 +1168,13 @@ def _wal_smoke(opts) -> int:
             # the recovered group is live, not just a museum of the past
             rt.out(rt.main_ts, "post", 1)
             alive = rt.in_(rt.main_ts, "post", 1) is not None
+            journal = rt.journal_status()[0]
         finally:
             rt.shutdown()
         print(f"recovered: replayed={replayed} fingerprints={got}")
+        # both acknowledged, so the fsync had to cover both: never behind
+        print(f"journal: journal_slot={journal['journal_slot']} "
+              f"durable_slot={journal['durable_slot']}")
         if got != {expected}:
             print(f"wal smoke: FINGERPRINT MISMATCH (expected {expected})")
             return 1

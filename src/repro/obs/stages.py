@@ -27,7 +27,12 @@ which the group records four histogram families:
 ========================  ==================================================
 
 ``submit_to_order`` (which already measures client queue + sequencing)
-and ``ags_e2e`` complete the budget.  All stamps are ``time.monotonic``
+and ``ags_e2e`` complete the budget.  A durable group adds
+``journal_fsync`` — each group-commit fsync of the journal thread.  It
+runs *beside* the pipeline (broadcast, inbox and apply overlap it), so
+its row is shown only when it has samples and is never summed into the
+attributed total; the part of it a command actually waits out is
+``journal_commit_wait``.  All stamps are ``time.monotonic``
 — system-wide on Linux, so replica-process stamps subtract cleanly from
 group-side stamps.
 
@@ -50,17 +55,22 @@ __all__ = ["STAGE_SAMPLE_EVERY", "render_budget", "stage_budget"]
 #: a p95 worth reading.
 STAGE_SAMPLE_EVERY = 64
 
-#: The pipeline budget, in pipeline order: (display label, histogram name,
-#: per_command).  Batch-granularity stages still attribute per command —
-#: every command in a batch experiences the whole batch's broadcast and
-#: inbox wait, so the batch-level sample IS its per-command estimate.
+#: The pipeline budget, in pipeline order: (display label, histogram
+#: name).  Batch-granularity stages still attribute per command — every
+#: command in a batch experiences the whole batch's broadcast and inbox
+#: wait, so the batch-level sample IS its per-command estimate.
 BUDGET_STAGES: list[tuple[str, str]] = [
     ("client queue + sequence", "submit_to_order"),
     ("broadcast", "stage_broadcast"),
     ("replica inbox", "stage_replica_queue"),
     ("apply", "stage_apply"),
     ("wake/reply", "stage_reply"),
+    ("journal fsync", "journal_fsync"),
 ]
+
+#: Stages that run beside the pipeline rather than in it: a row only
+#: when there are samples, and no part of the attributed sum.
+_BESIDE_PATH = frozenset({"journal_fsync"})
 
 
 # ---------------------------------------------------------------------- #
@@ -86,7 +96,11 @@ def stage_budget(metrics: Mapping[str, Any]) -> list[dict[str, Any]]:
     for label, hist_name in BUDGET_STAGES:
         h = hists.get(hist_name, {})
         mean = h.get("mean", 0.0)
-        attributed += mean
+        if hist_name in _BESIDE_PATH:
+            if not h.get("count"):
+                continue
+        else:
+            attributed += mean
         rows.append(
             {
                 "stage": label,

@@ -11,7 +11,8 @@ raised exception that ``finally`` blocks could soften.
 In production the environment variable is unset and every crash point
 costs one cached string comparison.
 
-Planted points (see :mod:`repro.persist.segments`):
+Planted points (the first five in :mod:`repro.persist.segments`, the
+last in :class:`repro.replication.group.ReplicaGroup`'s journal thread):
 
 ===============================  =======================================
 name                             instant of death
@@ -25,6 +26,10 @@ name                             instant of death
                                  not yet unlinked
 ``prune_partial``                first covered segment unlinked, rest
                                  still on disk
+``journal_before_fsync``         a durable group's batch is written,
+                                 broadcast and perhaps applied by every
+                                 replica, but not yet fsynced — nothing
+                                 it produced may have been acknowledged
 ===============================  =======================================
 """
 

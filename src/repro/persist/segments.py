@@ -20,12 +20,13 @@ This module bounds recovery time by *structure* instead:
   segment records with ``slot > snapshot_slot`` — O(delta since the last
   snapshot), not O(history).
 
-Crash-safety is testable, not just argued: the five
-:mod:`repro.persist.crashpoints` are planted at the exact instants a
-naive implementation corrupts state (mid-record, before/after the
+Crash-safety is testable, not just argued: five
+:mod:`repro.persist.crashpoints` are planted here at the exact instants
+a naive implementation corrupts state (mid-record, before/after the
 snapshot rename, before and during prune), and the chaos tests SIGKILL
 subprocess victims at each one, then require fingerprint-identical
-recovery.
+recovery.  (A sixth sits in the replica group's journal thread, between
+the write and the fsync.)
 
 The segment format is payload-agnostic — :class:`SegmentedWALRuntime`
 journals single-host commands through it, and the replication layer
@@ -131,11 +132,27 @@ def _scan_segment(path: str) -> tuple[list[tuple[int, Any]], int, int]:
 class SegmentedLog:
     """A directory of rotated, length-prefixed record segments.
 
-    Not thread-safe by itself — callers serialize appends (the runtimes
-    append under their submission lock) and run :meth:`compact` from one
-    compactor thread at a time.  Appends and compaction may interleave:
-    compaction only ever touches *closed* segments and snapshot/manifest
-    files.
+    Appending has two halves.  The **write half** (:meth:`write_many`)
+    frames records into the active segment and flushes them to the OS —
+    they survive the death of this process from there on.  The **sync
+    half** (:meth:`sync`) fsyncs the active segment — they survive power
+    loss from there on.  :meth:`append` and :meth:`append_many` are one
+    after the other; the replica group's journal runs them on different
+    threads, so one fsync covers every batch written while the previous
+    fsync ran.
+
+    One lock, held by :meth:`sync`, by a rotation while it retires the
+    old segment, and by :meth:`close`: a file descriptor is never closed
+    (or swapped) under an fsync in flight, and a segment is fsynced
+    before it is closed, so whatever was written ahead of a ``sync()``
+    call is on disk when it returns — in the active segment or in one
+    rotated away meanwhile.  The lock does *not* serialize writers:
+    callers still run the write half from one thread at a time (the
+    runtime's submission lock, the group's sequencer lock), and
+    :meth:`compact` from one compactor at a time.  A write never waits
+    for an fsync except at a rotation.  Appends and compaction may
+    interleave: compaction only ever touches *closed* segments and
+    snapshot/manifest files.
     """
 
     def __init__(self, dir: str, *, fsync: bool = True, segment_bytes: int = 1 << 20):
@@ -149,6 +166,7 @@ class SegmentedLog:
         self._seg: BinaryIO | None = None
         self._seg_index = self._next_index()
         self._seg_size = 0
+        self._fd_lock = threading.Lock()  # sync() vs. rotation/close
 
     # ------------------------------------------------------------------ #
     # directory layout
@@ -190,23 +208,47 @@ class SegmentedLog:
 
     def append(self, slot: int, payload: Any) -> None:
         """Frame and append ``(slot, payload)``; fsync per the policy."""
-        self._write_record(slot, payload)
-        self._sync()
+        self.append_many(((slot, payload),))
 
     def append_many(self, pairs) -> int:
         """Append many ``(slot, payload)`` pairs under ONE flush+fsync.
 
-        The group journal's batch amortization: a sequencer batch of N
-        commands costs one fsync, not N — the same argument that batches
-        the broadcast itself.  Returns the number of records written.
+        Write half, then sync half, on the calling thread.  Returns the
+        number of records written.
+        """
+        n = self.write_many(pairs)
+        if n:
+            self.sync()
+        return n
+
+    def write_many(self, pairs) -> int:
+        """The write half: frame the pairs and flush them to the OS.
+
+        No fsync — the records are safe from a process kill, not yet
+        from power loss; :meth:`sync` is what makes them durable.
+        Returns the number of records written.
         """
         n = 0
         for slot, payload in pairs:
             self._write_record(slot, payload)
             n += 1
         if n:
-            self._sync()
+            assert self._seg is not None
+            self._seg.flush()
         return n
+
+    def sync(self) -> None:
+        """The sync half: fsync the active segment (policy permitting).
+
+        Everything the write half flushed before this call is on disk
+        when it returns; records written *while* it runs may or may not
+        be, and need the next call.
+        """
+        if not self.fsync:
+            return
+        with self._fd_lock:
+            if self._seg is not None:
+                os.fsync(self._seg.fileno())
 
     def _write_record(self, slot: int, payload: Any) -> None:
         blob = pickle.dumps((slot, payload), protocol=pickle.HIGHEST_PROTOCOL)
@@ -225,21 +267,29 @@ class SegmentedLog:
         seg.write(blob)
         self._seg_size += _LEN.size + len(blob)
 
-    def _sync(self) -> None:
+    def _retire_segment(self) -> None:
+        """Flush, fsync (policy permitting) and close the active segment.
+
+        Caller holds ``_fd_lock``.  The fsync is what lets :meth:`sync`
+        look only at the active segment: nothing un-synced is ever left
+        behind in a closed one.
+        """
         seg = self._seg
         if seg is None:
             return
         seg.flush()
         if self.fsync:
             os.fsync(seg.fileno())
+        seg.close()
+        self._seg = None
 
     def _rotate(self) -> None:
-        if self._seg is not None:
-            self._seg.close()
         path = os.path.join(
             self.dir, f"{SEGMENT_PREFIX}{self._seg_index:08d}{SEGMENT_SUFFIX}"
         )
-        self._seg = open(path, "ab")
+        with self._fd_lock:
+            self._retire_segment()
+            self._seg = open(path, "ab")
         self._seg_size = 0
         self._seg_index += 1
         if self.fsync:
@@ -389,9 +439,9 @@ class SegmentedLog:
         }
 
     def close(self) -> None:
-        if self._seg is not None:
-            self._seg.close()
-            self._seg = None
+        """Close the log; a tail not yet synced is fsynced first."""
+        with self._fd_lock:
+            self._retire_segment()
 
 
 class ReplayResult:

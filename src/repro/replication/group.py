@@ -40,6 +40,14 @@ One object owns everything the paper's ordered-update pipeline needs
 - **crash/recovery bookkeeping** — the alive mask, the ordered
   ``HostFailed``/``HostRecovered`` notifications, and the snapshot-based
   state transfer for transports that support restart;
+- **the durable journal, group-committed** — with ``durable_dir=`` the
+  sequencer *writes* each batch's records to a segmented WAL under its
+  lock and broadcasts at once; a journal thread fsyncs beside it, one
+  fsync covering every batch written while the previous one ran.  The
+  fence is **no acknowledgement before fsync**: replicas may apply ahead
+  of the disk, but every ``COMPS`` frame carries the replica's applied
+  count and is delivered only once the journal is fsynced that far, so
+  nothing a client has observed can be lost to a crash;
 - **metrics** — submit→order, order→apply and end-to-end AGS latency
   histograms plus submission/batch counters, recorded in one place so
   every backend reports identical instruments;
@@ -299,14 +307,30 @@ class ReplicaGroup:
         self._monitor_thread: threading.Thread | None = None
         self._stopped = False
         #: Durable mode: the sequencer's ordered command stream journaled
-        #: through a segmented WAL (repro.persist.segments) under the
-        #: sequencer lock, so a full-group restart replays the stream and
-        #: recovers every replica to the last fsynced slot.
+        #: through a segmented WAL (repro.persist.segments), so a
+        #: full-group restart replays the stream and recovers every
+        #: replica to the last fsynced slot.  Group commit: the sequencer
+        #: writes records (_journal_slot counts them), the journal thread
+        #: fsyncs them (_journal_durable), and what waits for the disk is
+        #: the completion, never the command — see _journal_loop.  With
+        #: fsync off there is no thread and the two counters move as one.
         self.durable_dir = durable_dir
         self._journal = None
         self._journal_slot = 0
+        self._journal_durable = 0
         self._journal_replaying = False
         self.journal_replayed = 0
+        #: Guards _journal_durable and _held; journal barriers sleep on it.
+        self._journal_cv = threading.Condition()
+        #: COMPS frames that ran ahead of the disk, in arrival order:
+        #: (applied, replica_id, comps, t_parked).
+        self._held: list[tuple[int, int, list, float]] = []
+        self._journal_kick = threading.Event()
+        self._journal_stop = False
+        self._journal_thread: threading.Thread | None = None
+        self._h_fsync = self.metrics.histogram("journal_fsync")
+        self._h_commit_wait = self.metrics.histogram("journal_commit_wait")
+        self._g_journal_lag = self.metrics.gauge("journal_lag")
         #: Test/chaos hook, called after each fetched transfer chunk with
         #: (donor, idx, total) — lets the chaos harness kill the donor
         #: mid-transfer at a precise chunk boundary.
@@ -316,6 +340,11 @@ class ReplicaGroup:
             from repro.persist.segments import SegmentedLog
 
             self._journal = SegmentedLog(durable_dir, fsync=durable_fsync)
+            if durable_fsync:
+                self._journal_thread = threading.Thread(
+                    target=self._journal_loop, name="journal", daemon=True
+                )
+                self._journal_thread.start()
         transport.start(self._on_worker_item)
         self._kick = threading.Event()
         self._seq_thread: threading.Thread | None = None
@@ -725,19 +754,26 @@ class ReplicaGroup:
                 self._fallback_read(entry[2].request_id)
 
     def _broadcast_batch(self, batch: list[tuple[Command, _Waiter | None]]) -> None:
-        # Durable mode: journal the ordered stream BEFORE it reaches any
-        # replica.  _broadcast_batch only ever runs under _seq_lock, so
-        # journal order is exactly the total order, and a batch costs one
-        # fsync (append_many), not one per command.  Journal slot k holds
-        # the k-th sequenced command — the same coordinate as a replica's
-        # applied count, which is what lets compaction use a replica
-        # snapshot's `applied` as the covered-slot watermark.
+        # Durable mode: write the ordered stream to the journal BEFORE it
+        # reaches any replica — written and flushed to the OS, not yet
+        # forced to disk: that is the journal thread's job, and the
+        # broadcast does not wait for it.  _broadcast_batch only ever
+        # runs under _seq_lock, so journal order is exactly the total
+        # order.  Journal slot k holds the k-th sequenced command — the
+        # same coordinate as a replica's applied count, which is what
+        # lets compaction use a replica snapshot's `applied` as the
+        # covered-slot watermark, and lets a COMPS frame's `applied` say
+        # how far the disk must have got before it may be delivered.
         if self._journal is not None and not self._journal_replaying:
             base = self._journal_slot
-            self._journal.append_many(
+            self._journal.write_many(
                 (base + i + 1, cmd) for i, (cmd, _w) in enumerate(batch)
             )
             self._journal_slot = base + len(batch)
+            if self._journal_thread is None:
+                self._journal_durable = self._journal_slot
+            else:
+                self._journal_kick.set()
         now = time.monotonic()
         cmds = []
         for cmd, w in batch:
@@ -834,7 +870,21 @@ class ReplicaGroup:
             return  # the timestamp refresh above was the whole point
         if kind == "COMPS":
             # one applied BATCH's, or one READS batch's, worth of answers
-            for rid, result in item[1]:
+            _k, comps, applied = item
+            if self._journal_thread is not None:
+                # No acknowledgement before fsync.  `applied` is the
+                # newest slot these answers can reveal — the batch that
+                # *produced* them, which for a woken `in` or a fast-path
+                # `rd` is later than the statement's own slot — so they
+                # wait until the journal is durable that far.  Taking the
+                # lock even when nothing parks keeps this frame behind any
+                # release the journal thread is in the middle of.
+                with self._journal_cv:
+                    if applied > self._journal_durable:
+                        self._held.append((applied, replica_id, comps, now))
+                        return
+                self._h_commit_wait.record(0.0, now)
+            for rid, result in comps:
                 self._complete(replica_id, rid, result)
         elif kind == "READMISS":
             # a blocking read's guard cannot fire on the replica's local
@@ -1388,7 +1438,7 @@ class ReplicaGroup:
                     ]
                     for pending in installs:
                         self._await_installed(pending, 30.0)
-                    self._journal_slot = res.snapshot_slot
+                    self._journal_slot = self._journal_durable = res.snapshot_slot
                     with self._pending_lock:
                         # replicas resume at applied == snapshot_slot, so
                         # read floors must count from there too
@@ -1396,10 +1446,12 @@ class ReplicaGroup:
                 if res.records:
                     with self._pending_lock:
                         self._sequenced += len(res.records)
+                    # already on disk: durable before the replicas answer,
+                    # so the replayed completions are dropped, not parked
+                    self._journal_slot = self._journal_durable = res.records[-1][0]
                     self._broadcast_batch(
                         [(cmd, None) for _slot, cmd in res.records]
                     )
-                    self._journal_slot = res.records[-1][0]
         finally:
             self._journal_replaying = False
         self._req_ids = itertools.count(res.highest_request_id() + 1)
@@ -1417,15 +1469,102 @@ class ReplicaGroup:
             seconds=round(time.monotonic() - t0, 4),
         )
 
+    def _journal_loop(self) -> None:
+        """Group commit: fsync whatever the sequencer has written so far.
+
+        ``target`` is read *before* the fsync, so the fsync covers every
+        record up to it — and every batch the sequencer writes while this
+        fsync runs is covered by the next one, however many there are.
+        Like the sequencer's, this thread's death is fatal to the group:
+        nothing could ever be acknowledged again.
+        """
+        from repro.persist.crashpoints import crash_here
+
+        register_thread(self._role("journal"))
+        journal = self._journal
+        assert journal is not None
+        try:
+            while True:
+                self._journal_kick.wait()
+                self._journal_kick.clear()
+                # read before the drain: shutdown sets it after the
+                # sequencer's last flush, so that flush is covered below
+                stopping = self._journal_stop
+                while self._journal_durable < (target := self._journal_slot):
+                    crash_here("journal_before_fsync")
+                    t0 = time.monotonic()
+                    journal.sync()
+                    now = time.monotonic()
+                    self._h_fsync.record(now - t0, now)
+                    self._journal_commit(target, now)
+                if stopping:
+                    return
+        except Exception as exc:  # noqa: BLE001 - the group must not wedge
+            self._mark_failed(
+                f"journal thread died: {type(exc).__name__}: {exc}"
+            )
+            with self._journal_cv:
+                self._held.clear()  # their waiters were just failed
+                self._journal_cv.notify_all()
+
+    def _journal_commit(self, target: int, now: float) -> None:
+        """Advance the durable watermark; release what it now covers.
+
+        Released in ``applied`` order (the sort is stable, so one
+        replica's frames keep their lane order too), under the lock a
+        collector takes before delivering a frame directly — a later
+        frame cannot overtake the release.
+        """
+        with self._journal_cv:
+            self._journal_durable = target
+            ready = [h for h in self._held if h[0] <= target]
+            if ready:
+                self._held = [h for h in self._held if h[0] > target]
+                ready.sort(key=lambda h: h[0])
+                for _applied, replica_id, comps, t_parked in ready:
+                    self._h_commit_wait.record(now - t_parked, now)
+                    for rid, result in comps:
+                        self._complete(replica_id, rid, result)
+            self._journal_cv.notify_all()
+
+    def _journal_barrier(self, timeout: float) -> None:
+        """Return once everything submitted so far is fsynced.
+
+        "Every replica has applied it" says nothing about the disk under
+        group commit, so the calls whose contract is *it happened* —
+        quiesce, compaction — end here.
+        """
+        if self._journal_thread is None:
+            return
+        with self._seq_lock:
+            self._flush_pending_locked()
+            target = self._journal_slot
+        with self._journal_cv:
+            self._journal_cv.wait_for(
+                lambda: self._journal_durable >= target
+                or self._group_error is not None,
+                timeout,
+            )
+            durable = self._journal_durable
+        if durable < target:
+            if self._group_error is not None:
+                raise RuntimeFailure(self._group_error)
+            raise TimeoutError_(
+                f"journal fsynced to slot {durable} of {target} "
+                f"within {timeout}s"
+            )
+
     def compact_journal(self, *, timeout: float = 30.0) -> int | None:
         """Snapshot a live replica and prune the journal prefix it covers.
 
         The snapshot travels the in-band query lane after a pending
         flush, so it reflects exactly the journaled prefix — its
-        ``applied`` count IS the covered journal slot.  The disk work
-        (snapshot temp+rename, manifest, prune) runs outside the
-        sequencer lock; pruning only ever touches closed segments, so it
-        cannot race the sequencer's appends to the active one.
+        ``applied`` count IS the covered journal slot.  The journal
+        barrier keeps the snapshot from running ahead of the log it
+        replaces.  The disk work (snapshot temp+rename, manifest, prune)
+        runs outside the sequencer lock; pruning only ever touches closed
+        segments, so it cannot race the sequencer's writes to the active
+        one.
         """
         if self._journal is None:
             return None
@@ -1433,6 +1572,7 @@ class ReplicaGroup:
         if donor is None:
             raise TimeoutError_("no live replica to snapshot the journal from")
         snapshot, applied = self.query(donor, "snapshot", timeout=timeout)
+        self._journal_barrier(timeout)
         self._journal.compact(applied, snapshot, group=self.name or "group")
         return applied
 
@@ -1442,6 +1582,7 @@ class ReplicaGroup:
             return None
         st = self._journal.status()
         st["journal_slot"] = self._journal_slot
+        st["durable_slot"] = self._journal_durable
         st["replayed"] = self.journal_replayed
         return st
 
@@ -1454,10 +1595,12 @@ class ReplicaGroup:
 
         Implemented as an in-band no-op query per replica: the answer can
         only arrive after everything ahead of it on the FIFO has applied.
-        A replica crashing mid-iteration is skipped, not an error.
+        A replica crashing mid-iteration is skipped, not an error.  On a
+        durable group the journal has fsynced those commands too.
         """
         for _answered in self._ask_live("applied", timeout=timeout):
             pass
+        self._journal_barrier(timeout)
 
     def fingerprints(self) -> list[int]:
         """Stable-state fingerprints of all live replicas.
@@ -1482,6 +1625,7 @@ class ReplicaGroup:
         with self._pending_lock:
             self._g_seq_depth.set(len(self._pending))
         self._g_read_depth.set(len(self._read_pending))
+        self._g_journal_lag.set(self._journal_slot - self._journal_durable)
         depth = getattr(self.transport, "depth", None)
         if depth is not None:
             self._g_apply_depth.set(
@@ -1599,6 +1743,11 @@ class ReplicaGroup:
         if self._read_thread is not None:
             self._read_kick.set()
             self._read_thread.join(timeout=5.0)
+        if self._journal_thread is not None:
+            # after the sequencer's last flush, so the last fsync covers it
+            self._journal_stop = True
+            self._journal_kick.set()
+            self._journal_thread.join(timeout=30.0)
         self.transport.shutdown(self.alive)
         if self._journal is not None:
             self._journal.close()

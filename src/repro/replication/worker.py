@@ -68,13 +68,20 @@ received                              meaning
 emitted
 ------------------------------------  ------------------------------------
 ``("COMPS", [(request_id, result),    completions (every replica reports;
-  ...])``                             the group deduplicates) — one item
+  ...], applied)``                    the group deduplicates) — one item
                                       per BATCH applied or per READS batch
                                       that fired, so the reply lane is as
                                       batched as the command lane: one
                                       frame, encoded once by the replica's
                                       transport end, decoded once by the
-                                      parent's
+                                      parent's.  ``applied`` is this
+                                      replica's applied count when the
+                                      answers were produced — after the
+                                      BATCH, or at the instant the READS
+                                      were served — i.e. the newest slot
+                                      whose effects they can reveal; a
+                                      durable group delivers them only
+                                      once its journal is fsynced that far
 ``("READMISS", request_id)``          a read whose blocking guard cannot
                                       fire on local state; the group
                                       reroutes it through the total order
@@ -190,7 +197,7 @@ def replica_loop(
             else:
                 comps.append((cmd.request_id, result))
         if comps:
-            emit(("COMPS", comps))
+            emit(("COMPS", comps, applied))
 
     def drain_reads() -> None:
         ready = [r for r in pending_reads if r[0] <= applied]
@@ -241,7 +248,7 @@ def replica_loop(
                     )
                 comps.extend((c.request_id, c.result) for c in completions)
             if comps:
-                emit(("COMPS", comps))
+                emit(("COMPS", comps, applied))
             if spans is not None:
                 emit(("SPANS", spans))
             if t_send is not None:

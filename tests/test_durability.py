@@ -13,20 +13,29 @@ Covers the claims of the segmented durability plane
 - chunked state transfer survives a donor dying mid-stream (a *second*
   crash during recovery from the first), on both parallel backends;
 - a durable replica group restarted from nothing replays its journal to
-  the last fsynced slot.
+  the last fsynced slot;
+- the group commit's fence — no acknowledgement before fsync — holds for
+  a plain ``out``, for an ``in`` woken by a later ``out``, for a
+  fast-path ``rd`` and for ``quiesce``, and survives losing everything
+  the disk had not been told to keep.
 """
 
 import os
+import pickle
 import signal
+import struct
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
-from repro import formal
+from repro import AGS, Op, TimeoutError_, formal
 from repro.chaos import ChaosMonkey
 from repro.core.spaces import MAIN_TS
 from repro.persist import CRASHPOINT_ENV, SegmentedWALRuntime, replay_dir
+from repro.persist.segments import SegmentedLog
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -64,16 +73,16 @@ _CRASH_POINTS = [
 ]
 
 
-def _run_victim(tmp_path, phase, crashpoint=None):
+def _run_victim(tmp_path, phase, crashpoint=None, *, source=_VICTIM, dir="wal"):
     script = tmp_path / "victim.py"
-    script.write_text(_VICTIM)
+    script.write_text(source)
     env = dict(os.environ, PYTHONPATH=_SRC)
     if crashpoint is not None:
         env[CRASHPOINT_ENV] = crashpoint
     else:
         env.pop(CRASHPOINT_ENV, None)
     return subprocess.run(
-        [sys.executable, str(script), str(tmp_path / "wal"), phase],
+        [sys.executable, str(script), str(tmp_path / dir), phase],
         env=env, capture_output=True, text=True, timeout=60,
     )
 
@@ -160,8 +169,6 @@ class TestSegmentedRuntime:
         back.close()
 
     def test_torn_snapshot_falls_back_to_older_snapshot(self, tmp_path):
-        import pickle
-
         d = str(tmp_path / "wal")
         rt = SegmentedWALRuntime(d, segment_bytes=512, fsync=False)
         for i in range(15):
@@ -186,8 +193,6 @@ class TestSegmentedRuntime:
         back.close()
 
     def test_background_compactor_count_trigger(self, tmp_path):
-        import time
-
         d = str(tmp_path / "wal")
         rt = SegmentedWALRuntime(
             d, segment_bytes=512, fsync=False, compact_every=20
@@ -379,3 +384,380 @@ class TestDurableGroup:
             assert not g.alive[donor]
             rt.quiesce()
             assert g.converged()
+
+
+# ---------------------------------------------------------------------- #
+# group commit: no acknowledgement before fsync
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """``SegmentedLog.sync`` behind an Event — the one seam these tests fake.
+
+    Set (open) by default; ``gate.clear()`` makes every fsync block until
+    ``gate.set()``.  Reopened on teardown so a failing test cannot wedge
+    a journal thread.
+    """
+    opened = threading.Event()
+    opened.set()
+    real = SegmentedLog.sync
+
+    def sync(log):
+        assert opened.wait(30.0), "the test never reopened the fsync gate"
+        real(log)
+
+    monkeypatch.setattr(SegmentedLog, "sync", sync)
+    yield opened
+    opened.set()
+
+
+def _eventually(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _spawn(fn, *args, **kwargs):
+    """Run ``fn`` on a thread; its result (or exception) lands in ``.out``."""
+    out = []
+
+    def run():
+        try:
+            out.append(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            out.append(exc)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.out = out
+    t.start()
+    return t
+
+
+def _applied(rt):
+    return [rt.query(r, "applied") for r in range(3)]
+
+
+def _post_out(rt, *fields):
+    rt.sharded.post_ags(AGS.atomic(Op.out(rt.main_ts, *fields)))
+
+
+@pytest.fixture
+def durable(tmp_path, gate):
+    from repro.parallel import ThreadedReplicaRuntime
+
+    rt = ThreadedReplicaRuntime(3, durable_dir=str(tmp_path / "journal"))
+    yield rt
+    gate.set()
+    rt.shutdown()
+
+
+class TestGroupCommitFence:
+    def test_fence_out_not_acknowledged_before_fsync(self, durable, gate):
+        rt = durable
+        gate.clear()
+        t = _spawn(rt.out, rt.main_ts, "x", 1)
+        _eventually(lambda: _applied(rt) == [1, 1, 1])
+        time.sleep(0.1)
+        # applied by every replica, acknowledged to nobody
+        assert t.is_alive()
+        assert rt.journal_status()[0]["durable_slot"] == 0
+        gate.set()
+        t.join(10.0)
+        assert not t.is_alive()
+        assert rt.journal_status()[0]["durable_slot"] == 1
+
+    def test_fence_woken_in_waits_for_the_waking_out(self, durable, gate):
+        rt = durable
+        t = _spawn(rt.in_, rt.main_ts, "late", formal(int))
+        _eventually(lambda: rt.query(0, "blocked") == 1)
+        rt.quiesce()  # the parked in_'s own slot is durable ...
+        st = rt.journal_status()[0]
+        assert st["durable_slot"] == st["journal_slot"] == 1
+        gate.clear()
+        _post_out(rt, "late", 7)  # ... the out that wakes it is not
+        _eventually(lambda: _applied(rt) == [2, 2, 2])
+        time.sleep(0.1)
+        assert t.is_alive() and not t.out
+        gate.set()
+        t.join(10.0)
+        assert t.out[0][1] == 7
+
+    def test_fence_fast_path_rd_waits_for_the_write_it_saw(self, durable, gate):
+        rt = durable
+        gate.clear()
+        _post_out(rt, "cfg", 5)
+        _eventually(lambda: _applied(rt) == [1, 1, 1])
+        t = _spawn(rt.rd, rt.main_ts, "cfg", formal(int))
+        time.sleep(0.2)
+        assert t.is_alive() and not t.out
+        gate.set()
+        t.join(10.0)
+        assert t.out[0][1] == 5
+        counters = rt.metrics_snapshot()["counters"]
+        # answered by one replica off the total order, and still held
+        assert counters["read_fastpath"] == 1
+        assert counters["read_fallback"] == 0
+
+    def test_fence_quiesce_returns_only_when_durable(self, durable, gate):
+        rt = durable
+        gate.clear()
+        for i in range(5):
+            _post_out(rt, "q", i)
+        t = _spawn(rt.quiesce)
+        _eventually(lambda: _applied(rt) == [5, 5, 5])
+        time.sleep(0.1)
+        assert t.is_alive()
+        gate.set()
+        t.join(10.0)
+        assert t.out == [None]
+        st = rt.journal_status()[0]
+        assert st["durable_slot"] == st["journal_slot"] == 5
+        assert rt.metrics_snapshot()["gauges"]["journal_lag"] == 0
+
+    def test_fence_release_is_in_applied_order(self, durable, gate):
+        """One fsync covering three slots releases them oldest first —
+        whatever order the replicas' frames arrived in, and with a
+        CancelRequest's completion among them."""
+        rt = durable
+        g = rt.group
+        delivered = []
+        real_complete = g._complete
+
+        def spy(replica_id, rid, result):
+            delivered.append(rid)
+            real_complete(replica_id, rid, result)
+
+        g._complete = spy
+        g.transport.send(0, ("SLEEP", 0.5))  # replica 0 answers last
+        gate.clear()
+        # slot 1 parks, the timeout orders a CancelRequest at slot 2,
+        # whose completion (the in_'s "cancelled") is produced there
+        t_in = _spawn(rt.in_, rt.main_ts, "never", formal(int), timeout=0.05)
+        _eventually(lambda: rt.query(1, "applied") == 2)
+        t_out = _spawn(rt.out, rt.main_ts, "x", 1)  # slot 3
+        _eventually(lambda: _applied(rt) == [3, 3, 3])
+        _eventually(lambda: len(g._held) == 6)
+        held = list(g._held)
+        arrival = [h[0] for h in held]
+        assert arrival != sorted(arrival)  # replica 0's frames came last
+        slot_of = {rid: h[0] for h in held for rid, _result in h[2]}
+        assert t_in.is_alive() and t_out.is_alive()
+        gate.set()
+        t_in.join(10.0)
+        t_out.join(10.0)
+        assert isinstance(t_in.out[0], TimeoutError_)
+        assert t_in.out[0].outcome == "cancelled"
+        assert t_out.out == [None]
+        order = [slot_of[rid] for rid in delivered]
+        assert order == [2, 2, 2, 3, 3, 3]
+
+    def test_many_clients_under_a_short_switch_interval(self, durable):
+        """More clients than cores, threads switching every 10 µs: every
+        statement completes exactly once, the watermark only climbs, and
+        when the dust settles nothing is left parked."""
+        rt = durable
+        g = rt.group
+        n_clients, rounds = 8, 40
+        watermarks = [[] for _ in range(n_clients)]
+
+        def client(c):
+            for i in range(rounds):
+                rt.out(rt.main_ts, "s", c, i)
+                watermarks[c].append(g._journal_durable)
+                assert rt.rd(rt.main_ts, "s", c, i) is not None
+                assert rt.in_(rt.main_ts, "s", c, formal(int))[2] == i
+            return "done"
+
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [_spawn(client, c) for c in range(n_clients)]
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(before)
+        assert [t.out for t in threads] == [["done"]] * n_clients
+        for seen in watermarks:
+            assert seen == sorted(seen) and seen[0] >= 1
+        rt.quiesce()
+        st = rt.journal_status()[0]
+        # every out and in_ took a slot (a read only if it fell back)
+        assert st["durable_slot"] == st["journal_slot"] >= 2 * n_clients * rounds
+        assert g._held == []
+        assert rt.space_size(rt.main_ts) == 0
+
+    def test_journal_stage_is_visible(self, durable):
+        from repro.obs import render_budget
+
+        rt = durable
+        for i in range(20):
+            rt.out(rt.main_ts, "m", i)
+        rt.quiesce()
+        snap = rt.metrics_snapshot()
+        assert snap["histograms"]["journal_fsync"]["count"] >= 1
+        # one sample per COMPS frame, zero-length when it did not park
+        assert snap["histograms"]["journal_commit_wait"]["count"] >= 20
+        assert snap["gauges"]["journal_lag"] == 0
+        assert "journal fsync" in render_budget(snap)
+
+    def test_no_thread_and_nothing_held_with_fsync_off(self, tmp_path):
+        from repro.obs import render_budget
+        from repro.parallel import ThreadedReplicaRuntime
+
+        rt = ThreadedReplicaRuntime(
+            2, durable_dir=str(tmp_path / "journal"), durable_fsync=False
+        )
+        try:
+            assert rt.group._journal_thread is None
+            for i in range(10):
+                rt.out(rt.main_ts, "m", i)
+            st = rt.journal_status()[0]
+            assert st["durable_slot"] == st["journal_slot"] == 10
+            snap = rt.metrics_snapshot()
+            assert snap["histograms"]["journal_fsync"]["count"] == 0
+            assert "journal fsync" not in render_budget(snap)
+        finally:
+            rt.shutdown()
+
+    def test_journal_thread_death_fails_the_group(self, tmp_path, monkeypatch):
+        from repro import RuntimeFailure
+        from repro.parallel import ThreadedReplicaRuntime
+
+        def broken(log):
+            raise OSError("disk on fire")
+
+        monkeypatch.setattr(SegmentedLog, "sync", broken)
+        rt = ThreadedReplicaRuntime(2, durable_dir=str(tmp_path / "journal"))
+        try:
+            with pytest.raises(RuntimeFailure, match="journal thread died"):
+                rt.out(rt.main_ts, "x", 1)
+            with pytest.raises(RuntimeFailure):
+                rt.out(rt.main_ts, "x", 2)
+        finally:
+            rt.shutdown()
+
+
+class TestCleanShutdown:
+    @pytest.mark.parametrize("backend", ["threaded", "multiproc"])
+    def test_shutdown_after_burst_loses_nothing(self, tmp_path, backend):
+        from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
+
+        cls = ThreadedReplicaRuntime if backend == "threaded" else MultiprocessRuntime
+        d = str(tmp_path / "journal")
+        rt = cls(3, durable_dir=d)
+        for i in range(300):
+            _post_out(rt, "burst", i)
+        rt.shutdown()  # no quiesce: the sequencer may not have flushed yet
+
+        back = cls(3, durable_dir=d)
+        try:
+            assert back.space_size(back.main_ts) == 300
+            assert back.group.journal_replayed == 300
+        finally:
+            back.shutdown()
+
+
+#: Subprocess victim for the sixth crash point.  Prints one line per
+#: *acknowledged* statement, with the durable slot it saw afterwards.
+_GROUP_VICTIM = """
+import sys, threading
+from repro.parallel import ThreadedReplicaRuntime
+
+dir, phase = sys.argv[1], sys.argv[2]
+rt = ThreadedReplicaRuntime(3, durable_dir=dir)
+
+def acked_out(tag, i):
+    rt.out(rt.main_ts, tag, i)
+    durable = rt.journal_status()[0]["durable_slot"]
+    print("ACK", tag, i, durable, flush=True)
+
+if phase == "populate":
+    for i in range(25):
+        acked_out("seed", i)
+    rt.shutdown()
+else:
+    # dies in the journal thread, between the write and the first fsync,
+    # with these four written, broadcast and (probably) applied
+    threads = [
+        threading.Thread(target=acked_out, args=("doomed", i), daemon=True)
+        for i in range(4)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    print("survived", flush=True)
+"""
+
+
+def _drop_records_past(dir, slot):
+    """Power loss: keep only the journal records at or below *slot*.
+
+    A SIGKILL leaves behind whatever the OS was holding; losing the
+    suffix nobody fsynced is what pulling the plug would have done.
+    Returns the number of records dropped.
+    """
+    dropped = 0
+    for name in sorted(os.listdir(dir)):
+        if not name.startswith("segment-"):
+            continue
+        path = os.path.join(dir, name)
+        with open(path, "rb") as f:
+            data = f.read()
+        keep = off = 0
+        while off + 4 <= len(data):
+            (length,) = struct.unpack(">I", data[off : off + 4])
+            end = off + 4 + length
+            if end > len(data):
+                break
+            if pickle.loads(data[off + 4 : end])[0] <= slot:
+                keep = end
+            else:
+                dropped += 1
+            off = end
+        with open(path, "r+b") as f:
+            f.truncate(keep)
+    return dropped
+
+
+class TestCrashBeforeFsync:
+    def test_journal_before_fsync_loses_nothing_acknowledged(self, tmp_path):
+        from repro.parallel import ThreadedReplicaRuntime
+
+        def run(phase, crashpoint=None):
+            return _run_victim(
+                tmp_path, phase, crashpoint, source=_GROUP_VICTIM, dir="journal"
+            )
+
+        pop = run("populate")
+        assert pop.returncode == 0, pop.stderr
+        victim = run("crash", "journal_before_fsync")
+        assert victim.returncode == -signal.SIGKILL, (
+            f"expected SIGKILL, got rc={victim.returncode} "
+            f"out={victim.stdout!r} err={victim.stderr!r}"
+        )
+        assert "survived" not in victim.stdout
+
+        acks = [
+            line.split()
+            for line in (pop.stdout + victim.stdout).splitlines()
+            if line.startswith("ACK ")
+        ]
+        acked = {(tag, int(i)) for _ack, tag, i, _durable in acks}
+        assert len(acked) >= 25
+        last_durable = max(int(durable) for *_rest, durable in acks)
+
+        d = str(tmp_path / "journal")
+        # the victim died holding written, un-synced records: pull the plug
+        assert _drop_records_past(d, last_durable) >= 1
+
+        back = ThreadedReplicaRuntime(3, durable_dir=d)
+        try:
+            for tag, i in acked:
+                assert back.rdp(back.main_ts, tag, i) is not None, (tag, i)
+            assert back.space_size(back.main_ts) == len(acked)
+            assert back.converged()
+        finally:
+            back.shutdown()

@@ -291,6 +291,7 @@ class TestStageBudget:
                 "stage_replica_queue": _hist(10, 50e-6),
                 "stage_apply": _hist(10, 30e-6),
                 "stage_reply": _hist(10, 40e-6),
+                "journal_fsync": _hist(4, 500e-6),
                 "ags_e2e": _hist(10, 300e-6),
             }
         }
@@ -301,8 +302,11 @@ class TestStageBudget:
         assert stages_seen[-1] == "end-to-end"
         e2e = rows[-1]
         assert e2e["mean_s"] == pytest.approx(300e-6)
+        # the fsync runs beside the pipeline: shown, never summed
         unattributed = [r for r in rows if r["stage"] == "unattributed"][0]
         assert unattributed["mean_s"] == pytest.approx(60e-6)
+        del metrics["histograms"]["journal_fsync"]
+        assert "journal fsync" not in [r["stage"] for r in stage_budget(metrics)]
 
     def test_budget_empty_without_stage_samples(self):
         assert render_budget({"histograms": {}}) == ""

@@ -199,6 +199,12 @@ def test_item_larger_than_the_pipe_arrives_intact(one):
     transport.send(0, ("QUERY", 7, "space_tuples", MAIN_TS))
     assert sink.answer(0, 7) == [("big", big)]
     assert transport.depth(0) == 0
+    # the batch's one reply frame: its answers, then the replica's applied
+    # count after it — the slot a durable group's fsync must have reached
+    (comps,) = [item for _rid, item in sink.items if item[0] == "COMPS"]
+    _kind, answers, applied = comps
+    assert [rid for rid, _result in answers] == [1]
+    assert applied == 1
 
 
 def test_sigkill_mid_frame_is_fenced_and_restartable(one):
