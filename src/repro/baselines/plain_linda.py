@@ -46,10 +46,15 @@ class PlainLindaRuntime(LocalRuntime):
     # ------------------------------------------------------------------ #
 
     def _submit(
-        self, ags: AGS, process_id: int, *, timeout: float | None = None
+        self,
+        ags: AGS,
+        process_id: int,
+        *,
+        timeout: float | None = None,
+        actuals: tuple = (),
     ) -> AGSResult:
         self._reject_multi_op(ags)
-        return super()._submit(ags, process_id, timeout=timeout)
+        return super()._submit(ags, process_id, timeout=timeout, actuals=actuals)
 
     @staticmethod
     def _reject_multi_op(ags: AGS) -> None:

@@ -345,29 +345,27 @@ class SimView:
     def out(self, ts: TSHandle, *fields: Any) -> SimEvent:
         return self.execute(AGS.atomic(Op.out(ts, *fields)))
 
+    def _match(self, guard: Callable[..., Guard], ts: TSHandle, fields: tuple) -> SimEvent:
+        """One matching operation; fires with the matched tuple, or
+        ``None`` for a probe that found nothing."""
+        named = _autoname(fields)
+        rebuild = _rebuild(named)
+        ev = self.execute(AGS.single(guard(ts, *named)))
+        return _mapped(
+            self.sim, ev, lambda r: rebuild(r.bindings) if r.succeeded else None
+        )
+
     def in_(self, ts: TSHandle, *fields: Any) -> SimEvent:
-        named, _ = _autoname(fields)
-        ev = self.execute(AGS.single(Guard.in_(ts, *named)))
-        return _mapped(self.sim, ev, lambda r: _rebuild(named, r))
+        return self._match(Guard.in_, ts, fields)
 
     def rd(self, ts: TSHandle, *fields: Any) -> SimEvent:
-        named, _ = _autoname(fields)
-        ev = self.execute(AGS.single(Guard.rd(ts, *named)))
-        return _mapped(self.sim, ev, lambda r: _rebuild(named, r))
+        return self._match(Guard.rd, ts, fields)
 
     def inp(self, ts: TSHandle, *fields: Any) -> SimEvent:
-        named, _ = _autoname(fields)
-        ev = self.execute(AGS.single(Guard.inp(ts, *named)))
-        return _mapped(
-            self.sim, ev, lambda r: _rebuild(named, r) if r.succeeded else None
-        )
+        return self._match(Guard.inp, ts, fields)
 
     def rdp(self, ts: TSHandle, *fields: Any) -> SimEvent:
-        named, _ = _autoname(fields)
-        ev = self.execute(AGS.single(Guard.rdp(ts, *named)))
-        return _mapped(
-            self.sim, ev, lambda r: _rebuild(named, r) if r.succeeded else None
-        )
+        return self._match(Guard.rdp, ts, fields)
 
     def move(self, src: TSHandle, dst: TSHandle, *fields: Any) -> SimEvent:
         return self.execute(AGS.atomic(Op.move(src, dst, *fields)))

@@ -61,6 +61,7 @@ __all__ = [
     "Op",
     "OpCode",
     "Operand",
+    "Param",
     "as_operand",
     "ref",
     "register_function",
@@ -146,10 +147,66 @@ class Const(Operand):
         return repr(self.value)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Const) and other.value == self.value
+        # by exact type, as matching compares fields: ``out(ts, 1)`` and
+        # ``out(ts, True)`` are different statements, and equal statements
+        # share a plan id on the wire
+        return isinstance(other, Const) and _typed(other.value) == _typed(self.value)
 
     def __hash__(self) -> int:
         return hash(("Const", self.value))
+
+
+def _typed(value: Any) -> tuple:
+    """*value* paired with its exact type, nested tuples walked."""
+    if type(value) is tuple:
+        return (tuple, tuple(map(_typed, value)))
+    return (type(value), value)
+
+
+#: Environment key the statement's actuals ride under while a branch
+#: executes.  Not a string, so no formal name a program can write collides
+#: with it; the state machine strips it before the bindings leave.
+ACTUALS = object()
+
+
+class Param(Operand):
+    """A hole in a *statement plan*: the statement's *index*-th actual.
+
+    A plan is an ordinary :class:`AGS` whose constant positions are
+    ``Param`` holes; the values arrive beside it, per call, in
+    :attr:`~repro.core.statemachine.ExecuteAGS.actuals`.  Validating,
+    naming and pickling the statement's structure then happens once per
+    call-site shape, not once per call — what FT-lcc's precompiler did
+    with its signature catalog.  ``Param`` is one more operand of the one
+    interpreter, not a second one: an ``AGS`` without holes is simply a
+    plan with no parameters.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def evaluate(self, env: Mapping[str, Any]) -> Any:
+        try:
+            return env[ACTUALS][self.index]
+        except LookupError:
+            # deterministic, like an unbound formal: the statement aborts
+            raise FormalBindingError(
+                f"the statement was given no actual {self.index}"
+            ) from None
+
+    def free_names(self) -> frozenset[str]:
+        return frozenset()
+
+    def __repr__(self) -> str:
+        return f"%{self.index}"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Param) and other.index == self.index
+
+    def __hash__(self) -> int:
+        return hash(("Param", self.index))
 
 
 class FormalRef(Operand):
@@ -275,6 +332,24 @@ def as_operand(value: Any) -> Operand:
     return Const(value)
 
 
+#: What :func:`_static` answers for a field whose value only execution knows.
+_DYNAMIC = object()
+
+
+def _static(field: Any, actuals: Sequence[Any]) -> Any:
+    """The value *field* will have, when known before the statement runs.
+
+    A constant is its value and a plan's hole is the actual that fills it
+    (absent actuals — a plan looked at on its own — leave it unknown);
+    formals, formal refs and expressions are :data:`_DYNAMIC`.
+    """
+    if type(field) is Const:
+        return field.value
+    if type(field) is Param and field.index < len(actuals):
+        return actuals[field.index]
+    return _DYNAMIC
+
+
 # --------------------------------------------------------------------------- #
 # operations
 # --------------------------------------------------------------------------- #
@@ -302,6 +377,13 @@ class OpCode(enum.Enum):
     @property
     def withdraws(self) -> bool:
         return self in (OpCode.IN, OpCode.INP, OpCode.MOVE)
+
+
+_IN, _RD, _RDP = OpCode.IN, OpCode.RD, OpCode.RDP
+
+
+#: Why ``out`` rejects a formal — here and on the runtimes' bare ``out``.
+OUT_TAKES_ACTUALS = "out() fields must all be actuals, not formals"
 
 
 class Op:
@@ -337,7 +419,7 @@ class Op:
         for f in fields:
             if isinstance(f, Formal):
                 if code is OpCode.OUT:
-                    raise AGSError("out() fields must all be actuals, not formals")
+                    raise AGSError(OUT_TAKES_ACTUALS)
                 norm.append(f)
             else:
                 norm.append(as_operand(f))
@@ -423,19 +505,24 @@ class Op:
         return tuple(f.evaluate(env) for f in self.fields)  # type: ignore[union-attr]
 
     # -- introspection ---------------------------------------------------- #
+    #
+    # Everything below reads what is known of an operation *before* it
+    # executes: constants, and — for a statement plan — the holes its
+    # *actuals* fill.  Formal refs and expressions stay unknown.
 
-    def static_ts(self) -> TSHandle | None:
+    def static_ts(self, actuals: Sequence[Any] = ()) -> TSHandle | None:
         """The target space when it is statically known, else ``None``."""
-        value = getattr(self.ts, "value", None)
+        value = _static(self.ts, actuals)
         return value if isinstance(value, TSHandle) else None
 
-    def template_key(self) -> str:
+    def template_key(self, actuals: Sequence[Any] = ()) -> str:
         """Canonical anti-tuple description of this operation's pattern.
 
         Same rendering as :func:`repro.core.matching.pattern_key` when
-        every actual is a constant — so a waiter parked on
+        every actual is statically known — so a waiter parked on
         ``in(ts, "task", ?int)`` correlates with the profiler's hot
-        template ``("task", ?int)``.  Operands whose value is only known
+        template ``("task", ?int)``, whether ``"task"`` is a constant or
+        one of the plan's *actuals*.  Operands whose value is only known
         at execution time (formal refs, expressions) render as ``*``.
         """
         from repro.core.tuples import type_name
@@ -444,20 +531,21 @@ class Op:
         for f in self.fields:
             if isinstance(f, Formal):
                 parts.append(f"?{type_name(f.ftype)}")
-            elif isinstance(f, Const):
-                parts.append(repr(f.value))
             else:
-                parts.append("*")
+                value = _static(f, actuals)
+                parts.append("*" if value is _DYNAMIC else repr(value))
         return f"({', '.join(parts)})"
 
-    def shard_hints(self) -> list[tuple[TSHandle | None, Any, bool]]:
+    def shard_hints(
+        self, actuals: Sequence[Any] = ()
+    ) -> list[tuple[TSHandle | None, Any, bool]]:
         """Partition hints: ``(space, first-field value, extracts)`` per target.
 
         The shard classifier reduces an AGS to the set of
         ``(space, first-field)`` partitions it can touch.  Each hint's
         *space* is the statically known handle (``None`` when the space is
         itself an operand resolved at execution time), *first* is the
-        first field's constant value or :data:`~repro.core.matching.
+        first field's static value or :data:`~repro.core.matching.
         ANY_FIRST` when it is a formal/expression, and *extracts* says
         whether the operation needs to *match* existing tuples there
         (guards, body in/rd/probes, and move/copy sources) as opposed to
@@ -467,23 +555,26 @@ class Op:
         destination (deposit-only) — transferred tuples keep their first
         field, so the destination hint reuses the pattern's first value.
         """
-        first_field = self.fields[0]
-        first = first_field.value if isinstance(first_field, Const) else ANY_FIRST
-        hints = [(self.static_ts(), first, self.code is not OpCode.OUT)]
+        first = _static(self.fields[0], actuals)
+        if first is _DYNAMIC:
+            first = ANY_FIRST
+        hints = [(self.static_ts(actuals), first, self.code is not OpCode.OUT)]
         if self.ts2 is not None:
-            dst = getattr(self.ts2, "value", None)
+            dst = _static(self.ts2, actuals)
             hints.append((dst if isinstance(dst, TSHandle) else None, first, False))
         return hints
 
-    def correlation_key(self) -> tuple[int | None, str, int]:
+    def correlation_key(
+        self, actuals: Sequence[Any] = ()
+    ) -> tuple[int | None, str, int]:
         """``(space_id, first_field, arity)`` for out-traffic correlation.
 
         ``space_id`` is ``None`` and ``first_field`` is ``"*"`` when not
         statically known; the stall detector treats both as wildcards.
         """
-        ts = self.static_ts()
-        first = self.fields[0]
-        first_repr = repr(first.value) if isinstance(first, Const) else "*"
+        ts = self.static_ts(actuals)
+        first = _static(self.fields[0], actuals)
+        first_repr = "*" if first is _DYNAMIC else repr(first)
         return (ts.id if ts is not None else None, first_repr, len(self.fields))
 
     def __repr__(self) -> str:
@@ -596,6 +687,11 @@ class Branch:
         self.body = tuple(body)
         self._validate()
 
+    def ops(self) -> tuple[Op, ...]:
+        """The guard's operation (if it has one), then the body's."""
+        op = self.guard.op
+        return self.body if op is None else (op, *self.body)
+
     def _validate(self) -> None:
         bound: set[str] = set(self.guard.binds())
         # Guard operands may only use constants (nothing is bound yet)
@@ -645,14 +741,61 @@ class AGS:
     runtime marshals one :class:`AGS` (plus its origin metadata) into a
     single atomic-multicast message, and every replica executes it
     deterministically on delivery (Sec. 5).
+
+    Attributes
+    ----------
+    blocking:
+        True when the AGS can delay (every guard is in/rd).  If any
+        branch has a ``true`` or probe guard the statement always
+        completes immediately.
+    read_only:
+        True when no execution of this AGS can mutate replicated state:
+        every guard is ``rd``/``rdp`` (or ``true``) and every body op is
+        ``rd``/``rdp`` — nothing withdraws, deposits or transfers, on any
+        branch, whether the statement fires, probes out, or aborts.  With
+        the replicated state machine keeping every replica identical
+        after each ordered command, such a statement can be answered by
+        any single up-to-date replica without the atomic-multicast round
+        trip (the replica group's read fast path).
+
+    Both follow from ``branches`` alone and a statement is immutable, so
+    they are worked out once, at construction — and again on unpickling,
+    never carried as a second copy of the truth.
     """
 
-    __slots__ = ("branches",)
+    __slots__ = ("branches", "blocking", "read_only", "_targets", "_hash")
 
     def __init__(self, branches: Sequence[Branch]):
         if not branches:
             raise AGSError("an AGS needs at least one branch")
         self.branches = tuple(branches)
+        blocking = read_only = True
+        for branch in self.branches:
+            op = branch.guard.op
+            if op is None:
+                blocking = False
+            else:
+                code = op.code
+                if code is not _IN and code is not _RD:
+                    blocking = False
+                if code is not _RD and code is not _RDP:
+                    read_only = False
+            for op in branch.body:
+                if op.code is not _RD and op.code is not _RDP:
+                    read_only = False
+                    break
+        self.blocking = blocking
+        self.read_only = read_only
+        self._targets: tuple | None = None
+        self._hash: int | None = None
+
+    def __reduce__(self) -> tuple:
+        return (AGS, (self.branches,))
+
+    def __setstate__(self, state: tuple) -> None:
+        # pickles from before __reduce__ (journals, snapshots) restore the
+        # one slot they knew; finish the construction they skipped
+        self.__init__(state[1]["branches"])
 
     @classmethod
     def single(cls, guard: Guard, body: Sequence[Op] = ()) -> "AGS":
@@ -664,42 +807,14 @@ class AGS:
         """``< true => body >`` — an unconditional atomic block."""
         return cls([Branch(Guard.true(), body)])
 
-    @property
-    def blocking(self) -> bool:
-        """True when the AGS can delay (every guard is in/rd).
-
-        If any branch has a ``true`` or probe guard the statement always
-        completes immediately.
-        """
-        return all(b.guard.blocking for b in self.branches)
-
-    @property
-    def read_only(self) -> bool:
-        """True when no execution of this AGS can mutate replicated state.
-
-        Every guard is ``rd``/``rdp`` (or ``true``) and every body op is
-        ``rd``/``rdp`` — nothing withdraws, deposits or transfers, on any
-        branch, whether the statement fires, probes out, or aborts.  With
-        the replicated state machine keeping every replica identical
-        after each ordered command, such a statement can be answered by
-        any single up-to-date replica without the atomic-multicast round
-        trip (the replica group's read fast path).
-        """
-        for branch in self.branches:
-            op = branch.guard.op
-            if op is not None and op.code not in (OpCode.RD, OpCode.RDP):
-                return False
-            for body_op in branch.body:
-                if body_op.code not in (OpCode.RD, OpCode.RDP):
-                    return False
-        return True
-
-    def waiting_on(self) -> list[dict[str, Any]]:
+    def waiting_on(self, actuals: Sequence[Any] = ()) -> list[dict[str, Any]]:
         """What a parked instance of this AGS is blocked on (plain data).
 
         One entry per blocking guard: the space (named when statically
         known), the canonical anti-tuple template, and the correlation key
         the stall detector matches against recent ``out`` traffic.
+        *actuals* are the parked command's — a plan's holes read as the
+        values that fill them.
         """
         out: list[dict[str, Any]] = []
         for branch in self.branches:
@@ -707,18 +822,20 @@ class AGS:
             if not guard.blocking or guard.op is None:
                 continue
             op = guard.op
-            ts = op.static_ts()
+            ts = op.static_ts(actuals)
             out.append(
                 {
                     "op": op.code.value,
                     "space": f"{ts.name}#{ts.id}" if ts is not None else "?",
-                    "template": op.template_key(),
-                    "key": op.correlation_key(),
+                    "template": op.template_key(actuals),
+                    "key": op.correlation_key(actuals),
                 }
             )
         return out
 
-    def shard_hints(self) -> list[tuple[TSHandle | None, Any, bool]]:
+    def shard_hints(
+        self, actuals: Sequence[Any] = ()
+    ) -> list[tuple[TSHandle | None, Any, bool]]:
         """Deduplicated partition hints over every branch (guards + bodies).
 
         A hint that appears both extracting and deposit-only collapses to
@@ -726,30 +843,44 @@ class AGS:
         """
         merged: dict[tuple[int | None, Any], tuple[TSHandle | None, Any, bool]] = {}
         for branch in self.branches:
-            ops = list(branch.body)
-            if branch.guard.op is not None:
-                ops.insert(0, branch.guard.op)
-            for op in ops:
-                for ts, first, extracts in op.shard_hints():
+            for op in branch.ops():
+                for ts, first, extracts in op.shard_hints(actuals):
                     key = (ts.id if ts is not None else None, first)
                     prev = merged.get(key)
                     if prev is None or (extracts and not prev[2]):
                         merged[key] = (ts, first, extracts)
         return list(merged.values())
 
-    def shard_set(self, n_shards: int) -> frozenset[int] | None:
+    def shard_set(
+        self, n_shards: int, actuals: Sequence[Any] = ()
+    ) -> frozenset[int] | None:
         """Shards this AGS can touch, or ``None`` when not statically pinnable.
 
-        ``None`` means some hint has a dynamic space or a wildcard first
+        ``None`` means some target has a dynamic space or a wildcard first
         field — the router must take the cross-shard path.  A concrete
         frozenset of size 1 is the fast case: the whole AGS lives on one
         shard and keeps the single-multicast cost.
+
+        Which fields decide the route is a property of the statement, so
+        the ``(space, first field)`` pair of every target is picked out
+        once; routing a call reads those — constants, or *actuals* through
+        a plan's holes — without walking the statement again.
         """
         if n_shards <= 1:
             return frozenset((0,))
+        targets = self._targets
+        if targets is None:
+            targets = self._targets = tuple(
+                (ts, op.fields[0])
+                for branch in self.branches
+                for op in branch.ops()
+                for ts in ((op.ts,) if op.ts2 is None else (op.ts, op.ts2))
+            )
         shards: set[int] = set()
-        for ts, first, _extracts in self.shard_hints():
-            if ts is None or first == ANY_FIRST:
+        for ts_field, first_field in targets:
+            ts = _static(ts_field, actuals)
+            first = _static(first_field, actuals)
+            if not isinstance(ts, TSHandle) or first is _DYNAMIC or first == ANY_FIRST:
                 return None
             shards.add(shard_of(ts.id, first, n_shards))
         return frozenset(shards)
@@ -770,7 +901,12 @@ class AGS:
         return isinstance(other, AGS) and other.branches == self.branches
 
     def __hash__(self) -> int:
-        return hash(self.branches)
+        # kept: a plan is looked up by value once per command it crosses
+        # a pipe in, and hashing walks the whole statement
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.branches)
+        return h
 
 
 class AGSResult:

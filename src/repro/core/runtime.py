@@ -7,7 +7,9 @@ one-branch atomic guarded statements.  This module defines
 - :class:`BaseRuntime` — the abstract API (``out``/``in_``/``rd``/``inp``/
   ``rdp``/``move``/``copy``/``execute``/``ts_create``/``eval_``), with all
   the convenience wrappers implemented once on top of a single abstract
-  ``_submit(ags, process_id)``;
+  ``_submit(ags, process_id, actuals=…)``; the classic operations compile
+  to a *statement plan* once per call-site shape and submit that plan with
+  the call's actuals (:meth:`BaseRuntime._plan`);
 - :class:`ProcessView` — the API a spawned (``eval``'ed) process sees,
   bound to its process id;
 - :class:`LocalRuntime` — a single-host, thread-safe implementation that
@@ -29,10 +31,22 @@ import abc
 import itertools
 import threading
 import time
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from repro._errors import AGSError, RuntimeFailure, TimeoutError_
-from repro.core.ags import AGS, AGSResult, Guard, Op
+from repro.core.ags import (
+    AGS,
+    OUT_TAKES_ACTUALS,
+    AGSResult,
+    Const,
+    Guard,
+    GuardKind,
+    Op,
+    OpCode,
+    Operand,
+    Param,
+    as_operand,
+)
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
 from repro.core.statemachine import (
     Command,
@@ -57,7 +71,7 @@ _LOCAL_ORIGIN = -1
 _RT = TypeVar("_RT", bound="BaseRuntime")
 
 
-def _autoname(fields: Sequence[Any]) -> tuple[list[Any], list[tuple[int, str]]]:
+def _autoname(fields: Sequence[Any]) -> list[Any]:
     """Give anonymous formals synthetic names so results can be rebuilt.
 
     Classic Linda's ``in("count", ?int)`` returns the matched tuple; the
@@ -65,31 +79,80 @@ def _autoname(fields: Sequence[Any]) -> tuple[list[Any], list[tuple[int, str]]]:
     wrappers therefore rename every anonymous formal to ``_fI`` (its field
     index) and use the bindings to reconstruct the full matched tuple.
     """
-    out: list[Any] = []
-    renamed: list[tuple[int, str]] = []
-    for i, f in enumerate(fields):
-        if isinstance(f, Formal) and f.name is None:
-            nm = f"_f{i}"
-            out.append(Formal(object if not f.typed else f.ftype, nm))
-            renamed.append((i, nm))
-        else:
-            out.append(f)
-            if isinstance(f, Formal):
-                renamed.append((i, f.name))  # type: ignore[arg-type]
-    return out, renamed
+    return [
+        Formal(object if not f.typed else f.ftype, f"_f{i}")
+        if isinstance(f, Formal) and f.name is None
+        else f
+        for i, f in enumerate(fields)
+    ]
 
 
-def _rebuild(fields: Sequence[Any], result: AGSResult) -> LindaTuple:
-    """Reconstruct the matched tuple from pattern fields and bindings."""
-    vals: list[Any] = []
-    for i, f in enumerate(fields):
-        if isinstance(f, Formal):
-            vals.append(result.bindings[f.name])
-        elif hasattr(f, "evaluate"):
-            vals.append(f.evaluate(result.bindings))
+def _rebuild(
+    fields: Sequence[Any],
+) -> Callable[[Mapping[str, Any], Sequence[Any]], LindaTuple]:
+    """How to reconstruct the matched tuple from a pattern's fields.
+
+    Worked out once per pattern: the returned function takes a result's
+    bindings (and, for a plan, the call's actuals) and reads each field
+    from the formal that bound it, the actual that filled its hole, or
+    the operand that computes it.
+    """
+    steps = [
+        (0, f.name) if isinstance(f, Formal)
+        else (1, f.index) if isinstance(f, Param)
+        else (2, as_operand(f))
+        for f in fields
+    ]
+
+    def rebuild(bindings: Mapping[str, Any], actuals: Sequence[Any] = ()) -> LindaTuple:
+        return LindaTuple(
+            [
+                bindings[x] if how == 0
+                else actuals[x] if how == 1
+                else x.evaluate(bindings)
+                for how, x in steps
+            ]
+        )
+
+    return rebuild
+
+
+#: Field values a bare operation takes as they are: exactly the types
+#: ``Const`` accepts without looking inside the value (tuples are walked).
+_PLAIN = frozenset((bool, int, float, str, bytes, type(None), TSHandle))
+
+#: The bare operations whose one op is the statement's guard.
+_MATCHING = (OpCode.IN, OpCode.RD, OpCode.INP, OpCode.RDP)
+
+
+class _Plan:
+    """One call-site shape, compiled: see :meth:`BaseRuntime._plan`."""
+
+    __slots__ = ("ags", "rebuild")
+
+    def __init__(self, code: OpCode, n_spaces: int, args: Sequence[Any]):
+        """Compile ``code(*args)``, the first *n_spaces* arguments its spaces.
+
+        Every argument that is neither a formal nor a computed operand
+        becomes a hole, numbered in argument order — the order
+        :meth:`BaseRuntime._plan` collects the actuals in.  Raises
+        whatever building the statement by hand would: a shape that is
+        not a legal statement never becomes a plan.
+        """
+        holes = itertools.count()
+        planned = [
+            f if isinstance(f, (Formal, Operand)) and type(f) is not Const
+            else Param(next(holes))
+            for f in args
+        ]
+        spaces, pattern = planned[:n_spaces], planned[n_spaces:]
+        if code in _MATCHING:
+            pattern = _autoname(pattern)
+            self.ags = AGS.single(Guard(GuardKind.OP, Op(code, spaces[0], pattern)))
+            self.rebuild = _rebuild(pattern)
         else:
-            vals.append(f)
-    return LindaTuple(vals)
+            self.ags = AGS.atomic(Op(code, spaces[0], pattern, *spaces[1:]))
+            self.rebuild = None
 
 
 class BaseRuntime(abc.ABC):
@@ -103,6 +166,9 @@ class BaseRuntime(abc.ABC):
         self._proc_ids = itertools.count(1)
         self._procs: list["ProcessHandle"] = []
         self._telemetry = None  # TelemetryServer once serve_telemetry runs
+        #: Statement plans by call-site shape (see :meth:`_plan`).  A race
+        #: to compile one shape stores two equal plans, the later winning.
+        self._plans: dict[tuple, _Plan] = {}
 
     # ------------------------------------------------------------------ #
     # abstract transport
@@ -110,9 +176,18 @@ class BaseRuntime(abc.ABC):
 
     @abc.abstractmethod
     def _submit(
-        self, ags: AGS, process_id: int, *, timeout: float | None = None
+        self,
+        ags: AGS,
+        process_id: int,
+        *,
+        timeout: float | None = None,
+        actuals: tuple = (),
     ) -> AGSResult:
-        """Execute *ags* with atomicity/ordering guarantees; block as needed."""
+        """Execute *ags* with atomicity/ordering guarantees; block as needed.
+
+        *actuals* fill the holes of a statement plan (see :meth:`_plan`);
+        a statement built by hand has none.
+        """
 
     @abc.abstractmethod
     def create_space(
@@ -166,7 +241,15 @@ class BaseRuntime(abc.ABC):
         of where they ran.  Runtimes without a registry return ``{}``.
         """
         metrics = getattr(self, "metrics", None)
-        return metrics.snapshot() if metrics is not None else {}
+        if metrics is None:
+            return {}
+        self._sample_plans(metrics)
+        return metrics.snapshot()
+
+    def _sample_plans(self, metrics: MetricsRegistry) -> None:
+        """Set the ``statement_plans`` gauge — at snapshot time, like the
+        depth gauges, so the statement path never touches it."""
+        metrics.gauge("statement_plans").set(len(self._plans))
 
     def introspection_snapshot(self) -> dict[str, Any]:
         """Uniform live-state image: spaces, hot templates, waiters, replicas.
@@ -239,9 +322,71 @@ class BaseRuntime(abc.ABC):
             raise RuntimeFailure(str(res.error))
         return res
 
+    def _plan(
+        self, code: OpCode, spaces: tuple, fields: tuple
+    ) -> tuple[_Plan, tuple]:
+        """The statement plan for one bare operation, and this call's actuals.
+
+        FT-lcc compiled a statement once and shipped opcodes plus the
+        call's actuals; this is that step for the classic operations.  A
+        call's *shape* is its opcode and, per field, a hole (any plain
+        value — the spaces are holes too, so the cache is bounded by
+        program text, not by how many spaces a program creates), the
+        formal, or the computed operand.  The plan for a shape — a
+        validated :class:`AGS` with :class:`Param` holes, the synthetic
+        formal names and the recipe that rebuilds the matched tuple — is
+        compiled on first use; after that a call validates only its
+        values, by the test ``Const`` makes, in the order building the
+        statement by hand would, so the first error raised is the same.
+        """
+        shape: list[Any] = [code]
+        actuals = []
+        args = spaces + fields
+        for i, f in enumerate(args):
+            if type(f) in _PLAIN:
+                shape.append(None)
+                actuals.append(f)
+            elif isinstance(f, Formal) and i >= len(spaces):
+                if code is OpCode.OUT:
+                    raise AGSError(OUT_TAKES_ACTUALS)
+                shape.append((f.ftype, f.name))
+            else:
+                operand = as_operand(f)  # raises for an invalid value
+                if type(operand) is Const:
+                    shape.append(None)
+                    actuals.append(operand.value)
+                else:
+                    shape.append(operand)  # by value, as statements compare
+        key = tuple(shape)
+        plan = self._plans.get(key)
+        if plan is None:
+            # not stored unless it compiles: an illegal shape raises here
+            # on every call, as it always did
+            plan = self._plans[key] = _Plan(code, len(spaces), args)
+        return plan, tuple(actuals)
+
     def out(self, ts: TSHandle, *fields: Any, process_id: int = 0) -> None:
         """Deposit a tuple (classic ``out``)."""
-        self._checked(self._submit(AGS.atomic(Op.out(ts, *fields)), process_id))
+        plan, actuals = self._plan(OpCode.OUT, (ts,), fields)
+        self._checked(self._submit(plan.ags, process_id, actuals=actuals))
+
+    def _match(
+        self,
+        code: OpCode,
+        ts: TSHandle,
+        fields: tuple,
+        process_id: int,
+        timeout: float | None = None,
+    ) -> LindaTuple | None:
+        """One matching operation: the tuple it matched, ``None`` for a
+        probe that found nothing."""
+        plan, actuals = self._plan(code, (ts,), fields)
+        res = self._checked(
+            self._submit(plan.ags, process_id, timeout=timeout, actuals=actuals)
+        )
+        if not res.succeeded:
+            return None
+        return plan.rebuild(res.bindings, actuals)
 
     def in_(
         self,
@@ -251,11 +396,7 @@ class BaseRuntime(abc.ABC):
         timeout: float | None = None,
     ) -> LindaTuple:
         """Withdraw a matching tuple, blocking until one exists."""
-        named, _ = _autoname(fields)
-        res = self._checked(
-            self._submit(AGS.single(Guard.in_(ts, *named)), process_id, timeout=timeout)
-        )
-        return _rebuild(named, res)
+        return self._match(OpCode.IN, ts, fields, process_id, timeout)
 
     def rd(
         self,
@@ -265,11 +406,7 @@ class BaseRuntime(abc.ABC):
         timeout: float | None = None,
     ) -> LindaTuple:
         """Read a matching tuple without withdrawing it, blocking."""
-        named, _ = _autoname(fields)
-        res = self._checked(
-            self._submit(AGS.single(Guard.rd(ts, *named)), process_id, timeout=timeout)
-        )
-        return _rebuild(named, res)
+        return self._match(OpCode.RD, ts, fields, process_id, timeout)
 
     def inp(self, ts: TSHandle, *fields: Any, process_id: int = 0) -> LindaTuple | None:
         """Non-blocking ``in`` with FT-Linda's *strong* semantics.
@@ -278,31 +415,32 @@ class BaseRuntime(abc.ABC):
         matching tuple existed at this operation's point in the total
         order (Sec. 6).
         """
-        named, _ = _autoname(fields)
-        res = self._checked(self._submit(AGS.single(Guard.inp(ts, *named)), process_id))
-        if not res.succeeded:
-            return None
-        return _rebuild(named, res)
+        return self._match(OpCode.INP, ts, fields, process_id)
 
     def rdp(self, ts: TSHandle, *fields: Any, process_id: int = 0) -> LindaTuple | None:
         """Non-blocking ``rd`` with strong semantics."""
-        named, _ = _autoname(fields)
-        res = self._checked(self._submit(AGS.single(Guard.rdp(ts, *named)), process_id))
-        if not res.succeeded:
-            return None
-        return _rebuild(named, res)
+        return self._match(OpCode.RDP, ts, fields, process_id)
+
+    def _transfer(
+        self, code: OpCode, src: TSHandle, dst: TSHandle, fields: tuple, process_id: int
+    ) -> None:
+        """``move`` or ``copy``: one statement, two spaces."""
+        if dst is None:
+            Op(code, src, fields)  # raises: no destination (None is a value, so a hole)
+        plan, actuals = self._plan(code, (src, dst), fields)
+        self._checked(self._submit(plan.ags, process_id, actuals=actuals))
 
     def move(
         self, src: TSHandle, dst: TSHandle, *fields: Any, process_id: int = 0
     ) -> None:
         """Atomically transfer every matching tuple from *src* to *dst*."""
-        self._checked(self._submit(AGS.atomic(Op.move(src, dst, *fields)), process_id))
+        self._transfer(OpCode.MOVE, src, dst, fields, process_id)
 
     def copy(
         self, src: TSHandle, dst: TSHandle, *fields: Any, process_id: int = 0
     ) -> None:
         """Atomically duplicate every matching tuple from *src* into *dst*."""
-        self._checked(self._submit(AGS.atomic(Op.copy(src, dst, *fields)), process_id))
+        self._transfer(OpCode.COPY, src, dst, fields, process_id)
 
     def eval_out(
         self, ts: TSHandle, *fields: Any, process_id: int = 0
@@ -468,7 +606,12 @@ class LocalRuntime(BaseRuntime):
     # ------------------------------------------------------------------ #
 
     def _submit(
-        self, ags: AGS, process_id: int, *, timeout: float | None = None
+        self,
+        ags: AGS,
+        process_id: int,
+        *,
+        timeout: float | None = None,
+        actuals: tuple = (),
     ) -> AGSResult:
         t_submit = _now()
         tracer = self.tracer
@@ -480,7 +623,7 @@ class LocalRuntime(BaseRuntime):
             self._h_submit.record(t_ordered - t_submit, t_ordered)
             rid = next(self._req_ids)
             completions = self._apply(
-                ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags)
+                ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags, actuals)
             )
             t_applied = _now()
             self._h_apply.record(t_applied - t_ordered, t_applied)
@@ -674,7 +817,7 @@ class LocalRuntime(BaseRuntime):
         boundary the snapshot was taken at.
         """
         view, actual = self._sm.read_view(slot)
-        return SnapshotView(view, actual)
+        return SnapshotView(view, actual, self._plan)
 
 
 class SnapshotView:
@@ -686,19 +829,25 @@ class SnapshotView:
     space churns underneath.
     """
 
-    __slots__ = ("_sm", "slot")
+    __slots__ = ("_sm", "slot", "_plan")
 
-    def __init__(self, sm: TSStateMachine, slot: int):
+    def __init__(
+        self,
+        sm: TSStateMachine,
+        slot: int,
+        plan: Callable[[OpCode, tuple, tuple], tuple[_Plan, tuple]],
+    ):
         self._sm = sm
         self.slot = slot
+        self._plan = plan  # the owning runtime's: one cache of shapes
 
     def rdp(self, ts: TSHandle, *fields: Any) -> LindaTuple | None:
         """Non-blocking read against the frozen state."""
-        named, _ = _autoname(fields)
-        res = self._sm.try_read(AGS.single(Guard.rdp(ts, *named)), 0)
+        plan, actuals = self._plan(OpCode.RDP, (ts,), fields)
+        res = self._sm.try_read(plan.ags, 0, actuals)
         if res is None or not res.succeeded:
             return None
-        return _rebuild(named, res)
+        return plan.rebuild(res.bindings, actuals)
 
     def count(self, ts: TSHandle, *fields: Any) -> int:
         """Number of tuples matching the pattern at the frozen slot."""

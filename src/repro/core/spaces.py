@@ -22,6 +22,7 @@ ordered command stream.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Any, Iterator, Mapping
 
 from repro._errors import ScopeError, SpaceError
@@ -81,10 +82,28 @@ class TSHandle:
     def __hash__(self) -> int:
         return hash(("TSHandle", self.id))
 
+    def __reduce__(self) -> tuple:
+        # A handle rides in every planned statement (the space is actual
+        # 0), so it pickles as four small values, not two by-value enums.
+        return (_handle, (self.id, self.name, self.stable, self.shared))
+
     def __repr__(self) -> str:
         return (
             f"TS<{self.name}#{self.id} {self.resilience.value},{self.scope.value}>"
         )
+
+
+@functools.lru_cache(maxsize=1024)
+def _handle(id: int, name: str, stable: bool, shared: bool) -> TSHandle:
+    """Unpickle a handle — interned, so a replica decoding the same space
+    on every command builds it once; bounded, so a program that creates
+    and destroys spaces without end does not grow the table."""
+    return TSHandle(
+        id,
+        name,
+        Resilience.STABLE if stable else Resilience.VOLATILE,
+        Scope.SHARED if shared else Scope.PRIVATE,
+    )
 
 
 register_field_type(TSHandle)

@@ -45,7 +45,7 @@ from typing import Any, Mapping, Sequence
 
 from repro._errors import FormalBindingError, SpaceError, TupleError
 from repro.core import matching as _matching
-from repro.core.ags import AGS, AGSResult, GuardKind, Op, OpCode
+from repro.core.ags import ACTUALS, AGS, AGSResult, GuardKind, Op, OpCode
 from repro.core.matching import TupleStore
 from repro.core.spaces import (
     MAIN_TS,
@@ -112,17 +112,53 @@ class Command:
 
 
 class ExecuteAGS(Command):
-    """Run *ags* on behalf of process *process_id* at *origin_host*."""
+    """Run *ags* on behalf of process *process_id* at *origin_host*.
 
-    __slots__ = ("process_id", "ags")
+    *ags* is a statement plan and *actuals* the values of its
+    :class:`~repro.core.ags.Param` holes for this one execution; a
+    statement built by hand has no holes and no actuals.
+    """
 
-    def __init__(self, request_id: int, origin_host: int, process_id: int, ags: AGS):
+    __slots__ = ("process_id", "ags", "actuals")
+
+    def __init__(
+        self,
+        request_id: int,
+        origin_host: int,
+        process_id: int,
+        ags: AGS,
+        actuals: tuple = (),
+        trace_id: int | None = None,
+    ):
         super().__init__(request_id, origin_host)
+        self.trace_id = trace_id
         self.process_id = process_id
         self.ags = ags
+        self.actuals = actuals
+
+    def __reduce__(self) -> tuple:
+        # by position, not by slot name: a statement is most of what a
+        # journal and a by-value frame hold
+        return (
+            ExecuteAGS,
+            (
+                self.request_id, self.origin_host, self.process_id,
+                self.ags, self.actuals, self.trace_id,
+            ),
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        # a journal or snapshot written before statements carried actuals
+        self.actuals = ()
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ExecuteAGS(#{self.request_id} h{self.origin_host} {self.ags!r})"
+        with_actuals = f" {self.actuals!r}" if self.actuals else ""
+        return (
+            f"ExecuteAGS(#{self.request_id} h{self.origin_host} "
+            f"{self.ags!r}{with_actuals})"
+        )
 
 
 class CreateSpace(Command):
@@ -396,7 +432,9 @@ class TSStateMachine:
             return []
         completions: list[Completion] = []
         if isinstance(command, ExecuteAGS):
-            result = self._try_execute(command.ags, command.process_id)
+            result = self._try_execute(
+                command.ags, command.process_id, command.actuals
+            )
             if result is None:
                 self.blocked.append(_Blocked(command, self.clock()))
                 self._blocked_rids.add(rid)
@@ -511,7 +549,9 @@ class TSStateMachine:
         ]
         self._blocked_rids.discard(request_id)
 
-    def try_read(self, ags: AGS, process_id: int) -> AGSResult | None:
+    def try_read(
+        self, ags: AGS, process_id: int, actuals: tuple = ()
+    ) -> AGSResult | None:
         """Evaluate a read-only AGS against current state, mutating nothing.
 
         The replica group's read fast path: a statement whose every
@@ -526,7 +566,7 @@ class TSStateMachine:
         """
         if not ags.read_only:
             raise ValueError("try_read is only valid for read-only statements")
-        return self._try_execute(ags, process_id)
+        return self._try_execute(ags, process_id, actuals)
 
     def _apply_host_failed(self, command: HostFailed) -> None:
         # Blocked statements from the dead host will never be claimed;
@@ -575,7 +615,7 @@ class TSStateMachine:
             progress = False
             for i, blocked in enumerate(self.blocked):
                 cmd = blocked.command
-                result = self._try_execute(cmd.ags, cmd.process_id)
+                result = self._try_execute(cmd.ags, cmd.process_id, cmd.actuals)
                 if result is not None:
                     del self.blocked[i]
                     self._blocked_rids.discard(cmd.request_id)
@@ -603,8 +643,15 @@ class TSStateMachine:
             raise SpaceError(f"operand {value!r} is not a tuple-space handle")
         return self.registry.store(value, accessor=accessor)
 
-    def _try_execute(self, ags: AGS, process_id: int) -> AGSResult | None:
+    def _try_execute(
+        self, ags: AGS, process_id: int, actuals: tuple = ()
+    ) -> AGSResult | None:
         """Attempt the AGS against current state.
+
+        *actuals* fill the statement's :class:`~repro.core.ags.Param`
+        holes: they seed each branch's environment, where ``Param``
+        evaluates like any other operand, and leave it again before the
+        environment becomes the result's bindings.
 
         Returns ``None`` when every guard is blocking and none can fire
         (caller parks the statement).  Otherwise returns the result —
@@ -615,7 +662,7 @@ class TSStateMachine:
         """
         for index, branch in enumerate(ags.branches):
             guard = branch.guard
-            env: dict[str, Any] = {}
+            env: dict[Any, Any] = {ACTUALS: actuals} if actuals else {}
             undo: list[tuple] = []
             if guard.kind is GuardKind.TRUE:
                 fired = True
@@ -653,6 +700,8 @@ class TSStateMachine:
             if error is not None:
                 self._rollback(undo)
                 return AGSResult(index, {}, probe_results, error=error)
+            if actuals:
+                del env[ACTUALS]
             return AGSResult(index, env, probe_results)
         # no guard fired
         if ags.blocking:
@@ -741,7 +790,7 @@ class TSStateMachine:
                 "origin_host": b.command.origin_host,
                 "process_id": b.command.process_id,
                 "blocked_for": max(t - b.since, 0.0),
-                "waiting_on": b.command.ags.waiting_on(),
+                "waiting_on": b.command.ags.waiting_on(b.command.actuals),
             }
             for b in self.blocked
         ]
@@ -800,20 +849,20 @@ class TSStateMachine:
         """
         return {
             "registry": self.registry.snapshot(stable_only=False),
-            "blocked": [
-                (
-                    b.command.request_id,
-                    b.command.origin_host,
-                    b.command.process_id,
-                    b.command.ags,
-                )
-                for b in self.blocked
-            ],
+            "blocked": list(self._parked()),
             "applied_count": self.applied_count,
             "completed": [
                 (rid, self.completed[rid]) for rid in self._completed_order
             ],
         }
+
+    def _parked(self) -> tuple:
+        """The blocked statements as a snapshot holds them: what
+        :class:`ExecuteAGS` is built from, in park order."""
+        return tuple(
+            (c.request_id, c.origin_host, c.process_id, c.ags, c.actuals)
+            for c in (b.command for b in self.blocked)
+        )
 
     def cow_snapshot(self, *, retain: bool = True) -> "MachineImage":
         """Incremental snapshot at the current slot boundary; O(dirty).
@@ -828,15 +877,7 @@ class TSStateMachine:
         """
         image = MachineImage(
             self.registry.cow_image(stable_only=False),
-            tuple(
-                (
-                    b.command.request_id,
-                    b.command.origin_host,
-                    b.command.process_id,
-                    b.command.ags,
-                )
-                for b in self.blocked
-            ),
+            self._parked(),
             self.applied_count,
             tuple((rid, self.completed[rid]) for rid in self._completed_order),
         )
@@ -876,9 +917,9 @@ class TSStateMachine:
     def from_snapshot(cls, snap: Mapping[str, Any], **kwargs: Any) -> "TSStateMachine":
         sm = cls(SpaceRegistry.from_snapshot(snap["registry"]), **kwargs)
         t_install = sm.clock()  # waiter ages restart at install time
+        # (rid, host, pid, ags[, actuals]): older snapshots lack the last
         sm.blocked = [
-            _Blocked(ExecuteAGS(rid, host, pid, ags), t_install)
-            for rid, host, pid, ags in snap["blocked"]
+            _Blocked(ExecuteAGS(*parked), t_install) for parked in snap["blocked"]
         ]
         sm._blocked_rids = {b.command.request_id for b in sm.blocked}
         sm.applied_count = snap["applied_count"]

@@ -11,10 +11,12 @@ The FT-Linda version makes each transition one AGS:
 
 - **append**: ``< in(tail,?t) => out(elem,t,v); out(tail,t+1) >`` — the
   element and the counter move together;
-- **pop** (multi-consumer): read the head index, block on that element's
-  existence, then atomically ``< in(head,h) => in(elem,h,?v); out(head,h+1) >``
+- **pop** (multi-consumer): read the head index, wait for that element
+  to exist, then atomically ``< in(head,h) => in(elem,h,?v); out(head,h+1) >``
   — the guard's exact-match on ``h`` makes it a CAS: if another consumer
-  got there first the statement blocks, so we re-read and retry.
+  got there first we re-read and retry.  The wait is bounded for the same
+  reason: once another consumer has taken slot ``h`` nobody will ever
+  fill it again, so a consumer waiting there must look at the head anew.
 
 On a stable tuple space the stream (contents *and* cursors) survives any
 crash, and every element is consumed exactly once.
@@ -24,11 +26,15 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro._errors import TimeoutError_
 from repro.core.ags import AGS, Guard, Op, ref
 from repro.core.spaces import TSHandle
 from repro.core.tuples import formal
 
 __all__ = ["TupleStream"]
+
+#: How long a consumer waits on one slot before re-reading the head.
+_SLOT_WAIT_S = 0.05
 
 
 class TupleStream:
@@ -66,8 +72,13 @@ class TupleStream:
         """Withdraw the next element, blocking; multi-consumer safe."""
         while True:
             h = api.rd(self.ts, self.name, "head", formal(int))[2]
-            # wait until slot h exists (a producer will make it)
-            api.rd(self.ts, self.name, "elem", h, formal())
+            # wait until slot h exists (a producer will make it) — but not
+            # for ever: a consumer that claimed slot h since we read the
+            # head left a slot nobody will fill again
+            try:
+                api.rd(self.ts, self.name, "elem", h, formal(), timeout=_SLOT_WAIT_S)
+            except TimeoutError_:
+                continue
             # CAS on the head: succeeds only if we are still the consumer
             # entitled to slot h
             res = api.execute(AGS([

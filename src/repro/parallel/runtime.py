@@ -134,9 +134,14 @@ class ReplicatedRuntime(BaseRuntime):
     # ------------------------------------------------------------------ #
 
     def _submit(
-        self, ags: AGS, process_id: int, *, timeout: float | None = None
+        self,
+        ags: AGS,
+        process_id: int,
+        *,
+        timeout: float | None = None,
+        actuals: tuple = (),
     ) -> AGSResult:
-        return self.sharded.execute(ags, process_id, timeout)
+        return self.sharded.execute(ags, process_id, timeout, actuals)
 
     def create_space(
         self,
@@ -195,6 +200,7 @@ class ReplicatedRuntime(BaseRuntime):
         return self.sharded.space_size(handle)
 
     def metrics_snapshot(self) -> dict:
+        self._sample_plans(self.metrics)
         return self.sharded.metrics_snapshot()
 
     def introspection_snapshot(self) -> dict:

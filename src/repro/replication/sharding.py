@@ -159,28 +159,36 @@ class ShardedGroup:
     # routing
     # ------------------------------------------------------------------ #
 
-    def shard_of_ags(self, ags: AGS) -> int | None:
-        """The single shard *ags* pins to, or ``None`` for the cross path."""
-        shards = ags.shard_set(self.n_shards)
+    def shard_of_ags(self, ags: AGS, actuals: tuple = ()) -> int | None:
+        """The single shard *ags* pins to, or ``None`` for the cross path.
+
+        *actuals* are the statement's, when it is a plan: the route reads
+        the space and first field through its holes.
+        """
+        shards = ags.shard_set(self.n_shards, actuals)
         if shards is not None and len(shards) == 1:
             return next(iter(shards))
         return None
 
     def execute(
-        self, ags: AGS, process_id: int, timeout: float | None = None
+        self,
+        ags: AGS,
+        process_id: int,
+        timeout: float | None = None,
+        actuals: tuple = (),
     ) -> AGSResult:
         """Route one AGS: single-shard fast path or the cross-shard rung."""
         if self.n_shards == 1:
-            return self._call_on(self.groups[0], ags, process_id, timeout)
-        shards = ags.shard_set(self.n_shards)
+            return self._call_on(self.groups[0], ags, process_id, timeout, actuals)
+        shards = ags.shard_set(self.n_shards, actuals)
         if shards is not None and len(shards) == 1:
             group = self.groups[next(iter(shards))]
-            return self._call_on(group, ags, process_id, timeout)
-        return self._execute_cross(ags, process_id, timeout, shards)
+            return self._call_on(group, ags, process_id, timeout, actuals)
+        return self._execute_cross(ags, process_id, timeout, shards, actuals)
 
-    def post_ags(self, ags: AGS, process_id: int = 0) -> None:
+    def post_ags(self, ags: AGS, process_id: int = 0, actuals: tuple = ()) -> None:
         """Pipelined submit (no completion wait) — single-shard AGS only."""
-        shard = self.shard_of_ags(ags)
+        shard = self.shard_of_ags(ags, actuals)
         if shard is None:
             raise ValueError(
                 "post_ags requires a statically single-shard statement; "
@@ -188,15 +196,23 @@ class ShardedGroup:
             )
         group = self.groups[shard]
         group.post(
-            ExecuteAGS(group.next_request_id(), CLIENT_ORIGIN, process_id, ags)
+            ExecuteAGS(
+                group.next_request_id(), CLIENT_ORIGIN, process_id, ags, actuals
+            )
         )
 
     @staticmethod
     def _call_on(
-        group: ReplicaGroup, ags: AGS, process_id: int, timeout: float | None
+        group: ReplicaGroup,
+        ags: AGS,
+        process_id: int,
+        timeout: float | None,
+        actuals: tuple,
     ) -> AGSResult:
         return group.call(
-            ExecuteAGS(group.next_request_id(), CLIENT_ORIGIN, process_id, ags),
+            ExecuteAGS(
+                group.next_request_id(), CLIENT_ORIGIN, process_id, ags, actuals
+            ),
             timeout,
         )
 
@@ -210,12 +226,13 @@ class ShardedGroup:
         process_id: int,
         timeout: float | None,
         shard_set: frozenset[int] | None,
+        actuals: tuple,
     ) -> AGSResult:
         deadline = None if timeout is None else time.monotonic() + timeout
         delay = _CROSS_RETRY_INITIAL
         while True:
             with self._cross_lock:
-                outcome = self._cross_attempt(ags, process_id, shard_set)
+                outcome = self._cross_attempt(ags, process_id, shard_set, actuals)
             if outcome is not None:
                 return outcome
             # every guard is blocking and none could fire: the state was
@@ -230,7 +247,7 @@ class ShardedGroup:
             delay = min(delay * 2, _CROSS_RETRY_MAX)
 
     def _cross_selectors(
-        self, ags: AGS, involved: list[int]
+        self, ags: AGS, involved: list[int], actuals: tuple
     ) -> tuple[dict[int, list[tuple[TSHandle, Any]]], dict[int, TSHandle]]:
         """Per-shard ExtractTuples selectors + the handles they mention.
 
@@ -243,7 +260,7 @@ class ShardedGroup:
         whose target space is only known at execution time degrades to a
         full sweep: every live space, every shard.
         """
-        hints = ags.shard_hints()
+        hints = ags.shard_hints(actuals)
         handles: dict[int, TSHandle] = {}
         if any(ts is None for ts, _first, _extracts in hints):
             with self._space_lock:
@@ -273,7 +290,11 @@ class ShardedGroup:
         return per_shard, handles
 
     def _cross_attempt(
-        self, ags: AGS, process_id: int, shard_set: frozenset[int] | None
+        self,
+        ags: AGS,
+        process_id: int,
+        shard_set: frozenset[int] | None,
+        actuals: tuple,
     ) -> AGSResult | None:
         """One extract → scratch-execute → scatter round.  Holds _cross_lock.
 
@@ -283,7 +304,7 @@ class ShardedGroup:
         involved = (
             sorted(shard_set) if shard_set is not None else list(range(self.n_shards))
         )
-        selectors, handles = self._cross_selectors(ags, involved)
+        selectors, handles = self._cross_selectors(ags, involved, actuals)
         # 1. the extract rung: ascending shard order, one ordered command
         #    per involved shard with a non-empty selector list
         extracted: list[tuple[int, int, int, tuple]] = []  # (space, seqno, shard, fields)
@@ -314,7 +335,7 @@ class ShardedGroup:
             registry.store(handles[sid]).add(LindaTuple(fields))
         try:
             completions = scratch.apply(
-                ExecuteAGS(1, CLIENT_ORIGIN, process_id, ags)
+                ExecuteAGS(1, CLIENT_ORIGIN, process_id, ags, actuals)
             )
         except Exception:
             # an unexpected (non-deterministic-path) failure: restore the

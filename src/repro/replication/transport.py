@@ -19,7 +19,11 @@ Two implementations ship with the library:
   :class:`~repro.parallel.MultiprocessRuntime`.  ``broadcast``
   pickles a batch ONCE and the calling thread writes that one frame to
   every live replica — one ``write`` per replica per batch, no feeder
-  thread, no re-marshalling.
+  thread, no re-marshalling.  In that frame a planned statement is
+  ``(…, plan id, actuals)`` and the plan's definition rides only in the
+  first frame that uses it (the format, and when a definition is sent
+  again, are :mod:`repro.replication.worker`'s); ``send`` pickles what
+  it is given.
 
 A future asyncio or socket backend is a third class in this file (or a
 user module) and nothing else.
@@ -37,7 +41,8 @@ import threading
 from collections import deque
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-from repro.replication.worker import replica_loop, run_replica_process
+from repro.core.ags import AGS
+from repro.replication.worker import compact_batch, replica_loop, run_replica_process
 
 __all__ = ["InMemoryTransport", "PipeTransport", "Transport"]
 
@@ -287,6 +292,10 @@ class PipeTransport:
         self._incarnations = [0] * n_replicas
         self._running = False
         self._sink: Sink | None = None
+        #: Plan -> id, for every plan whose definition the replica
+        #: processes hold.  Only ``broadcast`` and ``restart_replica``
+        #: touch it, and the group calls both under its sequencer lock.
+        self._announced: dict[AGS, int] = {}
 
     def start(self, sink: Sink) -> None:
         self._sink = sink
@@ -447,6 +456,8 @@ class PipeTransport:
     def broadcast(self, item: tuple, alive: Sequence[bool]) -> int:
         # marshal and frame once; every live replica gets the same bytes
         # in one write from this (the sequencer's) thread
+        if item[0] == "BATCH":
+            item = compact_batch(item, self._announced)
         blob = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
         frame = _frame(blob)
         for i, lane in enumerate(self._lanes):
@@ -468,6 +479,9 @@ class PipeTransport:
         # fresh pipes: the old ones may hold a torn frame or commands that
         # must not reach the blank restarted state machine
         self._collectors = [t for t in self._collectors if t.is_alive()]
+        # the new process knows no plan: define each again on next use
+        # (for the survivors too, which only overwrite what they had)
+        self._announced.clear()
         self.processes[replica_id], self._lanes[replica_id] = self._spawn(
             replica_id
         )

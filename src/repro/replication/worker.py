@@ -105,6 +105,32 @@ emitted
 In-band queries are the replacement for any separate quiescing protocol:
 because they travel on the same FIFO as commands, the answer reflects
 exactly the state after every previously sequenced command.
+
+On the pipe only, a broadcast BATCH has a compact wire form that this
+loop never sees (:func:`compact_batch` writes it in the parent,
+:func:`run_replica_process` expands it in the child, and both are in this
+file so the format has one home):
+
+``("PLANNED", [(plan id, ags), ...],  a BATCH in which each planned
+  [entry, ...], t_send)``             statement — an ExecuteAGS with
+                                      actuals — is the entry ``(request
+                                      id, origin, process id, trace id,
+                                      plan id, actuals)`` and every other
+                                      command is itself, by value.  The
+                                      first field defines the plan ids the
+                                      receivers have not been sent yet: a
+                                      definition rides once, in the first
+                                      frame that uses it — and once more
+                                      after any replica restarts, when the
+                                      sender forgets what it announced and
+                                      numbers plans afresh.  Everything else — ``send``
+                                      (READS, queries, installs), state
+                                      transfer, snapshots, the journal —
+                                      carries commands by value, so none
+                                      of it needs a plan table
+``("QUERY", qid, "plans", _)``        answered by the expanding end, in
+                                      lane order: how many plan ids this
+                                      process knows
 """
 
 from __future__ import annotations
@@ -114,14 +140,15 @@ import time
 from typing import Any, Callable
 
 from repro._errors import CommandFailed
-from repro.core.statemachine import Completion, TSStateMachine
+from repro.core.ags import AGS
+from repro.core.statemachine import Completion, ExecuteAGS, TSStateMachine
 from repro.obs.profile import (
     process_profile_start,
     process_profile_stop,
     register_thread,
 )
 
-__all__ = ["replica_loop", "run_replica_process", "split_state"]
+__all__ = ["compact_batch", "replica_loop", "run_replica_process", "split_state"]
 
 
 def split_state(snapshot: Any, applied: int, chunk_bytes: int) -> list[bytes]:
@@ -191,7 +218,7 @@ def replica_loop(
     def serve_reads(reads: list[tuple[int, Any]]) -> None:
         comps: list[tuple[int, Any]] = []
         for _floor, cmd in reads:
-            result = sm.try_read(cmd.ags, cmd.process_id)
+            result = sm.try_read(cmd.ags, cmd.process_id, cmd.actuals)
             if result is None:
                 emit(("READMISS", cmd.request_id))
             else:
@@ -330,21 +357,71 @@ def replica_loop(
                 drain_reads()
 
 
+def compact_batch(item: tuple, announced: dict[AGS, int]) -> tuple:
+    """The pipe's wire form of a BATCH *item* (see the module docstring).
+
+    *announced* maps every plan whose definition the receivers hold to
+    its id; a plan not in it is numbered, recorded and defined in this
+    frame.  Emptying the table is always safe — ids are then handed out
+    afresh and every receiver, applying frames in order, redefines them
+    before their first use.  A batch with no planned statement is
+    returned as it is.
+    """
+    defs: list[tuple[int, AGS]] = []
+    entries: list[Any] | None = None
+    for i, cmd in enumerate(item[1]):
+        if type(cmd) is ExecuteAGS and cmd.actuals:
+            plan = announced.get(cmd.ags)
+            if plan is None:
+                plan = announced[cmd.ags] = len(announced)
+                defs.append((plan, cmd.ags))
+            if entries is None:
+                entries = list(item[1])
+            entries[i] = (
+                cmd.request_id, cmd.origin_host, cmd.process_id, cmd.trace_id,
+                plan, cmd.actuals,
+            )
+    if entries is None:
+        return item
+    return ("PLANNED", defs, entries, item[2])
+
+
 def run_replica_process(replica_id: int, cmd_conn: Any, reply_conn: Any) -> None:
     """Process entry point for the pipe transport (spawn-safe).
 
     *cmd_conn* is the read end of this replica's command pipe, *reply_conn*
     the write end of its reply pipe; both carry one pickled item per
     ``send_bytes`` frame.  EOF on the command pipe (the parent closed the
-    lane, or died) ends the loop like a STOP.
+    lane, or died) ends the loop like a STOP.  A PLANNED frame is expanded
+    back into the BATCH it stands for here, so the loop sees only items.
     """
+    plans: dict[int, AGS] = {}
 
     def recv() -> Any:
-        try:
-            buf = cmd_conn.recv_bytes()
-        except (EOFError, OSError):
-            return None
-        return pickle.loads(buf)
+        while True:
+            try:
+                buf = cmd_conn.recv_bytes()
+            except (EOFError, OSError):
+                return None
+            item = pickle.loads(buf)
+            kind = item[0]
+            if kind == "PLANNED":
+                _kind, defs, entries, t_send = item
+                plans.update(defs)
+                return (
+                    "BATCH",
+                    [
+                        ExecuteAGS(e[0], e[1], e[2], plans[e[4]], e[5], e[3])
+                        if type(e) is tuple
+                        else e
+                        for e in entries
+                    ],
+                    t_send,
+                )
+            if kind == "QUERY" and item[2] == "plans":
+                emit(("QUERY", item[1], replica_id, len(plans)))
+                continue
+            return item
 
     def emit(item: tuple) -> None:
         reply_conn.send_bytes(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))

@@ -180,3 +180,12 @@ class TestMetrics:
         assert hists["order_to_apply"]["count"] > 0
         assert hists["ags_e2e"]["count"] >= 20
         assert snap["counters"]["commands_submitted"] >= 20
+
+    def test_statement_plans_gauge_counts_call_site_shapes(self, rt):
+        assert rt.metrics_snapshot()["gauges"]["statement_plans"] == 0
+        for i in range(10):
+            rt.out(rt.main_ts, "m", i)  # out/2
+            rt.in_(rt.main_ts, "m", formal(int))  # in/2 with an int formal
+        rt.execute(AGS.atomic(Op.out(rt.main_ts, "by", "hand")))  # not a plan
+        # sampled when asked, once for the runtime however it is sharded
+        assert rt.metrics_snapshot()["gauges"]["statement_plans"] == 2

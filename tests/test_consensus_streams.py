@@ -132,6 +132,40 @@ class TestTupleStream:
         assert len(set(results)) == n_items  # exactly once, no duplicates
         assert s.length(rt) == 0
 
+    def test_pop_recovers_when_its_slot_is_claimed_between_reads(self, rt):
+        """Consumer A reads head 0, then — before it waits on slot 0 —
+        consumer B pops the only element.  Nobody will ever fill slot 0
+        again: A must notice and take the next element, not wait there."""
+        s = TupleStream(rt.main_ts, "s")
+        s.create(rt)
+        s.append(rt, "first")
+        read_head = threading.Event()
+        go_on = threading.Event()
+
+        class ParkedAfterHead:
+            """Consumer A's api: parks once, right after reading the head."""
+
+            def __init__(self, proc):
+                self._proc = proc
+
+            def __getattr__(self, name):
+                return getattr(self._proc, name)
+
+            def rd(self, ts, *fields, **kw):
+                got = self._proc.rd(ts, *fields, **kw)
+                if fields[1] == "head" and not read_head.is_set():
+                    read_head.set()
+                    assert go_on.wait(30)
+                return got
+
+        a = rt.eval_(lambda proc: s.pop(ParkedAfterHead(proc)))
+        assert read_head.wait(30)  # A holds h == 0
+        assert s.pop(rt) == "first"  # B claims slot 0
+        s.append(rt, "second")
+        go_on.set()
+        assert a.join(timeout=30) == "second"
+        assert s.length(rt) == 0
+
     def test_ordering_preserved_per_append_order(self, rt):
         # appends are serialized by the tail counter: pops see global order
         s = TupleStream(rt.main_ts, "s")

@@ -251,6 +251,30 @@ class TestBackendSnapshots:
         stalls = detect_stalls(snap, threshold=0.1)
         assert [s["request_id"] for s in stalls] == [w["request_id"]]
 
+    def test_parked_plan_is_read_through_its_actuals(self, rt):
+        # a bare in_ parks as a plan whose constants are holes; what it
+        # waits on is still ("task", 10000) in main — the stall detector
+        # correlates on exactly that, so matching out traffic clears it
+        t = threading.Thread(
+            target=lambda: rt.in_(rt.main_ts, "task", 10_000, process_id=7),
+            daemon=True,
+        )
+        t.start()
+        (w,) = _wait_for_waiter(rt)["sm"]["waiters"]
+        (entry,) = w["waiting_on"]
+        assert entry["op"] == "in"
+        assert entry["space"] == "main#0"
+        assert entry["template"] == "('task', 10000)"
+        assert tuple(entry["key"]) == (MAIN_TS.id, "'task'", 2)
+        time.sleep(0.15)
+        stalls = detect_stalls(rt.introspection_snapshot(), threshold=0.1)
+        assert [s["process_id"] for s in stalls] == [7]  # nobody feeds it
+        rt.out(rt.main_ts, "task", 1)  # the family it waits on, another value
+        assert detect_stalls(rt.introspection_snapshot(), threshold=0.1) == []
+        rt.out(rt.main_ts, "task", 10_000)
+        t.join(30)
+        assert not t.is_alive()
+
     def test_template_profile_crosses_backends(self, rt):
         rt.out(rt.main_ts, "hot", 1)
         rt.in_(rt.main_ts, "hot", formal(int))

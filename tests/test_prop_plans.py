@@ -1,0 +1,325 @@
+"""Statement plans against the path they replaced.
+
+The classic operations on :class:`~repro.core.runtime.BaseRuntime` no
+longer build a statement per call: they fetch a plan by call-site shape
+and submit it with the call's actuals.  The per-call build they replaced
+is kept *here*, as the reference — each bare operation written out as the
+explicit :class:`AGS` the parent commit constructed, run through
+``execute`` — and generated programs must get the same results, raise the
+same errors, report the same bindings and leave the same state both ways.
+"""
+
+from __future__ import annotations
+
+import base64
+import pickle
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro import AGS, Guard, LocalRuntime, Op, formal, ref
+from repro._errors import FormalBindingError, RuntimeFailure
+from repro.core.ags import ACTUALS, Const, Expr, Param
+from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
+from repro.core.statemachine import ExecuteAGS, TSStateMachine
+from repro.core.tuples import Formal, LindaTuple
+
+OWNER = 7  # the process that owns the private space
+
+
+# -- the reference: the per-call build, as the parent commit had it ---------- #
+
+
+def _autoname(fields):
+    out = []
+    for i, f in enumerate(fields):
+        if isinstance(f, Formal) and f.name is None:
+            out.append(Formal(object if not f.typed else f.ftype, f"_f{i}"))
+        else:
+            out.append(f)
+    return out
+
+
+def _rebuild(fields, result):
+    vals = []
+    for f in fields:
+        if isinstance(f, Formal):
+            vals.append(result.bindings[f.name])
+        elif hasattr(f, "evaluate"):
+            vals.append(f.evaluate(result.bindings))
+        else:
+            vals.append(f)
+    return LindaTuple(vals)
+
+
+def _checked(res):
+    if res.aborted:
+        if isinstance(res.error, Exception):
+            raise res.error
+        raise RuntimeFailure(str(res.error))
+    return res
+
+
+def by_value(rt, seen, op, spaces, fields, pid):
+    """One bare operation as an explicitly built AGS through ``execute``."""
+
+    def run(ags, **kw):
+        res = rt.execute(ags, process_id=pid, **kw)
+        seen.append(dict(res.bindings))
+        return _checked(res)
+
+    if op == "out":
+        run(AGS.atomic(Op.out(spaces[0], *fields)))
+        return None
+    if op in ("move", "copy"):
+        build = Op.move if op == "move" else Op.copy
+        run(AGS.atomic(build(spaces[0], spaces[1], *fields)))
+        return None
+    named = _autoname(fields)
+    guard = getattr(Guard, "in_" if op == "in_" else op)
+    kw = {"timeout": 0} if op in ("in_", "rd") else {}
+    res = run(AGS.single(guard(spaces[0], *named)), **kw)
+    if op in ("inp", "rdp") and not res.succeeded:
+        return None
+    return _rebuild(named, res)
+
+
+class Recording(LocalRuntime):
+    """A LocalRuntime that keeps the bindings of every result it produced."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def _submit(self, ags, process_id, **kw):
+        res = super()._submit(ags, process_id, **kw)
+        self.seen.append(dict(res.bindings))
+        return res
+
+
+def planned(rt, op, spaces, fields, pid):
+    """The same operation through the runtime's own method."""
+    kw = {"timeout": 0} if op in ("in_", "rd") else {}
+    result = getattr(rt, op)(*spaces, *fields, process_id=pid, **kw)
+    return None if op in ("out", "move", "copy") else result
+
+
+# -- generated programs ------------------------------------------------------ #
+
+# the three spaces both runtimes create first, so the handles are equal
+SHARED = TSHandle(1, "shared", Resilience.STABLE, Scope.SHARED)
+PRIVATE = TSHandle(2, "private", Resilience.STABLE, Scope.PRIVATE)
+GONE = TSHandle(9, "gone", Resilience.STABLE, Scope.SHARED)  # never created
+
+spaces_ = st.sampled_from([MAIN_TS, MAIN_TS, SHARED, PRIVATE, GONE, 5, None, [0]])
+scalars = st.one_of(
+    st.booleans(),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.sampled_from(["a", "b", "_f1"]),
+    st.sampled_from([b"", b"x"]),
+    st.none(),
+    st.sampled_from([MAIN_TS, SHARED]),
+)
+values = st.one_of(scalars, scalars, st.tuples(scalars), st.tuples(scalars, scalars))
+invalid = st.sampled_from([[1], {"k": 1}, {1}, object(), (1, [2])])
+formals = st.sampled_from(
+    [
+        formal(), formal(int), formal(str), formal(bool), formal(float),
+        formal(bytes), formal(tuple), formal(TSHandle), formal(type(None)),
+        formal(int, "x"), formal(str, "y"), formal(object, "z"),
+        formal(int, "_f1"),  # the name the wrappers give field 1's anonymous formal
+    ]
+)
+operands = st.sampled_from(
+    [
+        Const(1), Const("a"), Const((1, "a")),
+        Expr("add", (Const(1), Const(1))),
+        Expr("tuple", (Const(1),)), Expr("tuple", (Const(True),)),
+        ref("x"),  # unbound in a bare operation: a binding error either way
+    ]
+)
+field = st.one_of(values, values, values, formals, formals, operands, invalid)
+
+
+@st.composite
+def arbitrary_step(draw):
+    """Any operation on any arguments: mostly an error, the same both ways."""
+    op = draw(st.sampled_from(["out", "in_", "rd", "inp", "rdp", "move", "copy"]))
+    n_spaces = 2 if op in ("move", "copy") else 1
+    spaces = tuple(draw(spaces_) for _ in range(n_spaces))
+    fields = tuple(draw(st.lists(field, max_size=3)))
+    return op, spaces, fields, draw(st.sampled_from([0, 0, OWNER]))
+
+
+@st.composite
+def programs(draw):
+    """Deposits, operations aimed at what was deposited, and arbitrary ones."""
+    program: list = []
+    deposited: list = []  # (space, fields) of the legal outs so far
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["out", "out", "aimed", "aimed", "aimed", "any"]))
+        if kind == "any" or (kind == "aimed" and not deposited):
+            program.append(draw(arbitrary_step()))
+        elif kind == "out":
+            space = draw(st.sampled_from([MAIN_TS, MAIN_TS, SHARED, PRIVATE]))
+            fields = tuple(draw(st.lists(values, min_size=1, max_size=3)))
+            pid = OWNER if space is PRIVATE else draw(st.sampled_from([0, OWNER]))
+            deposited.append((space, fields))
+            program.append(("out", (space,), fields, pid))
+        else:
+            space, fields = draw(st.sampled_from(deposited))
+            op = draw(st.sampled_from(["in_", "rd", "inp", "rdp", "move", "copy"]))
+            transfer = op in ("move", "copy")
+            pattern = []
+            for i, value in enumerate(fields):
+                how = draw(st.sampled_from(
+                    ["value", "value", "typed", "untyped"] + ([] if transfer else ["named"])
+                ))
+                pattern.append(
+                    value if how == "value"
+                    else formal(type(value)) if how == "typed"
+                    else formal() if how == "untyped"
+                    else formal(type(value), f"n{i}")
+                )
+            spaces = (space, draw(st.sampled_from([MAIN_TS, SHARED]))) if transfer else (space,)
+            pid = OWNER if space is PRIVATE else draw(st.sampled_from([0, OWNER]))
+            program.append((op, spaces, tuple(pattern), pid))
+    return program
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return ("raised", type(exc), str(exc))
+
+
+def fresh(cls):
+    rt = cls()
+    assert rt.create_space("shared") == SHARED
+    assert rt.create_space("private", scope=Scope.PRIVATE, owner=OWNER) == PRIVATE
+    return rt
+
+
+@given(programs())
+@settings(max_examples=300, deadline=None)
+def test_bare_operations_equal_the_statements_they_stand_for(program):
+    a, b = fresh(Recording), fresh(LocalRuntime)
+    b_seen: list = []
+    for op, spaces, fields, pid in program:
+        got = outcome(planned, a, op, spaces, fields, pid)
+        want = outcome(by_value, b, b_seen, op, spaces, fields, pid)
+        assert got == want, (op, spaces, fields, pid)
+    assert a.seen == b_seen  # the bindings a caller sees: no actuals among them
+    assert a.state_machine.fingerprint() == b.state_machine.fingerprint()
+    for ts in (MAIN_TS, SHARED, PRIVATE):
+        assert a.space_tuples(ts) == b.space_tuples(ts)
+
+
+@pytest.mark.parametrize("name", ["actuals", "ACTUALS", "0", "_actuals", "%0"])
+def test_no_formal_name_is_reserved_for_the_actuals(name):
+    """The actuals ride in the branch environment beside the formals'
+    bindings; whatever a program names a formal, the two never meet."""
+    assert not isinstance(ACTUALS, str)  # the key is not a name at all
+    rt = LocalRuntime()
+    rt.out(rt.main_ts, "k", 5)
+    assert rt.rd(rt.main_ts, "k", formal(int, name)) == ("k", 5)
+    plan = AGS.single(
+        Guard.rd(Param(0), Param(1), formal(int, name)),
+        [Op.out(Param(0), "seen", ref(name), Param(1))],
+    )
+    res = rt.execute(plan)
+    assert isinstance(res.error, FormalBindingError)  # no actuals: it aborts...
+    res = rt._submit(plan, 0, actuals=(MAIN_TS, "k"))
+    assert res.bindings == {name: 5}  # ...and with them binds the name, only
+    assert rt.inp(rt.main_ts, "seen", formal(int, name), "k") == ("seen", 5, "k")
+
+
+def test_param_is_an_operand_of_the_one_interpreter():
+    """A body op, a disjunction and an expression over holes: nothing about
+    ``Param`` is special to the bare operations' one-op statements."""
+    sm = TSStateMachine()
+    plan = AGS([
+        AGS.single(
+            Guard.inp(Param(0), Param(1), formal(int, "v")),
+            [Op.out(Param(0), Param(2), ref("v") + Param(3))],
+        ).branches[0],
+        AGS.atomic(Op.out(Param(0), Param(1), Param(3))).branches[0],
+    ])
+    for rid, want in ((1, ("k", 10)), (2, ("moved", 20))):
+        (comp,) = sm.apply(ExecuteAGS(rid, 0, 0, plan, (MAIN_TS, "k", "moved", 10)))
+        assert comp.result.succeeded
+        assert ACTUALS not in comp.result.bindings
+        assert sm.registry.store(MAIN_TS).to_list()[-1] == want
+    assert plan.shard_set(4, (MAIN_TS, "k", "k", 1)) is not None
+    assert plan.shard_set(4) is None  # holes with nothing in them pin nothing
+
+
+# -- what an immutable statement cannot change ------------------------------- #
+
+
+def test_blocking_and_read_only_are_settled_at_construction():
+    rd = AGS.single(Guard.rd(MAIN_TS, "k", formal(int)))
+    assert (rd.blocking, rd.read_only) == (True, True)
+    probe = AGS.single(Guard.rdp(MAIN_TS, "k"), [Op.rd(MAIN_TS, "j")])
+    assert (probe.blocking, probe.read_only) == (False, True)
+    take = AGS.single(Guard.rd(MAIN_TS, "k"), [Op.out(MAIN_TS, "j")])
+    assert (take.blocking, take.read_only) == (True, False)
+    assert (AGS.atomic().blocking, AGS.atomic().read_only) == (False, True)
+    for ags in (rd, probe, take):
+        clone = pickle.loads(pickle.dumps(ags))
+        assert clone == ags
+        assert (clone.blocking, clone.read_only) == (ags.blocking, ags.read_only)
+        assert b"read_only" not in pickle.dumps(ags)  # worked out again, not carried
+
+
+#: ``{"snapshot", "record", "fingerprint"}`` pickled by the commit before
+#: statements carried actuals: a machine with a space, a tuple, a memoized
+#: result and a parked ``in``; one journal record (an ``in`` with a body).
+_PARENT_COMMIT_STATE = """
+gAWVCwUAAAAAAAB9lCiMCHNuYXBzaG90lH2UKIwIcmVnaXN0cnmUfZQojAduZXh0X2lklEsC
+jAZzcGFjZXOUXZQofZQojAJpZJRLAIwEbmFtZZSMBG1haW6UjApyZXNpbGllbmNllIwGc3Rh
+YmxllIwFc2NvcGWUjAZzaGFyZWSUjAVvd25lcpROjAVzdG9yZZR9lCiMCG5leHRfc2VxlEsB
+jAdlbnRyaWVzlF2USwCMBHRhc2uUSwGGlIaUYXV1fZQoaAlLAWgKjAdzY3JhdGNolGgMaA1o
+DmgPaBBOaBF9lChoE0sAaBRdlHV1ZXWMB2Jsb2NrZWSUXZQoSwNK/////0sFjA5yZXByby5j
+b3JlLmFnc5SMA0FHU5STlCmBlE59lIwIYnJhbmNoZXOUaB+MBkJyYW5jaJSTlCmBlE59lCiM
+BWd1YXJklGgfjAVHdWFyZJSTlCmBlE59lCiMBGtpbmSUaB+MCUd1YXJkS2luZJSTlIwCb3CU
+hZRSlGgxaB+MAk9wlJOUKYGUTn2UKIwEY29kZZRoH4wGT3BDb2RllJOUjAJpbpSFlFKUjAJ0
+c5RoH4wFQ29uc3SUk5QpgZROfZSMBXZhbHVllIwRcmVwcm8uY29yZS5zcGFjZXOUjAhUU0hh
+bmRsZZSTlCmBlE59lChoCUsAaApoC2gMaESMClJlc2lsaWVuY2WUk5RoDYWUUpRoDmhEjAVT
+Y29wZZSTlGgPhZRSlHWGlGJzhpRijAZmaWVsZHOUaEApgZROfZRoQ4wFbmV2ZXKUc4aUYowR
+cmVwcm8uY29yZS50dXBsZXOUjAZGb3JtYWyUk5QpgZROfZQojAVmdHlwZZSMCGJ1aWx0aW5z
+lIwDaW50lJOUaAqMAXaUdYaUYoaUjAN0czKUTnWGlGJ1hpRijARib2R5lCl1hpRihZRzhpRi
+dJRhjA1hcHBsaWVkX2NvdW50lEsDjAljb21wbGV0ZWSUXZQoSwFoRimBlE59lChoCUsBaApo
+GmgMaExoDmhQdYaUYoaUSwJoH4wJQUdTUmVzdWx0lJOUKYGUTn2UKIwFZmlyZWSUSwCMCGJp
+bmRpbmdzlH2UjA1wcm9iZV9yZXN1bHRzlH2UjAVlcnJvcpROdYaUYoaUZXWMBnJlY29yZJSM
+F3JlcHJvLmNvcmUuc3RhdGVtYWNoaW5llIwKRXhlY3V0ZUFHU5STlCmBlE59lCiMCnByb2Nl
+c3NfaWSUSwOMA2Fnc5RoISmBlE59lGgkaCYpgZROfZQoaCloKymBlE59lChoLmgzaDFoNSmB
+lE59lChoOGg9aD5oQCmBlE59lGhDaEdzhpRiaFNoQCmBlE59lGhDaBZzhpRiaFopgZROfZQo
+aF1oYGgKaGF1hpRihpRoZE51hpRidYaUYmhnaDUpgZROfZQoaDhoOowDb3V0lIWUUpRoPmhA
+KYGUTn2UaENoR3OGlGJoU2hAKYGUTn2UaEOMBGRvbmWUc4aUYmgfjARFeHBylJOUKYGUTn2U
+KIwCZm6UjANhZGSUjARhcmdzlGgfjAlGb3JtYWxSZWaUk5QpgZROfZRoCmhhc4aUYmhAKYGU
+Tn2UaENLAXOGlGKGlHWGlGKGlGhkTnWGlGKFlHWGlGKFlHOGlGKMCnJlcXVlc3RfaWSUSwSM
+C29yaWdpbl9ob3N0lEr/////jAh0cmFjZV9pZJROdYaUYowLZmluZ2VycHJpbnSUighDJc4w
+gv2dEHUu
+"""
+
+
+def test_state_pickled_before_plans_still_opens():
+    old = pickle.loads(base64.b64decode(_PARENT_COMMIT_STATE))
+    sm = TSStateMachine.from_snapshot(old["snapshot"])
+    assert sm.fingerprint() == old["fingerprint"]
+    (parked,) = sm.blocked
+    assert parked.command.actuals == ()
+    assert (parked.command.ags.blocking, parked.command.ags.read_only) == (True, False)
+    record = old["record"]
+    assert (record.actuals, record.trace_id, record.process_id) == ((), None, 3)
+    (comp,) = sm.apply(record)
+    assert comp.result.bindings == {"v": 1}
+    assert sm.registry.store(MAIN_TS).to_list() == [("done", 2)]
+    # and what is written now reads back as what it was
+    again = TSStateMachine.from_snapshot(pickle.loads(pickle.dumps(sm.snapshot())))
+    assert again.fingerprint() == sm.fingerprint()
+    assert again.snapshot() == sm.snapshot()

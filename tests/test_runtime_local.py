@@ -171,3 +171,65 @@ class TestSpaces:
         rt.out(rt.main_ts, "where", h)
         t = rt.in_(rt.main_ts, "where", formal())
         assert t[1] == h
+
+
+class TestStatementPlans:
+    """The classic operations compile once per call-site shape."""
+
+    def test_cache_is_bounded_by_program_text(self, rt):
+        # spaces come and go, values never repeat: still the same few shapes
+        for i in range(2000):
+            ts = rt.create_space(f"scratch-{i}")
+            rt.out(ts, "k", i)
+            assert rt.in_(ts, "k", formal(int)) == ("k", i)
+            rt.destroy_space(ts)
+        for v in range(10_000):
+            rt.out(rt.main_ts, "v", v)
+        assert len(rt._plans) == 2  # out/2 and in/2: the ("v", v) outs are out/2 again
+        assert rt.metrics_snapshot()["gauges"]["statement_plans"] == 2
+        assert rt.space_size(rt.main_ts) == 10_000
+
+    def test_shapes_differ_by_opcode_arity_and_formals_only(self, rt):
+        rt.out(rt.main_ts, "a", 1)
+        rt.out(rt.main_ts, "b", 2.5)  # same shape: two holes
+        rt.out(rt.main_ts, "a", 1, 2)  # arity
+        rt.rd(rt.main_ts, "a", formal(int))
+        rt.rd(rt.main_ts, "b", formal(float))  # the formal's type
+        rt.rd(rt.main_ts, "a", formal(int, "n"))  # its name
+        rt.rdp(rt.main_ts, "a", formal(int))  # the opcode
+        rt.rd(rt.main_ts, "a", formal(int))  # met before
+        assert len(rt._plans) == 6
+
+    def test_an_illegal_shape_is_refused_every_time_and_never_kept(self, rt):
+        from repro import AGSError
+
+        for _ in range(2):
+            with pytest.raises(AGSError, match="actuals, not formals"):
+                rt.out(rt.main_ts, "k", formal(int))
+            with pytest.raises(AGSError, match="named formals"):
+                rt.move(rt.main_ts, rt.main_ts, "k", formal(int, "n"))
+            with pytest.raises(AGSError, match="at least one field"):
+                rt.inp(rt.main_ts)
+        assert rt._plans == {}
+
+    def test_every_value_is_checked_on_every_call(self, rt):
+        from repro import AGSError
+
+        rt.out(rt.main_ts, "k", (1, 2))
+        for bad in ([1], (1, [2]), {"a": 1}):
+            with pytest.raises(AGSError, match="not a valid tuple field value"):
+                rt.out(rt.main_ts, "k", bad)
+            with pytest.raises(AGSError, match="not a valid tuple field value"):
+                rt.rdp(rt.main_ts, bad, formal(int))
+        with pytest.raises(AGSError, match="not a valid tuple field value"):
+            rt.out([0], "k", 1)
+        assert rt.space_size(rt.main_ts) == 1
+
+    def test_snapshot_reads_share_the_runtime_cache(self, rt):
+        rt.out(rt.main_ts, "k", 1)
+        slot = rt.retain_snapshot()
+        rt.in_(rt.main_ts, "k", formal(int))
+        view = rt.read_at(slot)
+        assert view.rdp(rt.main_ts, "k", formal(int)) == ("k", 1)
+        assert rt.rdp(rt.main_ts, "k", formal(int)) is None
+        assert len(rt._plans) == 3  # out/2, in/2, rdp/2 — the view added none

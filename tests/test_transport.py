@@ -19,9 +19,10 @@ import time
 
 import pytest
 
-from repro import AGS, Op
-from repro.core.spaces import MAIN_TS
-from repro.core.statemachine import ExecuteAGS
+from repro import AGS, Guard, LocalRuntime, Op, formal, ref
+from repro.core.ags import OpCode
+from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
+from repro.core.statemachine import CreateSpace, DestroySpace, ExecuteAGS
 from repro.replication import PipeTransport, Transport
 
 WAIT_S = 60.0
@@ -248,3 +249,106 @@ def test_restart_leaves_one_collector_per_replica(one):
     assert len(transport._collectors) <= 2  # finished ones were pruned
     transport.shutdown([True])
     assert _live_collectors(transport) == []
+
+
+# --------------------------------------------------------------------------- #
+# statement plans on the pipe: (plan id, actuals), the definition sent once
+# --------------------------------------------------------------------------- #
+
+
+def _planned(client, rid, op, ts, *fields):
+    """The command a runtime's bare *op* submits: its plan plus the actuals."""
+    plan, actuals = client._plan(OpCode(op), (ts,), fields)
+    return ExecuteAGS(rid, -1, 0, plan.ags, actuals)
+
+
+def test_planned_frame_is_small_and_repeats_exactly(one):
+    transport, sink = one
+    client = LocalRuntime()  # only its plan cache is used
+    sizes = [
+        transport.broadcast(
+            ("BATCH", [_planned(client, 12345 + i, "out", MAIN_TS, "ping", 5)], None),
+            [True],
+        )
+        for i in range(3)
+    ]
+    assert sizes[0] > sizes[1]  # the first use carries the plan's definition
+    assert sizes[1] <= 128  # 579 B before plans: the whole statement, by value
+    assert sizes[2] == sizes[1]
+    transport.send(0, ("QUERY", 1, "space_tuples", MAIN_TS))
+    assert sink.answer(0, 1) == [("ping", 5)] * 3
+    transport.send(0, ("QUERY", 2, "plans", None))
+    assert sink.answer(0, 2) == 1
+
+    # a restarted replica knows no plan: the definition rides again
+    transport.stop_replica(0)
+    transport.restart_replica(0)
+    again = transport.broadcast(
+        ("BATCH", [_planned(client, 12348, "out", MAIN_TS, "ping", 6)], None), [True]
+    )
+    assert again == sizes[0]
+    transport.send(0, ("QUERY", 3, "space_tuples", MAIN_TS))
+    assert sink.answer(0, 3) == [("ping", 6)]
+
+
+def test_by_value_batch_is_no_larger_than_before_plans(one):
+    """The suite's four bag statements, built by hand, travel by value."""
+    transport, sink = one
+    ts = MAIN_TS
+    bag = [
+        AGS.atomic(Op.out(ts, "task", 0, 0)),
+        AGS.single(
+            Guard.in_(ts, "task", formal(int, "id"), formal(int, "p")),
+            [Op.out(ts, "inprog", ref("id"), 1, ref("p"))]),
+        AGS.single(
+            Guard.in_(ts, "inprog", 2, 1, formal(int, "p")),
+            [Op.out(ts, "result", 2, ref("p") * 2)]),
+        AGS.single(Guard.in_(ts, "result", formal(int), formal(int))),
+    ]
+    cmds = [ExecuteAGS(i + 1, -1, 0, ags) for i, ags in enumerate(bag)]
+    assert transport.broadcast(("BATCH", cmds, None), [True]) <= 1517  # the parent's
+    assert transport._announced == {}  # nothing here is a plan with actuals
+    transport.send(0, ("QUERY", 1, "applied", None))
+    assert sink.answer(0, 1) == 4
+
+
+def test_plan_tables_are_bounded_by_call_site_shapes(one):
+    """Spaces come and go and values never repeat; the sender's tables and
+    the replica's grow with the number of shapes, nothing else."""
+    transport, sink = one
+    client = LocalRuntime()
+    rid = iter(range(1, 1 << 30))
+    for i in range(2000):
+        ts = TSHandle(i + 1, f"scratch-{i}", Resilience.STABLE, Scope.SHARED)
+        transport.broadcast(
+            ("BATCH", [
+                CreateSpace(next(rid), -1, ts.name, ts.resilience, ts.scope, None),
+                _planned(client, next(rid), "out", ts, "k", i),
+                _planned(client, next(rid), "in", ts, "k", formal(int)),
+                DestroySpace(next(rid), -1, ts),
+            ], None),
+            [True],
+        )
+    for base in range(0, 10_000, 100):
+        transport.broadcast(
+            ("BATCH", [
+                _planned(client, next(rid), "out", MAIN_TS, "v", v)
+                for v in range(base, base + 100)
+            ], None),
+            [True],
+        )
+    transport.send(0, ("QUERY", 1, "plans", None))
+    assert sink.answer(0, 1) == 2  # out/2 and in/2
+    assert len(transport._announced) == 2
+    assert len(client._plans) == 2
+    transport.send(0, ("QUERY", 2, "space_size", MAIN_TS))
+    assert sink.answer(0, 2) == 10_000
+    transport.send(0, ("QUERY", 3, "introspect", None))
+    assert [sp["name"] for sp in sink.answer(0, 3)["spaces"]] == ["main"]
+    errors = [
+        result
+        for _rid, item in sink.items if item[0] == "COMPS"
+        for _id, result in item[1]
+        if isinstance(result, Exception) or getattr(result, "error", None)
+    ]
+    assert errors == []
