@@ -475,6 +475,12 @@ class Op:
 
     # -- analysis -------------------------------------------------------- #
 
+    def operands(self) -> tuple[Any, ...]:
+        """The space(s), then the fields: every operand, in one fixed order."""
+        if self.ts2 is None:
+            return (self.ts, *self.fields)
+        return (self.ts, self.ts2, *self.fields)
+
     def binds(self) -> tuple[str, ...]:
         """Names of formals this operation binds when it succeeds."""
         return tuple(
@@ -763,7 +769,7 @@ class AGS:
     never carried as a second copy of the truth.
     """
 
-    __slots__ = ("branches", "blocking", "read_only", "_targets", "_hash")
+    __slots__ = ("branches", "blocking", "read_only", "_targets", "_hash", "_skeleton")
 
     def __init__(self, branches: Sequence[Branch]):
         if not branches:
@@ -788,6 +794,7 @@ class AGS:
         self.read_only = read_only
         self._targets: tuple | None = None
         self._hash: int | None = None
+        self._skeleton: tuple | None = None
 
     def __reduce__(self) -> tuple:
         return (AGS, (self.branches,))
@@ -885,6 +892,64 @@ class AGS:
             shards.add(shard_of(ts.id, first, n_shards))
         return frozenset(shards)
 
+    def skeleton(self) -> tuple[Any, tuple, int]:
+        """``(key, constants, base)``: the statement apart from its constants.
+
+        *constants* are the values of its :class:`Const` operands — the
+        space handles too, and constants nested inside an :class:`Expr`,
+        which programs build with a fresh value per call as readily as a
+        top-level one — in walk order: branch by branch, the guard's
+        operation then the body's, each operation's space(s) then its
+        fields, an expression's arguments left to right.  *key* is what is
+        left, hashable, and equal for statements that differ in those
+        values only: per branch whether the guard is ``true``, per
+        operation the opcode, and per operand ``None`` where a constant
+        stood or else the formal, formal reference, hole or expression as
+        it stands.  So the keys a program can produce are bounded by its
+        text.  *base* is how many holes the statement has of its own (one
+        past its highest :class:`Param`), where numbering the holes its
+        constants leave can start.  A statement with no constant — a plan
+        — is its own key.
+
+        Worked out on first use and kept beside the hash; never pickled.
+        """
+        view = self._skeleton
+        if view is None:
+            constants: list[Any] = []
+            base = 0
+
+            def shape(f: Any) -> Any:
+                nonlocal base
+                kind = type(f)
+                if kind is Const:
+                    constants.append(f.value)
+                    return None
+                if kind is Formal:
+                    return (f.ftype, f.name)
+                if kind is FormalRef:
+                    return f.name
+                if kind is Expr:
+                    return (f.fn, *[shape(a) for a in f.args])
+                if kind is Param:
+                    base = max(base, f.index + 1)
+                    return f.index
+                return f
+
+            key = tuple(
+                (
+                    branch.guard.op is None,
+                    *[
+                        (op.code, *[shape(f) for f in op.operands()])
+                        for op in branch.ops()
+                    ],
+                )
+                for branch in self.branches
+            )
+            view = self._skeleton = (
+                (key, tuple(constants), base) if constants else (self, (), base)
+            )
+        return view
+
     def bound_names(self, branch_index: int) -> tuple[str, ...]:
         """All formal names the given branch can bind (guard + body)."""
         b = self.branches[branch_index]
@@ -942,6 +1007,14 @@ class AGSResult:
         self.bindings = dict(bindings or {})
         self.probe_results = dict(probe_results or {})
         self.error = error
+
+    def __reduce__(self) -> tuple:
+        # by position, like the statement it answers: a result is most of
+        # a reply frame and of every entry in the completed-request memo
+        return (
+            AGSResult,
+            (self.fired, self.bindings, self.probe_results, self.error),
+        )
 
     def __eq__(self, other: Any) -> bool:
         """Structural equality: results of identical executions compare equal.

@@ -611,6 +611,7 @@ class ReplicaGroup:
         tracer = self.tracer
         if tracer is not None:
             cmd.trace_id = tracer.next_trace_id()
+        self._c_cmds.inc()
         self._ship(cmd, None)
 
     def _ship(self, cmd: Command, w: _Waiter | None) -> None:
@@ -791,6 +792,11 @@ class ReplicaGroup:
         self._batches_shipped += 1
         t_send = time.monotonic() if sampled else None
         info = self.transport.broadcast(("BATCH", cmds, t_send), self.alive)
+        if isinstance(info, int):
+            # the marshalled size, from a transport that has one: over
+            # commands_submitted it is wire bytes per command.  Registered
+            # here, so a group with no wire shows no such counter.
+            self.metrics.counter("broadcast_bytes").inc(info, now)
         if t_send is not None:
             t_sent = time.monotonic()
             self._h_stage_bcast.record(t_sent - t_send, t_sent)
@@ -1449,6 +1455,7 @@ class ReplicaGroup:
                     # already on disk: durable before the replicas answer,
                     # so the replayed completions are dropped, not parked
                     self._journal_slot = self._journal_durable = res.records[-1][0]
+                    self._c_cmds.inc(len(res.records))  # they ship in a batch
                     self._broadcast_batch(
                         [(cmd, None) for _slot, cmd in res.records]
                     )

@@ -19,11 +19,12 @@ Two implementations ship with the library:
   :class:`~repro.parallel.MultiprocessRuntime`.  ``broadcast``
   pickles a batch ONCE and the calling thread writes that one frame to
   every live replica — one ``write`` per replica per batch, no feeder
-  thread, no re-marshalling.  In that frame a planned statement is
-  ``(…, plan id, actuals)`` and the plan's definition rides only in the
-  first frame that uses it (the format, and when a definition is sent
-  again, are :mod:`repro.replication.worker`'s); ``send`` pickles what
-  it is given.
+  thread, no re-marshalling.  In that frame every statement is ``(…,
+  plan id, actuals)`` — the id of its skeleton, and its constants behind
+  its actuals — and a skeleton's definition rides only in the first
+  frame that uses it (the format, and when a definition is sent again,
+  are :mod:`repro.replication.worker`'s); ``send`` pickles what it is
+  given.
 
 A future asyncio or socket backend is a third class in this file (or a
 user module) and nothing else.
@@ -41,7 +42,6 @@ import threading
 from collections import deque
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-from repro.core.ags import AGS
 from repro.replication.worker import compact_batch, replica_loop, run_replica_process
 
 __all__ = ["InMemoryTransport", "PipeTransport", "Transport"]
@@ -292,10 +292,11 @@ class PipeTransport:
         self._incarnations = [0] * n_replicas
         self._running = False
         self._sink: Sink | None = None
-        #: Plan -> id, for every plan whose definition the replica
-        #: processes hold.  Only ``broadcast`` and ``restart_replica``
-        #: touch it, and the group calls both under its sequencer lock.
-        self._announced: dict[AGS, int] = {}
+        #: Skeleton key -> id, for every skeleton whose definition the
+        #: replica processes hold.  Only ``broadcast`` and
+        #: ``restart_replica`` touch it, and the group calls both under
+        #: its sequencer lock.
+        self._announced: dict[Any, int] = {}
 
     def start(self, sink: Sink) -> None:
         self._sink = sink
@@ -479,8 +480,8 @@ class PipeTransport:
         # fresh pipes: the old ones may hold a torn frame or commands that
         # must not reach the blank restarted state machine
         self._collectors = [t for t in self._collectors if t.is_alive()]
-        # the new process knows no plan: define each again on next use
-        # (for the survivors too, which only overwrite what they had)
+        # the new process knows no skeleton: define each again on next
+        # use (for the survivors too, which only overwrite what they had)
         self._announced.clear()
         self.processes[replica_id], self._lanes[replica_id] = self._spawn(
             replica_id

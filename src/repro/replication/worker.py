@@ -111,23 +111,30 @@ loop never sees (:func:`compact_batch` writes it in the parent,
 :func:`run_replica_process` expands it in the child, and both are in this
 file so the format has one home):
 
-``("PLANNED", [(plan id, ags), ...],  a BATCH in which each planned
-  [entry, ...], t_send)``             statement — an ExecuteAGS with
-                                      actuals — is the entry ``(request
-                                      id, origin, process id, trace id,
-                                      plan id, actuals)`` and every other
-                                      command is itself, by value.  The
-                                      first field defines the plan ids the
-                                      receivers have not been sent yet: a
-                                      definition rides once, in the first
-                                      frame that uses it — and once more
-                                      after any replica restarts, when the
-                                      sender forgets what it announced and
-                                      numbers plans afresh.  Everything else — ``send``
-                                      (READS, queries, installs), state
-                                      transfer, snapshots, the journal —
-                                      carries commands by value, so none
-                                      of it needs a plan table
+``("PLANNED", [(plan id, ags), ...],  a BATCH in which every statement —
+  [entry, ...], t_send)``             every ExecuteAGS, a bare operation's
+                                      plan or built by hand — is the entry
+                                      ``(request id, origin, process id,
+                                      trace id, plan id, actuals)`` and
+                                      every other command is itself, by
+                                      value.  The plan is the statement's
+                                      *skeleton*: the statement with a
+                                      ``Param`` hole where each constant
+                                      stood, numbered after its own holes
+                                      (:meth:`AGS.skeleton`; a plan is its
+                                      own); the constants ride behind the
+                                      statement's actuals.  The first field
+                                      defines the plan ids the receivers
+                                      have not been sent yet: a definition
+                                      rides once, in the first frame that
+                                      uses it — and once more after any
+                                      replica restarts, when the sender
+                                      forgets what it announced and numbers
+                                      plans afresh.  Everything else —
+                                      ``send`` (READS, queries, installs),
+                                      state transfer, snapshots, the
+                                      journal — carries commands by value,
+                                      so none of it needs a plan table
 ``("QUERY", qid, "plans", _)``        answered by the expanding end, in
                                       lane order: how many plan ids this
                                       process knows
@@ -135,12 +142,13 @@ file so the format has one home):
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import time
 from typing import Any, Callable
 
 from repro._errors import CommandFailed
-from repro.core.ags import AGS
+from repro.core.ags import AGS, Branch, Const, Expr, Guard, Op, Param
 from repro.core.statemachine import Completion, ExecuteAGS, TSStateMachine
 from repro.obs.profile import (
     process_profile_start,
@@ -357,29 +365,71 @@ def replica_loop(
                 drain_reads()
 
 
-def compact_batch(item: tuple, announced: dict[AGS, int]) -> tuple:
+def _with_holes(ags: AGS, base: int) -> AGS:
+    """*ags* with ``Param(base + k)`` where its k-th constant stood.
+
+    Numbered in the order :meth:`AGS.skeleton` lists the constants, and
+    built through the ordinary constructors: a skeleton is a statement,
+    validated like any other, once per key.
+    """
+    holes = itertools.count(base)
+
+    def hole(f: Any) -> Any:
+        if type(f) is Const:
+            return Param(next(holes))
+        if type(f) is Expr:
+            return Expr(f.fn, [hole(a) for a in f.args])
+        return f
+
+    def op_with_holes(op: Op) -> Op:
+        n_spaces = 1 if op.ts2 is None else 2
+        filled = [hole(f) for f in op.operands()]
+        return Op(op.code, filled[0], filled[n_spaces:], *filled[1:n_spaces])
+
+    return AGS(
+        [
+            Branch(
+                Guard(
+                    b.guard.kind,
+                    None if b.guard.op is None else op_with_holes(b.guard.op),
+                ),
+                [op_with_holes(op) for op in b.body],
+            )
+            for b in ags.branches
+        ]
+    )
+
+
+def compact_batch(item: tuple, announced: dict[Any, int]) -> tuple:
     """The pipe's wire form of a BATCH *item* (see the module docstring).
 
-    *announced* maps every plan whose definition the receivers hold to
-    its id; a plan not in it is numbered, recorded and defined in this
-    frame.  Emptying the table is always safe — ids are then handed out
-    afresh and every receiver, applying frames in order, redefines them
-    before their first use.  A batch with no planned statement is
-    returned as it is.
+    *announced* maps the key of every skeleton whose definition the
+    receivers hold to its id; a key not in it is numbered, recorded and
+    its skeleton defined in this frame.  Emptying the table is always
+    safe — ids are then handed out afresh and every receiver, applying
+    frames in order, redefines them before their first use.  A batch
+    with no statement in it is returned as it is.
     """
     defs: list[tuple[int, AGS]] = []
     entries: list[Any] | None = None
     for i, cmd in enumerate(item[1]):
-        if type(cmd) is ExecuteAGS and cmd.actuals:
-            plan = announced.get(cmd.ags)
+        if type(cmd) is ExecuteAGS:
+            ags, actuals = cmd.ags, cmd.actuals
+            key, constants, base = ags.skeleton()
+            if constants and len(actuals) != base:
+                # the constants cannot go on the end of actuals that do not
+                # fill exactly the statement's own holes (a program error,
+                # which must abort as written): it is its own skeleton
+                key, constants = ags, ()
+            plan = announced.get(key)
             if plan is None:
-                plan = announced[cmd.ags] = len(announced)
-                defs.append((plan, cmd.ags))
+                plan = announced[key] = len(announced)
+                defs.append((plan, ags if key is ags else _with_holes(ags, base)))
             if entries is None:
                 entries = list(item[1])
             entries[i] = (
                 cmd.request_id, cmd.origin_host, cmd.process_id, cmd.trace_id,
-                plan, cmd.actuals,
+                plan, actuals + constants,
             )
     if entries is None:
         return item

@@ -181,6 +181,38 @@ class TestMetrics:
         assert hists["ags_e2e"]["count"] >= 20
         assert snap["counters"]["commands_submitted"] >= 20
 
+    def test_posts_are_counted_and_wire_bytes_are_readable(self, rt, request):
+        """The suite's four bag statements, hand-built, the fill pipelined:
+        every command that ships in a batch is in ``commands_submitted``, and
+        where there is a wire ``broadcast_bytes`` over it is bytes per command."""
+        if not _replicated(rt):
+            pytest.skip("no sequencer to post to on this backend")
+        ts, w = rt.main_ts, 1
+        for tid in range(100):
+            rt.sharded.post_ags(AGS.atomic(Op.out(ts, "task", tid, 3 * tid)))
+        rt.quiesce()
+        for _ in range(100):
+            tid = rt.execute(AGS.single(
+                Guard.in_(ts, "task", formal(int, "id"), formal(int, "p")),
+                [Op.out(ts, "inprog", ref("id"), w, ref("p"))],
+            ))["id"]
+            rt.execute(AGS.single(
+                Guard.in_(ts, "inprog", tid, w, formal(int, "p")),
+                [Op.out(ts, "result", tid, ref("p") * 2)],
+            ))
+            got = rt.execute(AGS.single(Guard.in_(ts, "result", formal(int, "id"), formal(int, "r"))))
+            assert got.bindings == {"id": tid, "r": 6 * tid}
+        counters = rt.metrics_snapshot()["counters"]
+        if len(rt.shard_groups) == 1:
+            assert counters["commands_submitted"] == 400  # the 100 posts among them
+        else:  # task -> inprog -> result cross partitions: the rung's own commands
+            assert counters["commands_submitted"] > 400
+        if request.node.callspec.params["rt"].startswith("multiproc"):
+            # 420-675 B each by value; the four definitions ride once
+            assert counters["broadcast_bytes"] / counters["commands_submitted"] <= 130
+        else:
+            assert "broadcast_bytes" not in counters  # no wire, nothing to read
+
     def test_statement_plans_gauge_counts_call_site_shapes(self, rt):
         assert rt.metrics_snapshot()["gauges"]["statement_plans"] == 0
         for i in range(10):

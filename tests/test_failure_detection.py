@@ -326,6 +326,10 @@ class TestRetries:
         # same request id re-executes instead of replaying the cancel
         assert exc_info.value.outcome == "cancelled"
         threaded.out(threaded.main_ts, "late", 9)
+        # every replica reports the cancel; let the slower two finish, or
+        # theirs can reach the resubmission's waiter first (the stale
+        # cancel ``retries`` exists for — this call passes none)
+        threaded.quiesce()
         result = group.call(cmd, 10.0)
         assert result.succeeded and result["v"] == 9
 

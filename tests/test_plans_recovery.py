@@ -10,14 +10,17 @@ require the replicas to end identical.  Multiprocess throughout: the
 threaded transport has no wire format to get wrong.
 """
 
+import functools
 import threading
 import time
 
-from repro import formal
+from repro import AGS, Guard, Op, formal, ref
 from repro.chaos import ChaosMonkey
 from repro.core.ags import OpCode
 from repro.core.matching import shard_of
+from repro.core.statemachine import ExecuteAGS
 from repro.parallel import MultiprocessRuntime
+from repro.persist.segments import replay_dir
 from repro.replication import LivenessPolicy
 
 POLICY = LivenessPolicy(
@@ -29,13 +32,15 @@ POLICY = LivenessPolicy(
 )
 
 
-def _park(rt, *pattern):
-    """Start a thread blocked in ``in_(main, *pattern)``; wait until parked."""
+def _park(rt, *pattern, statement=None):
+    """Start a thread blocked in ``in_(main, *pattern)`` — or in
+    ``execute(statement)`` — and wait until it is parked."""
     got = []
-    t = threading.Thread(
-        target=lambda: got.append(rt.in_(rt.main_ts, *pattern, timeout=60)),
-        daemon=True,
-    )
+    if statement is None:
+        call = functools.partial(rt.in_, rt.main_ts, *pattern, timeout=60)
+    else:
+        call = functools.partial(rt.execute, statement, timeout=60)
+    t = threading.Thread(target=lambda: got.append(call()), daemon=True)
     t.start()
     deadline = time.monotonic() + 30
     while rt.query(rt.group.live_replicas()[0], "blocked") != 1:
@@ -156,3 +161,123 @@ def test_sharded_plan_routes_where_the_statement_by_value_did():
         rt.out(ts, "alpha", 2)
         assert rt.inp(ts, formal(), 2) == ("alpha", 2)
         assert rt.inp(ts, formal(), 2) is None
+
+
+# --------------------------------------------------------------------------- #
+# the same walks with statements a program builds itself: they cross the pipe
+# as (skeleton id, constants), so a fresh replica must be sent the skeletons
+# --------------------------------------------------------------------------- #
+
+
+def _out(ts, *fields):
+    return AGS.atomic(Op.out(ts, *fields))
+
+
+def _waiter(ts):
+    """``< in("wake", ?v) => out("woke", v + 1) >``: one constant nested in
+    an expression, so the parked skeleton has a hole there too."""
+    return AGS.single(
+        Guard.in_(ts, "wake", formal(int, "v")), [Op.out(ts, "woke", ref("v") + 1)]
+    )
+
+
+def test_hand_built_statements_across_crash_and_recovery():
+    with MultiprocessRuntime(n_replicas=3) as rt:
+        ts = rt.main_ts
+        rt.execute(_out(ts, "a", 1))  # out/2: defined on all three
+        rt.crash_replica(1)
+        rt.execute(_out(ts, "b", 1, 2))  # out/3: first used with replica 1 down
+        t, got = _park(rt, statement=_waiter(ts))  # new too, and parked
+        rt.recover_replica(1)  # the parked skeleton crosses in the snapshot, by value
+        assert _plans_known(rt) == [3, 0, 3]
+        rt.execute(_out(ts, "b", 3, 4))  # out/3 again: now id 0, defined afresh
+        rt.execute(_out(ts, "wake", 7))
+        t.join(30)
+        assert [r.bindings for r in got] == [{"v": 7}]
+        assert rt.converged()
+        assert len(rt.fingerprints()) == 3 and len(set(rt.fingerprints())) == 1
+        assert _plans_known(rt) == [3, 2, 3]  # it knows what was used since
+        assert rt.inp(ts, "woke", formal(int)) == ("woke", 8)
+        assert rt.inp(ts, "wake", formal(int)) is None
+
+
+def test_hand_built_statements_across_sigkill_and_auto_recovery():
+    with MultiprocessRuntime(n_replicas=3, detect_failures=POLICY) as rt:
+        ts = rt.main_ts
+        monkey = ChaosMonkey(rt)
+        for i in range(5):
+            rt.execute(_out(ts, "pre", i))
+        t, got = _park(rt, statement=_waiter(ts))
+        monkey.kill_replica(1)  # behind the group's back
+        monkey.wait_detected(1, timeout=10.0)
+        rt.execute(_out(ts, "mid", 1, 2))  # a shape replica 1's successor will not know
+        monkey.wait_recovered(1, timeout=20.0)
+        for i in range(5):
+            rt.execute(_out(ts, "post", i))
+        rt.execute(_out(ts, "mid", 3, 4))
+        rt.execute(_out(ts, "wake", 9))
+        t.join(30)
+        assert [r.bindings for r in got] == [{"v": 9}]
+        assert rt.converged()
+        assert len(rt.fingerprints()) == 3 and len(set(rt.fingerprints())) == 1
+        assert rt.inp(ts, "woke", formal(int)) == ("woke", 10)
+        assert rt.metrics_snapshot()["counters"]["auto_recoveries"] >= 1
+
+
+def test_durable_reopen_replays_hand_built_statements(tmp_path):
+    journal = str(tmp_path / "journal")
+    with MultiprocessRuntime(n_replicas=2, durable_dir=journal) as rt:
+        ts = rt.main_ts
+        for i in range(20):
+            rt.execute(_out(ts, "k", i, (i, "nested")))
+        for i in range(0, 20, 2):
+            res = rt.execute(AGS.single(
+                Guard.in_(ts, "k", i, formal(tuple, "t")),
+                [Op.out(ts, "done", ref("t"), ref("t") + (i * i,))],
+            ))
+            assert res.bindings == {"t": (i, "nested")}
+        rt.quiesce()
+        size, prints = rt.space_size(ts), rt.fingerprints()
+        assert size == 20
+    # the journal holds the statements as they were submitted, by value
+    records = [cmd for _slot, cmd in replay_dir(journal).records]
+    assert len(records) == 30
+    assert all(type(cmd) is ExecuteAGS and cmd.actuals == () for cmd in records)
+    with MultiprocessRuntime(n_replicas=2, durable_dir=journal) as rt:
+        # the replay broadcasts them, through the one rule: two skeletons
+        assert rt.group.journal_replayed == 30
+        assert rt.space_size(ts) == size
+        assert rt.fingerprints() == prints
+        assert _plans_known(rt) == [2, 2]
+        assert len(rt.group.transport._announced) == 2
+        assert rt.inp(ts, "done", (4, "nested"), formal(tuple)) == (
+            "done", (4, "nested"), (4, "nested", 16)
+        )
+        assert rt.converged()
+
+
+def test_sharded_hand_built_statement_routes_where_it_did_by_value():
+    """Routing reads the statement as submitted, upstream of the wire."""
+    with MultiprocessRuntime(n_replicas=1, shards=4) as rt:
+        ts = rt.main_ts
+        homes = set()
+        for n, key in enumerate(("alpha", "beta", "gamma", "delta", 7, ("t", 1))):
+            home = shard_of(ts.id, key, 4)  # what the parent commit's classifier picks
+            homes.add(home)
+            take = AGS.single(
+                Guard.in_(ts, key, formal(int, "v")), [Op.out(ts, key, "seen", ref("v") + n)]
+            )
+            assert rt.sharded.shard_of_ags(_out(ts, key, n)) == home
+            assert rt.sharded.shard_of_ags(take) == home
+            rt.execute(_out(ts, key, n))
+            assert [g.space_size(ts) for g in rt.shard_groups] == [
+                int(k == home) for k in range(4)
+            ]
+            assert rt.execute(take).bindings == {"v": n}
+            assert rt.in_(ts, key, "seen", formal(int)) == (key, "seen", 2 * n)
+            assert rt.space_size(ts) == 0
+        assert len(homes) > 1  # the keys above do spread
+        # each shard's sender announced only what was routed to it: the two
+        # hand-built skeletons and the bare in_'s plan, never more
+        tables = [len(g.transport._announced) for g in rt.shard_groups]
+        assert all(n == (3 if k in homes else 0) for k, n in enumerate(tables)), tables

@@ -323,3 +323,52 @@ def test_state_pickled_before_plans_still_opens():
     again = TSStateMachine.from_snapshot(pickle.loads(pickle.dumps(sm.snapshot())))
     assert again.fingerprint() == sm.fingerprint()
     assert again.snapshot() == sm.snapshot()
+
+
+#: ``{"reply", "snapshot", "fingerprint"}`` pickled by the commit before
+#: results pickled by position: a COMPS frame and a machine whose memo holds
+#: the same five results — fired with bindings and a failed body probe, a
+#: failed guard probe, a ``SpaceError`` abort, a rolled-back body — each
+#: ``AGSResult`` in the pickle as a dict of its slots.
+_RESULTS_BY_SLOT_NAME = """
+gAWVuwIAAAAAAAB9lCiMBXJlcGx5lIwFQ09NUFOUXZQoSwGMDnJlcHJvLmNvcmUuYWdzlIwJ
+QUdTUmVzdWx0lJOUKYGUTn2UKIwFZmlyZWSUSwCMCGJpbmRpbmdzlH2UjA1wcm9iZV9yZXN1
+bHRzlH2UjAVlcnJvcpROdYaUYoaUSwJoBimBlE59lChoCUsAaAp9lIwBdpRLBXNoDH2USwCJ
+c2gOTnWGlGKGlEsDaAYpgZROfZQoaAlOaAp9lGgMfZRoDk51hpRihpRLBGgGKYGUTn2UKGgJ
+SwBoCn2UaAx9lGgOjA1yZXByby5fZXJyb3JzlIwKU3BhY2VFcnJvcpSTlIw5dW5rbm93biBv
+ciBkZXN0cm95ZWQgdHVwbGUgc3BhY2UgVFM8Z29uZSM5IHN0YWJsZSxzaGFyZWQ+lIWUUpR1
+hpRihpRLBWgGKYGUTn2UKGgJSwBoCn2UaAx9lGgOjDRib2R5IGluIGZvdW5kIG5vIG1hdGNo
+IGZvciBQYXR0ZXJuKCdhYnNlbnQnLCA/djppbnQplHWGlGKGlGVLBYeUjAhzbmFwc2hvdJR9
+lCiMCHJlZ2lzdHJ5lH2UKIwHbmV4dF9pZJRLAYwGc3BhY2VzlF2UfZQojAJpZJRLAIwEbmFt
+ZZSMBG1haW6UjApyZXNpbGllbmNllIwGc3RhYmxllIwFc2NvcGWUjAZzaGFyZWSUjAVvd25l
+cpROjAVzdG9yZZR9lCiMCG5leHRfc2VxlEsDjAdlbnRyaWVzlF2USwGMBHNlZW6USwVLAYwB
+dJSGlIeUhpRhdXVhdYwHYmxvY2tlZJRdlIwNYXBwbGllZF9jb3VudJRLBYwJY29tcGxldGVk
+lF2UKEsBaAeGlEsCaBGGlEsDaBiGlEsEaB6GlEsFaCqGlGV1jAtmaW5nZXJwcmludJSKCMxS
+u8g0iJjSdS4=
+"""
+
+
+def test_results_pickled_by_slot_name_still_open():
+    blob = base64.b64decode(_RESULTS_BY_SLOT_NAME)
+    assert b"probe_results" in blob  # by name, as the parent commit wrote them
+    old = pickle.loads(blob)
+    kind, comps, applied = old["reply"]
+    assert (kind, applied, [rid for rid, _ in comps]) == ("COMPS", 5, [1, 2, 3, 4, 5])
+    results = [r for _rid, r in comps]
+    assert (results[1].fired, results[1].bindings, results[1].probe_results) == (
+        0, {"v": 5}, {0: False}
+    )
+    assert results[2].fired is None and not results[2].succeeded
+    assert type(results[3].error).__name__ == "SpaceError"
+    assert results[4].error == "body in found no match for Pattern('absent', ?v:int)"
+    sm = TSStateMachine.from_snapshot(old["snapshot"])
+    assert sm.fingerprint() == old["fingerprint"]
+    assert [sm.completed[rid] for rid, _ in comps] == results
+    # written now, the same results are positional — smaller, and equal
+    again = pickle.dumps(old["reply"], protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"probe_results" not in again
+    assert len(again) < 410  # what the parent commit's pickle of this frame took
+    assert pickle.loads(again) == old["reply"]
+    assert TSStateMachine.from_snapshot(
+        pickle.loads(pickle.dumps(sm.snapshot()))
+    ).snapshot() == sm.snapshot()

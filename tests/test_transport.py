@@ -11,7 +11,9 @@ replica_id, answer)``; an unknown *what* answers ``None``, which makes a
 numbered, arbitrarily padded echo.
 """
 
+import itertools
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -20,7 +22,8 @@ import time
 import pytest
 
 from repro import AGS, Guard, LocalRuntime, Op, formal, ref
-from repro.core.ags import OpCode
+from repro._errors import FormalBindingError
+from repro.core.ags import Branch, Const, Expr, OpCode, Param
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
 from repro.core.statemachine import CreateSpace, DestroySpace, ExecuteAGS
 from repro.replication import PipeTransport, Transport
@@ -291,25 +294,185 @@ def test_planned_frame_is_small_and_repeats_exactly(one):
     assert sink.answer(0, 3) == [("ping", 6)]
 
 
-def test_by_value_batch_is_no_larger_than_before_plans(one):
-    """The suite's four bag statements, built by hand, travel by value."""
-    transport, sink = one
-    ts = MAIN_TS
-    bag = [
-        AGS.atomic(Op.out(ts, "task", 0, 0)),
+def _bag(ts, tid, w, p):
+    """The suite's four bag statements, built by hand as a program does."""
+    return [
+        AGS.atomic(Op.out(ts, "task", tid, p)),
         AGS.single(
             Guard.in_(ts, "task", formal(int, "id"), formal(int, "p")),
-            [Op.out(ts, "inprog", ref("id"), 1, ref("p"))]),
+            [Op.out(ts, "inprog", ref("id"), w, ref("p"))]),
         AGS.single(
-            Guard.in_(ts, "inprog", 2, 1, formal(int, "p")),
-            [Op.out(ts, "result", 2, ref("p") * 2)]),
+            Guard.in_(ts, "inprog", tid, w, formal(int, "p")),
+            [Op.out(ts, "result", tid, ref("p") * 2)]),
         AGS.single(Guard.in_(ts, "result", formal(int), formal(int))),
     ]
-    cmds = [ExecuteAGS(i + 1, -1, 0, ags) for i, ags in enumerate(bag)]
-    assert transport.broadcast(("BATCH", cmds, None), [True]) <= 1517  # the parent's
-    assert transport._announced == {}  # nothing here is a plan with actuals
-    transport.send(0, ("QUERY", 1, "applied", None))
-    assert sink.answer(0, 1) == 4
+
+
+def _capture(transport):
+    """Every frame the transport writes from here on, length prefix and all."""
+    frames = []
+    write = transport._write
+
+    def recording(lane, frame):
+        frames.append(frame)
+        write(lane, frame)
+
+    transport._write = recording
+    return frames
+
+
+def _shipper(transport):
+    rid = itertools.count(1)
+
+    def ship(*statements):
+        """Broadcast one batch of (ags[, actuals]) statements; its frame size."""
+        cmds = []
+        for statement in statements:
+            ags, actuals = statement if type(statement) is tuple else (statement, ())
+            cmds.append(ExecuteAGS(next(rid), -1, 0, ags, actuals))
+        return transport.broadcast(("BATCH", cmds, None), [True])
+
+    return ship
+
+
+def _results(sink):
+    return {
+        rid: result
+        for _replica, item in sink.items if item[0] == "COMPS"
+        for rid, result in item[1]
+    }
+
+
+def test_hand_built_statements_cross_as_skeleton_id_and_actuals(one):
+    """No statement by value in a broadcast: after its first use a hand-built
+    statement is an id and its constants, like a bare operation's plan."""
+    transport, sink = one
+    frames = _capture(transport)
+    ship = _shipper(transport)
+    first = [ship(ags) for ags in _bag(MAIN_TS, 0, 1, 5)]
+    again = [ship(ags) for ags in _bag(MAIN_TS, 7, 2, 6)]  # other constants
+    assert all(size <= 130 for size in again), again  # 420-675 B by value
+    assert all(a > b for a, b in zip(first, again))
+    for i, frame in enumerate(frames):
+        blob = frame[4:]
+        kind, defs, entries, _t_send = pickle.loads(blob)
+        assert kind == "PLANNED"
+        assert all(type(e) is tuple for e in entries)  # never an ExecuteAGS
+        if i < 4:  # a definition rides once, in the first frame that uses it
+            assert [plan for plan, _ags in defs] == [i]
+        else:
+            assert defs == []
+            assert b"repro.core.ags" not in blob  # no statement, no operand
+            assert b"ExecuteAGS" not in blob
+    transport.send(0, ("QUERY", 1, "plans", None))
+    assert sink.answer(0, 1) == len(transport._announced) == 4
+    transport.send(0, ("QUERY", 2, "space_size", MAIN_TS))
+    assert sink.answer(0, 2) == 0  # every task was taken, finished, collected
+    results = _results(sink)
+    assert all(results[rid].succeeded for rid in range(1, 9))
+    assert results[2].bindings == {"id": 0, "p": 5}
+    assert results[7].bindings == {"p": 6}  # its own formal; no actual leaks
+    assert results[8].bindings == {}
+
+    # a restarted replica knows no skeleton: the definitions ride again, in
+    # frames byte-equal to the very first (ids are handed out afresh)
+    transport.stop_replica(0)
+    transport.restart_replica(0)
+    assert transport._announced == {}
+    del frames[8:]
+    ship = _shipper(transport)
+    assert [ship(ags) for ags in _bag(MAIN_TS, 0, 1, 5)] == first
+    assert frames[8:] == frames[:4]
+    transport.send(0, ("QUERY", 3, "plans", None))
+    assert sink.answer(0, 3) == 4
+
+
+def test_skeleton_tables_are_bounded_by_program_text(one):
+    """1,000 rounds with constants that never repeat — at top level and
+    nested in an expression: the tables grow with the shapes, not the values."""
+    transport, sink = one
+    ts = MAIN_TS
+    # ``send`` keeps commands by value: this one never reaches the table
+    seed = ExecuteAGS(10**6, -1, 0, AGS.atomic(Op.out(ts, "n", 0)))
+    transport.send(0, ("BATCH", [seed], None))
+    assert transport._announced == {}
+    ship = _shipper(transport)
+    for k in range(1000):
+        ship(
+            *_bag(ts, k, k % 7, 3 * k),
+            AGS.single(
+                Guard.in_(ts, "n", formal(int, "p")), [Op.out(ts, "n", ref("p") + k)]),
+            AGS.single(
+                Guard.rd(ts, "n", formal(int, "a")),
+                [Op.out(ts, "m", k, Expr("max", (ref("a"), Const(500 * k))))]),
+        )
+    transport.send(0, ("QUERY", 1, "plans", None))
+    assert sink.answer(0, 1) == 6  # the four bag statements, the two above
+    assert len(transport._announced) == 6
+    transport.send(0, ("QUERY", 2, "space_tuples", ts))
+    tuples = sink.answer(0, 2)
+    assert len(tuples) == 1001
+    assert ("n", sum(range(1000))) in tuples
+    assert ("m", 10, 5000) in tuples and ("m", 999, 499500) in tuples
+    assert all(r.succeeded for r in _results(sink).values())
+
+
+def test_values_ride_in_the_actuals_type_exact(one):
+    transport, sink = one
+    frames = _capture(transport)
+    ship = _shipper(transport)
+    ship(AGS.atomic(Op.out(MAIN_TS, 1)), AGS.atomic(Op.out(MAIN_TS, True)))
+    ship(AGS.atomic(Op.out(MAIN_TS, 1.0)), AGS.atomic(Op.out(MAIN_TS, (1, (True,)))))
+    assert len(transport._announced) == 1  # one skeleton: out(%0; %1)
+    (_plan, skeleton), = pickle.loads(frames[0][4:])[1]
+    assert skeleton == AGS.atomic(Op.out(Param(0), Param(1)))
+    transport.send(0, ("QUERY", 1, "space_tuples", MAIN_TS))
+    got = sink.answer(0, 1)
+    assert [repr(t) for t in got] == ["(1,)", "(True,)", "(1.0,)", "((1, (True,)),)"]
+
+
+def test_holes_are_numbered_after_the_statements_own(one):
+    """A plan's ``Param`` s keep their indices; the constants written beside
+    them by hand take the next ones."""
+    transport, sink = one
+    frames = _capture(transport)
+    ship = _shipper(transport)
+
+    def mixed(n):
+        return AGS([
+            Branch(Guard.inp(Param(0), "absent", Param(1)), [Op.out(Param(0), "never", n)]),
+            Branch(
+                Guard.true(),
+                [Op.out(Param(0), "mixed", Param(1), Expr("add", (Param(1), Const(n))))],
+            ),
+        ])
+
+    ship((mixed(7), (MAIN_TS, 100)))
+    ship((mixed(8), (MAIN_TS, 200)))
+    _kind, defs, entries, _t = pickle.loads(frames[0][4:])
+    assert defs == [(0, AGS([
+        Branch(Guard.inp(Param(0), Param(2), Param(1)), [Op.out(Param(0), Param(3), Param(4))]),
+        Branch(
+            Guard.true(),
+            [Op.out(Param(0), Param(5), Param(1), Expr("add", (Param(1), Param(6))))],
+        ),
+    ]))]
+    assert entries[0][5] == (MAIN_TS, 100, "absent", "never", 7, "mixed", 7)
+    assert pickle.loads(frames[1][4:])[1] == []  # the same skeleton
+    # given actuals that do not fill its own holes — a program error — the
+    # constants have nowhere exact to go: the statement travels as written,
+    # as its own skeleton, and aborts as it does by value
+    ship(mixed(9), (mixed(9), (MAIN_TS, 300, "one too many")))
+    _kind, defs, entries, _t = pickle.loads(frames[2][4:])
+    assert defs == [(1, mixed(9))]
+    assert [e[4:] for e in entries] == [(1, ()), (1, (MAIN_TS, 300, "one too many"))]
+    transport.send(0, ("QUERY", 1, "space_tuples", MAIN_TS))
+    assert sink.answer(0, 1) == [
+        ("mixed", 100, 107), ("mixed", 200, 208), ("mixed", 300, 309)
+    ]
+    aborted = _results(sink)[3]
+    assert isinstance(aborted.error, FormalBindingError)
+    assert str(aborted.error) == "the statement was given no actual 0"
 
 
 def test_plan_tables_are_bounded_by_call_site_shapes(one):
