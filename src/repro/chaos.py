@@ -20,7 +20,7 @@ promises to survive:
   :class:`~repro._errors.CommandFailed` for the submitting client while
   every replica stays fingerprint-identical.
 - :meth:`ChaosMonkey.delay_replica` — stall one replica's delivery lane
-  (an in-band ``SLEEP``), creating lag and false-suspicion pressure
+  (an in-band ``sleep`` request), creating lag and false-suspicion pressure
   without killing anything: the detector must NOT fire (the probe still
   passes).
 - :meth:`ChaosMonkey.kill_read_flusher` / :meth:`ChaosMonkey.
@@ -174,13 +174,14 @@ class ChaosMonkey:
 
     def delay_replica(self, replica_id: int, seconds: float) -> None:
         """Stall one replica's delivery lane for *seconds* (in-band)."""
-        self.group.transport.send(replica_id, ("SLEEP", seconds))
+        self.group.requests.tell(replica_id, "sleep", seconds)
         self._note("delay_replica", replica_id, seconds)
 
     def kill_read_flusher(self) -> None:
         """Feed the read-flusher thread an item it cannot unpack."""
-        self.group._read_pending.append(("BOOM",))  # type: ignore[arg-type]
-        self.group._read_kick.set()
+        lane = self.group.reads
+        lane._pending.append(("BOOM",))  # type: ignore[arg-type]
+        lane._kick.set()
         self._note("kill_read_flusher")
 
     def kill_sequencer(self) -> None:
@@ -190,9 +191,10 @@ class ChaosMonkey:
         that every parked and subsequent call fails fast with
         ``RuntimeFailure`` instead of hanging.
         """
-        with self.group._pending_lock:
-            self.group._pending.append(("BOOM",))  # type: ignore[arg-type]
-        self.group._kick.set()
+        seq = self.group.seq
+        with seq._pending_lock:
+            seq._pending.append(("BOOM",))  # type: ignore[arg-type]
+        seq._kick.set()
         self._note("kill_sequencer")
 
     def kill_donor_mid_transfer(self, at_chunk: int = 1) -> Callable[[], int | None]:
@@ -210,17 +212,17 @@ class ChaosMonkey:
         Returns a ``fired()`` callable: the killed donor's id, or None if
         no transfer reached *at_chunk* chunks yet.
         """
-        group = self.group
+        transfer = self.group.transfer
         victim: list[int] = []
 
         def hook(donor: int, idx: int, total: int) -> None:
             if not victim and idx == at_chunk:
                 victim.append(donor)
-                group._xfer_chunk_hook = None
+                transfer.chunk_hook = None
                 self.kill_replica(donor)
                 self._note("kill_donor_mid_transfer", donor, idx, total)
 
-        group._xfer_chunk_hook = hook
+        transfer.chunk_hook = hook
         self._note("arm_donor_kill", at_chunk)
         return lambda: victim[0] if victim else None
 

@@ -523,8 +523,10 @@ class TSStateMachine:
         # Memoize every result produced by executing a command — but never
         # a cancellation: a cancelled statement did NOT run, and a client
         # that retries its id after an unknown-outcome timeout must get a
-        # fresh execution, not a replayed "cancelled".
-        if not isinstance(command, CancelRequest):
+        # fresh execution, not a replayed "cancelled".  Nor an extraction:
+        # its reply is a whole partition, and the cross-shard rung submits
+        # each one once, under a fresh id, so no resubmission can ask.
+        if not isinstance(command, (CancelRequest, ExtractTuples)):
             for c in completions:
                 self._remember(c.request_id, c.result)
         return completions

@@ -36,6 +36,7 @@ replica workers::
 
 from __future__ import annotations
 
+import copy
 from typing import Any
 
 from repro.core.ags import AGS, AGSResult
@@ -87,8 +88,14 @@ class ReplicatedRuntime(BaseRuntime):
         durable_fsync: bool = True,
     ):
         super().__init__()
-        liveness = detect_failures if isinstance(detect_failures, LivenessPolicy) else None
-        if liveness is None and (detect_failures or auto_recover):
+        # The group takes a policy or None; bool | policy is this layer's
+        # convenience.  The runtime works on its own copy of a caller's
+        # policy and never writes to the caller's object, which may be
+        # shared with other runtimes.
+        liveness = None
+        if isinstance(detect_failures, LivenessPolicy):
+            liveness = copy.copy(detect_failures)
+        elif detect_failures or auto_recover:
             liveness = LivenessPolicy()  # a supervisor with no detector never fires
         if liveness is not None and auto_recover:
             # the runtime kwarg is the more explicit request: it overrides
@@ -237,14 +244,10 @@ class ThreadedReplicaRuntime(ReplicatedRuntime):
 
 
 class MultiprocessRuntime(ReplicatedRuntime):
-    """Replicas as OS processes (``start_method``, default spawn), fed by pipes."""
-
-    def __init__(self, n_replicas: int = 3, *, start_method: str = "spawn", **kwargs: Any):
-        self._start_method = start_method
-        super().__init__(n_replicas, **kwargs)
+    """Replicas as spawned OS processes, fed by pipes."""
 
     def _transport(self, n_replicas: int) -> Transport:
-        return PipeTransport(n_replicas, start_method=self._start_method)
+        return PipeTransport(n_replicas)
 
     def __del__(self) -> None:  # pragma: no cover - best effort
         try:

@@ -5,11 +5,17 @@ ordered command stream per update (Sec. 5).  This package is that
 pipeline, factored out of any particular delivery mechanism:
 
 - :class:`~repro.replication.group.ReplicaGroup` — the transport-agnostic
-  core: command sequencing (with batching), per-client parking,
-  origin-replica completion matching with duplicate suppression,
-  crash/recovery bookkeeping, in-band queries, runtime metrics, and an
-  opt-in liveness plane (:class:`~repro.replication.group.LivenessPolicy`:
-  heartbeat + probe failure detector, self-healing auto-recovery);
+  core: per-client parking, origin-replica completion matching with
+  duplicate suppression, membership and runtime metrics, composing five
+  components that each own their locks, thread and state —
+  :mod:`~repro.replication.sequencer` (the total order, batching,
+  ``in_band()``), :mod:`~repro.replication.journal` (the group-committed
+  journal and its fence), :mod:`~repro.replication.readlane` (the read
+  fast path), :mod:`~repro.replication.liveness` (opt-in: heartbeat +
+  probe failure detector, self-healing auto-recovery, tuned by
+  :class:`~repro.replication.liveness.LivenessPolicy`) and
+  :mod:`~repro.replication.transfer` (restart + chunked state transfer)
+  — over :mod:`~repro.replication.requests`, the one in-band round trip;
 - :class:`~repro.replication.sharding.ShardedGroup` — the
   content-partitioned router: N independent ReplicaGroups (one sequencer
   each), single-shard statements delegated whole, cross-shard statements
@@ -17,8 +23,9 @@ pipeline, factored out of any particular delivery mechanism:
 - :class:`~repro.replication.transport.Transport` — the seam a delivery
   mechanism implements: FIFO delivery of opaque items to N replica
   workers and a sink for what they emit;
-- :mod:`~repro.replication.worker` — the one replica apply loop both
-  bundled transports run (in a thread, or in a spawned process).
+- :mod:`~repro.replication.worker` — the one replica both bundled
+  transports run (in a thread, or in a spawned process), and the item
+  protocol: four received tags, five emitted, one table of request kinds.
 
 The threads and multiprocessing backends in :mod:`repro.parallel` are
 thin adapters over this package; a future asyncio or socket backend is

@@ -1,18 +1,17 @@
-"""ReplicaGroup: the transport-agnostic replication core.
+"""ReplicaGroup: the transport-agnostic replication core, composed.
 
-One object owns everything the paper's ordered-update pipeline needs
-(Sec. 5), independent of how items reach the replicas:
+The paper's ordered-update pipeline (Sec. 5), independent of how items
+reach the replicas, is five components and one primitive, each in its own
+module and each the only code that touches its locks and state:
+:mod:`~repro.replication.sequencer` (the total order, batching, the read
+floor, ``in_band()``), :mod:`~repro.replication.journal` (group commit and
+its fence), :mod:`~repro.replication.readlane` (reads around the order),
+:mod:`~repro.replication.liveness` (failure detector and supervisor),
+:mod:`~repro.replication.transfer` (restart and state transfer) and
+:mod:`~repro.replication.requests` (the in-band round trip).  DESIGN.md,
+"Execution backends", maps who owns which lock, thread and state.  What is
+left here is what they meet on:
 
-- **sequencing** — acquiring the sequencer lock *is* the atomic
-  multicast's total order.  With batching enabled (the default)
-  submitters only append to a pending queue; a dedicated sequencer
-  thread drains the whole queue under the lock and ships it as ONE
-  ordered batch.  While the sequencer is marshalling and broadcasting a
-  batch, clients keep piling onto the queue — so load makes batches
-  bigger exactly when amortizing pickling and queue wakeups matters
-  most.  In-band operations (queries, recovery) flush the pending queue
-  themselves under the same lock, so "sequenced after everything
-  submitted before me" still holds;
 - **parking and completion matching** — each submission waits on an
   event; every replica reports completions and the waiter map pops
   exactly once, so duplicates are free and a crashed replica can never
@@ -20,54 +19,26 @@ One object owns everything the paper's ordered-update pipeline needs
 - **in-band queries** — fingerprints, space sizes and snapshots travel on
   the command FIFOs, so they observe exactly the state after every
   previously sequenced command (no separate quiescing protocol);
-- **the read fast path** — a read-only :class:`ExecuteAGS` (every op
-  ``rd``/``rdp``) cannot change replicated state, and identical replicas
-  mean any single up-to-date replica can answer it.  :meth:`ReplicaGroup.
-  call` routes such statements *around* the total order: one live replica
-  receives an in-band read tagged with a **session floor** (the
-  highest slot the group has sequenced at that instant) and parks it
-  until its applied count reaches the floor, then evaluates the guard on
-  local state — read-your-writes consistency with no sequencing, no
-  broadcast and one guard evaluation instead of N.  The read lane gets
-  the same amortization as the write lane: a dedicated flusher thread
-  drains concurrently submitted reads and ships them per replica as one
-  ``READS`` item, and replicas answer each served batch with one
-  ``COMPS`` — so under read-heavy load the per-operation transport cost
-  (pickle + queue wakeup, both ways) is shared.  A blocking read whose
-  guard cannot fire locally, and any read stranded by a replica crash,
-  falls back transparently to the ordered path (the fallback ladder: fast
-  path → reroute on READMISS/crash → ordered park → ordered cancel);
-- **crash/recovery bookkeeping** — the alive mask, the ordered
-  ``HostFailed``/``HostRecovered`` notifications, and the snapshot-based
-  state transfer for transports that support restart;
-- **the durable journal, group-committed** — with ``durable_dir=`` the
-  sequencer *writes* each batch's records to a segmented WAL under its
-  lock and broadcasts at once; a journal thread fsyncs beside it, one
-  fsync covering every batch written while the previous one ran.  The
-  fence is **no acknowledgement before fsync**: replicas may apply ahead
-  of the disk, but every ``COMPS`` frame carries the replica's applied
-  count and is delivered only once the journal is fsynced that far, so
-  nothing a client has observed can be lost to a crash;
+- **crash/recovery bookkeeping** — the alive mask (flipped only under the
+  order) and the ordered ``HostFailed``/``HostRecovered`` notifications;
+- **the collector** — ``_on_worker_item``, where every replica emission
+  lands and is handed to the component that owns it;
 - **metrics** — submit→order, order→apply and end-to-end AGS latency
-  histograms plus submission/batch counters, recorded in one place so
+  histograms plus submission/batch counters, recorded in one registry so
   every backend reports identical instruments;
 - **tracing** — with a :class:`~repro.obs.tracing.FlightRecorder`
   attached, every submission is minted a per-AGS trace id that rides
   inside the command through the sequencer batch, the transport (incl.
-  the pickled multiproc blob) and the replica apply loops; the group
-  records ``submit_to_order`` / ``broadcast`` / ``e2e`` spans here and
-  ingests the per-replica ``apply`` spans the workers emit, all under
-  one trace.  With no recorder attached (the default) every emit site
-  is a single ``is not None`` check and commands carry ``trace_id=None``;
-- **profiling & stage attribution** — :meth:`ReplicaGroup.start_profiling`
-  runs the :mod:`repro.obs.profile` sampler over this group's registered
-  threads (sequencer, read flusher, monitor, in-process replicas) and,
-  on per-process transports, drives per-replica samplers through the
-  in-band query lane (strictly opt-in).  Stage attribution is always
-  on and sampled: one batch in :data:`repro.obs.stages.
-  STAGE_SAMPLE_EVERY` carries a broadcast stamp and replicas answer it
-  with a STAGES emission, decomposing the e2e latency into broadcast /
-  inbox / apply / reply histograms (``linda_stage_*``).
+  the pickled multiproc blob) and the replica apply loops; the
+  ``submit_to_order`` / ``broadcast`` / ``e2e`` spans and the per-replica
+  ``apply`` spans the workers emit all land under one trace.  With no
+  recorder attached (the default) every emit site is a single
+  ``is not None`` check and commands carry ``trace_id=None``;
+- **profiling** — this group's threads register their roles (sequencer,
+  read flusher, monitor, journal, in-process replicas) for the
+  :mod:`repro.obs.profile` sampler, and on per-process transports
+  :meth:`ReplicaGroup.start_profiling` drives per-replica samplers
+  through the in-band query lane (strictly opt-in).
 """
 
 from __future__ import annotations
@@ -75,7 +46,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from typing import Any, Iterator
 
 from repro._errors import HostFailedError, RuntimeFailure, TimeoutError_
@@ -90,16 +60,15 @@ from repro.core.statemachine import (
 )
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    DEFAULT_HZ,
-    SamplingProfiler,
-    merge_folded,
-    register_thread,
-)
-from repro.obs.stages import STAGE_SAMPLE_EVERY
+from repro.obs.profile import DEFAULT_HZ, merge_folded
 from repro.obs.tracing import FlightRecorder
+from repro.replication.journal import GroupJournal
+from repro.replication.liveness import Liveness, LivenessPolicy
+from repro.replication.readlane import ReadLane
+from repro.replication.requests import Requests
+from repro.replication.sequencer import Sequencer, Waiter
+from repro.replication.transfer import StateTransfer
 from repro.replication.transport import Transport
-from repro.replication.worker import split_state
 
 __all__ = ["LivenessPolicy", "ReplicaGroup"]
 
@@ -112,87 +81,25 @@ CLIENT_ORIGIN = -1
 #: group is declared unresponsive.
 _CANCEL_GRACE_S = 30.0
 
-#: Sentinel answer deposited into a pending query's slot when its target
-#: replica crashes — fail fast instead of stalling the full query timeout.
-_REPLICA_CRASHED = object()
 
-#: Returned by the chunked-transfer round trip when the donor died (or
-#: lost its transfer cache) mid-stream: the fetch resumes from the next
-#: live donor instead of failing the whole recovery.
-_DONOR_LOST = object()
+def _resolve(result: Any) -> Any:
+    """Raise failure results (poison commands, group death) in the caller.
 
-
-class LivenessPolicy:
-    """Tuning for the failure detector and the self-healing supervisor.
-
-    The detector declares a replica dead only when BOTH halves agree: it
-    has been *silent* on the feedback lane for at least ``suspect_after``
-    seconds (no completion, query answer, or heartbeat PONG) AND the
-    transport-level probe (``Process.is_alive()`` / thread aliveness)
-    fails.  Silence alone is just suspicion — a replica grinding through
-    a huge batch is quiet but healthy, and the probe keeps it from being
-    shot.  A dead vehicle alone is caught within one ``probe_interval``
-    of the silence threshold, which bounds detection latency at roughly
-    ``suspect_after + probe_interval``.
-
-    ``auto_recover`` additionally drives the snapshot/install recovery
-    protocol after each detected death, waiting out a capped exponential
-    backoff (``backoff_initial`` doubling up to ``backoff_max``) between
-    a replica's successive restarts and giving up for good after
-    ``max_restarts`` attempts — a crash-looping replica must not consume
-    the group.
+    A :class:`RuntimeFailure` instance in a waiter slot is an outcome
+    the replicas (or the group itself) computed for this request —
+    ``CommandFailed`` from the apply loop's poison barrier, or the
+    group-failed error — and must surface as an exception, not a
+    return value.  Deterministic *domain* results (``AGSResult`` with
+    an error, ``SpaceError`` from create/destroy) pass through
+    untouched; the runtime layer interprets those.
     """
-
-    __slots__ = (
-        "probe_interval", "suspect_after", "auto_recover", "max_restarts",
-        "backoff_initial", "backoff_max",
-    )
-
-    def __init__(
-        self,
-        *,
-        probe_interval: float = 0.25,
-        suspect_after: float = 1.0,
-        auto_recover: bool = False,
-        max_restarts: int = 3,
-        backoff_initial: float = 0.1,
-        backoff_max: float = 2.0,
-    ):
-        if probe_interval <= 0 or suspect_after <= 0:
-            raise ValueError("probe_interval and suspect_after must be positive")
-        self.probe_interval = probe_interval
-        self.suspect_after = suspect_after
-        self.auto_recover = auto_recover
-        self.max_restarts = max_restarts
-        self.backoff_initial = backoff_initial
-        self.backoff_max = backoff_max
-
-
-class _Waiter:
-    """One parked client submission and its latency timestamps."""
-
-    __slots__ = (
-        "event", "slot", "t_submit", "t_ordered", "trace_id", "track", "fellback",
-    )
-
-    def __init__(self, t_submit: float):
-        self.event = threading.Event()
-        self.slot: list[Any] = []
-        self.t_submit = t_submit
-        self.t_ordered: float | None = None
-        self.trace_id: int | None = None
-        self.track = ""
-        #: Read fast path only (allocated in call()): set once the read has
-        #: been reshipped through the total order, so a concurrently
-        #: timing-out client never cancels ahead of the reship.
-        self.fellback: threading.Event | None = None
+    if isinstance(result, RuntimeFailure):
+        raise result
+    return result
 
 
 class ReplicaGroup:
-    """Sequencing, parking, dedup, queries and metrics over a Transport."""
-
-    #: Chunk size for resumable, incarnation-fenced replica state transfer.
-    transfer_chunk_bytes = 256 * 1024
+    """Parking, membership, the collector and metrics over five components."""
 
     def __init__(
         self,
@@ -200,9 +107,8 @@ class ReplicaGroup:
         *,
         batching: bool = True,
         read_fastpath: bool = True,
-        metrics: MetricsRegistry | None = None,
         tracer: FlightRecorder | None = None,
-        liveness: LivenessPolicy | bool | None = None,
+        liveness: LivenessPolicy | None = None,
         name: str = "",
         shard_info: tuple[int, int] | None = None,
         durable_dir: str | None = None,
@@ -210,7 +116,6 @@ class ReplicaGroup:
     ):
         self.transport = transport
         self.n_replicas = transport.n_replicas
-        self.batching = batching
         self.read_fastpath = read_fastpath
         #: Display name when this group is one shard of a ShardedGroup
         #: ("shard0", …); empty for the classic single-group deployment.
@@ -224,165 +129,97 @@ class ReplicaGroup:
         #: shard deposits failure/recovery tuples only into the partitions
         #: it owns (one tuple per space globally, not one per shard).
         self.shard_info = shard_info
+        #: The live mask.  One list for the group's whole life, shared by
+        #: reference with every component; flipped only under the order.
         self.alive = [True] * self.n_replicas
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Every component reads time through the clock it is handed.
+        self._clock = clock = time.monotonic
+        self.metrics = metrics = MetricsRegistry()
         self.tracer = tracer
-        if liveness is True:
-            liveness = LivenessPolicy()
-        self.liveness: LivenessPolicy | None = liveness or None
         self._req_ids = itertools.count(1)
-        self._qids = itertools.count(1)
-        self._seq_lock = threading.Lock()  # holding this IS the total order
-        self._pending: deque[tuple[Command, _Waiter | None]] = deque()
-        self._pending_lock = threading.Lock()
-        self._state_lock = threading.Lock()  # waiters + queries + reads
-        self._waiters: dict[int, _Waiter] = {}
-        self._queries: dict[tuple[int, int], tuple[threading.Event, list]] = {}
-        #: Outstanding fast-path reads: request_id -> (replica_id, command).
-        #: Guarded by _state_lock; exactly one of {completion, miss, crash
-        #: reroute, client timeout} pops each entry and owns its outcome.
-        self._reads: dict[int, tuple[int, Command]] = {}
-        #: Count of commands sequenced so far — the session floor for
-        #: reads.  Incremented (under _pending_lock) *before* a batch is
-        #: broadcast, so by the time any completion reaches a client the
-        #: counter already covers the completed command's slot.
-        self._sequenced = 0
-        #: The read lane's pending queue: (replica, floor, cmd) triples
-        #: drained by the read flusher into one READS item per replica —
-        #: the same batch amortization the sequencer gives writes, minus
-        #: the ordering.  deque append/popleft are atomic; no lock needed.
-        self._read_pending: deque[tuple[int, int, ExecuteAGS]] = deque()
-        self._read_kick = threading.Event()
-        #: Contention detector for the read lane: a reader that gets this
-        #: uncontended sends its read itself (lowest latency); one that
-        #: finds it held leaves the read for the flusher to batch.
-        self._read_send_lock = threading.Lock()
-        self._h_submit = self.metrics.histogram("submit_to_order")
-        self._h_apply = self.metrics.histogram("order_to_apply")
-        self._h_e2e = self.metrics.histogram("ags_e2e")
-        self._h_batch = self.metrics.histogram("batch_size", lo=1.0, n_buckets=12)
-        self._h_read = self.metrics.histogram("read_latency")
-        self._c_cmds = self.metrics.counter("commands_submitted")
-        self._c_batches = self.metrics.counter("batches_shipped")
-        self._c_read_fast = self.metrics.counter("read_fastpath")
-        self._c_read_fallback = self.metrics.counter("read_fallback")
-        self._c_failures = self.metrics.counter("failures_detected")
-        self._c_autorec = self.metrics.counter("auto_recoveries")
-        self._h_detect = self.metrics.histogram("detection_latency")
-        self._g_live = self.metrics.gauge("live_replicas")
+        self._state_lock = threading.Lock()  # the waiter map
+        self._waiters: dict[int, Waiter] = {}
+        self._h_apply = metrics.histogram("order_to_apply")
+        self._h_e2e = metrics.histogram("ags_e2e")
+        self._c_cmds = metrics.counter("commands_submitted")
+        self._g_live = metrics.gauge("live_replicas")
         self._g_live.set(self.n_replicas)
-        #: Backpressure gauges — *sampled* in metrics_snapshot(), never
-        #: maintained on the hot path, so they cost nothing per operation.
-        self._g_seq_depth = self.metrics.gauge("sequencer_inbox_depth")
-        self._g_read_depth = self.metrics.gauge("read_lane_depth")
-        self._g_apply_depth = self.metrics.gauge("replica_inbox_max_depth")
-        #: Stage attribution (repro.obs.stages): sampled batches carry a
-        #: broadcast stamp and replicas answer each with a STAGES emission.
-        #: _batches_shipped picks the sample; only ever touched under
-        #: _seq_lock, like everything else in _broadcast_batch.
-        self._h_stage_bcast = self.metrics.histogram("stage_broadcast")
-        self._h_stage_queue = self.metrics.histogram("stage_replica_queue")
-        self._h_stage_apply = self.metrics.histogram("stage_apply")
-        self._h_stage_reply = self.metrics.histogram("stage_reply")
-        self._batches_shipped = 0
-        #: The continuous-profiling plane (strictly opt-in): an in-process
-        #: sampler for this group's threads plus, on per-process-worker
-        #: transports, per-replica remote samplers driven over the in-band
-        #: query lane.
-        self._profiler: SamplingProfiler | None = None
+        #: Backpressure gauge — *sampled* in metrics_snapshot(), never
+        #: maintained on the hot path, so it costs nothing per operation.
+        self._g_apply_depth = metrics.gauge("replica_inbox_max_depth")
+        #: The continuous-profiling plane (strictly opt-in): on
+        #: per-process-worker transports, per-replica remote samplers driven
+        #: over the in-band query lane (this process's threads are sampled
+        #: by whoever owns the group — one sampler, however many shards).
         self._remote_profiling = False
-        #: Set when an internal thread (sequencer) died: the group can no
-        #: longer order commands, and every call fails fast instead of
-        #: hanging (read before registering, re-checked via the waiter
-        #: sweep in _mark_failed).
+        #: Set when an internal thread (sequencer, journal) died: the
+        #: group can no longer order or acknowledge commands, and every
+        #: call fails fast instead of hanging (read before registering,
+        #: re-checked via the waiter sweep in _mark_failed).
         self._group_error: str | None = None
-        #: Liveness bookkeeping (all monotonic stamps).  _last_seen is
-        #: refreshed by ANY feedback-lane emission — completions double as
-        #: heartbeats, and in-band PING/PONG covers idle replicas.
-        self._last_seen = [time.monotonic()] * self.n_replicas
-        self._restarts = [0] * self.n_replicas
-        #: replica -> earliest monotonic time its next restart may run.
-        self._recover_pending: dict[int, float] = {}
-        self._monitor_stop = threading.Event()
-        self._monitor_thread: threading.Thread | None = None
         self._stopped = False
-        #: Durable mode: the sequencer's ordered command stream journaled
-        #: through a segmented WAL (repro.persist.segments), so a
-        #: full-group restart replays the stream and recovers every
-        #: replica to the last fsynced slot.  Group commit: the sequencer
-        #: writes records (_journal_slot counts them), the journal thread
-        #: fsyncs them (_journal_durable), and what waits for the disk is
-        #: the completion, never the command — see _journal_loop.  With
-        #: fsync off there is no thread and the two counters move as one.
-        self.durable_dir = durable_dir
-        self._journal = None
-        self._journal_slot = 0
-        self._journal_durable = 0
-        self._journal_replaying = False
-        self.journal_replayed = 0
-        #: Guards _journal_durable and _held; journal barriers sleep on it.
-        self._journal_cv = threading.Condition()
-        #: COMPS frames that ran ahead of the disk, in arrival order:
-        #: (applied, replica_id, comps, t_parked).
-        self._held: list[tuple[int, int, list, float]] = []
-        self._journal_kick = threading.Event()
-        self._journal_stop = False
-        self._journal_thread: threading.Thread | None = None
-        self._h_fsync = self.metrics.histogram("journal_fsync")
-        self._h_commit_wait = self.metrics.histogram("journal_commit_wait")
-        self._g_journal_lag = self.metrics.gauge("journal_lag")
-        #: Test/chaos hook, called after each fetched transfer chunk with
-        #: (donor, idx, total) — lets the chaos harness kill the donor
-        #: mid-transfer at a precise chunk boundary.
-        self._xfer_chunk_hook = None
-        self._c_xfer_chunks = self.metrics.counter("state_transfer_chunks")
-        if durable_dir is not None:
-            from repro.persist.segments import SegmentedLog
-
-            self._journal = SegmentedLog(durable_dir, fsync=durable_fsync)
-            if durable_fsync:
-                self._journal_thread = threading.Thread(
-                    target=self._journal_loop, name="journal", daemon=True
-                )
-                self._journal_thread.start()
+        self._owner = owner = name or "group"  # what events call this group
+        self.requests = Requests(transport, self.alive, clock)
+        self.journal = GroupJournal(
+            durable_dir, durable_fsync, metrics, clock, self._complete,
+            role=self._role("journal"), owner=owner, on_fatal=self._mark_failed,
+        )
+        self.seq = Sequencer(
+            transport, self.alive, metrics, clock,
+            batching=batching,
+            journal=self.journal if self.journal.durable else None,
+            tracer=tracer,
+            role=self._role("sequencer"), on_fatal=self._mark_failed,
+        )
+        # parked= is a single dict.get: the lane asks whether a read's
+        # client still waits, and the map is only ever mutated in place
+        self.reads = ReadLane(
+            transport, self.alive, self.seq, metrics, clock,
+            parked=self._waiters.get, unpark=self._unpark,
+            role=self._role("read-flusher"),
+        )
+        self.transfer = StateTransfer(
+            transport, self.alive, self.seq, self.requests,
+            self._readmit, self._declare_dead, metrics, owner=owner,
+        )
+        self.liveness: Liveness | None = None
+        if liveness is not None:
+            self.liveness = Liveness(
+                liveness, transport, self.alive,
+                self._declare_dead, self.recover_replica, metrics, clock,
+                tracer=tracer, role=self._role("liveness-monitor"), owner=owner,
+            )
+        else:
+            Liveness.instruments(metrics)  # the same names, reading zero
+        #: The journal's fence, when there is one: every COMPS frame is
+        #: shown to it before it is delivered.
+        self._admit = self.journal.admit if self.journal.fenced else None
+        self.journal.start()
         transport.start(self._on_worker_item)
-        self._kick = threading.Event()
-        self._seq_thread: threading.Thread | None = None
-        self._read_thread: threading.Thread | None = None
-        if batching:
-            self._seq_thread = threading.Thread(
-                target=self._sequencer_loop, name="sequencer", daemon=True
-            )
-            self._seq_thread.start()
-            if read_fastpath:
-                self._read_thread = threading.Thread(
-                    target=self._read_flusher_loop, name="read-flusher",
-                    daemon=True,
-                )
-                self._read_thread.start()
+        self.seq.start()
+        if batching and read_fastpath:
+            self.reads.start()
         if self.liveness is not None:
-            self._monitor_thread = threading.Thread(
-                target=self._monitor_loop, name="liveness-monitor", daemon=True
-            )
-            self._monitor_thread.start()
-        if self._journal is not None:
-            self._recover_from_journal()
+            self.liveness.start()
+        if self.journal.durable:
+            with self.seq.in_band() as order:
+                res = self.journal.replay(order, self.transfer.install_everywhere)
+            if res is not None:
+                self._c_cmds.inc(len(res.records))  # they shipped in a batch
+                # fast-forward past everything replayed, so a fresh command
+                # can never collide with a memoized completion
+                self._req_ids = itertools.count(res.highest_request_id() + 1)
+        self.journal_replayed = self.journal.replayed
 
     # ------------------------------------------------------------------ #
-    # sequencing (the bus)
+    # submission, parking, completion
     # ------------------------------------------------------------------ #
 
     def next_request_id(self) -> int:
         return next(self._req_ids)
 
-    def _replica_track(self, replica_id: int) -> str:
-        """Trace track of a replica, shard-qualified when sharded."""
-        if self.name:
-            return f"{self.name}/replica-{replica_id}"
-        return f"replica-{replica_id}"
-
     def _role(self, base: str) -> str:
-        """Profiler role of one of this group's threads, shard-qualified."""
+        """A thread's profiler role (a replica's trace track), shard-qualified."""
         return f"{self.name}/{base}" if self.name else base
 
     def call(
@@ -397,9 +234,9 @@ class ReplicaGroup:
 
         Read-only statements take the read fast path when enabled: they
         are answered by one live replica at a consistent session floor
-        instead of being sequenced (see the module docstring), falling
-        back to the ordered path when the guard cannot fire locally or
-        the chosen replica crashes.
+        instead of being sequenced (see :mod:`~repro.replication.
+        readlane`), falling back to the ordered path when the guard
+        cannot fire locally or the chosen replica crashes.
 
         On timeout an *ordered* statement is withdrawn *through the total
         order* (a :class:`CancelRequest`), then whichever outcome won the
@@ -439,7 +276,7 @@ class ReplicaGroup:
 
     def _call_once(self, cmd: Command, timeout: float | None = None) -> Any:
         """One submission attempt of :meth:`call` (no retry policy)."""
-        w = _Waiter(time.monotonic())
+        w = Waiter(self._clock())
         tracer = self.tracer
         if tracer is not None:
             cmd.trace_id = w.trace_id = tracer.next_trace_id()
@@ -449,47 +286,36 @@ class ReplicaGroup:
         if self._group_error is not None:
             # registered-then-checked: whichever side _mark_failed's sweep
             # lands on, this waiter is popped and the call raises
-            with self._state_lock:
-                self._waiters.pop(cmd.request_id, None)
+            self._unpark(cmd.request_id)
             raise RuntimeFailure(self._group_error)
         self._c_cmds.inc(1, w.t_submit)
         if (
             self.read_fastpath
             and isinstance(cmd, ExecuteAGS)
             and cmd.ags.read_only
+            and self.reads.send(cmd, w)
         ):
-            w.fellback = threading.Event()
-            if self._send_read(cmd):
-                return self._await_read(cmd, w, timeout)
-        self._ship(cmd, w)
+            if self.reads.wait(cmd.request_id, w, timeout):
+                return _resolve(w.slot[0])
+            # fell back and is parked in the order: withdraw it through it
+            return self._finish_ordered_timeout(cmd, w, timeout)
+        self.seq.ship(cmd, w)
         if w.event.wait(timeout):
-            return self._resolve(w.slot[0])
+            return _resolve(w.slot[0])
         return self._finish_ordered_timeout(cmd, w, timeout)
 
-    @staticmethod
-    def _resolve(result: Any) -> Any:
-        """Raise failure results (poison commands, group death) in the caller.
-
-        A :class:`RuntimeFailure` instance in a waiter slot is an outcome
-        the replicas (or the group itself) computed for this request —
-        ``CommandFailed`` from the apply loop's poison barrier, or the
-        group-failed error — and must surface as an exception, not a
-        return value.  Deterministic *domain* results (``AGSResult`` with
-        an error, ``SpaceError`` from create/destroy) pass through
-        untouched; the runtime layer interprets those.
-        """
-        if isinstance(result, RuntimeFailure):
-            raise result
-        return result
+    def _unpark(self, request_id: int) -> None:
+        """Drop a waiter nobody will wake (its call is about to raise)."""
+        with self._state_lock:
+            self._waiters.pop(request_id, None)
 
     def _finish_ordered_timeout(
-        self, cmd: Command, w: _Waiter, timeout: float | None
+        self, cmd: Command, w: Waiter, timeout: float | None
     ) -> Any:
         """The ordered cancel dance after a parked call's guard timeout."""
         self.post(CancelRequest(self.next_request_id(), CLIENT_ORIGIN, cmd.request_id))
         if not w.event.wait(_CANCEL_GRACE_S):
-            with self._state_lock:
-                self._waiters.pop(cmd.request_id, None)
+            self._unpark(cmd.request_id)
             # neither the completion nor the cancel reported back: the
             # command may yet apply, and only the request-id memo makes a
             # resubmission safe
@@ -499,110 +325,7 @@ class ReplicaGroup:
             raise TimeoutError_(
                 f"guard not satisfied within {timeout}s", outcome="cancelled"
             )
-        return self._resolve(result)
-
-    # ------------------------------------------------------------------ #
-    # the read fast path
-    # ------------------------------------------------------------------ #
-
-    def _send_read(self, cmd: ExecuteAGS) -> bool:
-        """Route a read-only statement to one live replica.
-
-        The session floor is the highest slot the group has *sequenced*
-        at this instant.  Any command whose completion a client has seen
-        was sequenced before its completion was reported, so it sits at
-        or below the floor — the answering replica parks the read until
-        it has applied that much, giving read-your-writes (and
-        read-anyone's-completed-writes) without entering the order.
-        Commands still *pending* are deliberately not covered: they have
-        completed for nobody yet, and waiting on them would re-couple
-        reads to the sequencing of unrelated writers.
-
-        Returns False when no replica could take the read (none live, or
-        the chosen one crashed mid-send) — the caller ships it ordered.
-        """
-        live = self.live_replicas()
-        if not live:
-            return False
-        # Sticky routing: a client thread's reads all land on the same
-        # replica (its session floor is already applied there, and the
-        # replica stays hot), while distinct clients hash across the live
-        # set for balance.  Membership changes just re-hash.
-        replica = live[threading.get_ident() % len(live)]
-        with self._pending_lock:
-            floor = self._sequenced
-        with self._state_lock:
-            self._reads[cmd.request_id] = (replica, cmd)
-        if self._read_send_lock.acquire(blocking=False):
-            # idle lane: send directly — one thread hop fewer, which is
-            # most of a fast read's latency at low concurrency
-            try:
-                self.transport.send(replica, ("READS", [(floor, cmd)]))
-            finally:
-                self._read_send_lock.release()
-        elif self._read_thread is not None:
-            # another reader holds the lane: join the flusher's next
-            # per-replica batch instead of queueing up a send per read
-            self._read_pending.append((replica, floor, cmd))
-            self._read_kick.set()
-        else:
-            self.transport.send(replica, ("READS", [(floor, cmd)]))
-        if not self.alive[replica]:
-            # Raced crash_replica: whoever pops the registration owns the
-            # reroute.  If the crash handler already did, the ordered
-            # fallback is in flight and the fast path "took" the read.
-            with self._state_lock:
-                if self._reads.pop(cmd.request_id, None) is not None:
-                    return False
-        self._c_read_fast.inc()
-        return True
-
-    def _await_read(self, cmd: ExecuteAGS, w: _Waiter, timeout: float | None) -> Any:
-        """Wait out a fast-path read; degrade to the ordered ladder."""
-        if w.event.wait(timeout):
-            now = time.monotonic()
-            self._h_read.record(now - w.t_submit, now)
-            return self._resolve(w.slot[0])
-        with self._state_lock:
-            owned = self._reads.pop(cmd.request_id, None)
-            if owned is not None:
-                self._waiters.pop(cmd.request_id, None)
-        if owned is not None:
-            # Still on the fast path: nothing is parked in the total order
-            # and reads consume nothing, so no ordered cancel is needed.
-            raise TimeoutError_(f"guard not satisfied within {timeout}s")
-        if w.event.is_set():
-            # completion won the race with the deadline
-            return self._resolve(w.slot[0])
-        # The read fell back to the ordered path before the deadline and
-        # is parked there — wait for the reship to actually be enqueued
-        # (the fallback claim and its _ship are not atomic), then withdraw
-        # it through the order as usual.
-        if w.fellback is not None:
-            w.fellback.wait(1.0)
-        return self._finish_ordered_timeout(cmd, w, timeout)
-
-    def _fallback_read(self, request_id: int) -> None:
-        """Reship an outstanding fast-path read through the total order."""
-        with self._state_lock:
-            entry = self._reads.pop(request_id, None)
-            w = self._waiters.get(request_id) if entry is not None else None
-        if entry is not None and w is not None:
-            self._c_read_fallback.inc()
-            self._ship(entry[1], w)
-            if w.fellback is not None:
-                w.fellback.set()
-
-    def _reroute_reads(self, replica_id: int) -> None:
-        """Reship every read stranded on a crashed replica."""
-        with self._state_lock:
-            stranded = [
-                rid
-                for rid, (target, _cmd) in self._reads.items()
-                if target == replica_id
-            ]
-        for rid in stranded:
-            self._fallback_read(rid)
+        return _resolve(result)
 
     def post(self, cmd: Command) -> None:
         """Sequence *cmd* without waiting for any completion."""
@@ -612,244 +335,47 @@ class ReplicaGroup:
         if tracer is not None:
             cmd.trace_id = tracer.next_trace_id()
         self._c_cmds.inc()
-        self._ship(cmd, None)
-
-    def _ship(self, cmd: Command, w: _Waiter | None) -> None:
-        if not self.batching:
-            with self._seq_lock:
-                with self._pending_lock:
-                    self._sequenced += 1
-                self._broadcast_batch([(cmd, w)])
-            return
-        with self._pending_lock:
-            self._pending.append((cmd, w))
-        self._kick.set()
-
-    def _flush_pending_locked(self) -> bool:
-        """Ship everything pending as one batch.  Caller holds _seq_lock.
-
-        Commands leave the pending queue only under the sequencer lock, so
-        anything not yet broadcast is still visible here — which is what
-        lets queries and recovery flush-then-send to stay in-band.
-        """
-        with self._pending_lock:
-            if not self._pending:
-                return False
-            batch = list(self._pending)
-            self._pending.clear()
-            # counted as sequenced before the broadcast below: a read
-            # floor taken after any of these commands completes must
-            # already cover their slots
-            self._sequenced += len(batch)
-        self._broadcast_batch(batch)
-        return True
-
-    def _sequencer_loop(self) -> None:
-        """Drain the pending queue into ordered batches until shutdown.
-
-        A dedicated thread rather than drain-on-submit: while it is
-        marshalling one batch, every concurrently submitting client simply
-        appends — so the next batch is as large as the current one was
-        slow, and per-command marshalling cost amortizes under load.
-
-        An unexpected exception here is fatal to the whole group — nothing
-        can be ordered any more — so it marks the group failed and wakes
-        every parked client with :class:`RuntimeFailure` instead of
-        leaving them to hang forever against a dead bus.
-        """
-        register_thread(self._role("sequencer"))
-        try:
-            while True:
-                self._kick.wait()
-                self._kick.clear()
-                while True:
-                    with self._seq_lock:
-                        if not self._flush_pending_locked():
-                            break
-                if self._stopped:
-                    with self._seq_lock:
-                        self._flush_pending_locked()
-                    return
-        except Exception as exc:  # noqa: BLE001 - the group must not wedge
-            self._mark_failed(
-                f"sequencer thread died: {type(exc).__name__}: {exc}"
-            )
+        self.seq.ship(cmd, None)
 
     def _mark_failed(self, reason: str) -> None:
         """The group can no longer order commands: fail everything, fast.
 
         Every parked waiter wakes with a :class:`RuntimeFailure` (a fresh
         instance each, so tracebacks don't cross threads), every pending
-        query gets the crashed sentinel, and subsequent calls/posts raise
+        request gets the crashed sentinel, and subsequent calls/posts raise
         at entry via ``_group_error``.
         """
         self._group_error = reason
         emit_event(
             "group_failed", severity="critical",
-            group=self.name or "group", reason=reason,
+            group=self._owner, reason=reason,
         )
         with self._state_lock:
             waiters = list(self._waiters.values())
             self._waiters.clear()
-            queries = list(self._queries.values())
-            self._queries.clear()
-            self._reads.clear()
+        self.requests.fail()
+        self.reads.clear()
+        if self.liveness is not None:
+            self.liveness.stop()
         for w in waiters:
             w.slot.append(RuntimeFailure(reason))
             w.event.set()
-        for event, slot in queries:
-            slot.append(_REPLICA_CRASHED)
-            event.set()
         if self.tracer is not None:
             self.tracer.record_span(
-                time.monotonic(), "sequencer", "group", "group_failed",
+                self._clock(), "sequencer", "group", "group_failed",
                 args={"reason": reason, "waiters_failed": len(waiters)},
             )
 
-    def _read_flusher_loop(self) -> None:
-        """Drain the read lane into per-replica READS batches until shutdown.
-
-        The write lane's amortization argument, replayed: while this
-        thread is shipping one batch, concurrently submitting readers
-        keep appending — so each transport send (and, on the pickling
-        transport, each marshalling pass) carries as many reads as the
-        previous send was slow.  A read enqueued for a replica that
-        crashed after registration still gets shipped here; the dead
-        FIFO drops it, and the crash handler's reroute owns the outcome.
-
-        Unlike the sequencer, this thread's death is survivable: the fast
-        path degrades to direct sends (``_read_thread`` is cleared, which
-        is exactly the condition ``_send_read`` already checks), and any
-        read stranded on the queue is rerouted through the total order.
-        """
-        register_thread(self._role("read-flusher"))
-        pending = self._read_pending
-        try:
-            while True:
-                self._read_kick.wait()
-                self._read_kick.clear()
-                while pending:
-                    by_replica: dict[int, list[tuple[int, ExecuteAGS]]] = {}
-                    try:
-                        while True:
-                            replica, floor, cmd = pending.popleft()
-                            by_replica.setdefault(replica, []).append((floor, cmd))
-                    except IndexError:
-                        pass
-                    # hold the lane lock while shipping so concurrent readers
-                    # keep feeding the next batch instead of racing us
-                    with self._read_send_lock:
-                        for replica, reads in by_replica.items():
-                            self.transport.send(replica, ("READS", reads))
-                if self._stopped:
-                    return
-        except Exception:  # noqa: BLE001 - degrade, don't strand readers
-            self._read_thread = None
-            while True:
-                try:
-                    entry = pending.popleft()
-                except IndexError:
-                    break
-                if len(entry) != 3:
-                    continue  # the malformed item that killed the loop
-                self._fallback_read(entry[2].request_id)
-
-    def _broadcast_batch(self, batch: list[tuple[Command, _Waiter | None]]) -> None:
-        # Durable mode: write the ordered stream to the journal BEFORE it
-        # reaches any replica — written and flushed to the OS, not yet
-        # forced to disk: that is the journal thread's job, and the
-        # broadcast does not wait for it.  _broadcast_batch only ever
-        # runs under _seq_lock, so journal order is exactly the total
-        # order.  Journal slot k holds the k-th sequenced command — the
-        # same coordinate as a replica's applied count, which is what
-        # lets compaction use a replica snapshot's `applied` as the
-        # covered-slot watermark, and lets a COMPS frame's `applied` say
-        # how far the disk must have got before it may be delivered.
-        if self._journal is not None and not self._journal_replaying:
-            base = self._journal_slot
-            self._journal.write_many(
-                (base + i + 1, cmd) for i, (cmd, _w) in enumerate(batch)
-            )
-            self._journal_slot = base + len(batch)
-            if self._journal_thread is None:
-                self._journal_durable = self._journal_slot
-            else:
-                self._journal_kick.set()
-        now = time.monotonic()
-        cmds = []
-        for cmd, w in batch:
-            cmds.append(cmd)
-            if w is not None:
-                w.t_ordered = now
-                self._h_submit.record(now - w.t_submit, now)
-        self._c_batches.inc(1, now)
-        self._h_batch.record(len(batch), now)
-        # On a sampled batch the stamp rides inside the batch item (and
-        # through the pickled blob), so every replica can report how long
-        # the batch sat in its inbox; CLOCK_MONOTONIC is system-wide on
-        # Linux, making the stamp comparable across processes.
-        sampled = self._batches_shipped % STAGE_SAMPLE_EVERY == 0
-        self._batches_shipped += 1
-        t_send = time.monotonic() if sampled else None
-        info = self.transport.broadcast(("BATCH", cmds, t_send), self.alive)
-        if isinstance(info, int):
-            # the marshalled size, from a transport that has one: over
-            # commands_submitted it is wire bytes per command.  Registered
-            # here, so a group with no wire shows no such counter.
-            self.metrics.counter("broadcast_bytes").inc(info, now)
-        if t_send is not None:
-            t_sent = time.monotonic()
-            self._h_stage_bcast.record(t_sent - t_send, t_sent)
-        tracer = self.tracer
-        if tracer is not None:
-            self._trace_batch(tracer, batch, now, info)
-
-    def _trace_batch(
-        self,
-        tracer: FlightRecorder,
-        batch: list[tuple[Command, _Waiter | None]],
-        t_ordered: float,
-        info: Any,
-    ) -> None:
-        """Record the batch's broadcast span and each AGS's submit span."""
-        traced: list[int] = []
-        for cmd, w in batch:
-            if cmd.trace_id is None:
-                continue
-            traced.append(cmd.trace_id)
-            if w is not None:
-                tracer.record_span(
-                    w.t_submit,
-                    w.track,
-                    "client",
-                    "submit_to_order",
-                    dur=t_ordered - w.t_submit,
-                    trace_id=cmd.trace_id,
-                    args={"request_id": cmd.request_id},
-                )
-        args: dict[str, Any] = {"batch": len(batch), "trace_ids": traced}
-        if isinstance(info, int):
-            args["bytes"] = info
-        tracer.record_span(
-            t_ordered,
-            "sequencer",
-            "group",
-            "broadcast",
-            dur=time.monotonic() - t_ordered,
-            args=args,
-        )
-
     # ------------------------------------------------------------------ #
-    # worker emissions (completions + query answers)
+    # worker emissions (the collector)
     # ------------------------------------------------------------------ #
 
     def _complete(self, replica_id: int, rid: int, result: Any) -> None:
         """Deliver one completion: pop-as-claim, record latencies, wake."""
         with self._state_lock:
             w = self._waiters.pop(rid, None)
-            self._reads.pop(rid, None)
         if w is not None:
-            now = time.monotonic()
+            now = self._clock()
             if w.t_ordered is not None:
                 self._h_apply.record(now - w.t_ordered, now)
             self._h_e2e.record(now - w.t_submit, now)
@@ -868,38 +394,26 @@ class ReplicaGroup:
             w.event.set()
 
     def _on_worker_item(self, replica_id: int, item: tuple) -> None:
-        # any emission proves the apply loop is running: completions (and
-        # everything else on the feedback lane) double as heartbeats
-        now = self._last_seen[replica_id] = time.monotonic()
+        now = self._clock()
+        if self.liveness is not None:
+            # any emission proves the apply loop is running: completions
+            # (and everything else on the feedback lane) double as heartbeats
+            self.liveness.heard(replica_id, now)
         kind = item[0]
-        if kind == "PONG":
-            return  # the timestamp refresh above was the whole point
         if kind == "COMPS":
             # one applied BATCH's, or one READS batch's, worth of answers
             _k, comps, applied = item
-            if self._journal_thread is not None:
-                # No acknowledgement before fsync.  `applied` is the
-                # newest slot these answers can reveal — the batch that
-                # *produced* them, which for a woken `in` or a fast-path
-                # `rd` is later than the statement's own slot — so they
-                # wait until the journal is durable that far.  Taking the
-                # lock even when nothing parks keeps this frame behind any
-                # release the journal thread is in the middle of.
-                with self._journal_cv:
-                    if applied > self._journal_durable:
-                        self._held.append((applied, replica_id, comps, now))
-                        return
-                self._h_commit_wait.record(0.0, now)
+            admit = self._admit
+            if admit is not None and not admit(applied, replica_id, comps, now):
+                return  # ahead of the disk: the journal releases it
             for rid, result in comps:
                 self._complete(replica_id, rid, result)
         elif kind == "READMISS":
-            # a blocking read's guard cannot fire on the replica's local
-            # state: reroute it through the total order, where it parks
-            self._fallback_read(item[1])
+            self.reads.miss(item[1])
         elif kind == "SPANS":
             tracer = self.tracer
             if tracer is not None:
-                track = self._replica_track(replica_id)
+                track = self._role(f"replica-{replica_id}")
                 for trace_id, rid, slot, ts, dur in item[1]:
                     tracer.record_span(
                         ts,
@@ -911,44 +425,13 @@ class ReplicaGroup:
                         args={"slot": slot, "request_id": rid},
                     )
         elif kind == "STAGES":
-            _k, queue_s, apply_s, t_emit = item
-            self._h_stage_queue.record(queue_s, now)
-            self._h_stage_apply.record(apply_s, now)
-            # the reply stage: how long the replica's answer took to
-            # reach this collector — the same hop a completion takes
-            # to wake its client
-            self._h_stage_reply.record(now - t_emit, now)
+            self.seq.staged(item, now)
         elif kind == "QUERY":
-            _k, qid, answering_replica, answer = item
-            with self._state_lock:
-                waiter = self._queries.pop((qid, answering_replica), None)
-            if waiter is not None:
-                event, slot = waiter
-                slot.append(answer)
-                event.set()
+            self.requests.answer(item[1], item[2], item[3])
 
     # ------------------------------------------------------------------ #
     # in-band queries
     # ------------------------------------------------------------------ #
-
-    def _register_query(
-        self, replica_id: int
-    ) -> tuple[int, threading.Event, list]:
-        qid = next(self._qids)
-        event = threading.Event()
-        slot: list = []
-        with self._state_lock:
-            self._queries[(qid, replica_id)] = (event, slot)
-        return qid, event, slot
-
-    def _fail_queries(self, replica_id: int) -> None:
-        """Answer every query pending on a crashed replica with a sentinel."""
-        with self._state_lock:
-            keys = [k for k in self._queries if k[1] == replica_id]
-            victims = [self._queries.pop(k) for k in keys]
-        for event, slot in victims:
-            slot.append(_REPLICA_CRASHED)
-            event.set()
 
     def query(
         self, replica_id: int, what: str, arg: Any = None, timeout: float = 30.0
@@ -956,45 +439,16 @@ class ReplicaGroup:
         """In-band query: answered after all previously sequenced commands.
 
         Fails fast on a replica that is already crashed — or that crashes
-        while the query is pending (crash_replica deposits a sentinel
-        answer) — instead of stalling out the full timeout; the
-        registration never outlives the call, whichever way it ends.
+        while the query is pending (its death answers with a sentinel) —
+        instead of stalling out the full timeout; the registration never
+        outlives the call, whichever way it ends.
         """
-        if not self.alive[replica_id]:
-            raise TimeoutError_(f"replica {replica_id} has crashed")
-        qid, event, slot = self._register_query(replica_id)
-        with self._seq_lock:  # serialize against broadcasts: stay in-band
-            self._flush_pending_locked()
-            self.transport.send(replica_id, ("QUERY", qid, what, arg))
-        if not self.alive[replica_id] and not event.is_set():
-            # raced crash_replica past its pending-query sweep
-            with self._state_lock:
-                self._queries.pop((qid, replica_id), None)
-            raise TimeoutError_(f"replica {replica_id} has crashed")
-        return self._await_answer(replica_id, qid, event, slot, timeout, "query")
 
-    def _await_answer(
-        self,
-        replica_id: int,
-        qid: int,
-        event: threading.Event,
-        slot: list,
-        timeout: float,
-        what: str,
-    ) -> Any:
-        """The tail of every in-band round trip, once the item is sent.
+        def in_band(replica: int, item: tuple) -> None:
+            with self.seq.in_band() as order:  # behind everything pending
+                order.send(replica, item)
 
-        Wait for the answer; on timeout drop the registration (it must
-        never outlive the call); surface the crash sentinel as the same
-        :class:`TimeoutError_` a dead replica gets up front.
-        """
-        if not event.wait(timeout):
-            with self._state_lock:
-                self._queries.pop((qid, replica_id), None)
-            raise TimeoutError_(f"replica {replica_id} did not answer {what}")
-        if slot[0] is _REPLICA_CRASHED:
-            raise TimeoutError_(f"replica {replica_id} crashed during {what}")
-        return slot[0]
+        return self.requests.ask(replica_id, what, arg, timeout=timeout, send=in_band)
 
     def _ask_live(
         self, what: str, arg: Any = None, timeout: float = 30.0
@@ -1023,24 +477,24 @@ class ReplicaGroup:
 
     def crash_replica(self, replica_id: int, *, notify: bool = True) -> None:
         """Halt one replica mid-stream; optionally deposit its failure tuple."""
-        self._declare_dead(replica_id, notify=notify, cause="crash_replica")
+        self._declare_dead(replica_id, "crash_replica", notify=notify)
 
     def _declare_dead(
-        self, replica_id: int, *, notify: bool = True, cause: str = "detector"
+        self, replica_id: int, cause: str, *, notify: bool = True
     ) -> bool:
         """The single path out of the live set, cooperative or detected.
 
         Returns False when the replica was already dead (the idempotence
         that lets the detector and a concurrent ``crash_replica`` race
         safely).  Everything the paper's fail-stop conversion needs
-        happens here: the alive-mask flip under the sequencer lock, the
-        ordered ``HostFailed`` (one failure tuple at the same slot on
-        every survivor), failing pending queries fast and rerouting
-        stranded fast-path reads.
+        happens here: the alive-mask flip under the order, the ordered
+        ``HostFailed`` (one failure tuple at the same slot on every
+        survivor), failing pending requests fast and rerouting stranded
+        fast-path reads.
         """
-        with self._seq_lock:
+        with self.seq.in_band():
             # the sequencer reads the alive mask while broadcasting; flip
-            # it under the same lock so a batch never ships against a
+            # it under the order so a batch never ships against a
             # half-updated live set
             if not self.alive[replica_id]:
                 return False
@@ -1048,141 +502,22 @@ class ReplicaGroup:
         self._g_live.set(len(self.live_replicas()))
         self.transport.stop_replica(replica_id)
         # anything parked on the dead replica can never be answered by it:
-        # fail its pending queries fast, reroute its outstanding reads
-        self._fail_queries(replica_id)
-        self._reroute_reads(replica_id)
+        # fail its pending requests fast, reroute its outstanding reads
+        self.requests.fail(replica_id)
+        self.reads.reroute(replica_id)
         if self.tracer is not None:
             self.tracer.record_span(
-                time.monotonic(), self._replica_track(replica_id),
+                self._clock(), self._role(f"replica-{replica_id}"),
                 "membership", "crash",
                 args={"cause": cause},
             )
         emit_event(
             "replica_dead", severity="warning",
-            group=self.name or "group", replica=replica_id, cause=cause,
+            group=self._owner, replica=replica_id, cause=cause,
         )
         if notify and any(self.alive):
-            self.post(
-                HostFailed(
-                    self.next_request_id(), CLIENT_ORIGIN, replica_id,
-                    shard=self.shard_info,
-                )
-            )
+            self.inject_failure(replica_id)
         return True
-
-    # ------------------------------------------------------------------ #
-    # failure detection + self-healing (the liveness plane)
-    # ------------------------------------------------------------------ #
-
-    def _monitor_loop(self) -> None:
-        """Detect dead replicas; drive auto-recovery.  One thread, opt-in.
-
-        Each tick pings every live replica in-band (a healthy replica's
-        PONG — or any other emission — refreshes ``_last_seen``), then
-        declares dead any replica that is BOTH silent past
-        ``suspect_after`` AND failing the transport probe.  Silence alone
-        never kills: a replica buried in a long batch answers its PING
-        late but its process/thread is demonstrably alive.  The dead are
-        declared through the same path as a cooperative ``crash_replica``,
-        so survivors see one ordered failure tuple at one slot.
-        """
-        register_thread(self._role("liveness-monitor"))
-        policy = self.liveness
-        assert policy is not None
-        while not self._monitor_stop.wait(policy.probe_interval):
-            if self._stopped or self._group_error is not None:
-                return
-            now = time.monotonic()
-            for i in range(self.n_replicas):
-                if not self.alive[i]:
-                    continue
-                try:
-                    self.transport.send(i, ("PING",))
-                except Exception:  # noqa: BLE001 - a dying queue is itself a signal
-                    pass
-                silent = now - self._last_seen[i]
-                if silent < policy.suspect_after:
-                    continue
-                if self.transport.probe(i):
-                    continue  # suspect, but demonstrably alive: keep waiting
-                self._detected_failure(i, silent)
-            self._drive_recoveries(time.monotonic())
-
-    def _detected_failure(self, replica_id: int, silent: float) -> None:
-        if not self._declare_dead(replica_id, notify=True, cause="detector"):
-            return  # raced a cooperative crash_replica; it owned the death
-        self._c_failures.inc()
-        self._h_detect.record(silent)
-        emit_event(
-            "failure_detected", severity="warning",
-            group=self.name or "group", replica=replica_id,
-            silent_s=round(silent, 4),
-        )
-        if self.tracer is not None:
-            self.tracer.record_span(
-                time.monotonic(), "monitor", "liveness", "detect",
-                args={"replica": replica_id, "silent_s": round(silent, 4)},
-            )
-        policy = self.liveness
-        if (
-            policy is not None
-            and policy.auto_recover
-            and self.transport.supports_recovery
-        ):
-            self._schedule_recovery(replica_id)
-
-    def _schedule_recovery(self, replica_id: int) -> None:
-        policy = self.liveness
-        assert policy is not None
-        attempts = self._restarts[replica_id]
-        if attempts >= policy.max_restarts:
-            if self.tracer is not None:
-                self.tracer.record_span(
-                    time.monotonic(), "monitor", "liveness", "gave_up",
-                    args={"replica": replica_id, "restarts": attempts},
-                )
-            emit_event(
-                "recovery_gave_up", severity="error",
-                group=self.name or "group", replica=replica_id,
-                restarts=attempts,
-            )
-            return  # crash-looping: the restart budget is spent
-        delay = min(
-            policy.backoff_initial * (2.0 ** attempts), policy.backoff_max
-        )
-        self._recover_pending[replica_id] = time.monotonic() + delay
-
-    def _drive_recoveries(self, now: float) -> None:
-        for replica_id, due in list(self._recover_pending.items()):
-            if self.alive[replica_id]:
-                self._recover_pending.pop(replica_id, None)
-                continue
-            if now < due:
-                continue
-            self._recover_pending.pop(replica_id, None)
-            self._restarts[replica_id] += 1
-            t0 = time.monotonic()
-            try:
-                self.recover_replica(replica_id)
-            except Exception:  # noqa: BLE001 - retry with more backoff
-                self._schedule_recovery(replica_id)
-            else:
-                self._c_autorec.inc()
-                emit_event(
-                    "auto_recovered",
-                    group=self.name or "group", replica=replica_id,
-                    attempt=self._restarts[replica_id],
-                    took_s=round(time.monotonic() - t0, 4),
-                )
-                if self.tracer is not None:
-                    self.tracer.record_span(
-                        t0, "monitor", "liveness", "auto_recover",
-                        dur=time.monotonic() - t0,
-                        args={
-                            "replica": replica_id,
-                            "attempt": self._restarts[replica_id],
-                        },
-                    )
 
     def inject_failure(self, host_id: int) -> None:
         """Deposit a failure tuple for a *logical* host (worker) id."""
@@ -1197,369 +532,47 @@ class ReplicaGroup:
         """Restart a crashed replica and transfer state into it.
 
         The snapshot is captured from a live donor *at a quiet point in
-        the total order* — the sequencer lock is held, so no command can
-        slip between capture and readmission.  A ``HostRecovered`` command
-        then deposits the recovery tuple, as on the simulated cluster.
-
-        The snapshot travels as bounded chunks (``transfer_chunk_bytes``
-        each) instead of one item, and the fetch is *resumable*: a donor
-        dying mid-transfer is noticed within a probe
-        interval and the remaining chunks come from the next live donor
-        (donors frozen at the same slot produce identical snapshot bytes,
-        so already-fetched chunks stay valid; a byte-level mismatch is
-        detected by the transfer descriptor and restarts the fetch).
-        Donors lost mid-transfer are declared dead only *after* the
-        sequencer lock is released — _declare_dead retakes it.
+        the total order* (:mod:`~repro.replication.transfer`); a
+        ``HostRecovered`` command then deposits the recovery tuple, as on
+        the simulated cluster.
         """
         if self.alive[replica_id]:
             return
-        if not self.transport.supports_recovery:
-            raise TimeoutError_(
-                f"{type(self.transport).__name__} does not support replica restart"
-            )
-        dead_donors: list[int] = []
-        try:
-            self._recover_replica_locked(replica_id, timeout, dead_donors)
-        finally:
-            for d in dead_donors:
-                self._declare_dead(d, notify=True, cause="transfer_donor")
-
-    def _recover_replica_locked(
-        self, replica_id: int, timeout: float, dead_donors: list[int]
-    ) -> None:
-        with self._seq_lock:  # freeze the order: nothing sequenced past us
-            self._flush_pending_locked()
-            chunks, applied = self._fetch_snapshot_chunked(timeout, dead_donors)
-            self.transport.restart_replica(replica_id)
-            pending = self._send_install(replica_id, chunks)
-            self.alive[replica_id] = True
-            # a rejoining replica starts with a clean liveness slate —
-            # without this the monitor would re-suspect it instantly
-            self._last_seen[replica_id] = time.monotonic()
-            # broadcast the recovery tuple before anyone can observe the
-            # flipped alive mask: a caller polling ``alive`` must never
-            # fingerprint the group with HostRecovered applied on some
-            # replicas but still un-sequenced for others (``post`` would
-            # retake the sequencer lock on the unbatched path, so ship
-            # directly — we already hold the order)
-            rec = HostRecovered(
-                self.next_request_id(), CLIENT_ORIGIN, replica_id,
-                shard=self.shard_info,
-            )
-            if self.tracer is not None:
-                rec.trace_id = self.tracer.next_trace_id()
-            with self._pending_lock:
-                self._sequenced += 1
-            self._broadcast_batch([(rec, None)])
-        self._g_live.set(len(self.live_replicas()))
-        self._recover_pending.pop(replica_id, None)
-        self._await_installed(pending, timeout)
+        applied = self.transfer.recover(replica_id, timeout)
         if self.tracer is not None:
             self.tracer.record_span(
-                time.monotonic(),
-                self._replica_track(replica_id),
-                "membership",
-                "recover",
+                self._clock(), self._role(f"replica-{replica_id}"),
+                "membership", "recover",
                 args={"applied": applied},
             )
         emit_event(
             "replica_recovered",
-            group=self.name or "group", replica=replica_id, applied=applied,
+            group=self._owner, replica=replica_id, applied=applied,
         )
 
-    # ------------------------------------------------------------------ #
-    # chunked state transfer (receiver side, then donor side driver)
-    # ------------------------------------------------------------------ #
-
-    def _send_install(
-        self, replica_id: int, chunks: list[bytes]
-    ) -> tuple[int, int, threading.Event, list]:
-        """Ship a chunked ``(snapshot, applied)`` pickle into one replica.
-
-        The one way state enters a replica — recovery of a crashed one
-        and journal replay into fresh ones alike.  Returns the pending
-        answer for :meth:`_await_installed`; the two are separate so a
-        caller can ship to several replicas (or release the sequencer
-        lock) before waiting.
-        """
-        qid, event, slot = self._register_query(replica_id)
-        total = len(chunks)
-        for idx, chunk in enumerate(chunks):
-            self.transport.send(
-                replica_id, ("INSTALL_CHUNK", qid, idx, total, chunk)
-            )
-        self.transport.send(replica_id, ("INSTALL_DONE", qid, qid, total))
-        return replica_id, qid, event, slot
-
-    def _await_installed(
-        self, pending: tuple[int, int, threading.Event, list], timeout: float
-    ) -> None:
-        answer = self._await_answer(*pending, timeout, "state install")
-        if answer != "installed":  # ("incomplete", missing): chunks lost
-            raise TimeoutError_(
-                f"replica {pending[0]} rejected the transferred state: "
-                f"{answer!r}"
-            )
-
-    def _xfer_query(self, donor: int, item_fn, timeout: float) -> Any:
-        """One transfer round trip to *donor* while holding ``_seq_lock``.
-
-        Waits with a short poll so a donor dying mid-transfer is noticed
-        via ``transport.probe`` within ~20ms instead of stalling out the
-        full timeout — crucially WITHOUT calling ``_declare_dead``, which
-        retakes the sequencer lock this thread already holds (the caller
-        defers the declaration until after release).  Returns the answer,
-        or :data:`_DONOR_LOST`.
-        """
-        qid, event, slot = self._register_query(donor)
-        try:
-            self.transport.send(donor, item_fn(qid))
-        except Exception:  # noqa: BLE001 - a dying queue is itself the signal
-            with self._state_lock:
-                self._queries.pop((qid, donor), None)
-            return _DONOR_LOST
-        deadline = time.monotonic() + timeout
-        while not event.wait(0.02):
-            if not self.transport.probe(donor):
-                with self._state_lock:
-                    self._queries.pop((qid, donor), None)
-                return _DONOR_LOST
-            if time.monotonic() >= deadline:
-                with self._state_lock:
-                    self._queries.pop((qid, donor), None)
-                raise TimeoutError_(
-                    f"donor {donor} did not answer state transfer"
-                )
-        if slot[0] is _REPLICA_CRASHED:
-            return _DONOR_LOST
-        return slot[0]
-
-    def _fetch_snapshot_chunked(
-        self, timeout: float, dead_donors: list[int]
-    ) -> tuple[list[bytes], int]:
-        """Fetch a donor snapshot as bounded chunks.  Caller holds ``_seq_lock``.
-
-        Resumable across donor death: every live donor is frozen at the
-        same slot (the lock is held, pending flushed, and XFER_BEGIN is
-        in-band), so converged donors serialize to identical bytes and a
-        second donor can serve the chunks the first never delivered.  The
-        transfer descriptor ``(n_chunks, n_bytes, applied)`` guards the
-        resumption — any mismatch restarts accumulation from chunk 0.
-        Donors that die mid-transfer are appended to *dead_donors* for
-        the caller to declare dead after the lock is released.
-        """
-        chunks: list[bytes] = []
-        meta: tuple[int, int, int] | None = None
-        tried: set[int] = set()
-        while True:
-            donor = next(
-                (
-                    i
-                    for i in self.live_replicas()
-                    if i not in tried and i not in dead_donors
-                ),
-                None,
-            )
-            if donor is None:
-                raise TimeoutError_("no live replica to transfer state from")
-            begin = self._xfer_query(
-                donor,
-                lambda qid: ("XFER_BEGIN", qid, self.transfer_chunk_bytes),
-                timeout,
-            )
-            if begin is _DONOR_LOST:
-                dead_donors.append(donor)
-                continue
-            _tag, xid, total, total_bytes, applied = begin
-            if meta != (total, total_bytes, applied):
-                chunks.clear()
-                meta = (total, total_bytes, applied)
-            lost = False
-            while len(chunks) < total:
-                idx = len(chunks)
-                chunk = self._xfer_query(
-                    donor, lambda qid: ("XFER_CHUNK", qid, xid, idx), timeout
-                )
-                if chunk is _DONOR_LOST:
-                    dead_donors.append(donor)
-                    lost = True
-                    break
-                if chunk is None:
-                    # alive but forgot the transfer (restarted in between):
-                    # renegotiate with the next donor, keeping what we have
-                    tried.add(donor)
-                    lost = True
-                    break
-                chunks.append(chunk)
-                self._c_xfer_chunks.inc()
-                emit_event(
-                    "state_transfer_chunk",
-                    group=self.name or "group",
-                    donor=donor,
-                    chunk=idx,
-                    total=total,
-                    bytes=len(chunk),
-                )
-                hook = self._xfer_chunk_hook
-                if hook is not None:
-                    hook(donor, idx, total)
-            if lost:
-                continue
-            self.transport.send(donor, ("XFER_END", xid))
-            return chunks, applied
-
-    # ------------------------------------------------------------------ #
-    # the durable journal (sequencer-stream WAL)
-    # ------------------------------------------------------------------ #
-
-    def _recover_from_journal(self) -> None:
-        """Replay the durable journal into the (fresh) replicas.
-
-        Runs once, at construction, before any client can submit: the
-        newest readable snapshot is installed on every replica, then the
-        delta records re-broadcast through the normal batch path with
-        journaling suppressed (they are already on disk).  Completions
-        from replayed commands find no waiter and are dropped — their
-        clients died with the previous incarnation, exactly the WAL
-        recovery semantics.  Request ids fast-forward past everything
-        replayed so a fresh command can never collide with a memoized
-        completion.
-        """
-        from repro.persist.segments import replay_dir
-
-        res = replay_dir(self.durable_dir)
-        if res.snapshot is None and not res.records:
-            return
-        t0 = time.monotonic()
-        self._journal_replaying = True
-        try:
-            with self._seq_lock:
-                if res.snapshot is not None:
-                    chunks = split_state(
-                        res.snapshot, res.snapshot_slot, self.transfer_chunk_bytes
-                    )
-                    installs = [
-                        self._send_install(i, chunks)
-                        for i in self.live_replicas()
-                    ]
-                    for pending in installs:
-                        self._await_installed(pending, 30.0)
-                    self._journal_slot = self._journal_durable = res.snapshot_slot
-                    with self._pending_lock:
-                        # replicas resume at applied == snapshot_slot, so
-                        # read floors must count from there too
-                        self._sequenced = res.snapshot_slot
-                if res.records:
-                    with self._pending_lock:
-                        self._sequenced += len(res.records)
-                    # already on disk: durable before the replicas answer,
-                    # so the replayed completions are dropped, not parked
-                    self._journal_slot = self._journal_durable = res.records[-1][0]
-                    self._c_cmds.inc(len(res.records))  # they ship in a batch
-                    self._broadcast_batch(
-                        [(cmd, None) for _slot, cmd in res.records]
-                    )
-        finally:
-            self._journal_replaying = False
-        self._req_ids = itertools.count(res.highest_request_id() + 1)
-        self.journal_replayed = len(res.records) + (
-            1 if res.snapshot is not None else 0
+    def _readmit(self, replica_id: int, order: Any) -> None:
+        """The group's half of a recovery, under the held *order*."""
+        self.alive[replica_id] = True
+        self._g_live.set(len(self.live_replicas()))
+        if self.liveness is not None:
+            self.liveness.rejoined(replica_id, self._clock())
+        # broadcast the recovery tuple before anyone can observe the
+        # flipped alive mask: a caller polling ``alive`` must never
+        # fingerprint the group with HostRecovered applied on some
+        # replicas but still un-sequenced for others (``post`` would
+        # retake the order on the unbatched path, so ship directly — we
+        # already hold it)
+        rec = HostRecovered(
+            self.next_request_id(), CLIENT_ORIGIN, replica_id,
+            shard=self.shard_info,
         )
-        emit_event(
-            "journal_recovered",
-            group=self.name or "group",
-            dir=self.durable_dir,
-            snapshot_slot=res.snapshot_slot,
-            records=len(res.records),
-            torn_records=res.torn_records,
-            torn_snapshots=res.torn_snapshots,
-            seconds=round(time.monotonic() - t0, 4),
-        )
+        if self.tracer is not None:
+            rec.trace_id = self.tracer.next_trace_id()
+        order.broadcast([(rec, None)])
 
-    def _journal_loop(self) -> None:
-        """Group commit: fsync whatever the sequencer has written so far.
-
-        ``target`` is read *before* the fsync, so the fsync covers every
-        record up to it — and every batch the sequencer writes while this
-        fsync runs is covered by the next one, however many there are.
-        Like the sequencer's, this thread's death is fatal to the group:
-        nothing could ever be acknowledged again.
-        """
-        from repro.persist.crashpoints import crash_here
-
-        register_thread(self._role("journal"))
-        journal = self._journal
-        assert journal is not None
-        try:
-            while True:
-                self._journal_kick.wait()
-                self._journal_kick.clear()
-                # read before the drain: shutdown sets it after the
-                # sequencer's last flush, so that flush is covered below
-                stopping = self._journal_stop
-                while self._journal_durable < (target := self._journal_slot):
-                    crash_here("journal_before_fsync")
-                    t0 = time.monotonic()
-                    journal.sync()
-                    now = time.monotonic()
-                    self._h_fsync.record(now - t0, now)
-                    self._journal_commit(target, now)
-                if stopping:
-                    return
-        except Exception as exc:  # noqa: BLE001 - the group must not wedge
-            self._mark_failed(
-                f"journal thread died: {type(exc).__name__}: {exc}"
-            )
-            with self._journal_cv:
-                self._held.clear()  # their waiters were just failed
-                self._journal_cv.notify_all()
-
-    def _journal_commit(self, target: int, now: float) -> None:
-        """Advance the durable watermark; release what it now covers.
-
-        Released in ``applied`` order (the sort is stable, so one
-        replica's frames keep their lane order too), under the lock a
-        collector takes before delivering a frame directly — a later
-        frame cannot overtake the release.
-        """
-        with self._journal_cv:
-            self._journal_durable = target
-            ready = [h for h in self._held if h[0] <= target]
-            if ready:
-                self._held = [h for h in self._held if h[0] > target]
-                ready.sort(key=lambda h: h[0])
-                for _applied, replica_id, comps, t_parked in ready:
-                    self._h_commit_wait.record(now - t_parked, now)
-                    for rid, result in comps:
-                        self._complete(replica_id, rid, result)
-            self._journal_cv.notify_all()
-
-    def _journal_barrier(self, timeout: float) -> None:
-        """Return once everything submitted so far is fsynced.
-
-        "Every replica has applied it" says nothing about the disk under
-        group commit, so the calls whose contract is *it happened* —
-        quiesce, compaction — end here.
-        """
-        if self._journal_thread is None:
-            return
-        with self._seq_lock:
-            self._flush_pending_locked()
-            target = self._journal_slot
-        with self._journal_cv:
-            self._journal_cv.wait_for(
-                lambda: self._journal_durable >= target
-                or self._group_error is not None,
-                timeout,
-            )
-            durable = self._journal_durable
-        if durable < target:
-            if self._group_error is not None:
-                raise RuntimeFailure(self._group_error)
-            raise TimeoutError_(
-                f"journal fsynced to slot {durable} of {target} "
-                f"within {timeout}s"
-            )
+    # ------------------------------------------------------------------ #
+    # the durable journal
+    # ------------------------------------------------------------------ #
 
     def compact_journal(self, *, timeout: float = 30.0) -> int | None:
         """Snapshot a live replica and prune the journal prefix it covers.
@@ -1568,30 +581,21 @@ class ReplicaGroup:
         flush, so it reflects exactly the journaled prefix — its
         ``applied`` count IS the covered journal slot.  The journal
         barrier keeps the snapshot from running ahead of the log it
-        replaces.  The disk work (snapshot temp+rename, manifest, prune)
-        runs outside the sequencer lock; pruning only ever touches closed
-        segments, so it cannot race the sequencer's writes to the active
-        one.
+        replaces.
         """
-        if self._journal is None:
+        if not self.journal.durable:
             return None
         donor = next(iter(self.live_replicas()), None)
         if donor is None:
             raise TimeoutError_("no live replica to snapshot the journal from")
         snapshot, applied = self.query(donor, "snapshot", timeout=timeout)
-        self._journal_barrier(timeout)
-        self._journal.compact(applied, snapshot, group=self.name or "group")
+        self.journal.barrier(self.seq.in_band, timeout)
+        self.journal.compact(applied, snapshot)
         return applied
 
     def journal_status(self) -> dict[str, Any] | None:
         """Journal directory status for the ``cli wal`` subcommand."""
-        if self._journal is None:
-            return None
-        st = self._journal.status()
-        st["journal_slot"] = self._journal_slot
-        st["durable_slot"] = self._journal_durable
-        st["replayed"] = self.journal_replayed
-        return st
+        return self.journal.status()
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -1607,7 +611,7 @@ class ReplicaGroup:
         """
         for _answered in self._ask_live("applied", timeout=timeout):
             pass
-        self._journal_barrier(timeout)
+        self.journal.barrier(self.seq.in_band, timeout)
 
     def fingerprints(self) -> list[int]:
         """Stable-state fingerprints of all live replicas.
@@ -1629,42 +633,34 @@ class ReplicaGroup:
         # Backpressure gauges are *sampled* here, at snapshot time — the
         # hot path never touches them.  Queue sizes are approximate by
         # nature (qsize races the consumers); that is fine for a gauge.
-        with self._pending_lock:
-            self._g_seq_depth.set(len(self._pending))
-        self._g_read_depth.set(len(self._read_pending))
-        self._g_journal_lag.set(self._journal_slot - self._journal_durable)
-        depth = getattr(self.transport, "depth", None)
-        if depth is not None:
-            self._g_apply_depth.set(
-                max((depth(i) for i in self.live_replicas()), default=0)
-            )
+        self.seq.depth()  # leaves it in the sequencer's gauge
+        self.reads.sample()
+        self.journal.sample()
+        self._g_apply_depth.set(
+            max((self.transport.depth(i) for i in self.live_replicas()), default=0)
+        )
         return self.metrics.snapshot()
 
     # ------------------------------------------------------------------ #
     # continuous profiling
     # ------------------------------------------------------------------ #
 
-    def start_profiling(
-        self, hz: float = DEFAULT_HZ, *, local_sampler: bool = True
-    ) -> None:
-        """Begin sampling this group's threads (and replica processes).
+    def start_profiling(self, hz: float = DEFAULT_HZ) -> None:
+        """Begin sampling this group's replica processes.
 
         On per-process-worker transports each live replica starts its own
         sampler, driven by an in-band ``profile_start`` query; on
-        in-process transports the local sampler already sees the replica
-        threads.  ``local_sampler=False`` lets a :class:`ShardedGroup`
-        run ONE process-wide sampler itself instead of one per shard.
-        Idempotent; strictly opt-in — until called, nothing samples.
+        in-process transports the :class:`ShardedGroup`'s ONE process-wide
+        sampler already sees the replica threads, as it does this group's
+        registered threads.  Strictly opt-in — until called, nothing samples.
         """
-        if getattr(self.transport, "per_process_workers", False):
+        if self.transport.per_process_workers:
             self._remote_profiling = True
             for _started in self._ask_live("profile_start", hz):
                 pass  # a replica that crashes takes its sampler with it
-        if local_sampler and self._profiler is None:
-            self._profiler = SamplingProfiler(hz=hz).start()
 
     def stop_profiling(self) -> dict[str, int]:
-        """Stop sampling; return the merged folded stacks.
+        """Stop sampling; return the replicas' merged folded stacks.
 
         Remote stacks come back over the incarnation-fenced query lane:
         a replica killed mid-sampling simply contributes nothing (the
@@ -1675,10 +671,6 @@ class ReplicaGroup:
         attributable.
         """
         folded: dict[str, int] = {}
-        prof = self._profiler
-        self._profiler = None
-        if prof is not None:
-            folded = prof.stop()
         if self._remote_profiling:
             self._remote_profiling = False
             # a replica that crashed while sampling is skipped: keep the survivors
@@ -1698,7 +690,7 @@ class ReplicaGroup:
         The state-machine image (spaces, waiters, last-out ages) comes
         from the lowest-numbered live replica via the in-band query path,
         so it reflects everything sequenced before the call.  Per-replica
-        applied counts give queue lag; the pending deque gives sequencer
+        applied counts give queue lag; the pending queue gives sequencer
         depth.
         """
         from repro.obs.inspect import empty_snapshot
@@ -1724,8 +716,7 @@ class ReplicaGroup:
         for _i, image in self._ask_live("introspect"):
             snap["sm"] = image
             break
-        with self._pending_lock:
-            snap["pending"] = len(self._pending)
+        snap["pending"] = self.seq.depth()
         return snap
 
     # ------------------------------------------------------------------ #
@@ -1736,25 +727,11 @@ class ReplicaGroup:
         if self._stopped:
             return
         self._stopped = True
-        if self._profiler is not None:
-            # local only: the replica processes are about to be stopped,
-            # and querying them for stacks during teardown could stall
-            self._profiler.stop()
-            self._profiler = None
-        if self._monitor_thread is not None:
-            self._monitor_stop.set()
-            self._monitor_thread.join(timeout=5.0)
-        if self._seq_thread is not None:
-            self._kick.set()
-            self._seq_thread.join(timeout=5.0)
-        if self._read_thread is not None:
-            self._read_kick.set()
-            self._read_thread.join(timeout=5.0)
-        if self._journal_thread is not None:
-            # after the sequencer's last flush, so the last fsync covers it
-            self._journal_stop = True
-            self._journal_kick.set()
-            self._journal_thread.join(timeout=30.0)
+        if self.liveness is not None:
+            self.liveness.close()
+        self.seq.close()
+        self.reads.close()
+        # after the sequencer's last flush, so the last fsync covers it
+        self.journal.stop()
         self.transport.shutdown(self.alive)
-        if self._journal is not None:
-            self._journal.close()
+        self.journal.close()

@@ -1,0 +1,318 @@
+"""GroupJournal: the sequencer's ordered stream on disk, group-committed.
+
+With ``durable_dir=`` the sequencer *writes* each batch's records to a
+segmented WAL (:mod:`repro.persist.segments`) under the order and
+broadcasts at once; a journal thread fsyncs beside it, one fsync covering
+every batch written while the previous one ran.  Journal slot k holds the
+k-th sequenced command — the same coordinate as a replica's applied
+count, which is what lets compaction use a replica snapshot's ``applied``
+as the covered-slot watermark, lets a full-group restart replay the
+stream and recover every replica to the last fsynced slot, and lets a
+``COMPS`` frame's ``applied`` say how far the disk must have got before
+it may be delivered.
+
+The fence is **no acknowledgement before fsync**: replicas may apply
+ahead of the disk, but every ``COMPS`` frame carries the replica's applied
+count and passes :meth:`GroupJournal.admit` only once the journal is
+fsynced that far, so nothing a client has observed can be lost to a
+crash.  What waits for the disk is the completion, never the command.
+
+One class, three shapes: no directory (a volatile group: nothing written,
+the instruments read zero), fsync off (written, never forced: no thread,
+the two slots move as one, nothing is ever parked), fsync on (the thread
+and the fence).
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Any, Callable, ContextManager
+
+from repro._errors import RuntimeFailure, TimeoutError_
+from repro.obs.events import emit as emit_event
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import register_thread
+
+__all__ = ["GroupJournal"]
+
+
+class GroupJournal:
+    """Owns the log, the journal thread, both slot counters and what is held.
+
+    *complete* is the group's delivery of one completion, which a parked
+    frame is released through; *on_fatal* is told why when the journal
+    thread dies — nothing could ever be acknowledged again.
+    """
+
+    def __init__(
+        self,
+        dir: str | None,
+        fsync: bool,
+        metrics: MetricsRegistry,
+        clock: Callable[[], float],
+        complete: Callable[[int, int, Any], None],
+        *,
+        role: str = "journal",
+        owner: str = "group",
+        on_fatal: Callable[[str], None] | None = None,
+    ):
+        self.dir = dir
+        self._clock = clock
+        self._complete = complete
+        self._role = role
+        self._owner = owner
+        self._on_fatal = on_fatal
+        #: Records written (by the sequencer, under the order) and records
+        #: fsynced (by the journal thread).  With fsync off the two move
+        #: as one.
+        self._slot = 0
+        self._durable = 0
+        self._replaying = False
+        #: Records and snapshots fed back into the replicas at construction.
+        self.replayed = 0
+        #: Guards _durable and _held; barriers sleep on it.
+        self._journal_cv = threading.Condition()
+        #: COMPS frames that ran ahead of the disk, in arrival order:
+        #: (applied, replica_id, comps, t_parked).
+        self._held: list[tuple[int, int, list, float]] = []
+        self._failed: str | None = None
+        self._kick = threading.Event()
+        self._stop = False
+        self._h_fsync = metrics.histogram("journal_fsync")
+        self._h_commit_wait = metrics.histogram("journal_commit_wait")
+        self._g_lag = metrics.gauge("journal_lag")
+        self._log = None
+        self._thread: threading.Thread | None = None
+        if dir is not None:
+            from repro.persist.segments import SegmentedLog
+
+            self._log = SegmentedLog(dir, fsync=fsync)
+        #: True when there is a log: the sequencer must :meth:`write`.
+        self.durable = dir is not None
+        #: True when completions must pass :meth:`admit` (fsync on).
+        self.fenced = self.durable and fsync
+
+    def start(self) -> None:
+        """Launch the journal thread, if this journal fsyncs."""
+        if self.fenced:
+            self._thread = threading.Thread(
+                target=self._loop, name="journal", daemon=True
+            )
+            self._thread.start()
+
+    # ------------------------------------------------------------------ #
+    # the sequencer's side: write under the order
+    # ------------------------------------------------------------------ #
+
+    def write(self, batch: list[tuple[Any, Any]]) -> None:
+        """Append *batch*'s commands at the next slots.  Caller holds the
+        order, and broadcasts only afterwards — written and flushed to the
+        OS here, forced to disk by the journal thread."""
+        if self._replaying:
+            return  # a replayed record is already on disk
+        base = self._slot
+        self._log.write_many(
+            (base + i + 1, cmd) for i, (cmd, _w) in enumerate(batch)
+        )
+        self._slot = base + len(batch)
+        if self.fenced:
+            self._kick.set()
+        else:
+            self._durable = self._slot
+
+    def replay(self, order: Any, install: Callable[[Any, int], None]) -> Any:
+        """Feed what the directory holds back into the (fresh) replicas.
+
+        Runs once, at construction, under the order and before any client
+        can submit: the newest readable snapshot goes to *install*, then
+        the delta records are re-broadcast through the normal batch path
+        with journaling suppressed (they are already on disk — durable
+        before the replicas answer, so the replayed completions find no
+        waiter and are dropped, not parked: their clients died with the
+        previous incarnation, exactly the WAL recovery semantics).
+        Returns the :class:`~repro.persist.segments.ReplayResult`, or
+        ``None`` when there was nothing to replay.
+        """
+        from repro.persist.segments import replay_dir
+
+        res = replay_dir(self.dir)
+        if res.snapshot is None and not res.records:
+            return None
+        t0 = self._clock()
+        self._replaying = True
+        try:
+            if res.snapshot is not None:
+                install(res.snapshot, res.snapshot_slot)
+                self._slot = self._durable = res.snapshot_slot
+                # replicas resume at applied == snapshot_slot, so read
+                # floors must count from there too
+                order.resume_at(res.snapshot_slot)
+            if res.records:
+                self._slot = self._durable = res.records[-1][0]
+                order.broadcast([(cmd, None) for _slot, cmd in res.records])
+        finally:
+            self._replaying = False
+        self.replayed = len(res.records) + (1 if res.snapshot is not None else 0)
+        emit_event(
+            "journal_recovered",
+            group=self._owner,
+            dir=self.dir,
+            snapshot_slot=res.snapshot_slot,
+            records=len(res.records),
+            torn_records=res.torn_records,
+            torn_snapshots=res.torn_snapshots,
+            seconds=round(self._clock() - t0, 4),
+        )
+        return res
+
+    # ------------------------------------------------------------------ #
+    # the journal thread: fsync, then release
+    # ------------------------------------------------------------------ #
+
+    def _loop(self) -> None:
+        """Group commit: fsync whatever the sequencer has written so far,
+        back to back while anything is un-synced.  Like the sequencer's,
+        this thread's death is fatal to the group."""
+        register_thread(self._role)
+        try:
+            while True:
+                self._kick.wait()
+                self._kick.clear()
+                # read before the drain: stop() sets it after the
+                # sequencer's last flush, so that flush is covered below
+                stopping = self._stop
+                while self._durable < self._slot:
+                    self.sync()
+                if stopping:
+                    return
+        except Exception as exc:  # noqa: BLE001 - the group must not wedge
+            reason = f"journal thread died: {type(exc).__name__}: {exc}"
+            if self._on_fatal is not None:
+                self._on_fatal(reason)
+            with self._journal_cv:
+                self._failed = reason
+                self._held.clear()  # their waiters were just failed
+                self._journal_cv.notify_all()
+
+    def sync(self) -> None:
+        """One group commit: fsync, then release what that covers.
+
+        ``target`` is read *before* the fsync, so the fsync covers every
+        record up to it — and every batch the sequencer writes while this
+        fsync runs is covered by the next one, however many there are.
+        """
+        from repro.persist.crashpoints import crash_here
+
+        target = self._slot
+        crash_here("journal_before_fsync")
+        t0 = self._clock()
+        self._log.sync()
+        now = self._clock()
+        self._h_fsync.record(now - t0, now)
+        self._commit(target, now)
+
+    def _commit(self, target: int, now: float) -> None:
+        """Advance the durable watermark; release what it now covers.
+
+        Released in ``applied`` order (the sort is stable, so one
+        replica's frames keep their lane order too), under the lock
+        :meth:`admit` takes before letting a frame through — a later
+        frame cannot overtake the release.
+        """
+        with self._journal_cv:
+            self._durable = target
+            ready = [h for h in self._held if h[0] <= target]
+            if ready:
+                self._held = [h for h in self._held if h[0] > target]
+                ready.sort(key=lambda h: h[0])
+                for _applied, replica_id, comps, t_parked in ready:
+                    self._h_commit_wait.record(now - t_parked, now)
+                    for rid, result in comps:
+                        self._complete(replica_id, rid, result)
+            self._journal_cv.notify_all()
+
+    # ------------------------------------------------------------------ #
+    # the collector's side: the fence
+    # ------------------------------------------------------------------ #
+
+    def admit(self, applied: int, replica_id: int, comps: list, now: float) -> bool:
+        """May this COMPS frame be delivered now?  False: it was parked.
+
+        ``applied`` is the newest slot these answers can reveal — the
+        batch that *produced* them, which for a woken ``in`` or a
+        fast-path ``rd`` is later than the statement's own slot — so they
+        wait until the journal is durable that far.  Taking the lock even
+        when nothing parks keeps this frame behind any release the
+        journal thread is in the middle of.
+        """
+        with self._journal_cv:
+            if applied > self._durable:
+                self._held.append((applied, replica_id, comps, now))
+                return False
+        self._h_commit_wait.record(0.0, now)
+        return True
+
+    def barrier(
+        self, in_band: Callable[[], ContextManager[Any]], timeout: float
+    ) -> None:
+        """Return once everything submitted so far is fsynced.
+
+        "Every replica has applied it" says nothing about the disk under
+        group commit, so the calls whose contract is *it happened* —
+        quiesce, compaction — end here.
+        """
+        if not self.fenced:
+            return
+        with in_band():  # what is pending is written before the slot is read
+            target = self._slot
+        with self._journal_cv:
+            self._journal_cv.wait_for(
+                lambda: self._durable >= target or self._failed is not None,
+                timeout,
+            )
+            durable = self._durable
+        if durable < target:
+            if self._failed is not None:
+                raise RuntimeFailure(self._failed)
+            raise TimeoutError_(
+                f"journal fsynced to slot {durable} of {target} "
+                f"within {timeout}s"
+            )
+
+    # ------------------------------------------------------------------ #
+    # compaction, status, lifecycle
+    # ------------------------------------------------------------------ #
+
+    def compact(self, applied: int, snapshot: dict[str, Any]) -> None:
+        """Write *snapshot* as covering slots up to *applied*; prune them.
+
+        The disk work (snapshot temp+rename, manifest, prune) runs outside
+        the order; pruning only ever touches closed segments, so it cannot
+        race the sequencer's writes to the active one.
+        """
+        self._log.compact(applied, snapshot, group=self._owner)
+
+    def status(self) -> dict[str, Any] | None:
+        """Journal directory status for the ``cli wal`` subcommand."""
+        if self._log is None:
+            return None
+        st = self._log.status()
+        st["journal_slot"] = self._slot
+        st["durable_slot"] = self._durable
+        st["replayed"] = self.replayed
+        return st
+
+    def sample(self) -> None:
+        self._g_lag.set(self._slot - self._durable)
+
+    def stop(self) -> None:
+        """Join the journal thread after one last fsync.  Call after the
+        sequencer's last flush, so that fsync covers it."""
+        if self._thread is not None:
+            self._stop = True
+            self._kick.set()
+            self._thread.join(timeout=30.0)
+
+    def close(self) -> None:
+        if self._log is not None:
+            self._log.close()

@@ -110,7 +110,7 @@ class ShardedGroup:
         batching: bool = True,
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
-        liveness: LivenessPolicy | bool | None = None,
+        liveness: LivenessPolicy | None = None,
         durable_dir: str | None = None,
         durable_fsync: bool = True,
     ):
@@ -551,7 +551,7 @@ class ShardedGroup:
         if self._profiler is None:
             self._profiler = SamplingProfiler(hz=hz).start()
         for group in self.groups:
-            group.start_profiling(hz, local_sampler=False)
+            group.start_profiling(hz)
 
     def stop_profiling(self) -> dict[str, int]:
         """Stop sampling; return folded stacks merged across all shards."""

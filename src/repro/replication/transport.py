@@ -6,8 +6,10 @@ protocol) to N replica workers — preserving, per replica, the order in
 which the sequencer handed them over — and funnels whatever the workers
 emit back into a single sink callable.  Everything stateful about
 replication (sequencing, parking, dedup, membership bookkeeping) lives in
-:class:`~repro.replication.group.ReplicaGroup`, NOT here; a transport is
-pure plumbing.
+:class:`~repro.replication.group.ReplicaGroup` and the components it
+composes, NOT here; a transport is pure plumbing.  Every member of the
+protocol is required: the group reads ``per_process_workers`` and calls
+``depth``, ``probe`` and ``restart_replica`` without asking first.
 
 Two implementations ship with the library:
 
@@ -55,13 +57,10 @@ class Transport(Protocol):
     """The seam between the ReplicaGroup core and a delivery mechanism."""
 
     n_replicas: int
-    #: True when restart_replica and the state-transfer round trips work.
-    supports_recovery: bool
     #: True when replica workers run in their own OS processes — the
     #: profiler then starts a per-process sampler in each worker via the
     #: in-band query lane instead of relying on one in-process sampler
-    #: seeing every thread.  Read with getattr(..., False) so third-party
-    #: transports that predate the flag default to in-process sampling.
+    #: seeing every thread.
     per_process_workers: bool
 
     def start(self, sink: Sink) -> None:
@@ -126,7 +125,6 @@ class InMemoryTransport:
     can never be attributed to a reincarnated replica in the same slot.
     """
 
-    supports_recovery = True
     per_process_workers = False
 
     def __init__(self, n_replicas: int):
@@ -251,10 +249,12 @@ class _Lane:
 class PipeTransport:
     """One spawned OS process per replica, joined to it by two framed pipes.
 
-    ``spawn`` is the default start method: the parent is multi-threaded
-    (clients, collectors), and forking a multi-threaded process can
-    capture another thread's held lock in the child — a deadlock observed
-    under full-suite load before switching.
+    ``spawn`` is the start method, and the spawn-safe
+    :func:`~repro.replication.worker.run_replica_process` the entry point
+    written for it: the parent is multi-threaded (clients, collectors),
+    and forking a multi-threaded process can capture another thread's
+    held lock in the child — a deadlock observed under full-suite load
+    before switching.
 
     Each replica has a command pipe (parent writes, child reads) and a
     reply pipe (child writes, parent's collector thread reads), both
@@ -278,14 +278,13 @@ class PipeTransport:
     attributed to the reincarnated replica that reuses the slot.
     """
 
-    supports_recovery = True
     per_process_workers = True
 
-    def __init__(self, n_replicas: int, *, start_method: str = "spawn"):
+    def __init__(self, n_replicas: int):
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         self.n_replicas = n_replicas
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("spawn")
         self.processes: list[Any] = []
         self._lanes: list[_Lane] = []
         self._collectors: list[threading.Thread] = []

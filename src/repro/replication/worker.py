@@ -17,19 +17,6 @@ received                              meaning
                                       the item once for all replicas and
                                       each decodes its frame once, before
                                       this loop
-``("QUERY", qid, what, arg)``         in-band state query; answered after
-                                      everything sequenced before it.
-                                      ``snapshot`` answers ``(snapshot,
-                                      applied)`` — the journal compactor's
-                                      covered-slot image.
-                                      ``profile_start``/``profile_stop``
-                                      drive this process's sampling
-                                      profiler: the answers (and the
-                                      folded stacks) ride the same
-                                      incarnation-fenced feedback lane as
-                                      completions, so a replica killed
-                                      mid-sampling cannot pollute the
-                                      merged profile
 ``("READS", [(floor, cmd), ...])``    read fast path: evaluate each
                                       read-only ExecuteAGS on local state
                                       once ``applied >= floor`` (parked
@@ -37,33 +24,54 @@ received                              meaning
                                       group's read flusher batches many
                                       reads into one item, mirroring the
                                       write lane's batch amortization
-``("XFER_BEGIN", qid, chunk_bytes)``  chunked state transfer, donor side:
+``("QUERY", qid, what, arg)``         one in-band request of kind *what*
+                                      (the table below), handled after
+                                      everything sequenced before it; a
+                                      kind that answers emits one
+                                      ``("QUERY", qid, replica, answer)``
+``("STOP",)`` / ``None``              exit the loop
+
+request kind (*arg*)                  answer
+------------------------------------  ------------------------------------
+``fingerprint``, ``applied``,         that piece of this replica's state
+``blocked``, ``introspect``,          (``space_tuples``: fields, oldest
+``space_size`` (handle),              first).  ``applied`` is also the
+``space_tuples`` (handle)             liveness monitor's heartbeat, sent
+                                      under the never-registered qid 0: a
+                                      wedged or dead apply loop stops
+                                      answering
+``snapshot``                          ``(snapshot, applied)`` — the journal
+                                      compactor's covered-slot image
+``profile_start`` (hz),               drive this process's sampling
+``profile_stop``                      profiler: the answers (and the
+                                      folded stacks) ride the same
+                                      incarnation-fenced feedback lane as
+                                      completions, so a replica killed
+                                      mid-sampling cannot pollute the
+                                      merged profile
+``xfer_begin`` (chunk_bytes)          chunked state transfer, donor side:
                                       pickle ``(snapshot, applied)`` once,
                                       cache it split into *chunk_bytes*
                                       pieces keyed by this qid (the
                                       transfer id), answer the descriptor
                                       ``("xfer", xid, n_chunks, n_bytes,
                                       applied)``
-``("XFER_CHUNK", qid, xid, idx)``     answer one cached chunk (or None if
-                                      the transfer id is unknown — the
-                                      group treats that as a lost donor)
-``("XFER_END", xid)``                 drop the cached transfer
-``("INSTALL_CHUNK", xid, idx, n,      chunked install, receiver side —
-  chunk)``                            the one way state enters a replica,
-                                      from a donor or from the journal:
-                                      buffer chunk *idx* of *n*
-``("INSTALL_DONE", qid, xid, n)``     reassemble the buffered chunks,
-                                      install the decoded snapshot,
-                                      answer ``"installed"`` (or
-                                      ``("incomplete", missing)`` if any
-                                      chunk never arrived)
-``("PING",)``                         liveness probe; answer immediately
-                                      with ``("PONG", applied)`` — an
-                                      in-band heartbeat, so a wedged or
-                                      dead apply loop stops answering
-``("SLEEP", seconds)``                chaos injection: stall this replica's
-                                      delivery lane for *seconds*
-``("STOP",)`` / ``None``              exit the loop
+``xfer_chunk`` ((xid, idx))           one cached chunk (or None if the
+                                      transfer id is unknown — the group
+                                      treats that as a lost donor)
+``xfer_end`` (xid)                    *nothing*: drop the cached transfer
+``install_chunk`` ((xid, idx,         *nothing*: chunked install, receiver
+  chunk))                             side — the one way state enters a
+                                      replica, from a donor or from the
+                                      journal: buffer chunk *idx*
+``install_done`` ((xid, n))           reassemble the *n* buffered chunks,
+                                      install the decoded snapshot, answer
+                                      ``"installed"`` (or ``("incomplete",
+                                      missing)`` if any chunk never
+                                      arrived)
+``sleep`` (seconds)                   *nothing*: chaos injection — stall
+                                      this replica's delivery lane
+anything else                         ``None``
 
 emitted
 ------------------------------------  ------------------------------------
@@ -85,8 +93,7 @@ emitted
 ``("READMISS", request_id)``          a read whose blocking guard cannot
                                       fire on local state; the group
                                       reroutes it through the total order
-``("PONG", applied)``                 heartbeat answer to a PING
-``("QUERY", qid, replica_id, ans)``   a query/snapshot/install answer
+``("QUERY", qid, replica_id, ans)``   the answer to one request
 ``("SPANS", [(trace_id, request_id,   apply-span records for the traced
   slot, ts, dur), ...])``             commands of one batch — emitted only
                                       when commands carry trace ids, i.e.
@@ -101,6 +108,11 @@ emitted
                                       command, and the emit stamp (the
                                       group turns ``now - t_emit`` into
                                       the wake/reply stage)
+
+The data-plane frames (BATCH, READS, COMPS, READMISS, SPANS, STAGES) are
+bare tuples on a measurement — a typed frame costs ≈ 1.4 µs more to
+pickle and ≈ 1.2 µs more to load, ten times a statement on the pipe
+(DESIGN.md, "Execution backends").
 
 In-band queries are the replacement for any separate quiescing protocol:
 because they travel on the same FIFO as commands, the answer reflects
@@ -156,14 +168,16 @@ from repro.obs.profile import (
     register_thread,
 )
 
-__all__ = ["compact_batch", "replica_loop", "run_replica_process", "split_state"]
+__all__ = [
+    "Replica", "compact_batch", "replica_loop", "run_replica_process", "split_state",
+]
 
 
 def split_state(snapshot: Any, applied: int, chunk_bytes: int) -> list[bytes]:
     """Pickle ``(snapshot, applied)`` once, split into *chunk_bytes* pieces.
 
-    What INSTALL_CHUNK/INSTALL_DONE reassemble: a donor answers
-    XFER_BEGIN with it, and the group ships a journal snapshot with it.
+    What ``install_chunk``/``install_done`` reassemble: a donor answers
+    ``xfer_begin`` with it, and the group ships a journal snapshot with it.
     """
     blob = pickle.dumps((snapshot, applied), protocol=pickle.HIGHEST_PROTOCOL)
     n = max(1, int(chunk_bytes))
@@ -196,6 +210,192 @@ def _apply_hardened(sm: TSStateMachine, cmd: Any) -> list[Completion]:
         ]
 
 
+#: What a one-way request kind returns: nothing is emitted for it.
+_NO_ANSWER = object()
+
+
+class Replica:
+    """One replica: a state machine, its applied count, and what each
+    received item does to them.  :func:`replica_loop` feeds it."""
+
+    def __init__(
+        self,
+        replica_id: int,
+        emit: Callable[[tuple], None],
+        halted: Callable[[], bool] | None = None,
+    ):
+        self.replica_id = replica_id
+        self.emit = emit
+        self.halted = halted if halted is not None else (lambda: False)
+        self.sm = TSStateMachine()
+        self.applied = 0
+        # Reads parked on a session floor: [(floor, ExecuteAGS)].  Served the
+        # moment `applied` catches up — so a client always observes at least
+        # everything sequenced before it submitted (read-your-writes), while
+        # the read itself never enters the total order.
+        self._pending_reads: list[tuple[int, Any]] = []
+        # Chunked state transfer: as donor, pickled snapshots split and cached
+        # per transfer id; as receiver, chunks buffered until install_done.
+        self._xfer_out: dict[int, list[bytes]] = {}
+        self._xfer_in: dict[int, dict[int, bytes]] = {}
+
+    def handle(self, item: tuple) -> bool:
+        """Do what *item* asks; False when the loop should end (STOP, or
+        halted mid-batch)."""
+        kind = item[0]
+        if kind == "BATCH":
+            return self._batch(item)
+        if kind == "READS":
+            applied = self.applied
+            self._pending_reads.extend(r for r in item[1] if r[0] > applied)
+            self._serve_reads([r for r in item[1] if r[0] <= applied])
+        elif kind == "QUERY":
+            _k, qid, what, arg = item
+            kind_fn = _REQUEST_KINDS.get(what)
+            answer = None if kind_fn is None else kind_fn(self, qid, arg)
+            if answer is not _NO_ANSWER:
+                self.emit(("QUERY", qid, self.replica_id, answer))
+        elif kind == "STOP":
+            return False
+        return True
+
+    # -- the data plane --------------------------------------------------- #
+
+    def _batch(self, item: tuple) -> bool:
+        sm, emit, stopped = self.sm, self.emit, self.halted
+        applied = self.applied
+        # A broadcast stamp means this batch was sampled for stage
+        # attribution and owes a STAGES answer.  The stamp is
+        # CLOCK_MONOTONIC — system-wide on Linux, so it subtracts
+        # cleanly even across the process boundary.
+        t_send = item[2]
+        t_dequeue = time.monotonic() if t_send is not None else 0.0
+        spans: list[tuple] | None = None
+        # Completions for the whole batch travel as one COMPS item:
+        # with process transports every emitted item is a pickled
+        # frame and a pipe write, so per-command replies would make the
+        # reply lane as chatty as an unbatched command lane.
+        comps: list[tuple[int, Any]] = []
+        for cmd in item[1]:
+            if stopped():
+                self.applied = applied
+                return False
+            trace_id = cmd.trace_id
+            if trace_id is None:
+                completions = _apply_hardened(sm, cmd)
+                applied += 1
+            else:
+                # traced: time the apply and record this replica's
+                # (slot, request_id) coordinate in the total order
+                t0 = time.monotonic()
+                completions = _apply_hardened(sm, cmd)
+                applied += 1
+                if spans is None:
+                    spans = []
+                spans.append(
+                    (trace_id, cmd.request_id, applied,
+                     t0, time.monotonic() - t0)
+                )
+            comps.extend((c.request_id, c.result) for c in completions)
+        self.applied = applied
+        if comps:
+            emit(("COMPS", comps, applied))
+        if spans is not None:
+            emit(("SPANS", spans))
+        if t_send is not None:
+            now = time.monotonic()
+            emit(
+                ("STAGES",
+                 t_dequeue - t_send,
+                 (now - t_dequeue) / max(1, len(item[1])),
+                 now)
+            )
+        self._drain_reads()
+        return True
+
+    def _serve_reads(self, reads: list[tuple[int, Any]]) -> None:
+        comps: list[tuple[int, Any]] = []
+        for _floor, cmd in reads:
+            result = self.sm.try_read(cmd.ags, cmd.process_id, cmd.actuals)
+            if result is None:
+                self.emit(("READMISS", cmd.request_id))
+            else:
+                comps.append((cmd.request_id, result))
+        if comps:
+            self.emit(("COMPS", comps, self.applied))
+
+    def _drain_reads(self) -> None:
+        pending, applied = self._pending_reads, self.applied
+        ready = [r for r in pending if r[0] <= applied]
+        if ready:
+            pending[:] = [r for r in pending if r[0] > applied]
+            self._serve_reads(ready)
+
+    # -- request kinds: (self, qid, arg) -> answer ------------------------ #
+
+    def _xfer_begin(self, qid: int, chunk_bytes: int) -> tuple:
+        chunks = self._xfer_out[qid] = split_state(
+            self.sm.snapshot(), self.applied, chunk_bytes
+        )
+        return ("xfer", qid, len(chunks), sum(map(len, chunks)), self.applied)
+
+    def _xfer_chunk(self, _qid: int, arg: tuple[int, int]) -> bytes | None:
+        xid, idx = arg
+        chunks = self._xfer_out.get(xid)
+        if chunks is not None and 0 <= idx < len(chunks):
+            return chunks[idx]
+        return None
+
+    def _xfer_end(self, _qid: int, xid: int) -> Any:
+        self._xfer_out.pop(xid, None)
+        return _NO_ANSWER
+
+    def _install_chunk(self, _qid: int, arg: tuple[int, int, bytes]) -> Any:
+        xid, idx, chunk = arg
+        self._xfer_in.setdefault(xid, {})[idx] = chunk
+        return _NO_ANSWER
+
+    def _install_done(self, _qid: int, arg: tuple[int, int]) -> Any:
+        xid, total = arg
+        got = self._xfer_in.pop(xid, {})
+        missing = [i for i in range(total) if i not in got]
+        if missing:
+            # chunks lost (e.g. this replica restarted mid-install):
+            # refuse rather than install a torn snapshot
+            return ("incomplete", missing)
+        snapshot, self.applied = pickle.loads(
+            b"".join(got[i] for i in range(total))
+        )
+        self.sm = TSStateMachine.from_snapshot(snapshot)
+        self._drain_reads()
+        return "installed"
+
+    def _sleep(self, _qid: int, seconds: float) -> Any:
+        time.sleep(seconds)
+        return _NO_ANSWER
+
+
+_REQUEST_KINDS: dict[str, Callable[[Replica, int, Any], Any]] = {
+    "fingerprint": lambda r, _q, _a: r.sm.fingerprint(),
+    "space_size": lambda r, _q, handle: len(r.sm.registry.store(handle)),
+    "space_tuples": lambda r, _q, handle: [
+        t.fields for t in r.sm.registry.store(handle).to_list()
+    ],
+    "applied": lambda r, _q, _a: r.applied,
+    "blocked": lambda r, _q, _a: len(r.sm.blocked),
+    "introspect": lambda r, _q, _a: r.sm.introspection(),
+    "snapshot": lambda r, _q, _a: (r.sm.snapshot(), r.applied),
+    "profile_start": lambda _r, _q, hz: process_profile_start(hz),
+    "profile_stop": lambda _r, _q, _a: process_profile_stop(),
+    "xfer_begin": Replica._xfer_begin,
+    "xfer_chunk": Replica._xfer_chunk,
+    "xfer_end": Replica._xfer_end,
+    "install_chunk": Replica._install_chunk,
+    "install_done": Replica._install_done,
+    "sleep": Replica._sleep,
+}
+
+
 def replica_loop(
     replica_id: int,
     recv: Callable[[], Any],
@@ -210,159 +410,11 @@ def replica_loop(
     crash tests rely on.
     """
     register_thread(f"replica-{replica_id}")
-    sm = TSStateMachine()
-    applied = 0
-    stopped = halted if halted is not None else (lambda: False)
-    # Reads parked on a session floor: [(floor, ExecuteAGS)].  Served the
-    # moment `applied` catches up — so a client always observes at least
-    # everything sequenced before it submitted (read-your-writes), while
-    # the read itself never enters the total order.
-    pending_reads: list[tuple[int, Any]] = []
-    # Chunked state transfer: as donor, pickled snapshots split and cached
-    # per transfer id; as receiver, chunks buffered until INSTALL_DONE.
-    xfer_out: dict[int, list[bytes]] = {}
-    xfer_in: dict[int, dict[int, bytes]] = {}
-
-    def serve_reads(reads: list[tuple[int, Any]]) -> None:
-        comps: list[tuple[int, Any]] = []
-        for _floor, cmd in reads:
-            result = sm.try_read(cmd.ags, cmd.process_id, cmd.actuals)
-            if result is None:
-                emit(("READMISS", cmd.request_id))
-            else:
-                comps.append((cmd.request_id, result))
-        if comps:
-            emit(("COMPS", comps, applied))
-
-    def drain_reads() -> None:
-        ready = [r for r in pending_reads if r[0] <= applied]
-        if ready:
-            pending_reads[:] = [r for r in pending_reads if r[0] > applied]
-            serve_reads(ready)
-
-    while True:
-        if stopped():
-            return
+    replica = Replica(replica_id, emit, halted)
+    while not replica.halted():
         item = recv()
-        if item is None:
+        if item is None or not replica.handle(item):
             return
-        kind = item[0]
-        if kind == "STOP":
-            return
-        if kind == "BATCH":
-            # A broadcast stamp means this batch was sampled for stage
-            # attribution and owes a STAGES answer.  The stamp is
-            # CLOCK_MONOTONIC — system-wide on Linux, so it subtracts
-            # cleanly even across the process boundary.
-            t_send = item[2]
-            t_dequeue = time.monotonic() if t_send is not None else 0.0
-            spans: list[tuple] | None = None
-            # Completions for the whole batch travel as one COMPS item:
-            # with process transports every emitted item is a pickled
-            # frame and a pipe write, so per-command replies would make the
-            # reply lane as chatty as an unbatched command lane.
-            comps: list[tuple[int, Any]] = []
-            for cmd in item[1]:
-                if stopped():
-                    return
-                trace_id = cmd.trace_id
-                if trace_id is None:
-                    completions = _apply_hardened(sm, cmd)
-                    applied += 1
-                else:
-                    # traced: time the apply and record this replica's
-                    # (slot, request_id) coordinate in the total order
-                    t0 = time.monotonic()
-                    completions = _apply_hardened(sm, cmd)
-                    applied += 1
-                    if spans is None:
-                        spans = []
-                    spans.append(
-                        (trace_id, cmd.request_id, applied,
-                         t0, time.monotonic() - t0)
-                    )
-                comps.extend((c.request_id, c.result) for c in completions)
-            if comps:
-                emit(("COMPS", comps, applied))
-            if spans is not None:
-                emit(("SPANS", spans))
-            if t_send is not None:
-                now = time.monotonic()
-                emit(
-                    ("STAGES",
-                     t_dequeue - t_send,
-                     (now - t_dequeue) / max(1, len(item[1])),
-                     now)
-                )
-            drain_reads()
-        elif kind == "READS":
-            ready = [r for r in item[1] if r[0] <= applied]
-            pending_reads.extend(r for r in item[1] if r[0] > applied)
-            serve_reads(ready)
-        elif kind == "PING":
-            emit(("PONG", applied))
-        elif kind == "SLEEP":
-            time.sleep(item[1])
-        elif kind == "QUERY":
-            _k, qid, what, arg = item
-            if what == "fingerprint":
-                answer: Any = sm.fingerprint()
-            elif what == "space_size":
-                answer = len(sm.registry.store(arg))
-            elif what == "space_tuples":
-                answer = [t.fields for t in sm.registry.store(arg).to_list()]
-            elif what == "applied":
-                answer = applied
-            elif what == "blocked":
-                answer = len(sm.blocked)
-            elif what == "introspect":
-                answer = sm.introspection()
-            elif what == "snapshot":
-                answer = (sm.snapshot(), applied)
-            elif what == "profile_start":
-                answer = process_profile_start(arg)
-            elif what == "profile_stop":
-                answer = process_profile_stop()
-            else:
-                answer = None
-            emit(("QUERY", qid, replica_id, answer))
-        elif kind == "XFER_BEGIN":
-            _k, qid, chunk_bytes = item
-            chunks = xfer_out[qid] = split_state(sm.snapshot(), applied, chunk_bytes)
-            emit(
-                ("QUERY", qid, replica_id,
-                 ("xfer", qid, len(chunks), sum(map(len, chunks)), applied))
-            )
-        elif kind == "XFER_CHUNK":
-            _k, qid, xid, idx = item
-            chunks = xfer_out.get(xid)
-            answer = (
-                chunks[idx]
-                if chunks is not None and 0 <= idx < len(chunks)
-                else None
-            )
-            emit(("QUERY", qid, replica_id, answer))
-        elif kind == "XFER_END":
-            xfer_out.pop(item[1], None)
-        elif kind == "INSTALL_CHUNK":
-            _k, xid, idx, _total, chunk = item
-            xfer_in.setdefault(xid, {})[idx] = chunk
-        elif kind == "INSTALL_DONE":
-            _k, qid, xid, total = item
-            got = xfer_in.pop(xid, {})
-            missing = [i for i in range(total) if i not in got]
-            if missing:
-                # chunks lost (e.g. this replica restarted mid-install):
-                # refuse rather than install a torn snapshot
-                emit(("QUERY", qid, replica_id, ("incomplete", missing)))
-            else:
-                snapshot, count = pickle.loads(
-                    b"".join(got[i] for i in range(total))
-                )
-                sm = TSStateMachine.from_snapshot(snapshot)
-                applied = count
-                emit(("QUERY", qid, replica_id, "installed"))
-                drain_reads()
 
 
 def _with_holes(ags: AGS, base: int) -> AGS:

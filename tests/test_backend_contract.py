@@ -213,6 +213,15 @@ class TestMetrics:
         else:
             assert "broadcast_bytes" not in counters  # no wire, nothing to read
 
+    def test_detector_instruments_read_zero_without_a_detector(self, rt):
+        """Same instrument names on every group: dashboards index them."""
+        if not _replicated(rt):
+            pytest.skip("no replica group on this backend")
+        snap = rt.metrics_snapshot()
+        assert snap["counters"]["failures_detected"] == 0
+        assert snap["counters"]["auto_recoveries"] == 0
+        assert snap["histograms"]["detection_latency"]["count"] == 0
+
     def test_statement_plans_gauge_counts_call_site_shapes(self, rt):
         assert rt.metrics_snapshot()["gauges"]["statement_plans"] == 0
         for i in range(10):

@@ -289,7 +289,7 @@ class TestDurableGroup:
 
     def test_compacted_journal_restart(self, tmp_path, monkeypatch):
         from repro.parallel import ThreadedReplicaRuntime
-        from repro.replication import ReplicaGroup
+        from repro.replication.transfer import StateTransfer
         from repro.replication.worker import split_state
 
         d = str(tmp_path / "journal")
@@ -308,8 +308,8 @@ class TestDurableGroup:
         # as one chunk at the default size, and spanning many at 64 bytes
         res = replay_dir(d)
         assert len(split_state(res.snapshot, res.snapshot_slot, 64)) > 1
-        for chunk_bytes in (ReplicaGroup.transfer_chunk_bytes, 64):
-            monkeypatch.setattr(ReplicaGroup, "transfer_chunk_bytes", chunk_bytes)
+        for chunk_bytes in (StateTransfer.chunk_bytes, 64):
+            monkeypatch.setattr(StateTransfer, "chunk_bytes", chunk_bytes)
             back = ThreadedReplicaRuntime(3, durable_dir=d)
             back.quiesce()
             assert set(back.fingerprints()) == before
@@ -349,7 +349,7 @@ class TestDurableGroup:
                 rt.out(rt.main_ts, "item", i, "pad" * 20)
             rt.quiesce()
             g = rt.group
-            g.transfer_chunk_bytes = 1024  # force a multi-chunk transfer
+            g.transfer.chunk_bytes = 1024  # force a multi-chunk transfer
             monkey = ChaosMonkey(rt)
             g.crash_replica(2)  # first crash: the replica being recovered
             fired = monkey.kill_donor_mid_transfer(at_chunk=1)
@@ -374,7 +374,7 @@ class TestDurableGroup:
                 rt.out(rt.main_ts, "item", i, "pad" * 20)
             rt.quiesce()
             g = rt.group
-            g.transfer_chunk_bytes = 1024
+            g.transfer.chunk_bytes = 1024
             monkey = ChaosMonkey(rt)
             g.crash_replica(2)
             fired = monkey.kill_donor_mid_transfer(at_chunk=1)
@@ -523,14 +523,16 @@ class TestGroupCommitFence:
         rt = durable
         g = rt.group
         delivered = []
-        real_complete = g._complete
+        # held frames are released through the journal's handle on the
+        # group's delivery — and here every frame is held
+        real_complete = g.journal._complete
 
         def spy(replica_id, rid, result):
             delivered.append(rid)
             real_complete(replica_id, rid, result)
 
-        g._complete = spy
-        g.transport.send(0, ("SLEEP", 0.5))  # replica 0 answers last
+        g.journal._complete = spy
+        g.requests.tell(0, "sleep", 0.5)  # replica 0 answers last
         gate.clear()
         # slot 1 parks, the timeout orders a CancelRequest at slot 2,
         # whose completion (the in_'s "cancelled") is produced there
@@ -538,8 +540,8 @@ class TestGroupCommitFence:
         _eventually(lambda: rt.query(1, "applied") == 2)
         t_out = _spawn(rt.out, rt.main_ts, "x", 1)  # slot 3
         _eventually(lambda: _applied(rt) == [3, 3, 3])
-        _eventually(lambda: len(g._held) == 6)
-        held = list(g._held)
+        _eventually(lambda: len(g.journal._held) == 6)
+        held = list(g.journal._held)
         arrival = [h[0] for h in held]
         assert arrival != sorted(arrival)  # replica 0's frames came last
         slot_of = {rid: h[0] for h in held for rid, _result in h[2]}
@@ -565,7 +567,7 @@ class TestGroupCommitFence:
         def client(c):
             for i in range(rounds):
                 rt.out(rt.main_ts, "s", c, i)
-                watermarks[c].append(g._journal_durable)
+                watermarks[c].append(g.journal._durable)
                 assert rt.rd(rt.main_ts, "s", c, i) is not None
                 assert rt.in_(rt.main_ts, "s", c, formal(int))[2] == i
             return "done"
@@ -585,7 +587,7 @@ class TestGroupCommitFence:
         st = rt.journal_status()[0]
         # every out and in_ took a slot (a read only if it fell back)
         assert st["durable_slot"] == st["journal_slot"] >= 2 * n_clients * rounds
-        assert g._held == []
+        assert g.journal._held == []
         assert rt.space_size(rt.main_ts) == 0
 
     def test_journal_stage_is_visible(self, durable):
@@ -610,7 +612,7 @@ class TestGroupCommitFence:
             2, durable_dir=str(tmp_path / "journal"), durable_fsync=False
         )
         try:
-            assert rt.group._journal_thread is None
+            assert rt.group.journal._thread is None and not rt.group.journal.fenced
             for i in range(10):
                 rt.out(rt.main_ts, "m", i)
             st = rt.journal_status()[0]

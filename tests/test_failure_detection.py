@@ -38,7 +38,7 @@ from repro.replication.group import CLIENT_ORIGIN
 from repro.replication.transport import InMemoryTransport
 
 # Tight timings so tests run in seconds; suspect_after still comfortably
-# exceeds a healthy replica's PONG turnaround.
+# exceeds a healthy replica's heartbeat turnaround.
 POLICY = LivenessPolicy(
     probe_interval=0.05,
     suspect_after=0.3,
@@ -152,6 +152,28 @@ class TestDetection:
         assert rt.metrics_snapshot()["counters"].get("failures_detected", 0) == 0
         rt.out(rt.main_ts, "after-delay", 1)
         assert rt.converged()
+
+    def test_runtime_never_writes_to_the_callers_policy(self):
+        """``auto_recover=True`` on one runtime must not make the next
+        runtime built from the same policy object self-heal unasked."""
+        policy = LivenessPolicy(
+            probe_interval=0.05, suspect_after=0.3,
+            backoff_initial=0.05, backoff_max=0.5,
+        )
+        healing = ThreadedReplicaRuntime(1, detect_failures=policy, auto_recover=True)
+        healing.shutdown()
+        assert policy.auto_recover is False
+        rt = ThreadedReplicaRuntime(2, detect_failures=policy)
+        try:
+            monkey = ChaosMonkey(rt)
+            monkey.kill_replica(1)
+            monkey.wait_detected(1, timeout=5.0)
+            time.sleep(policy.backoff_max + 4 * policy.probe_interval)
+            assert rt.group.alive == [True, False]
+            assert rt.metrics_snapshot()["counters"].get("auto_recoveries", 0) == 0
+        finally:
+            rt.shutdown()
+        assert policy.auto_recover is False
 
     def test_stopped_replica_cannot_wedge_the_group(self):
         """SIGSTOP, not SIGKILL: the replica stops reading its command pipe.
@@ -281,7 +303,7 @@ class TestInternalThreadDeath:
         threaded.out(threaded.main_ts, "k", 1)
         monkey.kill_read_flusher()
         deadline = time.monotonic() + 5.0
-        while threaded.group._read_thread is not None:
+        while threaded.group.reads._thread is not None:
             assert time.monotonic() < deadline, "flusher death not observed"
             time.sleep(0.01)
         # reads still answer (fallback path), repeatedly
@@ -419,13 +441,14 @@ class TestIncarnationFence:
         delivered = []
         transport.start(lambda rid, item: delivered.append((rid, item)))
         try:
-            transport._deliver(0, 0, ("PONG", 0))
+            # heartbeat answers: the monitor's qid-0 "applied" query
+            transport._deliver(0, 0, ("QUERY", 0, 0, 0))
             transport.stop_replica(0)  # bumps the incarnation first
-            transport._deliver(0, 0, ("PONG", 1))  # posthumous: fenced
+            transport._deliver(0, 0, ("QUERY", 0, 0, 1))  # posthumous: fenced
             transport.restart_replica(0)
-            transport._deliver(0, 0, ("PONG", 2))  # still the old incarnation
-            transport._deliver(0, 1, ("PONG", 3))  # the successor's voice
+            transport._deliver(0, 0, ("QUERY", 0, 0, 2))  # still the old incarnation
+            transport._deliver(0, 1, ("QUERY", 0, 0, 3))  # the successor's voice
         finally:
             transport.shutdown([True, True])
-        fenced = [item for _, item in delivered if item[0] == "PONG"]
-        assert fenced == [("PONG", 0), ("PONG", 3)]
+        fenced = [item for _, item in delivered if item[0] == "QUERY"]
+        assert fenced == [("QUERY", 0, 0, 0), ("QUERY", 0, 0, 3)]

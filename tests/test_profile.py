@@ -249,7 +249,7 @@ class TestBackendProfiling:
             names = {t.name for t in threading.enumerate()}
             assert "profile-sampler" not in names
             for g in rt.sharded.groups:
-                assert g._profiler is None
+                assert not g._remote_profiling
             assert rt.sharded._profiler is None
             # the registrations themselves are plain dict entries
             assert any(

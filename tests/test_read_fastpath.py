@@ -2,8 +2,9 @@
 
 Covers the read-only classifier, read-your-writes through the fast lane,
 every rung of the fallback ladder (miss, crash, ordered timeout), and the
-regression suite for the bookkeeping leaks: ``_waiters``, ``_reads`` and
-``_queries`` must be empty after every way a call or query can end.
+regression suite for the bookkeeping leaks: the group's waiters, the read
+lane's registrations and the pending requests must be empty after every
+way a call or query can end.
 """
 
 import threading
@@ -39,8 +40,8 @@ def trt():
 def assert_clean(group):
     """The leak regression: no registration survives its call."""
     assert not group._waiters
-    assert not group._reads
-    assert not group._queries
+    assert not group.reads._reads
+    assert not group.requests._pending
 
 
 class TestReadOnlyClassifier:

@@ -164,6 +164,26 @@ class TestShardedRuntime:
         assert rt4.inp(rt4.main_ts, formal(str), formal(int)) is None
         assert rt4.space_size(rt4.main_ts) == 0
 
+    def test_rung_replies_are_not_memoized(self, rt4):
+        """An ExtractTuples reply is a whole partition and is submitted
+        once, under a fresh id: remembering it can serve no resubmission."""
+        for i in range(60):
+            rt4.out(rt4.main_ts, f"m{i}", i)
+        for _ in range(50):
+            assert rt4.inp(rt4.main_ts, formal(str), formal(int)) is not None
+        for shard in range(4):
+            snapshot, _applied = rt4.sharded.query(0, "snapshot", shard=shard)
+            kept = [
+                result
+                for _rid, result in snapshot["completed"]
+                if isinstance(result, dict) and "extracted" in result
+            ]
+            assert kept == []
+        left = [
+            i for i in range(60) if rt4.rdp(rt4.main_ts, f"m{i}", i) is not None
+        ]
+        assert len(left) == 10
+
     def test_cross_shard_move_is_deterministic(self):
         """move with a wildcard template relocates every tuple, and two
 
