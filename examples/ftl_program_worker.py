@@ -31,7 +31,7 @@ def main() -> None:
     # a worker that crashes while holding its third task
     done = 0
     while True:
-        res = rt.execute(prog.statement("poll"))
+        res = rt.execute(*prog.statement("poll"))
         if res.fired == 1:
             break  # bag empty
         t = res["t"]
@@ -39,20 +39,20 @@ def main() -> None:
             print(f"worker 'crashes' holding task {t} "
                   f"(in-progress: {rt.space_size(in_progress)})")
             break
-        rt.execute(prog.statement("finish", t=t, r=t * t))
+        rt.execute(*prog.statement("finish", t=t, r=t * t))
         done += 1
 
     # the monitor recycles the crashed worker's in-progress subtasks
-    rt.execute(prog.statement("recycle"))
+    rt.execute(*prog.statement("recycle"))
     print(f"recycled; bag has {rt.space_size(bag)} tasks again")
 
     # a fresh worker drains the rest
     while True:
-        res = rt.execute(prog.statement("poll"))
+        res = rt.execute(*prog.statement("poll"))
         if res.fired == 1:
             break
         t = res["t"]
-        rt.execute(prog.statement("finish", t=t, r=t * t))
+        rt.execute(*prog.statement("finish", t=t, r=t * t))
         done += 1
 
     got = sorted(

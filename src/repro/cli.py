@@ -77,8 +77,10 @@ Commands (everything else is compiled as an FT-lcc statement)::
     .spaces                    list tuple spaces
     .space NAME [stable|volatile]   create a space
     .dump NAME                 show a space's tuples
-    .load FILE                 load an .ftl program (binds its spaces)
-    .run NAME [k=v ...]        run a named program statement
+    .load FILE                 load an .ftl program (binds its spaces,
+                               compiles every statement, once)
+    .run NAME [k=v ...]        run a named program statement (its compiled
+                               plan; the k=v are this call's actuals)
     .fail HOST                 inject a failure notification
     .kill R                    hard-kill replica R, bypassing the group
                                (parallel backends; the detector must notice)
@@ -223,7 +225,7 @@ class FtlShell:
                 k, _eq, v = pair.partition("=")
                 params[k] = _parse_value(v)
             result = self.rt.execute(
-                self.program.statement(args[0], **params), timeout=5.0
+                *self.program.statement(args[0], **params), timeout=5.0
             )
             self._show_result(result)
         elif cmd == ".fail":

@@ -142,12 +142,6 @@ class SimCluster:
     def replica_ids(self) -> list[int]:
         return list(range(self.config.n_hosts))
 
-    @property
-    def client_ids(self) -> list[int]:
-        return list(
-            range(self.config.n_hosts, self.config.n_hosts + self.config.n_clients)
-        )
-
     def ordering(self, host_id: int) -> OrderingLayer:
         stack = self.hosts[host_id].stack
         assert stack is not None

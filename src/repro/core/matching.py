@@ -130,11 +130,6 @@ class Match:
         return f"Match(#{self.seqno}, {self.tup!r}, {dict(self.binding)!r})"
 
 
-def _hashable(value: Any) -> bool:
-    # All allowed field types are hashable; nested tuples of them are too.
-    return True
-
-
 def pattern_key(pattern: Pattern) -> str:
     """Canonical template string of *pattern* for the match profiler.
 
@@ -196,10 +191,6 @@ class StoreImage:
             entries.extend(bucket)
         entries.sort(key=lambda e: e[0])
         return {"next_seq": self.next_seq, "entries": entries}
-
-    def to_store(self) -> "TupleStore":
-        """Materialize a store equal to the image's source at image time."""
-        return TupleStore.from_snapshot(self.to_snapshot())
 
 
 class TupleStore:

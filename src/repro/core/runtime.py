@@ -164,7 +164,6 @@ class BaseRuntime(abc.ABC):
 
     def __init__(self) -> None:
         self._proc_ids = itertools.count(1)
-        self._procs: list["ProcessHandle"] = []
         self._telemetry = None  # TelemetryServer once serve_telemetry runs
         #: Statement plans by call-site shape (see :meth:`_plan`).  A race
         #: to compile one shape stores two equal plans, the later winning.
@@ -228,7 +227,6 @@ class BaseRuntime(abc.ABC):
 
         t = threading.Thread(target=run, name=f"linda-proc-{pid}", daemon=True)
         handle._thread = t
-        self._procs.append(handle)
         t.start()
         return handle
 
@@ -304,14 +302,23 @@ class BaseRuntime(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def execute(
-        self, ags: AGS, *, process_id: int = 0, timeout: float | None = None
+        self,
+        ags: AGS,
+        actuals: tuple = (),
+        *,
+        process_id: int = 0,
+        timeout: float | None = None,
     ) -> AGSResult:
         """Execute an arbitrary atomic guarded statement.
 
-        Unlike the classic-op wrappers below, ``execute`` never raises on
-        an aborted statement — callers inspect :attr:`AGSResult.error`.
+        *actuals* are the values of a statement plan's
+        :class:`~repro.core.ags.Param` holes, in index order — what
+        :meth:`repro.lcc.program.Program.statement` returns beside the
+        plan; a statement without holes takes none.  Unlike the
+        classic-op wrappers below, ``execute`` never raises on an aborted
+        statement — callers inspect :attr:`AGSResult.error`.
         """
-        return self._submit(ags, process_id, timeout=timeout)
+        return self._submit(ags, process_id, timeout=timeout, actuals=actuals)
 
     @staticmethod
     def _checked(res: AGSResult) -> AGSResult:
@@ -497,9 +504,11 @@ class ProcessView:
         self._runtime = runtime
         self.process_id = process_id
 
-    def execute(self, ags: AGS, *, timeout: float | None = None) -> AGSResult:
+    def execute(
+        self, ags: AGS, actuals: tuple = (), *, timeout: float | None = None
+    ) -> AGSResult:
         return self._runtime.execute(
-            ags, process_id=self.process_id, timeout=timeout
+            ags, actuals, process_id=self.process_id, timeout=timeout
         )
 
     def out(self, ts: TSHandle, *fields: Any) -> None:
@@ -717,11 +726,6 @@ class LocalRuntime(BaseRuntime):
             if isinstance(result, Exception):
                 raise result
 
-    def join_all(self, timeout: float | None = None) -> None:
-        """Wait for every ``eval``'ed process to finish."""
-        for h in list(self._procs):
-            h.join(timeout)
-
     # ------------------------------------------------------------------ #
     # failure injection (paradigm tests / baselines)
     # ------------------------------------------------------------------ #
@@ -741,18 +745,6 @@ class LocalRuntime(BaseRuntime):
         with self._cond:
             rid = next(self._req_ids)
             completions = self._apply(HostFailed(rid, _LOCAL_ORIGIN, host_id))
-            for c in completions:
-                self._results[c.request_id] = c.result
-            if completions:
-                self._cond.notify_all()
-
-    def inject_recovery(self, host_id: int) -> None:
-        """Deposit the recovery tuple for logical host *host_id*."""
-        from repro.core.statemachine import HostRecovered
-
-        with self._cond:
-            rid = next(self._req_ids)
-            completions = self._apply(HostRecovered(rid, _LOCAL_ORIGIN, host_id))
             for c in completions:
                 self._results[c.request_id] = c.result
             if completions:
@@ -796,15 +788,11 @@ class LocalRuntime(BaseRuntime):
 
         Only the O(dirty-buckets) image capture runs under the runtime
         lock; returns the slot the image is pinned at, usable with
-        :meth:`read_at`.  The persistent runtimes retain one of these per
-        compaction automatically.
+        :meth:`read_at`.  Nothing else retains one: a compaction's image
+        is taken with ``retain=False`` and dropped once it is on disk.
         """
         with self._lock:
             return self._sm.cow_snapshot(retain=True).applied_count
-
-    def snapshot_slots(self) -> list[int]:
-        """Slots currently answerable by :meth:`read_at`, oldest first."""
-        return self._sm.retained_slots()
 
     def read_at(self, slot: int | None = None) -> "SnapshotView":
         """Snapshot-isolated reads at a retained slot (newest by default).

@@ -356,8 +356,8 @@ class TSStateMachine:
         Handles that receive the distinguished failure/recovery tuples.
         Defaults to ``[MAIN_TS]``.
     op_stats:
-        When True, counts per-opcode execution totals (used by the Table 1
-        benchmarks to confirm what actually ran).
+        When True, counts per-opcode execution totals in ``op_counts``
+        (the tests use it to confirm what actually ran).
     """
 
     def __init__(
@@ -890,10 +890,6 @@ class TSStateMachine:
                 del self._retained[oldest]
                 self._views.pop(oldest, None)
         return image
-
-    def retained_slots(self) -> list[int]:
-        """Slots with a retained snapshot image, oldest first."""
-        return sorted(self._retained)
 
     def read_view(self, slot: int | None = None) -> tuple["TSStateMachine", int]:
         """A read-only machine frozen at a retained snapshot slot.

@@ -14,6 +14,8 @@ written textually behaves identically to the builder API.
 
 Grammar sketch (see :mod:`repro.lcc.parser` for the full one)::
 
+    program = { "space" NAME { attr }
+              | "stmt" NAME [ "(" NAME { "," NAME } ")" ] "=" ags }
     ags     = "<" branch { "or" branch } ">"
     branch  = guard [ "=>" body ]
     guard   = "true" | opcall
@@ -21,8 +23,13 @@ Grammar sketch (see :mod:`repro.lcc.parser` for the full one)::
     opcall  = NAME "(" arg { "," arg } ")"
     arg     = formal | expr
     formal  = "?" [NAME] [":" TYPE]
-    expr    = literals, bound formals, + - * / % //, comparisons,
-              function calls (registered deterministic functions)
+    expr    = literals, parameters, bound formals, + - * / % //,
+              comparisons, function calls (registered deterministic
+              functions)
+
+A ``program`` (:func:`compile_program`, ``.ftl`` files) is compiled once,
+at :meth:`Program.bind`; a ``stmt``'s parameters become the
+:class:`~repro.core.ags.Param` holes of a statement plan, filled per call.
 """
 
 from repro.lcc.compiler import SignatureCatalog, compile_ags, compile_op

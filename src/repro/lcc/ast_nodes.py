@@ -7,8 +7,11 @@ compiler's job is mostly name/type resolution):
   shape;
 - :class:`OpNode` — one ``op(ts, arg, …)`` call;
 - argument nodes — :class:`FormalNode` (``?name:type``),
-  :class:`LiteralNode`, :class:`VarNode` (a bound formal used as a value),
-  :class:`BinOpNode` and :class:`CallNode` (deterministic expressions).
+  :class:`LiteralNode`, :class:`VarNode` (a tuple space, a parameter or a
+  bound formal used as a value), :class:`BinOpNode` and :class:`CallNode`
+  (deterministic expressions);
+- :class:`SpaceNode` / :class:`StmtNode` — a program's ``space`` and
+  ``stmt`` declarations, the latter holding its statement's tree.
 
 Every node records its source position for error messages.
 """
@@ -16,6 +19,8 @@ Every node records its source position for error messages.
 from __future__ import annotations
 
 from typing import Sequence
+
+from repro.core.spaces import Resilience, Scope
 
 __all__ = [
     "AGSNode",
@@ -27,6 +32,8 @@ __all__ = [
     "GuardNode",
     "LiteralNode",
     "OpNode",
+    "SpaceNode",
+    "StmtNode",
     "UnaryNode",
     "VarNode",
 ]
@@ -56,7 +63,7 @@ class LiteralNode(ArgNode):
 
 
 class VarNode(ArgNode):
-    """A name used as a value: a formal bound earlier, or a TS name."""
+    """A name used as a value: a TS name, a parameter, or a bound formal."""
 
     __slots__ = ("name",)
 
@@ -181,3 +188,38 @@ class AGSNode(Node):
 
     def __repr__(self) -> str:
         return f"<{' or '.join(map(repr, self.branches))}>"
+
+
+class SpaceNode(Node):
+    """``space NAME [stable|volatile] [shared|private]``."""
+
+    __slots__ = ("name", "resilience", "scope")
+
+    def __init__(
+        self, name: str, resilience: Resilience, scope: Scope, line: int, column: int
+    ):
+        super().__init__(line, column)
+        self.name = name
+        self.resilience = resilience
+        self.scope = scope
+
+    def __repr__(self) -> str:
+        return f"space {self.name} {self.resilience.value} {self.scope.value}"
+
+
+class StmtNode(Node):
+    """``stmt NAME [(param, …)] = ags`` — a named statement with holes."""
+
+    __slots__ = ("name", "params", "body")
+
+    def __init__(
+        self, name: str, params: Sequence[str], body: AGSNode, line: int, column: int
+    ):
+        super().__init__(line, column)
+        self.name = name
+        self.params = list(params)
+        self.body = body
+
+    def __repr__(self) -> str:
+        ps = f"({', '.join(self.params)})" if self.params else ""
+        return f"stmt {self.name}{ps}"

@@ -10,16 +10,19 @@ Performs what the paper describes FT-lcc doing (Sec. 5.2):
    :class:`~repro.core.ags.AGS` opcode/operand structure the runtimes
    marshal into a single multicast message.
 
-Name resolution: identifiers in TS position resolve against the *spaces*
-mapping (``{"main": MAIN_TS, …}``) first, then against formals bound
-earlier in the branch (dynamic TS handles); identifiers in value position
-resolve to bound formals.  Constant subexpressions are folded at compile
-time, so replicas never re-evaluate pure-literal arithmetic.
+Name resolution, the same in TS and in value position: an identifier is a
+tuple space of the *spaces* mapping (``{"main": MAIN_TS, …}``), else one of
+the statement's *parameters* — compiled to the
+:class:`~repro.core.ags.Param` hole the call's actual fills, the operand
+slot FT-lcc marshalled a C expression into — else a formal bound earlier
+in the branch.  Constant subexpressions are folded at compile time, so
+replicas never re-evaluate pure-literal arithmetic; anything over a hole
+or a formal is left for them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro._errors import AGSError, CompileError
 from repro.core.ags import (
@@ -33,6 +36,7 @@ from repro.core.ags import (
     Op,
     OpCode,
     Operand,
+    Param,
 )
 from repro.core.spaces import TSHandle
 from repro.core.tuples import Formal
@@ -51,7 +55,7 @@ from repro.lcc.ast_nodes import (
 )
 from repro.lcc.parser import parse_ags
 
-__all__ = ["SignatureCatalog", "compile_ags", "compile_op"]
+__all__ = ["SignatureCatalog", "compile_ags", "compile_op", "compile_tree"]
 
 _TYPE_NAMES: dict[str, type] = {
     "int": int,
@@ -122,9 +126,15 @@ class SignatureCatalog:
 class _BranchCompiler:
     """Compiles one branch, tracking which formal names are bound."""
 
-    def __init__(self, spaces: Mapping[str, TSHandle], catalog: SignatureCatalog):
+    def __init__(
+        self,
+        spaces: Mapping[str, TSHandle],
+        catalog: SignatureCatalog,
+        params: Mapping[str, int],
+    ):
         self.spaces = spaces
         self.catalog = catalog
+        self.params = params  # name -> index among the statement's actuals
         self.bound: set[str] = set()
 
     # -- arguments ------------------------------------------------------- #
@@ -136,11 +146,13 @@ class _BranchCompiler:
         if isinstance(node, VarNode):
             if node.name in self.spaces:
                 return Const(self.spaces[node.name])
+            if node.name in self.params:
+                return Param(self.params[node.name])
             if node.name in self.bound:
                 return FormalRef(node.name)
             raise CompileError(
                 f"unknown name {node.name!r} (not a tuple space, not a "
-                "formal bound earlier in this branch)",
+                "parameter, not a formal bound earlier in this branch)",
                 node.line,
                 node.column,
             )
@@ -182,6 +194,13 @@ class _BranchCompiler:
             else:
                 t = object
             if node.name is not None:
+                if node.name in self.params:
+                    raise CompileError(
+                        f"formal {node.name!r} re-binds the statement's "
+                        "parameter of that name",
+                        node.line,
+                        node.column,
+                    )
                 if node.name in self.bound:
                     raise CompileError(
                         f"formal {node.name!r} already bound in this branch",
@@ -232,6 +251,7 @@ def compile_ags(
     src: str,
     spaces: Mapping[str, TSHandle],
     catalog: SignatureCatalog | None = None,
+    params: Sequence[str] = (),
 ) -> AGS:
     """Compile statement text into an executable :class:`AGS`.
 
@@ -244,19 +264,35 @@ def compile_ags(
     catalog:
         Optional :class:`SignatureCatalog` accumulating pattern signatures
         across many compilations (as FT-lcc does per program).
+    params:
+        Names the text uses for values supplied per call; the *k*-th
+        compiles to ``Param(k)`` and the result is a statement plan, run
+        with ``execute(plan, actuals)``.
     """
-    tree = parse_ags(src)
     if catalog is None:
         catalog = SignatureCatalog()
-    return _compile_tree(tree, spaces, catalog)
+    return compile_tree(parse_ags(src), spaces, catalog, params)
 
 
-def _compile_tree(
-    tree: AGSNode, spaces: Mapping[str, TSHandle], catalog: SignatureCatalog
+def compile_tree(
+    tree: AGSNode,
+    spaces: Mapping[str, TSHandle],
+    catalog: SignatureCatalog,
+    params: Sequence[str] = (),
 ) -> AGS:
+    """Compile a parsed statement (see :func:`compile_ags`)."""
+    holes = {name: k for k, name in enumerate(params)}
+    for name in holes:
+        if name in spaces:
+            # spaces resolve first, so the hole could never be reached
+            raise CompileError(
+                f"parameter {name!r} shadows the tuple space of that name",
+                tree.line,
+                tree.column,
+            )
     branches: list[Branch] = []
     for bnode in tree.branches:
-        bc = _BranchCompiler(spaces, catalog)
+        bc = _BranchCompiler(spaces, catalog, holes)
         gop = bnode.guard.op
         if (
             gop is not None
@@ -300,5 +336,5 @@ def compile_op(src: str, spaces: Mapping[str, TSHandle]) -> Op:
         or tree.branches[0].guard.op is None
     ):
         raise CompileError("expected exactly one operation call")
-    bc = _BranchCompiler(spaces, SignatureCatalog())
+    bc = _BranchCompiler(spaces, SignatureCatalog(), {})
     return bc.compile_op(tree.branches[0].guard.op)

@@ -3,9 +3,11 @@
 Hand-rolled single-pass lexer with line/column tracking so parse errors
 point at the offending character.  Token kinds:
 
-``NAME`` identifiers/keywords, ``INT``, ``FLOAT``, ``STRING`` (double
+``NAME`` identifiers/keywords, ``INT``, ``FLOAT`` (``2.5``, ``1e-07``,
+``1.5E+22`` — every form ``repr`` gives a finite float), ``STRING`` (double
 quotes, with escapes), ``QMARK`` (``?``), punctuation (``< > ( ) , ; :``),
-operators (``+ - * / % // == != <= >= < >``) and ``ARROW`` (``=>``).
+operators (``+ - * / % // == != <= >= < >``), ``ARROW`` (``=>``) and
+``ASSIGN`` (the ``=`` of a program's ``stmt NAME = …``).
 
 ``<`` and ``>`` are both statement brackets and comparison operators; the
 parser disambiguates by context, the lexer just reports ``LANGLE`` /
@@ -31,6 +33,7 @@ _PUNCT = {
     "-": "MINUS",
     "*": "STAR",
     "%": "PERCENT",
+    "=": "ASSIGN",
 }
 
 _KEYWORDS = {"or", "true", "false"}
@@ -157,6 +160,14 @@ def _scan(src: str) -> Iterator[Token]:
                 j += 1
                 while j < n and src[j] in "0123456789":
                     j += 1
+            if j < n and src[j] in "eE":
+                # an exponent only when digits follow it: `2e` stays INT, NAME
+                k = j + 2 if src[j + 1 : j + 2] in ("+", "-") else j + 1
+                if k < n and src[k] in "0123456789":
+                    is_float = True
+                    j = k
+                    while j < n and src[j] in "0123456789":
+                        j += 1
             text = src[i:j]
             value: object = float(text) if is_float else int(text)
             yield Token("FLOAT" if is_float else "INT", value, line, start_col)

@@ -2,6 +2,9 @@
 
 Grammar (EBNF; ``{}`` repetition, ``[]`` optional)::
 
+    program  = { "space" NAME { attr }
+               | "stmt" NAME [ "(" NAME { "," NAME } ")" ] "=" ags }
+    attr     = "stable" | "volatile" | "shared" | "private"
     ags      = "<" branch { "or" branch } ">"
              | branch                       (* bare branch, sugar *)
     branch   = guard [ "=>" body ]
@@ -17,8 +20,13 @@ Grammar (EBNF; ``{}`` repetition, ``[]`` optional)::
     unary    = "-" unary | atom
     atom     = INT | FLOAT | STRING | "true" | "false"
              | NAME "(" [expr {"," expr}] ")"      (* function call *)
-             | NAME                                (* bound formal / TS *)
+             | NAME                  (* TS / parameter / bound formal *)
              | "(" expr ")"
+
+A program is one token stream: ``space`` and ``stmt`` are ordinary names
+that open a declaration only where one can start, a statement ends where
+its grammar does (no line structure), and every error carries the
+position in the *file*.
 
 Comparison operators inside an *argument* use ``<``/``>`` freely: the
 parser only treats ``<``/``>`` as statement brackets at statement level,
@@ -30,6 +38,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro._errors import CompileError
+from repro.core.spaces import Resilience, Scope
 from repro.lcc.ast_nodes import (
     AGSNode,
     ArgNode,
@@ -40,12 +49,14 @@ from repro.lcc.ast_nodes import (
     GuardNode,
     LiteralNode,
     OpNode,
+    SpaceNode,
+    StmtNode,
     UnaryNode,
     VarNode,
 )
 from repro.lcc.lexer import Token, tokenize
 
-__all__ = ["parse_ags"]
+__all__ = ["parse_ags", "parse_program"]
 
 #: Operation names recognized in guard/body position.
 _OPNAMES = {"out", "in", "rd", "inp", "rdp", "move", "copy"}
@@ -65,20 +76,26 @@ class _Parser:
         i = self.pos + offset
         return self.tokens[i] if i < len(self.tokens) else None
 
+    def _eof(self, message: str) -> CompileError:
+        """*message*, positioned at the last token there is."""
+        last = self.tokens[-1]
+        return CompileError(message, last.line, last.column)
+
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise CompileError("unexpected end of input")
+            raise self._eof("unexpected end of input")
         self.pos += 1
         return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
-        if tok is None or tok.kind != kind:
-            got = "end of input" if tok is None else f"{tok.value!r}"
-            line = tok.line if tok else None
-            col = tok.column if tok else None
-            raise CompileError(f"expected {kind}, got {got}", line, col)
+        if tok is None:
+            raise self._eof(f"expected {kind}, got end of input")
+        if tok.kind != kind:
+            raise CompileError(
+                f"expected {kind}, got {tok.value!r}", tok.line, tok.column
+            )
         self.pos += 1
         return tok
 
@@ -91,7 +108,54 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------- #
 
-    def parse(self) -> AGSNode:
+    def program(self) -> list[SpaceNode | StmtNode]:
+        decls: list[SpaceNode | StmtNode] = []
+        while (tok := self.peek()) is not None:
+            if tok.kind == "NAME" and tok.value == "space":
+                decls.append(self.space())
+            elif tok.kind == "NAME" and tok.value == "stmt":
+                decls.append(self.stmt())
+            else:
+                raise CompileError(
+                    f"expected 'space' or 'stmt' declaration, got {tok.value!r}",
+                    tok.line,
+                    tok.column,
+                )
+        return decls
+
+    def space(self) -> SpaceNode:
+        keyword = self.next()
+        name = str(self.expect("NAME").value)
+        resilience, scope = Resilience.STABLE, Scope.SHARED
+        while (
+            (tok := self.peek()) is not None
+            and tok.kind == "NAME"
+            and tok.value not in ("space", "stmt")
+        ):
+            word = str(self.next().value)
+            if word in ("stable", "volatile"):
+                resilience = Resilience(word)
+            elif word in ("shared", "private"):
+                scope = Scope(word)
+            else:
+                raise CompileError(
+                    f"unknown space attribute {word!r}", tok.line, tok.column
+                )
+        return SpaceNode(name, resilience, scope, keyword.line, keyword.column)
+
+    def stmt(self) -> StmtNode:
+        keyword = self.next()
+        name = str(self.expect("NAME").value)
+        params: list[str] = []
+        if self.accept("LPAREN"):
+            params.append(str(self.expect("NAME").value))
+            while self.accept("COMMA"):
+                params.append(str(self.expect("NAME").value))
+            self.expect("RPAREN")
+        self.expect("ASSIGN")
+        return StmtNode(name, params, self.ags(), keyword.line, keyword.column)
+
+    def ags(self) -> AGSNode:
         bracketed = self.accept("LANGLE") is not None
         first = self.peek()
         line = first.line if first else 1
@@ -101,17 +165,12 @@ class _Parser:
             branches.append(self.branch())
         if bracketed:
             self.expect("RANGLE")
-        extra = self.peek()
-        if extra is not None:
-            raise CompileError(
-                f"trailing input {extra.value!r}", extra.line, extra.column
-            )
         return AGSNode(branches, line, col)
 
     def branch(self) -> BranchNode:
         tok = self.peek()
         if tok is None:
-            raise CompileError("expected a guard")
+            raise self._eof("expected a guard")
         guard = self.guard()
         body: list[OpNode] = []
         if self.accept("ARROW"):
@@ -264,4 +323,16 @@ def parse_ags(src: str) -> AGSNode:
     tokens = tokenize(src)
     if not tokens:
         raise CompileError("empty statement")
-    return _Parser(tokens, src).parse()
+    parser = _Parser(tokens, src)
+    tree = parser.ags()
+    extra = parser.peek()
+    if extra is not None:
+        raise CompileError(
+            f"trailing input {extra.value!r}", extra.line, extra.column
+        )
+    return tree
+
+
+def parse_program(src: str) -> list[SpaceNode | StmtNode]:
+    """Parse a program: its ``space`` and ``stmt`` declarations, in order."""
+    return _Parser(tokenize(src), src).program()

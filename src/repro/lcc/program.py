@@ -24,14 +24,15 @@ Declarations:
     runtime.
 
 ``stmt NAME [(param, …)] = <statement>``
-    A named statement.  Parameters are *holes*: identifiers that behave
-    like pre-bound formals of unknown type and are substituted with
-    concrete values at :meth:`Program.statement` time — the analog of the
-    C expressions FT-lcc marshalled into a request's operand slots.
+    A named statement.  Parameters are *holes*: each compiles to the
+    :class:`~repro.core.ags.Param` the runtime's statement plans are made
+    of, and :meth:`Program.statement` hands back the call's values beside
+    the one compiled statement — the analog of the C expressions FT-lcc
+    marshalled into a request's operand slots.
 
-The compiler reuses the single-statement front end; parameter holes are
-implemented by compiling the statement once per distinct instantiation
-(memoized), which also mirrors FT-lcc's per-call-site marshalling.
+The program goes through the single-statement front end's lexer, parser
+and compiler, once: :func:`compile_program` is the parse,
+:meth:`Program.bind` the compile.
 """
 
 from __future__ import annotations
@@ -39,66 +40,37 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro._errors import CompileError
-from repro.core.ags import AGS
-from repro.core.spaces import Resilience, Scope, TSHandle
-from repro.lcc.compiler import SignatureCatalog, compile_ags
-from repro.lcc.lexer import tokenize
+from repro.core.ags import AGS, Const
+from repro.core.spaces import Scope, TSHandle
+from repro.lcc.ast_nodes import SpaceNode, StmtNode
+from repro.lcc.compiler import SignatureCatalog, compile_tree
+from repro.lcc.parser import parse_program
 
-__all__ = ["Program", "SpaceDecl", "StatementDecl", "compile_program"]
-
-
-class SpaceDecl:
-    """A ``space`` declaration."""
-
-    __slots__ = ("name", "resilience", "scope")
-
-    def __init__(self, name: str, resilience: Resilience, scope: Scope):
-        self.name = name
-        self.resilience = resilience
-        self.scope = scope
-
-    def __repr__(self) -> str:
-        return f"space {self.name} {self.resilience.value} {self.scope.value}"
-
-
-class StatementDecl:
-    """A ``stmt`` declaration: name, parameter list, statement source."""
-
-    __slots__ = ("name", "params", "source", "line")
-
-    def __init__(self, name: str, params: list[str], source: str, line: int):
-        self.name = name
-        self.params = params
-        self.source = source
-        self.line = line
-
-    def __repr__(self) -> str:
-        ps = f"({', '.join(self.params)})" if self.params else ""
-        return f"stmt {self.name}{ps}"
+__all__ = ["Program", "compile_program"]
 
 
 class Program:
-    """A compiled program: declared spaces plus named statements.
+    """A program: declared spaces plus named statements.
 
-    Statements are compiled lazily per parameter instantiation and
-    memoized; the :class:`SignatureCatalog` accumulates every pattern
-    signature, exactly as FT-lcc's per-program catalog did.
+    :meth:`bind` compiles every statement, once, into a statement plan;
+    from then on the :class:`SignatureCatalog` holds every pattern
+    signature the program uses, exactly as FT-lcc's per-program catalog
+    did, and :meth:`statement` only pairs a plan with a call's actuals.
     """
 
-    def __init__(
-        self,
-        spaces: list[SpaceDecl],
-        statements: list[StatementDecl],
-    ):
-        self.space_decls = {s.name: s for s in spaces}
-        self.statement_decls = {s.name: s for s in statements}
+    def __init__(self, declarations: list[SpaceNode | StmtNode]):
+        self.space_decls = {
+            d.name: d for d in declarations if isinstance(d, SpaceNode)
+        }
+        self.statement_decls = {
+            d.name: d for d in declarations if isinstance(d, StmtNode)
+        }
         self.catalog = SignatureCatalog()
         self.handles: dict[str, TSHandle] = {}
-        self._cache: dict[tuple[str, tuple], AGS] = {}
-        self._bound = False
+        self._plans: dict[str, AGS] | None = None  # by statement, once bound
 
     # ------------------------------------------------------------------ #
-    # binding spaces
+    # binding spaces, compiling statements
     # ------------------------------------------------------------------ #
 
     def bind(
@@ -108,11 +80,14 @@ class Program:
         existing: Mapping[str, TSHandle] | None = None,
         owner: int | None = None,
     ) -> "Program":
-        """Resolve every declared space against *runtime*.
+        """Resolve every declared space against *runtime*, then compile.
 
         Spaces named in *existing* are used as-is (their attributes must
-        agree with the declaration); the rest are created.  Returns self
-        for chaining.
+        agree with the declaration); the rest are created.  Every
+        statement is compiled here — it takes the handles — so whatever
+        is wrong with one is raised here, positioned in the program's
+        source, with the spaces already created.  Returns self for
+        chaining.
         """
         existing = dict(existing or {})
         if "main" not in existing and "main" in self.space_decls:
@@ -120,11 +95,17 @@ class Program:
         for name, decl in self.space_decls.items():
             if name in existing:
                 handle = existing[name]
-                if handle.resilience is not decl.resilience:
-                    raise CompileError(
-                        f"space {name!r} declared {decl.resilience.value} but "
-                        f"bound to a {handle.resilience.value} space"
-                    )
+                for declared, bound in (
+                    (decl.resilience, handle.resilience),
+                    (decl.scope, handle.scope),
+                ):
+                    if bound is not declared:
+                        raise CompileError(
+                            f"space {name!r} declared {declared.value} but "
+                            f"bound to a {bound.value} space",
+                            decl.line,
+                            decl.column,
+                        )
                 self.handles[name] = handle
             else:
                 self.handles[name] = runtime.create_space(
@@ -133,27 +114,26 @@ class Program:
                 )
         # spaces referenced without declaration: main is implicitly known
         self.handles.setdefault("main", runtime.main_ts)
-        self._bound = True
-        return self
-
-    def bind_handles(self, handles: Mapping[str, TSHandle]) -> "Program":
-        """Bind against pre-existing handles only (no runtime calls)."""
-        self.handles.update(handles)
-        self._bound = True
+        self._plans = {
+            name: compile_tree(decl.body, self.handles, self.catalog, decl.params)
+            for name, decl in self.statement_decls.items()
+        }
         return self
 
     # ------------------------------------------------------------------ #
     # statements
     # ------------------------------------------------------------------ #
 
-    def statement(self, name: str, **params: Any) -> AGS:
-        """The compiled AGS for *name*, with parameter holes filled.
+    def statement(self, name: str, **params: Any) -> tuple[AGS, tuple]:
+        """Statement *name*'s plan and this call's actuals, for ``execute``.
 
-        Parameter values must be valid tuple-field values; they are
-        spliced in as literals (FT-lcc marshalled call-site expressions
-        the same way).
+        ``rt.execute(*prog.statement("finish", t=7, r=49))``.  The plan is
+        the same object on every call; the actuals are *params* in
+        declaration order, each checked by the test ``Const`` makes — what
+        writing the value into the statement would have checked — and
+        otherwise taken as the object it is.
         """
-        if not self._bound:
+        if self._plans is None:
             raise CompileError("program is not bound to tuple spaces yet")
         decl = self.statement_decls.get(name)
         if decl is None:
@@ -166,19 +146,7 @@ class Program:
         extra = [p for p in params if p not in decl.params]
         if extra:
             raise CompileError(f"statement {name!r} has no parameters {extra}")
-        key = (name, tuple(params[p] for p in decl.params))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        src = _substitute(decl.source, decl.params, params)
-        try:
-            ags = compile_ags(src, self.handles, self.catalog)
-        except CompileError as exc:
-            raise CompileError(
-                f"in statement {name!r} (declared at line {decl.line}): {exc}"
-            ) from None
-        self._cache[key] = ags
-        return ags
+        return self._plans[name], tuple(Const(params[p]).value for p in decl.params)
 
     def names(self) -> list[str]:
         return sorted(self.statement_decls)
@@ -187,144 +155,6 @@ class Program:
         return name in self.statement_decls
 
 
-def _substitute(source: str, params: list[str], values: Mapping[str, Any]) -> str:
-    """Replace parameter identifiers with literal values.
-
-    Identifier-boundary aware (``t`` never matches inside ``total``) and
-    string-literal safe (text inside ``"…"`` is left untouched).
-    """
-    import re
-
-    from repro.lcc.printer import _literal
-
-    def repl(match: "re.Match[str]") -> str:
-        word = match.group(0)
-        if word in values:
-            return _literal(values[word], {})
-        return word
-
-    out: list[str] = []
-    parts = re.split(r'("(?:[^"\\]|\\.)*")', source)
-    for i, part in enumerate(parts):
-        if i % 2 == 1:
-            out.append(part)  # inside a string literal
-        else:
-            out.append(re.sub(r"[A-Za-z_][A-Za-z0-9_]*", repl, part))
-    return "".join(out)
-
-
 def compile_program(source: str) -> Program:
     """Parse a program source into an (unbound) :class:`Program`."""
-    spaces: list[SpaceDecl] = []
-    statements: list[StatementDecl] = []
-    lines = source.split("\n")
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        lineno = i + 1
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        if line.startswith("space "):
-            spaces.append(_parse_space(line, lineno))
-            i += 1
-            continue
-        if line.startswith("stmt "):
-            decl, consumed = _parse_stmt(lines, i)
-            statements.append(decl)
-            i += consumed
-            continue
-        raise CompileError(
-            f"expected 'space' or 'stmt' declaration, got {line!r}", lineno, 1
-        )
-    return Program(spaces, statements)
-
-
-def _parse_space(line: str, lineno: int) -> SpaceDecl:
-    parts = line.split()
-    if len(parts) < 2 or len(parts) > 4:
-        raise CompileError(
-            "space declaration is 'space NAME [stable|volatile] "
-            "[shared|private]'",
-            lineno,
-            1,
-        )
-    name = parts[1]
-    resilience = Resilience.STABLE
-    scope = Scope.SHARED
-    for word in parts[2:]:
-        if word in ("stable", "volatile"):
-            resilience = Resilience(word)
-        elif word in ("shared", "private"):
-            scope = Scope(word)
-        else:
-            raise CompileError(f"unknown space attribute {word!r}", lineno, 1)
-    return SpaceDecl(name, resilience, scope)
-
-
-def _parse_stmt(lines: list[str], start: int) -> tuple[StatementDecl, int]:
-    header = lines[start].strip()
-    lineno = start + 1
-    eq = header.find("=")
-    if eq < 0:
-        raise CompileError("stmt declaration needs '='", lineno, 1)
-    sig, rest = header[4:eq].strip(), header[eq + 1 :].strip()
-    if "(" in sig:
-        if not sig.endswith(")"):
-            raise CompileError("malformed parameter list", lineno, 1)
-        name, plist = sig[:-1].split("(", 1)
-        name = name.strip()
-        params = [p.strip() for p in plist.split(",") if p.strip()]
-    else:
-        name, params = sig, []
-    if not name.isidentifier():
-        raise CompileError(f"bad statement name {name!r}", lineno, 1)
-    # the statement body runs until the closing '>' that balances the
-    # opening '<' (statements span multiple lines freely)
-    body_lines = [rest]
-    consumed = 1
-    while not _statement_complete("\n".join(body_lines)):
-        if start + consumed >= len(lines):
-            raise CompileError(
-                f"statement {name!r} is not closed", lineno, 1
-            )
-        body_lines.append(lines[start + consumed])
-        consumed += 1
-    return StatementDecl(name, params, "\n".join(body_lines).strip(), lineno), consumed
-
-
-def _statement_complete(text: str) -> bool:
-    """Heuristic-free completeness check: try to tokenize and balance.
-
-    A statement is complete when it contains a closing ``>`` for the
-    opening ``<`` outside string literals — comparisons never appear at
-    top level between them because ``<``/``>`` inside argument lists are
-    always within parentheses.
-    """
-    text = text.strip()
-    if not text.startswith("<"):
-        # unbracketed single-op statement: complete when parens balance
-        try:
-            toks = tokenize(text)
-        except CompileError:
-            return False
-        depth = 0
-        for t in toks:
-            if t.kind == "LPAREN":
-                depth += 1
-            elif t.kind == "RPAREN":
-                depth -= 1
-        return bool(toks) and depth == 0
-    try:
-        toks = tokenize(text)
-    except CompileError:
-        return False
-    depth = 0
-    for t in toks:
-        if t.kind == "LPAREN":
-            depth += 1
-        elif t.kind == "RPAREN":
-            depth -= 1
-        elif t.kind == "RANGLE" and depth == 0:
-            return True
-    return False
+    return Program(parse_program(source))

@@ -91,23 +91,6 @@ class AdaptiveBag:
             out.append((t[1], t[2]))
         return out
 
-    def active_workers(self) -> int:
-        """Registered workers right now (strong probe-based count)."""
-        count = 0
-        seen = []
-        while True:
-            t = self.runtime.inp(
-                self.runtime.main_ts, WORKER_TAG, formal(int), formal(int),
-                formal(),
-            )
-            if t is None:
-                break
-            seen.append(t)
-            count += 1
-        for t in seen:
-            self.runtime.out(self.runtime.main_ts, *t.fields)
-        return count
-
     # ------------------------------------------------------------------ #
     # the worker
     # ------------------------------------------------------------------ #

@@ -79,7 +79,6 @@ class BagOfTasks:
         self.name = name
         self.bag = runtime.create_space(f"{name}.bag")
         self.results = runtime.create_space(f"{name}.results")
-        self.completed: list[tuple[Any, Any]] = []
         self._reg_ts = runtime.main_ts
 
     # ------------------------------------------------------------------ #
@@ -105,16 +104,6 @@ class BagOfTasks:
             )
             out.append((t[1], t[2]))
         return out
-
-    def results_available(self) -> int:
-        """Drain currently available results into :attr:`completed`."""
-        count = 0
-        while True:
-            t = self.runtime.inp(self.results, "result", formal(), formal())
-            if t is None:
-                return count
-            self.completed.append((t[1], t[2]))
-            count += 1
 
     # ------------------------------------------------------------------ #
     # the worker

@@ -9,6 +9,8 @@ near-duplicate tests; backend-specific behaviour (ordered cancel,
 pickling, snapshot recovery) stays in the per-backend files.
 """
 
+import time
+
 import pytest
 
 from repro import (
@@ -21,7 +23,7 @@ from repro import (
     formal,
     ref,
 )
-from repro.core.ags import Branch
+from repro.core.ags import Branch, Param
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
 from repro.persist import SegmentedWALRuntime
 
@@ -139,6 +141,57 @@ class TestAtomicity:
             )
         )
         assert res.succeeded and res["x"] == 2
+
+
+class TestStatementPlans:
+    """``execute(plan, actuals)``: a statement with holes, its values beside it."""
+
+    @staticmethod
+    def _bump(ts):
+        return AGS.single(
+            Guard.in_(ts, Param(0), formal(int, "old")),
+            [Op.out(ts, Param(0), ref("old") + Param(1))],
+        )
+
+    def test_hand_written_plan_runs_as_the_statement_with_its_values_built_in(self, rt):
+        ts = rt.main_ts
+        by_value = AGS.single(
+            Guard.in_(ts, "ctr", formal(int, "old")),
+            [Op.out(ts, "ctr", ref("old") + 5)],
+        )
+        rt.out(ts, "ctr", 1)
+        want = rt.execute(by_value)
+        submitted = rt.metrics_snapshot()["counters"]["commands_submitted"]
+        got = rt.execute(self._bump(ts), ("ctr", 5))
+        # one command: on -s4 the route read the first field through the
+        # hole and took the single-shard path, not the cross-shard rung
+        assert rt.metrics_snapshot()["counters"]["commands_submitted"] == submitted + 1
+        assert (want.fired, want.bindings) == (0, {"old": 1})
+        assert (got.fired, got.bindings, got.error) == (0, {"old": 6}, None)
+        assert rt.rd(ts, "ctr", formal(int)) == ("ctr", 11)
+        assert rt.space_size(ts) == 1
+        if _replicated(rt):
+            assert rt.converged()
+
+    def test_parked_plan_survives_crash_and_recovery(self, rt):
+        if not _replicated(rt):
+            pytest.skip("no replicas to crash on this backend")
+        ts = rt.main_ts
+        h = rt.eval_(lambda proc: proc.execute(self._bump(ts), ("later", 5), timeout=60))
+        deadline = time.monotonic() + 30
+        while not (waiters := rt.introspection_snapshot()["sm"]["waiters"]):
+            assert time.monotonic() < deadline, "the plan never parked"
+            time.sleep(0.01)
+        # parked with its actuals: what it waits on reads through the hole
+        assert waiters[0]["waiting_on"][0]["template"] == "('later', ?int)"
+        rt.crash_replica(1)
+        rt.recover_replica(1)  # the parked plan crosses in the snapshot
+        rt.out(ts, "later", 1)
+        res = h.join(timeout=60)
+        assert res.succeeded and res.bindings == {"old": 1}
+        assert rt.rd(ts, "later", formal(int)) == ("later", 6)
+        assert rt.converged()
+        assert len(rt.fingerprints()) == 3
 
 
 class TestReplication:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro import AGS, AGSError, Guard, LocalRuntime, Op, formal, ref
-from repro.core.spaces import MAIN_TS
+from repro.core.ags import Param
+from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
 from repro.dsl import atomic, copy, in_, inp, move, out, rd, rdp, true, var, when
-from repro.lcc import compile_ags, print_ags
+from repro.lcc import compile_ags, print_ags, printable
 
 NAMES = {MAIN_TS: "main"}
 SPACES = {"main": MAIN_TS}
@@ -128,6 +129,40 @@ class TestPrinter:
         printed = print_ags(ags, NAMES)
         assert "(" in printed  # parenthesization required and produced
         assert compile_ags(printed, SPACES) == ags
+
+    @pytest.mark.parametrize("value", [1e-07, 1e22, -2.5e-300, 1.5e16, 5e-324])
+    def test_floats_repr_writes_with_an_exponent_roundtrip(self, value):
+        ags = AGS.atomic(Op.out(MAIN_TS, "x", value))
+        assert printable(ags, NAMES)
+        assert compile_ags(print_ags(ags, NAMES), SPACES) == ags
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_floats_have_no_text(self, value):
+        # the lexer has no word for them: say so, do not print `inf`
+        assert not printable(AGS.atomic(Op.out(MAIN_TS, "x", value)), NAMES)
+
+    def test_a_string_that_looks_like_an_unnamed_handle_is_printable(self):
+        ags = AGS.atomic(Op.out(MAIN_TS, "see ts#1", 1))
+        assert printable(ags, NAMES)
+        assert compile_ags(print_ags(ags, NAMES), SPACES) == ags
+
+    def test_a_handle_without_a_name_has_no_text(self):
+        other = TSHandle(5, "other", Resilience.STABLE, Scope.SHARED)
+        assert not printable(AGS.atomic(Op.out(other, "x")), NAMES)
+        assert not printable(AGS.atomic(Op.out(MAIN_TS, "x", other)), NAMES)
+        assert printable(AGS.atomic(Op.out(other, "x", other)), {other: "o"})
+
+    def test_a_hole_prints_as_its_declared_name(self):
+        params = ("s", "t", "d")
+        plan = AGS.single(
+            Guard.in_(Param(0), "k", Param(1), formal(int, "v")),
+            [Op.out(MAIN_TS, Param(1), ref("v") + Param(2) * 2)],
+        )
+        printed = print_ags(plan, NAMES, params)
+        assert printed == '< in(s, "k", t, ?v:int) => out(main, t, v + d * 2) >'
+        assert compile_ags(printed, SPACES, params=params) == plan
+        assert not printable(plan, NAMES)  # holes, and no names for them
+        assert not printable(plan, NAMES, params[:2])
 
 
 # -- property-based roundtrip ------------------------------------------------ #

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from repro import CompileError, LocalRuntime, formal
 from repro.core.spaces import MAIN_TS
-from repro.lcc import compile_ags, parse_ags, print_ags, tokenize
+from repro.lcc import compile_ags, compile_program, parse_ags, print_ags, tokenize
 
 SPACES = {"main": MAIN_TS}
 NAMES = {MAIN_TS: "main"}
@@ -60,10 +60,32 @@ def test_truncations_fail_cleanly(cut):
         pass
 
 
+PROGRAM = (
+    "# a program\nspace bag stable shared\nspace mine private\n\n"
+    'stmt take = < in(bag, "task", ?t:int) => out(mine, "task", t) >\n'
+    'stmt finish(t, r) =\n    < in(mine, "task", t) => out(bag, "result", t, r) >\n'
+    'stmt seed(t) = out(bag, "task", t)\n'
+)
+
+
+@given(st.one_of(
+    st.text(max_size=60),
+    st.integers(min_value=0, max_value=len(PROGRAM)).map(lambda cut: PROGRAM[:cut]),
+))
+@settings(max_examples=300, deadline=None)
+def test_program_parser_total_and_positioned(text):
+    """compile_program on garbage, or on any prefix of a valid program,
+    parses or raises CompileError — and says where in the file."""
+    try:
+        compile_program(text)
+    except CompileError as exc:
+        assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1
+
+
 _chan = st.sampled_from(["a", "bb", "chan_3"])
 _vals = st.one_of(
     st.integers(-99, 99),
-    st.floats(min_value=0.25, max_value=8.0).map(lambda f: round(f, 2)),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(['"s"', '"two words"', "true", "false"]),
 )
 

@@ -20,10 +20,11 @@ from hypothesis import given, settings
 
 from repro import AGS, Guard, LocalRuntime, Op, formal, ref
 from repro._errors import FormalBindingError, RuntimeFailure
-from repro.core.ags import ACTUALS, Const, Expr, Param
+from repro.core.ags import ACTUALS, Branch, Const, Expr, Param
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
 from repro.core.statemachine import ExecuteAGS, TSStateMachine
 from repro.core.tuples import Formal, LindaTuple
+from repro.lcc import compile_ags, compile_program
 
 OWNER = 7  # the process that owns the private space
 
@@ -213,6 +214,120 @@ def test_bare_operations_equal_the_statements_they_stand_for(program):
         want = outcome(by_value, b, b_seen, op, spaces, fields, pid)
         assert got == want, (op, spaces, fields, pid)
     assert a.seen == b_seen  # the bindings a caller sees: no actuals among them
+    assert a.state_machine.fingerprint() == b.state_machine.fingerprint()
+    for ts in (MAIN_TS, SHARED, PRIVATE):
+        assert a.space_tuples(ts) == b.space_tuples(ts)
+
+
+# -- a program's statements against the text with the values written in ------ #
+
+#: Statement texts with a ``{name}`` where a parameter stands.  Formatted with
+#: the names themselves they are a program's ``stmt`` bodies; formatted with
+#: values written in they are what a program without parameters would say.
+#: ``s`` is always a tuple space: a space's hole is checked when the statement
+#: runs, a name written in its place when it compiles.
+TEMPLATES = {
+    "fixed": ((), '< rdp(main, "k", ?x) => out(shared, "seen", x) >'),
+    "put": (("a", "b"), "out(main, {a}, {b})"),
+    "putin": (("s", "a"), 'out({s}, "k", {a})'),
+    "take": (("a",), '< in(main, {a}, ?x) => out(shared, "took", {a}, x) >'),
+    "probe": (
+        ("a", "b"),
+        "< inp(main, {a}, ?x) => out(main, {b}, x) "
+        'or true => out(private, "idle", {b}) >',
+    ),
+    "bump": (("a", "d"), "< inp(main, {a}, ?v:int) => out(main, {a}, v + {d}) >"),
+    "sweep": (("s", "a"), "move(main, {s}, {a}, ?)"),
+    "pair": (
+        ("a", "b", "c"),
+        "< rdp(main, {a}, {b}) => out(shared, {c}, tuple({a}, {b})) >",
+    ),
+}
+DECLARATIONS = "space shared stable shared\nspace private stable private\n"
+SPACES = {"main": MAIN_TS, "shared": SHARED, "private": PRIVATE}
+NAMES = {handle: name for name, handle in SPACES.items()}
+
+
+def written(value):
+    """*value* as the language writes it; ``None`` where it has no literal."""
+    if isinstance(value, TSHandle):
+        return NAMES.get(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return f'"{value}"'
+    return None
+
+
+def filled(plan, actuals):
+    """*plan* with its holes closed over *actuals*: the reference for values
+    (bytes, ``None``, tuples, an unnamed handle) no text can carry."""
+
+    def fill(f):
+        if isinstance(f, Param):
+            return Const(actuals[f.index])
+        if isinstance(f, Expr):
+            return Expr(f.fn, [fill(a) for a in f.args])
+        return f
+
+    def refill(op):
+        return Op(op.code, fill(op.ts), [fill(f) for f in op.fields],
+                  None if op.ts2 is None else fill(op.ts2))
+
+    return AGS([
+        Branch(
+            Guard.true() if b.guard.op is None else Guard(b.guard.kind, refill(b.guard.op)),
+            [refill(op) for op in b.body],
+        )
+        for b in plan.branches
+    ])
+
+
+@st.composite
+def ftl_programs(draw):
+    """1-3 ``stmt``s of 0-3 parameters, and calls of them over ``values``."""
+    chosen = draw(st.lists(st.sampled_from(sorted(TEMPLATES)), min_size=1,
+                           max_size=3, unique=True))
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        name = draw(st.sampled_from(chosen))
+        args = tuple(
+            draw(st.sampled_from([MAIN_TS, SHARED, PRIVATE, GONE]) if p == "s" else values)
+            for p in TEMPLATES[name][0]
+        )
+        steps.append((name, args, draw(st.sampled_from([0, 0, OWNER]))))
+    return chosen, steps
+
+
+@given(ftl_programs())
+@settings(max_examples=300, deadline=None)
+def test_program_statements_equal_the_text_with_the_values_written_in(case):
+    chosen, steps = case
+    a, b = fresh(LocalRuntime), fresh(LocalRuntime)
+    source = DECLARATIONS + "".join(
+        "stmt {}{} = {}\n".format(
+            name,
+            f"({', '.join(params)})" if params else "",
+            text.format(**{p: p for p in params}),
+        )
+        for name, (params, text) in ((n, TEMPLATES[n]) for n in chosen)
+    )
+    prog = compile_program(source).bind(a, existing=SPACES)
+    plans: dict = {}
+    for name, args, pid in steps:
+        params, text = TEMPLATES[name]
+        plan, actuals = prog.statement(name, **dict(zip(params, args)))
+        assert plans.setdefault(name, plan) is plan and actuals == args
+        texts = [written(v) for v in args]
+        if None in texts:
+            reference = filled(plan, actuals)
+        else:
+            reference = compile_ags(text.format(**dict(zip(params, texts))), SPACES)
+        got = outcome(lambda: a.execute(plan, actuals, process_id=pid, timeout=0))
+        want = outcome(lambda: b.execute(reference, process_id=pid, timeout=0))
+        assert got == want, (name, args, pid)
     assert a.state_machine.fingerprint() == b.state_machine.fingerprint()
     for ts in (MAIN_TS, SHARED, PRIVATE):
         assert a.space_tuples(ts) == b.space_tuples(ts)
