@@ -16,7 +16,7 @@ subtasks sit unrecycled) against steady-state chatter (frames/second of
 heartbeats).  The paper's fail-stop conversion is only as fast as this
 detector.
 
-**A5c — recovery time vs snapshot interval (runner schema).**  The
+**A5c — recovery time vs snapshot interval.**  The
 segmented WAL's acceptance bar: recovery must be bounded by the snapshot
 cadence, not the history.  A single-host workload of 10x–100x the A5b
 log sizes runs once against a :class:`SegmentedWALRuntime` that never
@@ -24,8 +24,8 @@ compacts (the full-log reference: replay is O(history)) and once per
 snapshot interval against one that does (replay is one snapshot load
 plus the delta since the last compaction, with a mid-interval crash so
 the delta is representative).  The headline metric is the 10x speedup, which the
-durable plane promises to keep ≥5x; ``main()`` publishes the curves as
-``BENCH_ablation_recovery.json`` for the perf-regression harness.
+durable plane promises to keep ≥5x; ``main()`` runs it at full size and
+saves ``ablation_recovery_interval.txt``.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def test_a4_detection_latency_vs_chatter(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# A5c — segmented recovery vs full-log replay (bench-runner schema)
+# A5c — segmented recovery vs full-log replay
 # --------------------------------------------------------------------- #
 
 #: A5b's largest replay measurement is 5 000 records — the "1x" here.
@@ -219,7 +219,9 @@ def _timed_recovery(kind: str, n_ops: int, interval: int | None, tmp: str):
 
 
 def run_recovery_ablation(quick: bool = False) -> dict:
-    """Measure the recovery curves; save the table; return raw numbers."""
+    """Measure the recovery curves and return raw numbers; a full-size run
+    also saves the table (a quick one only prints it)."""
+    import os
     import tempfile
 
     div = QUICK_DIVISOR if quick else 1
@@ -243,7 +245,7 @@ def run_recovery_ablation(quick: bool = False) -> dict:
                     "segmented", n_ops, iv, tmp
                 )
                 # keyed by the NOMINAL interval so quick and full runs
-                # produce the same metric names for `bench compare`
+                # report the same curve
                 curve["segmented"][interval] = seg_s
                 table.add(
                     label, n_ops, "segmented", iv, seg_s * 1000, seg_replayed
@@ -257,7 +259,14 @@ def run_recovery_ablation(quick: bool = False) -> dict:
         f"{KEEP} live tuples) plus the delta since the last compaction — "
         f"10x speedup here: {out['speedup_10x']:.1f}x (bar: >=5x)"
     )
-    save_table(table, "ablation_recovery_interval")
+    table.note(
+        f"{'quick' if quick else 'full'} size (records column); "
+        f"nproc={os.cpu_count()}"
+    )
+    if quick:
+        print(table)
+    else:
+        save_table(table, "ablation_recovery_interval")
     return out
 
 
@@ -276,47 +285,13 @@ def test_a5c_segmented_recovery_bound(benchmark):
 def main(argv=None) -> int:
     import argparse
 
-    from repro.bench import make_result, metric, save_result
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help=f"{QUICK_DIVISOR}x smaller logs (CI smoke)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="OUT",
-        default="BENCH_ablation_recovery.json",
-        help="machine-readable results path (default: "
-        "benchmarks/results/BENCH_ablation_recovery.json)",
+        help=f"{QUICK_DIVISOR}x smaller logs (CI smoke; writes nothing)",
     )
     opts = parser.parse_args(argv)
-    out = run_recovery_ablation(quick=opts.quick)
-    metrics: dict[str, dict] = {
-        # the headline: bounded recovery vs O(history) replay at 10x
-        "speedup_10x": metric(out["speedup_10x"], "higher", tolerance=0.5),
-    }
-    for label, curve in out["curves"].items():
-        metrics[f"fulllog_recover_s_{label}"] = metric(
-            curve["fulllog_s"], "lower", unit="s"
-        )
-        for interval, seconds in curve["segmented"].items():
-            metrics[f"segmented_recover_s_{label}_iv{interval}"] = metric(
-                seconds, "lower", unit="s"
-            )
-    payload = make_result(
-        "ablation_recovery",
-        metrics,
-        config={
-            "base_ops": BASE_OPS,
-            "keep_tuples": KEEP,
-            "sizes": out["sizes"],
-            "intervals_10x": list(INTERVALS_10X),
-            "interval_100x": INTERVAL_100X,
-        },
-        quick=opts.quick,
-    )
-    print(f"wrote {save_result(payload, opts.json)}")
+    run_recovery_ablation(quick=opts.quick)
     return 0
 
 

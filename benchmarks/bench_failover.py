@@ -27,12 +27,13 @@ Medians over ``--repeats`` trials; ``--quick`` is the CI smoke size.
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import threading
 import time
 
 from repro import formal
-from repro.bench import Table, make_result, metric, save_result, save_table
+from repro.bench import Table, save_table
 from repro.chaos import ChaosMonkey
 from repro.core.statemachine import FAILURE_TAG
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
@@ -130,13 +131,8 @@ def _median(trials: list[dict[str, float]], key: str) -> float:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--quick", action="store_true", help="CI-sized run")
     ap.add_argument(
-        "--json",
-        metavar="OUT",
-        default="BENCH_failover.json",
-        help="machine-readable results path (default: "
-        "benchmarks/results/BENCH_failover.json)",
+        "--quick", action="store_true", help="CI-sized run (writes nothing)"
     )
     ap.add_argument(
         "--repeats", type=int, default=0,
@@ -153,10 +149,6 @@ def main() -> None:
         ["backend", "detect ms", "visible ms", "recover ms",
          "max stall ms", "ops", "converged"],
     )
-    # Failover latencies are detector-timing plus scheduler noise, so the
-    # tolerances are deliberately loose: a real regression here is a 2x
-    # move, not a 25% one.
-    metrics: dict[str, dict] = {}
     for backend in ("threaded", "multiproc"):
         trials = [
             _failover_trial(backend, churn_s, seed) for seed in range(repeats)
@@ -170,40 +162,14 @@ def main() -> None:
             f"{_median(trials, 'ops'):.0f}",
             "yes" if all(t["converged"] for t in trials) else "NO",
         )
-        metrics[f"{backend}_detect_s"] = metric(
-            _median(trials, "detect_s"), "lower", unit="s", tolerance=1.0
-        )
-        metrics[f"{backend}_visible_s"] = metric(
-            _median(trials, "visible_s"), "lower", unit="s", tolerance=1.0
-        )
-        metrics[f"{backend}_recover_s"] = metric(
-            _median(trials, "recover_s"), "lower", unit="s", tolerance=1.0
-        )
-        metrics[f"{backend}_max_stall_s"] = metric(
-            _median(trials, "max_stall_s"), "lower", unit="s", tolerance=1.5
-        )
-        metrics[f"{backend}_churn_ops"] = metric(
-            _median(trials, "ops"), "higher", unit="ops"
-        )
-        metrics[f"{backend}_converged"] = metric(
-            1.0 if all(t["converged"] for t in trials) else 0.0,
-            "higher",
-            tolerance=0.01,
-        )
-    print(table.render())
-    save_table(table, "bench_failover")
-    payload = make_result(
-        "failover",
-        metrics,
-        config={
-            "replicas": N_REPLICAS,
-            "clients": CLIENTS,
-            "policy": POLICY_KW,
-            "repeats": repeats,
-        },
-        quick=args.quick,
+    table.note(
+        f"median of {repeats} trial(s) per backend, {churn_s:g}s of churn "
+        f"either side of the kill; nproc={os.cpu_count()}"
     )
-    print(f"json -> {save_result(payload, args.json)}")
+    if args.quick:
+        print(table)
+    else:
+        save_table(table, "bench_failover")
 
 
 if __name__ == "__main__":

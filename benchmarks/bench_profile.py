@@ -20,13 +20,14 @@ real backends, three configurations each:
 - **hot**  — 997 Hz, ~10x the default rate, showing the cost scales
   with the sampling rate and nothing else.
 
-The off→on delta is the headline: the committed baseline holds it
-within the <5% acceptance bound (reported tolerance is looser because
+The off→on delta is the headline: the committed full-size table records
+it against the <5% acceptance bound (the test's bound is looser because
 blocking round trips are latency-bound and scheduler noise dominates).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -80,7 +81,8 @@ CONFIGS = [("off", None), ("on", DEFAULT_HZ), ("hot", HOT_HZ)]
 
 
 def run_benchmark(quick: bool = False) -> dict[str, dict[str, float]]:
-    """Measure both backends, save the report table, return raw numbers."""
+    """Measure both backends, return raw numbers; a full-size run also
+    saves the report table (a quick one only prints it)."""
     div = QUICK_DIVISOR if quick else 1
     table = Table(
         f"Sampling-profiler overhead: blocking out/s, {CLIENTS} clients",
@@ -122,7 +124,14 @@ def run_benchmark(quick: bool = False) -> dict[str, dict[str, float]]:
         "round trips are latency-bound, so interference only lowers a "
         "measurement)"
     )
-    save_table(table, "bench_profile")
+    table.note(
+        f"blocking outs per client: threaded {OPS['threaded'] // div}, "
+        f"multiproc {OPS['multiproc'] // div}; nproc={os.cpu_count()}"
+    )
+    if quick:
+        print(table)
+    else:
+        save_table(table, "bench_profile")
     return out
 
 
@@ -133,58 +142,20 @@ def test_profile_overhead(benchmark):
     for rates in out.values():
         # profiling at the default rate must stay within 25% of the
         # unprofiled throughput even under CI scheduler noise; the
-        # committed full-size baseline is what documents the <5% claim
+        # committed full-size table is what records the <5% claim
         assert rates["on"] > 0.75 * rates["off"], rates
 
 
 def main(argv=None) -> int:
     import argparse
 
-    from repro.bench import make_result, metric, save_result
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help=f"{QUICK_DIVISOR}x fewer ops per cell (CI smoke)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="OUT",
-        default="BENCH_profile.json",
-        help="machine-readable results path (default: "
-        "benchmarks/results/BENCH_profile.json)",
+        help=f"{QUICK_DIVISOR}x fewer ops per cell (CI smoke; writes nothing)",
     )
     opts = parser.parse_args(argv)
-    out = run_benchmark(quick=opts.quick)
-    metrics: dict[str, dict] = {}
-    for name, rates in out.items():
-        metrics[f"{name}_off_out_per_s"] = metric(
-            rates["off"], "higher", unit="ops/s"
-        )
-        metrics[f"{name}_on_out_per_s"] = metric(
-            rates["on"], "higher", unit="ops/s"
-        )
-        # the acceptance headline: throughput while profiling at the
-        # default rate as a fraction of unprofiled throughput
-        metrics[f"{name}_on_vs_off"] = metric(
-            rates["on"] / rates["off"], "higher", tolerance=0.15
-        )
-        metrics[f"{name}_hot_vs_off"] = metric(
-            rates["hot"] / rates["off"], "higher", tolerance=0.20
-        )
-    payload = make_result(
-        "profile",
-        metrics,
-        config={
-            "clients": CLIENTS,
-            "ops": OPS,
-            "default_hz": DEFAULT_HZ,
-            "hot_hz": HOT_HZ,
-            "repeats": 1 if opts.quick else REPEATS,
-        },
-        quick=opts.quick,
-    )
-    print(f"wrote {save_result(payload, opts.json)}")
+    run_benchmark(quick=opts.quick)
     return 0
 
 

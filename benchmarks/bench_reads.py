@@ -13,8 +13,10 @@ This benchmark drives a **read-heavy mix** (1 ``out`` per ``READ_MIX``
 operations, the rest ``rd``) against 3 replicas, with the fast path off
 (every read ordered) and on, and reports the ``rd`` throughput ratio at
 two client counts.  The fast path's win is per-read cost, so it shows
-largest where that cost dominates — a single client sees 2x and better
-on both backends.  Under many concurrent clients the *ordered* path
+largest where that cost dominates — a single client on the threaded
+backend.  (On the multiprocess backend it no longer wins: the ordered
+path ships statement plans by id, a fast-path read its statement by
+value.)  Under many concurrent clients the *ordered* path
 amortizes its broadcasts over ever-larger sequencer batches, so the gap
 narrows: the two lanes converge on different strengths (latency vs.
 saturated-bus throughput), and the table shows both regimes honestly.
@@ -28,11 +30,12 @@ fallback ladder (miss → reroute → ordered) under faults.
 from __future__ import annotations
 
 import argparse
+import os
 import threading
 import time
 
 from repro import formal
-from repro.bench import Table, make_result, metric, save_result, save_table
+from repro.bench import Table, save_table
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
 
 CLIENT_COUNTS = (1, 4)  # per-read-cost regime vs. batch-amortized regime
@@ -154,13 +157,8 @@ def _consistency_under_faults(quick: bool) -> dict[str, object]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--quick", action="store_true", help="CI-sized run")
     ap.add_argument(
-        "--json",
-        metavar="OUT",
-        default="BENCH_reads.json",
-        help="machine-readable results path (default: "
-        "benchmarks/results/BENCH_reads.json)",
+        "--quick", action="store_true", help="CI-sized run (writes nothing)"
     )
     args = ap.parse_args()
 
@@ -170,8 +168,7 @@ def main() -> None:
         ["backend", "clients", "read path", "rd/s", "fastpath", "fallback",
          "speedup"],
     )
-    metrics: dict[str, dict] = {}
-
+    sizes = []
     for backend, make_rt in (
         ("threaded", ThreadedReplicaRuntime),
         ("multiproc", MultiprocessRuntime),
@@ -179,6 +176,7 @@ def main() -> None:
         per_client = READS_PER_CLIENT[backend]
         if args.quick:
             per_client //= 4
+        sizes.append(f"{backend} {per_client}")
         for clients in CLIENT_COUNTS:
             rows: dict[bool, dict[str, float]] = {}
             for fastpath in (False, True):
@@ -201,37 +199,16 @@ def main() -> None:
                     f"{r['read_fallback']:.0f}",
                     f"{speedup:.2f}x" if fastpath else "1.00x",
                 )
-            key = f"{backend}_c{clients}"
-            metrics[f"{key}_ordered_rd_per_s"] = metric(
-                rows[False]["rd_per_s"], "higher", unit="rd/s"
-            )
-            metrics[f"{key}_fast_rd_per_s"] = metric(
-                rows[True]["rd_per_s"], "higher", unit="rd/s"
-            )
-            metrics[f"{key}_speedup"] = metric(speedup, "higher")
-
+    table.note(f"rds per client: {', '.join(sizes)}; nproc={os.cpu_count()}")
     print(table.render())
     print("consistency under faults (crash mid-stream, mixed read/write):")
     faults = _consistency_under_faults(args.quick)
     for backend, verdict in faults.items():
         print(f"  {backend}: {verdict}")
         assert verdict["converged"], f"{backend} replicas diverged"
-        metrics[f"{backend}_fault_converged"] = metric(
-            1.0 if verdict["converged"] else 0.0, "higher", tolerance=0.01
-        )
 
-    save_table(table, "bench_reads")
-    payload = make_result(
-        "reads",
-        metrics,
-        config={
-            "replicas": N_REPLICAS,
-            "client_counts": list(CLIENT_COUNTS),
-            "read_mix": READ_MIX,
-        },
-        quick=args.quick,
-    )
-    print(f"json -> {save_result(payload, args.json)}")
+    if not args.quick:
+        save_table(table, "bench_reads")
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ invariant is machine-checked in the same run that measures throughput.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any, Callable
@@ -187,7 +188,16 @@ def run_benchmark(quick: bool = False) -> dict[str, Any]:
         f"{'OK' if consistency['ok'] else 'VIOLATED'} "
         f"({consistency['compared_slots']} slots cross-checked)"
     )
-    save_table(table, "bench_sharding")
+    table.note(
+        "ops per client (pipelined/blocking): threaded "
+        f"{PIPELINED_OPS['threaded'] // div}/{BLOCKING_OPS['threaded'] // div}, "
+        f"multiproc {PIPELINED_OPS['multiproc'] // div}/"
+        f"{BLOCKING_OPS['multiproc'] // div}; nproc={os.cpu_count()}"
+    )
+    if quick:
+        print(table)
+    else:
+        save_table(table, "bench_sharding")
     return {"results": results, "consistency": consistency}
 
 
@@ -207,51 +217,13 @@ def test_sharding_throughput(benchmark):
 def main(argv=None) -> int:
     import argparse
 
-    from repro.bench import make_result, metric, save_result
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help=f"{QUICK_DIVISOR}x fewer ops per cell (CI smoke)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="OUT",
-        default="BENCH_sharding.json",
-        help="machine-readable results path (default: "
-        "benchmarks/results/BENCH_sharding.json)",
+        help=f"{QUICK_DIVISOR}x fewer ops per cell (CI smoke; writes nothing)",
     )
     opts = parser.parse_args(argv)
-    out = run_benchmark(quick=opts.quick)
-    metrics: dict[str, dict] = {}
-    for name, per_backend in out["results"].items():
-        for shards, numbers in per_backend.items():
-            key = f"{name}_shards{shards}"
-            metrics[f"{key}_pipelined_out_per_s"] = metric(
-                numbers["pipelined_out_per_s"], "higher", unit="ops/s"
-            )
-            metrics[f"{key}_blocking_pair_per_s"] = metric(
-                numbers["blocking_pair_per_s"], "higher", unit="pairs/s"
-            )
-    mp = out["results"]["multiproc"]
-    scaling = mp[4]["pipelined_out_per_s"] / mp[1]["pipelined_out_per_s"]
-    metrics["multiproc_scaling_1_to_4"] = metric(scaling, "higher")
-    metrics["cross_shard_consistency_ok"] = metric(
-        1.0 if out["consistency"]["ok"] else 0.0, "higher", tolerance=0.01
-    )
-    payload = make_result(
-        "sharding",
-        metrics,
-        config={
-            "clients": CLIENTS,
-            "channels": CHANNELS,
-            "fleet": FLEET,
-            "shard_counts": list(SHARD_COUNTS),
-        },
-        quick=opts.quick,
-    )
-    print(f"wrote {save_result(payload, opts.json)}")
-    print(f"multiproc pipelined out/s scaling 1->4 shards: {scaling:.2f}x")
+    run_benchmark(quick=opts.quick)
     return 0
 
 

@@ -23,6 +23,7 @@ tighter bound.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -75,7 +76,8 @@ CONFIGS = [
 
 
 def run_benchmark(quick: bool = False) -> dict[str, dict[str, float]]:
-    """Measure both backends, save the report table, return raw numbers."""
+    """Measure both backends, return raw numbers; a full-size run also
+    saves the report table (a quick one only prints it)."""
     div = QUICK_DIVISOR if quick else 1
     table = Table(
         f"Flight-recorder overhead: blocking out/s, {CLIENTS} clients",
@@ -106,7 +108,14 @@ def run_benchmark(quick: bool = False) -> dict[str, dict[str, float]]:
         "3 applies/e2e) + one batched SPANS queue item per applied "
         "batch; disabled path is one `is None` branch per site"
     )
-    save_table(table, "bench_tracing")
+    table.note(
+        f"blocking outs per client: threaded {OPS['threaded'] // div}, "
+        f"multiproc {OPS['multiproc'] // div}; nproc={os.cpu_count()}"
+    )
+    if quick:
+        print(table)
+    else:
+        save_table(table, "bench_tracing")
     return out
 
 
@@ -121,43 +130,13 @@ def test_tracing_overhead(benchmark):
 def main(argv=None) -> int:
     import argparse
 
-    from repro.bench import make_result, metric, save_result
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help=f"{QUICK_DIVISOR}x fewer ops per cell (CI smoke)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="OUT",
-        default="BENCH_tracing.json",
-        help="machine-readable results path (default: "
-        "benchmarks/results/BENCH_tracing.json)",
+        help=f"{QUICK_DIVISOR}x fewer ops per cell (CI smoke; writes nothing)",
     )
     opts = parser.parse_args(argv)
-    out = run_benchmark(quick=opts.quick)
-    metrics: dict[str, dict] = {}
-    for name, rates in out.items():
-        metrics[f"{name}_off_out_per_s"] = metric(
-            rates["off"], "higher", unit="ops/s"
-        )
-        metrics[f"{name}_on_out_per_s"] = metric(
-            rates["on"], "higher", unit="ops/s"
-        )
-        # the headline number: enabled-tracing throughput as a fraction
-        # of untraced — must stay near 1.0
-        metrics[f"{name}_on_vs_off"] = metric(rates["on"] / rates["off"], "higher")
-        metrics[f"{name}_wrap_vs_off"] = metric(
-            rates["on+wrap"] / rates["off"], "higher"
-        )
-    payload = make_result(
-        "tracing",
-        metrics,
-        config={"clients": CLIENTS, "ops": OPS},
-        quick=opts.quick,
-    )
-    print(f"wrote {save_result(payload, opts.json)}")
+    run_benchmark(quick=opts.quick)
     return 0
 
 

@@ -2,33 +2,10 @@
 
 Every experiment module under ``benchmarks/`` renders its output through
 :class:`~repro.bench.tables.Table`, so the regenerated tables read like
-the paper's — one labelled row per configuration — and each run saves its
-table under ``benchmarks/results/`` for EXPERIMENTS.md.
+the paper's — one labelled row per configuration — and each full-size run
+saves its table under ``benchmarks/results/`` for EXPERIMENTS.md.
 """
 
-from repro.bench.runner import (
-    baseline_path,
-    compare,
-    load_result,
-    make_result,
-    metric,
-    render_comparison,
-    save_result,
-    validate_result,
-)
-from repro.bench.tables import Table, results_dir, save_json, save_table
+from repro.bench.tables import Table, results_dir, save_table
 
-__all__ = [
-    "Table",
-    "baseline_path",
-    "compare",
-    "load_result",
-    "make_result",
-    "metric",
-    "render_comparison",
-    "results_dir",
-    "save_json",
-    "save_result",
-    "save_table",
-    "validate_result",
-]
+__all__ = ["Table", "results_dir", "save_table"]

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Iterable, Sequence
 
-__all__ = ["Table", "results_dir", "save_json", "save_table"]
+__all__ = ["Table", "results_dir", "save_table"]
 
 
 class Table:
@@ -75,21 +74,4 @@ def save_table(table: Table, name: str) -> str:
     path = os.path.join(results_dir(), f"{name}.txt")
     with open(path, "w") as f:
         f.write(text + "\n")
-    return path
-
-
-def save_json(payload: Any, path: str) -> str:
-    """Persist machine-readable benchmark results as JSON at *path*.
-
-    The perf-trajectory companion to :func:`save_table`: tables are for
-    humans, these ``BENCH_*.json`` files are for tooling that compares
-    runs over time.  Relative paths land in ``benchmarks/results/``.
-    """
-    if not os.path.isabs(path) and os.sep not in path:
-        path = os.path.join(results_dir(), path)
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
     return path

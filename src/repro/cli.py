@@ -15,8 +15,6 @@ Run::
     python -m repro.cli top --backend threaded --wedge --once
     python -m repro.cli chaos --backend multiproc --seed 1
     python -m repro.cli profile --backend multiproc --out prof.speedscope.json
-    python -m repro.cli bench run --quick
-    python -m repro.cli bench compare --current-dir /tmp/ci-bench
 
 The ``metrics`` subcommand drives a small tuple-churn workload on a
 chosen backend and prints the runtime's metrics snapshot (submit→order,
@@ -53,16 +51,6 @@ folded profile is exported as speedscope JSON (``--format speedscope``,
 load at https://www.speedscope.app) or collapsed flamegraph text
 (``--format collapsed``, pipe into ``flamegraph.pl``); ``--once`` is the
 short gating smoke that fails unless samples landed on named roles.
-
-The ``bench`` subcommand is the perf-regression harness driver:
-``bench run`` executes ``benchmarks/bench_*.py`` each in its own
-interpreter, writing standardized ``BENCH_*.json`` results (schema
-``repro.bench.runner``) — by default straight into
-``benchmarks/results/``, which IS the baseline-refresh workflow;
-``bench compare`` diffs a results directory against the committed
-baselines with per-metric direction-aware tolerances.  Exit codes: 0
-clean, 1 regressions (suppressible with ``--allow-regressions`` for
-non-gating CI), 2 run/schema failures or vanished metrics.
 
 The ``chaos`` subcommand is the failure-detection demo: it drives churn
 on a parallel backend with the liveness plane enabled, hard-kills a
@@ -312,19 +300,14 @@ def _workload_parser(prog: str, description: str) -> argparse.ArgumentParser:
         "--shards", type=int, default=1,
         help="content-partitioned shard groups (non-local backends; default 1)",
     )
-    parser.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="disable command batching (non-local backends)",
-    )
     return parser
 
 
 def _build_runtime(opts: argparse.Namespace, **kwargs: Any) -> Any:
     """The one place the CLI constructs a runtime from ``--backend``.
 
-    *kwargs* go to the runtime's constructor; ``--shards`` and
-    ``--no-batching`` apply when the subcommand's parser has them.
+    *kwargs* go to the runtime's constructor; ``--shards`` applies when
+    the subcommand's parser has it.
     """
     if opts.backend == "local":
         return LocalRuntime(**kwargs)
@@ -334,7 +317,6 @@ def _build_runtime(opts: argparse.Namespace, **kwargs: Any) -> Any:
     return backends[opts.backend](
         opts.replicas,
         shards=getattr(opts, "shards", 1),
-        batching=not getattr(opts, "no_batching", False),
         **kwargs,
     )
 
@@ -1188,183 +1170,6 @@ def _wal_smoke(opts) -> int:
         return 0
 
 
-#: The benchmarks `bench run` knows how to drive, in dependency-free order.
-BENCHMARKS = (
-    "batching", "reads", "sharding", "failover", "tracing", "profile",
-    "telemetry", "ablation_recovery",
-)
-
-
-def _benchmarks_dir() -> str:
-    import os
-
-    from repro.bench import results_dir
-
-    return os.path.dirname(results_dir())
-
-
-def _bench_compare_dirs(
-    names: list[str], current_dir: str, baseline_dir: str
-) -> tuple[int, int, int]:
-    """Compare per-benchmark results; return (regressed, missing, new)."""
-    import os
-
-    from repro.bench import (
-        baseline_path,
-        compare,
-        load_result,
-        render_comparison,
-        validate_result,
-    )
-
-    n_regressed = n_schema = n_new = 0
-    for name in names:
-        cur_path = baseline_path(name, current_dir)
-        base_path = baseline_path(name, baseline_dir)
-        if not os.path.exists(cur_path):
-            print(f"BENCH {name}: no current result at {cur_path}")
-            n_schema += 1
-            continue
-        current = load_result(cur_path)
-        errors = validate_result(current)
-        if errors:
-            print(f"BENCH {name}: current result violates schema: {errors}")
-            n_schema += 1
-            continue
-        if not os.path.exists(base_path):
-            print(f"BENCH {name}: no committed baseline (new benchmark)")
-            n_new += 1
-            continue
-        rows = compare(current, load_result(base_path))
-        print(render_comparison(name, rows))
-        print()
-        if any(r["verdict"] == "missing" for r in rows):
-            n_schema += 1
-        if any(r["verdict"] == "regressed" for r in rows):
-            n_regressed += 1
-    return n_regressed, n_schema, n_new
-
-
-def _bench_main(argv: list[str]) -> int:
-    """``python -m repro.cli bench run|compare``: the perf harness driver."""
-    import os
-    import subprocess
-
-    from repro.bench import baseline_path, load_result, results_dir, validate_result
-
-    parser = argparse.ArgumentParser(
-        prog="ftlsh bench",
-        description="run benchmarks under the standardized result schema "
-        "and compare runs against committed baselines",
-    )
-    sub = parser.add_subparsers(dest="action", required=True)
-
-    run_p = sub.add_parser("run", help="run benchmarks, write BENCH_*.json")
-    run_p.add_argument(
-        "names", nargs="*", default=[],
-        help=f"benchmarks to run (default: all of {', '.join(BENCHMARKS)})",
-    )
-    run_p.add_argument(
-        "--quick", action="store_true", help="CI-sized runs (--quick per bench)"
-    )
-    run_p.add_argument(
-        "--out-dir",
-        help="directory for the BENCH_*.json results (default: "
-        "benchmarks/results/ — i.e. refresh the committed baselines)",
-    )
-    run_p.add_argument(
-        "--compare", action="store_true",
-        help="after running, also compare against the committed baselines",
-    )
-    run_p.add_argument(
-        "--allow-regressions", action="store_true",
-        help="with --compare: report regressions but exit 0 for them "
-        "(schema/run failures still exit 2)",
-    )
-
-    cmp_p = sub.add_parser(
-        "compare", help="diff a results directory against baselines"
-    )
-    cmp_p.add_argument(
-        "names", nargs="*", default=[],
-        help=f"benchmarks to compare (default: all of {', '.join(BENCHMARKS)})",
-    )
-    cmp_p.add_argument(
-        "--current-dir",
-        help="directory holding the fresh results (default: benchmarks/results/)",
-    )
-    cmp_p.add_argument(
-        "--baseline-dir",
-        help="directory holding the baselines (default: benchmarks/results/)",
-    )
-    cmp_p.add_argument(
-        "--allow-regressions", action="store_true",
-        help="report regressions but exit 0 for them "
-        "(missing metrics / schema violations still exit 2)",
-    )
-
-    opts = parser.parse_args(argv)
-    names = list(opts.names) or list(BENCHMARKS)
-    unknown = [n for n in names if n not in BENCHMARKS]
-    if unknown:
-        parser.error(f"unknown benchmark(s) {unknown}; have {list(BENCHMARKS)}")
-
-    if opts.action == "compare":
-        regressed, schema, _new = _bench_compare_dirs(
-            names,
-            opts.current_dir or results_dir(),
-            opts.baseline_dir or results_dir(),
-        )
-        if schema:
-            return 2
-        if regressed:
-            print(f"{regressed} benchmark(s) regressed")
-            return 0 if opts.allow_regressions else 1
-        return 0
-
-    # bench run
-    out_dir = opts.out_dir or results_dir()
-    os.makedirs(out_dir, exist_ok=True)
-    bench_dir = _benchmarks_dir()
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    failures = 0
-    for name in names:
-        script = os.path.join(bench_dir, f"bench_{name}.py")
-        out_path = baseline_path(name, out_dir)
-        cmd = [sys.executable, script, "--json", out_path]
-        if opts.quick:
-            cmd.append("--quick")
-        print(f"=== bench run {name}: {' '.join(cmd[1:])}")
-        proc = subprocess.run(cmd, env=env, cwd=bench_dir)
-        if proc.returncode != 0:
-            print(f"BENCH {name}: run failed (exit {proc.returncode})")
-            failures += 1
-            continue
-        if not os.path.exists(out_path):
-            print(f"BENCH {name}: wrote no result at {out_path}")
-            failures += 1
-            continue
-        errors = validate_result(load_result(out_path))
-        if errors:
-            print(f"BENCH {name}: result violates schema: {errors}")
-            failures += 1
-    if failures:
-        print(f"{failures} benchmark(s) failed to run or violated the schema")
-        return 2
-    if opts.compare:
-        regressed, schema, _new = _bench_compare_dirs(
-            names, out_dir, results_dir()
-        )
-        if schema:
-            return 2
-        if regressed:
-            print(f"{regressed} benchmark(s) regressed")
-            return 0 if opts.allow_regressions else 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "metrics":
@@ -1379,8 +1184,6 @@ def main(argv: list[str] | None = None) -> int:
         return _chaos_main(argv[1:])
     if argv and argv[0] == "profile":
         return _profile_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     if argv and argv[0] == "wal":
         return _wal_main(argv[1:])
     parser = argparse.ArgumentParser(

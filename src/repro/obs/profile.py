@@ -2,7 +2,7 @@
 
 ROADMAP item 3 asks for a *profile-driven* attack on the ordered hot
 path, but the runtime had no profiler: we knew multiproc reads run ~5x
-slower than threaded (BENCH_reads.json) without knowing where the time
+slower than threaded (``bench_reads.txt``) without knowing where the time
 goes.  This module is the missing instrument:
 
 - :func:`register_thread` — the runtime's hot threads (sequencer, replica

@@ -4,7 +4,7 @@ One class, :class:`ReplicatedRuntime`, binds the
 :class:`~repro.core.runtime.BaseRuntime` API to the shared replication
 core: a :class:`~repro.replication.sharding.ShardedGroup` of
 :class:`~repro.replication.group.ReplicaGroup` pipelines owns sequencing
-(with batching), completion dedup, in-band queries, the read fast path,
+(in batches), completion dedup, in-band queries, the read fast path,
 liveness and recovery; clients are ordinary threads (``eval_`` spawns
 them) that park until the group reports a completion.  Read-only
 statements (``rd``/``rdp``) skip sequencing by default — one replica
@@ -79,7 +79,6 @@ class ReplicatedRuntime(BaseRuntime):
         n_replicas: int = 3,
         *,
         shards: int = 1,
-        batching: bool = True,
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
         detect_failures: bool | LivenessPolicy = False,
@@ -104,7 +103,6 @@ class ReplicatedRuntime(BaseRuntime):
         self.sharded = ShardedGroup(
             lambda: self._transport(n_replicas),
             shards,
-            batching=batching,
             read_fastpath=read_fastpath,
             tracer=tracer,
             liveness=liveness,

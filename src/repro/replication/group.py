@@ -105,7 +105,6 @@ class ReplicaGroup:
         self,
         transport: Transport,
         *,
-        batching: bool = True,
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
         liveness: LivenessPolicy | None = None,
@@ -166,7 +165,6 @@ class ReplicaGroup:
         )
         self.seq = Sequencer(
             transport, self.alive, metrics, clock,
-            batching=batching,
             journal=self.journal if self.journal.durable else None,
             tracer=tracer,
             role=self._role("sequencer"), on_fatal=self._mark_failed,
@@ -197,7 +195,7 @@ class ReplicaGroup:
         self.journal.start()
         transport.start(self._on_worker_item)
         self.seq.start()
-        if batching and read_fastpath:
+        if read_fastpath:
             self.reads.start()
         if self.liveness is not None:
             self.liveness.start()

@@ -1,12 +1,11 @@
 """Sequencer: the total order, and the batches that carry it.
 
 Acquiring the sequencer lock *is* the atomic multicast's total order
-(Sec. 5).  With batching enabled (the default) submitters only append to
-a pending queue; a dedicated sequencer thread drains the whole queue
-under the lock and ships it as ONE ordered batch.  While the sequencer
-is marshalling and broadcasting a batch, clients keep piling onto the
-queue — so load makes batches bigger exactly when amortizing pickling
-and queue wakeups matters most.
+(Sec. 5).  Submitters only append to a pending queue; a dedicated
+sequencer thread drains the whole queue under the lock and ships it as
+ONE ordered batch.  While the sequencer is marshalling and broadcasting
+a batch, clients keep piling onto the queue — so load makes batches
+bigger exactly when amortizing pickling and queue wakeups matters most.
 
 Everything else that must be *placed* in the order — an in-band query, a
 recovery's snapshot and readmission, a change to the live mask, a
@@ -80,7 +79,6 @@ class Sequencer:
         metrics: MetricsRegistry,
         clock: Callable[[], float],
         *,
-        batching: bool = True,
         journal: Any = None,
         tracer: FlightRecorder | None = None,
         role: str = "sequencer",
@@ -90,7 +88,6 @@ class Sequencer:
         self._alive = alive
         self._metrics = metrics
         self._clock = clock
-        self._batching = batching
         self._journal = journal
         self._tracer = tracer
         self._role = role
@@ -121,13 +118,11 @@ class Sequencer:
         self._thread: threading.Thread | None = None
 
     def start(self) -> None:
-        """Launch the sequencer thread (batching only: unbatched, every
-        submitter takes the order itself)."""
-        if self._batching:
-            self._thread = threading.Thread(
-                target=self._loop, name="sequencer", daemon=True
-            )
-            self._thread.start()
+        """Launch the sequencer thread."""
+        self._thread = threading.Thread(
+            target=self._loop, name="sequencer", daemon=True
+        )
+        self._thread.start()
 
     # ------------------------------------------------------------------ #
     # submission
@@ -135,10 +130,6 @@ class Sequencer:
 
     def ship(self, cmd: Command, w: Waiter | None) -> None:
         """Hand *cmd* (and its parked client, if any) to the order."""
-        if not self._batching:
-            with self._seq_lock:
-                self.broadcast([(cmd, w)])
-            return
         with self._pending_lock:
             self._pending.append((cmd, w))
         self._kick.set()

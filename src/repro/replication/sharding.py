@@ -107,7 +107,6 @@ class ShardedGroup:
         transport_factory: Callable[[], Transport],
         n_shards: int = 1,
         *,
-        batching: bool = True,
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
         liveness: LivenessPolicy | None = None,
@@ -128,7 +127,6 @@ class ShardedGroup:
             self.groups.append(
                 ReplicaGroup(
                     transport_factory(),
-                    batching=batching,
                     read_fastpath=read_fastpath,
                     tracer=tracer,
                     liveness=liveness,

@@ -1,10 +1,11 @@
 """Tests for the benchmark support library (tables, workload drivers)."""
 
+import importlib.util
 import os
 
 import pytest
 
-from repro.bench import Table, results_dir, save_table
+from repro.bench import Table, results_dir, save_table, tables
 from repro.bench.workloads import (
     ags_latency_samples,
     incr_statement,
@@ -62,6 +63,19 @@ class TestTable:
         d = results_dir()
         assert d.endswith(os.path.join("benchmarks", "results"))
         assert os.path.isdir(d)
+
+    def test_quick_run_writes_nothing(self, tmp_path, monkeypatch):
+        """A quick-size run prints its table and leaves the committed
+        full-size one alone (bench_tracing's is the cheapest, ~1 s)."""
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "benchmarks", "bench_tracing.py"
+        )
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        monkeypatch.setattr(tables, "results_dir", lambda: str(tmp_path))
+        bench.run_benchmark(quick=True)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStats:

@@ -388,12 +388,6 @@ class TestSequencerInBand:
             order.resume_at(40)
         assert seq.floor() == 40
 
-    def test_unbatched_ship_takes_the_order_itself(self):
-        transport = Recorder(1)
-        seq = Sequencer(transport, [True], MetricsRegistry(), Clock(), batching=False)
-        seq.ship(_out(1, "a"), None)
-        assert len(transport.fifos[0]) == 1 and seq.floor() == 1
-
     def test_the_journal_is_written_before_the_broadcast(self):
         calls = []
 

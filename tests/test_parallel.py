@@ -3,8 +3,7 @@
 The semantics shared by every backend (Linda ops, AGS atomicity, crash
 tolerance, convergence, metrics) live in ``test_backend_contract.py``;
 this file keeps only behaviour unique to one backend — ordered
-cancellation, cross-process pickling, snapshot recovery — plus coverage
-of the unbatched sequencing path.
+cancellation, cross-process pickling, snapshot recovery.
 """
 
 import pytest
@@ -31,24 +30,6 @@ class TestThreadedReplicas:
         rt.crash_replica(0)
         rt.out(rt.main_ts, "alive", 1)
         assert rt.in_(rt.main_ts, "alive", formal(int)) == ("alive", 1)
-
-    def test_unbatched_sequencing(self):
-        rt = ThreadedReplicaRuntime(n_replicas=3, batching=False)
-        try:
-            def worker(proc):
-                for i in range(15):
-                    proc.out(proc.main_ts, "u", i)
-
-            handles = [rt.eval_(worker) for _ in range(3)]
-            for h in handles:
-                h.join(timeout=30)
-            assert rt.space_size(rt.main_ts) == 45
-            assert rt.converged()
-            snap = rt.metrics_snapshot()
-            # without batching every command ships as its own batch
-            assert snap["histograms"]["batch_size"]["max"] == 1
-        finally:
-            rt.shutdown()
 
 
 class TestMultiprocess:
@@ -91,11 +72,3 @@ class TestMultiprocess:
         rt.out(rt.main_ts, "later", 4)
         assert h.join(timeout=30) == ("later", 4)
         assert rt.converged()
-
-    def test_unbatched_sequencing(self):
-        with MultiprocessRuntime(n_replicas=3, batching=False) as rt:
-            for i in range(10):
-                rt.out(rt.main_ts, "u", i)
-            assert rt.space_size(rt.main_ts) == 10
-            assert rt.converged()
-            assert rt.metrics_snapshot()["histograms"]["batch_size"]["max"] == 1

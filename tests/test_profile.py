@@ -1,12 +1,10 @@
-"""Continuous profiling, stage attribution, and the perf-regression harness.
+"""Continuous profiling and stage attribution.
 
 Covers `repro.obs.profile` (deterministically, via the injectable frame
 and thread sources), `repro.obs.stages` (budget math on synthetic
-metrics), the profiler's integration with both parallel backends
+metrics), and the profiler's integration with both parallel backends
 (role-named folded stacks, cross-process merge, crash tolerance, the
-structural zero-cost claim for the off path), and the
-`repro.bench.runner` schema + comparator the `cli bench` subcommand is
-built on.
+structural zero-cost claim for the off path).
 """
 
 from __future__ import annotations
@@ -17,17 +15,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.runner import (
-    DEFAULT_TOLERANCE,
-    baseline_path,
-    compare,
-    load_result,
-    make_result,
-    metric,
-    render_comparison,
-    save_result,
-    validate_result,
-)
 from repro.obs.profile import (
     DEFAULT_HZ,
     SamplingProfiler,
@@ -361,180 +348,3 @@ class TestStageBudget:
                 assert name in gauges
         finally:
             rt.shutdown()
-
-
-# --------------------------------------------------------------------------- #
-# the perf-regression harness
-# --------------------------------------------------------------------------- #
-
-
-class TestBenchRunner:
-    def test_make_result_schema_valid(self):
-        payload = make_result(
-            "unit", {"tps": metric(100.0, "higher", unit="ops/s")},
-            config={"clients": 2}, quick=True,
-        )
-        assert validate_result(payload) == []
-        assert payload["benchmark"] == "unit"
-        assert payload["quick"] is True
-        assert payload["metrics"]["tps"]["value"] == 100.0
-
-    def test_metric_validation(self):
-        with pytest.raises(ValueError):
-            metric(1.0, "sideways")
-        with pytest.raises(ValueError):
-            metric(1.0, "higher", tolerance=-0.1)
-
-    def test_validate_rejects_malformed(self):
-        assert validate_result("nope")
-        assert validate_result({"schema": 99, "benchmark": "x"})
-        bad = make_result("x", {"m": metric(1.0)})
-        bad["metrics"]["m"]["value"] = "fast"
-        assert any("non-numeric" in e for e in validate_result(bad))
-
-    def test_compare_within_tolerance_ok(self):
-        base = make_result("b", {"tps": metric(100.0)})
-        cur = make_result("b", {"tps": metric(100.0 * (1 - DEFAULT_TOLERANCE / 2))})
-        rows = compare(cur, base)
-        assert rows[0]["verdict"] == "ok"
-
-    def test_compare_flags_regression_by_direction(self):
-        base = make_result(
-            "b", {"tps": metric(100.0, "higher"), "lat": metric(10.0, "lower")}
-        )
-        cur = make_result(
-            "b", {"tps": metric(50.0, "higher"), "lat": metric(30.0, "lower")}
-        )
-        verdicts = {r["metric"]: r["verdict"] for r in compare(cur, base)}
-        assert verdicts == {"tps": "regressed", "lat": "regressed"}
-        # and the same deltas in the *good* direction are improvements
-        verdicts = {r["metric"]: r["verdict"] for r in compare(base, cur)}
-        assert verdicts == {"tps": "improved", "lat": "improved"}
-
-    def test_compare_per_metric_tolerance_overrides_default(self):
-        base = make_result("b", {"m": metric(100.0, tolerance=0.5)})
-        cur = make_result("b", {"m": metric(60.0, tolerance=0.5)})
-        assert compare(cur, base)[0]["verdict"] == "ok"  # -40% < 50% tol
-
-    def test_compare_new_and_missing_metrics(self):
-        base = make_result("b", {"gone": metric(1.0)})
-        cur = make_result("b", {"fresh": metric(2.0)})
-        verdicts = {r["metric"]: r["verdict"] for r in compare(cur, base)}
-        assert verdicts == {"gone": "missing", "fresh": "new"}
-
-    def test_render_comparison_marks_regressions(self):
-        base = make_result("b", {"tps": metric(100.0)})
-        cur = make_result("b", {"tps": metric(10.0)})
-        text = render_comparison("b", compare(cur, base))
-        assert "REGRESSION" in text
-
-    def test_save_load_round_trip(self, tmp_path):
-        payload = make_result("roundtrip", {"m": metric(1.5)})
-        path = save_result(payload, str(tmp_path / "BENCH_roundtrip.json"))
-        assert load_result(path) == payload
-
-    def test_baseline_path_shape(self, tmp_path):
-        assert baseline_path("x", str(tmp_path)).endswith("BENCH_x.json")
-
-
-class TestBenchCli:
-    """`cli bench compare` exit codes, driven through real files."""
-
-    def _write(self, directory, name, value):
-        payload = make_result(name, {"tps": metric(value)})
-        save_result(payload, baseline_path(name, str(directory)))
-
-    def test_compare_ok_exit_zero(self, tmp_path):
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        self._write(cur, "batching", 100.0)
-        self._write(base, "batching", 100.0)
-        assert main([
-            "bench", "compare", "batching",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 0
-
-    def test_compare_regression_exit_one(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        self._write(cur, "batching", 10.0)
-        self._write(base, "batching", 100.0)
-        assert main([
-            "bench", "compare", "batching",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_compare_regression_allowed_exit_zero(self, tmp_path):
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        self._write(cur, "batching", 10.0)
-        self._write(base, "batching", 100.0)
-        assert main([
-            "bench", "compare", "batching", "--allow-regressions",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 0
-
-    def test_compare_missing_baseline_is_new_not_fatal(self, tmp_path):
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        self._write(cur, "batching", 100.0)
-        assert main([
-            "bench", "compare", "batching",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 0
-
-    def test_compare_missing_current_exit_two(self, tmp_path):
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        self._write(base, "batching", 100.0)
-        assert main([
-            "bench", "compare", "batching",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 2
-
-    def test_compare_schema_violation_exit_two(self, tmp_path):
-        import json
-
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        with open(baseline_path("batching", str(cur)), "w") as f:
-            json.dump({"schema": 99}, f)
-        self._write(base, "batching", 100.0)
-        assert main([
-            "bench", "compare", "batching",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 2
-
-    def test_compare_vanished_metric_exit_two(self, tmp_path):
-        from repro.cli import main
-
-        cur, base = tmp_path / "cur", tmp_path / "base"
-        cur.mkdir(), base.mkdir()
-        self._write(cur, "batching", 100.0)
-        payload = make_result(
-            "batching", {"tps": metric(100.0), "extra": metric(5.0)}
-        )
-        save_result(payload, baseline_path("batching", str(base)))
-        assert main([
-            "bench", "compare", "batching",
-            "--current-dir", str(cur), "--baseline-dir", str(base),
-        ]) == 2
-
-    def test_unknown_benchmark_rejected(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", "not-a-bench"])
