@@ -1030,9 +1030,9 @@ def _wal_main(argv: list[str]) -> int:
         print(f"wal: {opts.dir} is not a directory")
         return 2
 
-    from repro.persist.segments import SegmentedLog, replay_dir
-
     if opts.action == "status":
+        from repro.persist.segments import SegmentedLog
+
         log = SegmentedLog(opts.dir, fsync=False)
         try:
             st = log.status()
@@ -1044,10 +1044,17 @@ def _wal_main(argv: list[str]) -> int:
         ):
             print(f"{key:>15}: {st[key]}")
         return 0
+    return _wal_verify(opts.dir)[0]
 
-    # verify: a full offline replay, including applying the delta records
-    # to a state machine built from the snapshot — what recovery would do
-    res = replay_dir(opts.dir)
+
+def _wal_verify(dir: str) -> tuple[int, int | None]:
+    """``cli wal verify``: replay offline as recovery would; returns the
+    exit code and the fingerprint (None when the replay failed)."""
+    from repro.core.statemachine import TSStateMachine
+    from repro.persist.segments import replay_dir
+    from repro.replication.journal import replay_commands
+
+    res = replay_dir(dir)
     print(f"{'snapshot_slot':>15}: {res.snapshot_slot}")
     print(f"{'delta_records':>15}: {len(res.records)}")
     print(f"{'segments_read':>15}: {res.segments_read}")
@@ -1055,28 +1062,26 @@ def _wal_main(argv: list[str]) -> int:
     print(f"{'torn_bytes':>15}: {res.torn_bytes}")
     print(f"{'torn_snapshots':>15}: {res.torn_snapshots}")
     print(f"{'manifest_ok':>15}: {res.manifest_ok}")
-    from repro.core.statemachine import TSStateMachine
-
     sm = (
         TSStateMachine.from_snapshot(res.snapshot)
         if res.snapshot is not None
         else TSStateMachine()
     )
-    applied = 0
-    for _slot, cmd in res.records:
-        try:
+    try:
+        commands = replay_commands(res)
+        for _slot, cmd in commands:
             sm.apply(cmd)
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            print(f"{'replay_error':>15}: {type(exc).__name__}: {exc}")
-            return 1
-        applied += 1
-    print(f"{'replayed':>15}: {applied}")
-    print(f"{'fingerprint':>15}: {sm.fingerprint()}")
+    except Exception as exc:  # noqa: BLE001 - report, don't die
+        print(f"{'replay_error':>15}: {type(exc).__name__}: {exc}")
+        return 1, None
+    fingerprint = sm.fingerprint()
+    print(f"{'replayed':>15}: {len(commands)}")
+    print(f"{'fingerprint':>15}: {fingerprint}")
     if res.torn_records or res.torn_snapshots:
         print("verify: recoverable, with torn tail discarded")
     else:
         print("verify: clean")
-    return 0
+    return 0, fingerprint
 
 
 def _wal_smoke(opts) -> int:
@@ -1085,10 +1090,10 @@ def _wal_smoke(opts) -> int:
     Parent spawns a victim process that builds a *durable* replica group,
     journals ``--ops`` commands, prints its fingerprint, and then idles;
     the parent SIGKILLs it — a real ``kill -9``, no flush, no shutdown —
-    and rebuilds a group on the same journal directory.  The recovered
-    fingerprint must equal the victim's, and the group must accept new
-    work.  Exercises exactly the full-group-restart path DESIGN.md
-    promises: recovery to the last fsynced slot.
+    replays the directory offline as ``wal verify`` does, and rebuilds a
+    group on it.  Both fingerprints must equal the victim's, and the
+    group must accept new work.  Exercises exactly the full-group-restart
+    path DESIGN.md promises: recovery to the last fsynced slot.
     """
     import os
     import signal
@@ -1143,6 +1148,11 @@ def _wal_smoke(opts) -> int:
             return 1
         print(f"victim journaled {opts.ops} commands, killed -9 "
               f"(rc={child.returncode})")
+        # the offline replay must reach the same state as the group will
+        rc, offline = _wal_verify(d)
+        if rc or offline != expected:
+            print(f"wal smoke: OFFLINE REPLAY MISMATCH (expected {expected})")
+            return 1
 
         rt = _build_runtime(opts, durable_dir=d)
         try:

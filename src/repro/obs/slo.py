@@ -22,7 +22,8 @@ This module closes that loop over the signals the repo already has:
 
 - :func:`default_rules` — the built-in production rule set: replica
   down, stalled waiters, windowed-p99 SLO burn, read-fallback ratio,
-  and sequencer/replica backpressure.  All of them read *windowed*
+  and sequencer/replica/journal backpressure (``journal_lag``: slots
+  written, not yet fsynced).  All of them read *windowed*
   signals where rates matter — a cumulative counter can never resolve,
   which is exactly why every instrument serves a trailing view.
 
@@ -308,6 +309,7 @@ def default_rules(
                 "sequencer_inbox_depth",
                 "read_lane_depth",
                 "replica_inbox_max_depth",
+                "journal_lag",
             )
             if gauges.get(name, 0) > backpressure_depth
         }

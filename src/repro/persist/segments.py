@@ -7,7 +7,8 @@ This module bounds recovery time by *structure* instead:
   (``segment-00000042.log``), each a sequence of length-prefixed pickled
   ``(slot, payload)`` records, where *slot* is the state machine's
   ``applied_count`` after the payload command applies — the position of
-  the record in the total order;
+  the record in the total order (a replica group's journal record is a
+  whole batch, and its slot the *last* slot of the batch);
 - a **snapshot** (``snapshot-0000000000001337.snap``) is a single framed
   record holding the machine image at a slot boundary.  Snapshots are
   written to a temp file, fsynced, and atomically renamed — the
@@ -29,9 +30,10 @@ recovery.  (A sixth sits in the replica group's journal thread, between
 the write and the fsync.)
 
 The segment format is payload-agnostic — :class:`SegmentedWALRuntime`
-journals single-host commands through it, and the replication layer
-reuses the same :class:`SegmentedLog` for the durable replica-group
-journal and for chunked state-transfer encoding.
+journals single-host commands through it, one record each, and the
+replication layer reuses the same :class:`SegmentedLog` for the durable
+replica-group journal, one batch frame a record
+(:mod:`repro.replication.journal` reads them back).
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
 """GroupJournal: the sequencer's ordered stream on disk, group-committed.
 
-With ``durable_dir=`` the sequencer *writes* each batch's records to a
-segmented WAL (:mod:`repro.persist.segments`) under the order and
-broadcasts at once; a journal thread fsyncs beside it, one fsync covering
-every batch written while the previous one ran.  Journal slot k holds the
-k-th sequenced command — the same coordinate as a replica's applied
-count, which is what lets compaction use a replica snapshot's ``applied``
-as the covered-slot watermark, lets a full-group restart replay the
-stream and recover every replica to the last fsynced slot, and lets a
+With ``durable_dir=`` the sequencer *writes* each batch to a segmented
+WAL (:mod:`repro.persist.segments`) under the order and broadcasts at
+once; a journal thread fsyncs beside it, one fsync covering every batch
+written while the previous one ran.  Journal slot k is the k-th
+sequenced command — the same coordinate as a replica's applied count,
+which is what lets compaction use a replica snapshot's ``applied`` as
+the covered-slot watermark, lets a full-group restart replay the stream
+and recover every replica to the last fsynced slot, and lets a
 ``COMPS`` frame's ``applied`` say how far the disk must have got before
 it may be delivered.
+
+A record is one batch, at its last slot, in the pipe's PLANNED frame
+(:func:`~repro.replication.worker.compact_batch`).  Its plan ids are the
+journal's own — the pipe's table is emptied when a replica restarts —
+and every snapshot the journal writes carries that table, because a
+compaction may prune the record that defined a plan a later one uses.
 
 The fence is **no acknowledgement before fsync**: replicas may apply
 ahead of the disk, but every ``COMPS`` frame carries the replica's applied
@@ -29,11 +35,42 @@ import threading
 from typing import Any, Callable, ContextManager
 
 from repro._errors import RuntimeFailure, TimeoutError_
+from repro.core.statemachine import Command
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import register_thread
+from repro.replication.worker import compact_batch, expand_batch
 
-__all__ = ["GroupJournal"]
+__all__ = ["GroupJournal", "replay_commands"]
+
+PLANS = "plans"  # a journal snapshot's plan table, beside the machine image
+
+
+def replay_commands(res: Any) -> list[tuple[int, Any]]:
+    """The ``(slot, command)`` pairs a :func:`~repro.persist.segments.
+    replay_dir` result holds past its snapshot, in order.
+
+    A :class:`Command` payload is one command by value, as journals were
+    written before they held batches.  Any other is a batch frame,
+    expanded against the snapshot's plan table (taken out of
+    ``res.snapshot``) and the definitions of every record before it; its
+    commands at or below the snapshot slot are skipped one at a time, so
+    a record straddling that slot yields exactly its tail.
+    """
+    plans = {} if res.snapshot is None else res.snapshot.pop(PLANS, {})
+    out: list[tuple[int, Any]] = []
+    for last, payload in res.records:
+        if isinstance(payload, Command):
+            out.append((last, payload))
+            continue
+        if payload[0] == "PLANNED":
+            payload = expand_batch(payload, plans)
+        first = last - len(payload[1]) + 1
+        out.extend(
+            (slot, cmd) for slot, cmd in enumerate(payload[1], first)
+            if slot > res.snapshot_slot
+        )
+    return out
 
 
 class GroupJournal:
@@ -62,13 +99,19 @@ class GroupJournal:
         self._role = role
         self._owner = owner
         self._on_fatal = on_fatal
-        #: Records written (by the sequencer, under the order) and records
+        #: Slots written (by the sequencer, under the order) and slots
         #: fsynced (by the journal thread).  With fsync off the two move
         #: as one.
         self._slot = 0
         self._durable = 0
         self._replaying = False
-        #: Records and snapshots fed back into the replicas at construction.
+        #: The records' plan table: skeleton key -> id for compact_batch,
+        #: id -> skeleton for snapshots.  Only write() adds to it; it starts
+        #: empty on a reopen too, since replay reads a plan's new
+        #: definition after every older record.
+        self._announced: dict[Any, int] = {}
+        self._plans: dict[int, Any] = {}
+        #: Commands and snapshots fed back into the replicas at construction.
         self.replayed = 0
         #: Guards _durable and _held; barriers sleep on it.
         self._journal_cv = threading.Condition()
@@ -105,16 +148,19 @@ class GroupJournal:
     # ------------------------------------------------------------------ #
 
     def write(self, batch: list[tuple[Any, Any]]) -> None:
-        """Append *batch*'s commands at the next slots.  Caller holds the
+        """Append *batch* as one record at its last slot.  Caller holds the
         order, and broadcasts only afterwards — written and flushed to the
         OS here, forced to disk by the journal thread."""
         if self._replaying:
             return  # a replayed record is already on disk
-        base = self._slot
-        self._log.write_many(
-            (base + i + 1, cmd) for i, (cmd, _w) in enumerate(batch)
+        frame = compact_batch(
+            ("BATCH", [cmd for cmd, _w in batch], None), self._announced
         )
-        self._slot = base + len(batch)
+        if frame[0] == "PLANNED":
+            self._plans.update(frame[1])
+        last = self._slot + len(batch)
+        self._log.write_many(((last, frame),))
+        self._slot = last
         if self.fenced:
             self._kick.set()
         else:
@@ -125,13 +171,14 @@ class GroupJournal:
 
         Runs once, at construction, under the order and before any client
         can submit: the newest readable snapshot goes to *install*, then
-        the delta records are re-broadcast through the normal batch path
+        the delta's commands are re-broadcast through the normal batch path
         with journaling suppressed (they are already on disk — durable
         before the replicas answer, so the replayed completions find no
         waiter and are dropped, not parked: their clients died with the
         previous incarnation, exactly the WAL recovery semantics).
-        Returns the :class:`~repro.persist.segments.ReplayResult`, or
-        ``None`` when there was nothing to replay.
+        Returns the :class:`~repro.persist.segments.ReplayResult`, its
+        ``records`` those of :func:`replay_commands`, or ``None`` when
+        there was nothing to replay.
         """
         from repro.persist.segments import replay_dir
 
@@ -139,6 +186,7 @@ class GroupJournal:
         if res.snapshot is None and not res.records:
             return None
         t0 = self._clock()
+        res.records = replay_commands(res)
         self._replaying = True
         try:
             if res.snapshot is not None:
@@ -284,12 +332,16 @@ class GroupJournal:
     # ------------------------------------------------------------------ #
 
     def compact(self, applied: int, snapshot: dict[str, Any]) -> None:
-        """Write *snapshot* as covering slots up to *applied*; prune them.
+        """Write *snapshot* and the plan table as covering slots up to
+        *applied*; prune them.
 
         The disk work (snapshot temp+rename, manifest, prune) runs outside
         the order; pruning only ever touches closed segments, so it cannot
-        race the sequencer's writes to the active one.
+        race the sequencer's writes to the active one.  The table, copied
+        in one C call while the sequencer may add to it, already holds
+        every plan of the records up to *applied*: a replica applied them.
         """
+        snapshot = {**snapshot, PLANS: dict(self._plans)}
         self._log.compact(applied, snapshot, group=self._owner)
 
     def status(self) -> dict[str, Any] | None:

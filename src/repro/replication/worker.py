@@ -118,10 +118,11 @@ In-band queries are the replacement for any separate quiescing protocol:
 because they travel on the same FIFO as commands, the answer reflects
 exactly the state after every previously sequenced command.
 
-On the pipe only, a broadcast BATCH has a compact wire form that this
-loop never sees (:func:`compact_batch` writes it in the parent,
-:func:`run_replica_process` expands it in the child, and both are in this
-file so the format has one home):
+A broadcast BATCH has a compact form, on the pipe and in a durable
+journal's records, that this loop never sees (:func:`compact_batch`
+writes it, :func:`expand_batch` reads it — in the pipe's child and in
+the journal's replay — and both are in this file so the format has one
+home):
 
 ``("PLANNED", [(plan id, ags), ...],  a BATCH in which every statement —
   [entry, ...], t_send)``             every ExecuteAGS, a bare operation's
@@ -142,11 +143,11 @@ file so the format has one home):
                                       uses it — and once more after any
                                       replica restarts, when the sender
                                       forgets what it announced and numbers
-                                      plans afresh.  Everything else —
-                                      ``send`` (READS, queries, installs),
-                                      state transfer, snapshots, the
-                                      journal — carries commands by value,
-                                      so none of it needs a plan table
+                                      plans afresh (a journal keeps a
+                                      table of its own).  ``send`` (READS,
+                                      queries, installs), state transfer
+                                      and replica snapshots carry commands
+                                      by value, and need no plan table
 ``("QUERY", qid, "plans", _)``        answered by the expanding end, in
                                       lane order: how many plan ids this
                                       process knows
@@ -169,7 +170,8 @@ from repro.obs.profile import (
 )
 
 __all__ = [
-    "Replica", "compact_batch", "replica_loop", "run_replica_process", "split_state",
+    "Replica", "compact_batch", "expand_batch", "replica_loop", "run_replica_process",
+    "split_state",
 ]
 
 
@@ -453,14 +455,14 @@ def _with_holes(ags: AGS, base: int) -> AGS:
 
 
 def compact_batch(item: tuple, announced: dict[Any, int]) -> tuple:
-    """The pipe's wire form of a BATCH *item* (see the module docstring).
+    """The PLANNED form of a BATCH *item* (see the module docstring).
 
     *announced* maps the key of every skeleton whose definition the
-    receivers hold to its id; a key not in it is numbered, recorded and
-    its skeleton defined in this frame.  Emptying the table is always
-    safe — ids are then handed out afresh and every receiver, applying
-    frames in order, redefines them before their first use.  A batch
-    with no statement in it is returned as it is.
+    receivers (or a journal's readers) hold to its id; a key not in it is
+    numbered, recorded and its skeleton defined in this frame.  Emptying
+    the table is always safe — ids are then handed out afresh and every
+    receiver, applying frames in order, redefines them before their
+    first use.  A batch with no statement in it is returned as it is.
     """
     defs: list[tuple[int, AGS]] = []
     entries: list[Any] | None = None
@@ -488,6 +490,21 @@ def compact_batch(item: tuple, announced: dict[Any, int]) -> tuple:
     return ("PLANNED", defs, entries, item[2])
 
 
+def expand_batch(item: tuple, plans: dict[int, AGS]) -> tuple:
+    """The BATCH a PLANNED *item* stands for: :func:`compact_batch` undone.
+
+    *plans* maps plan ids to skeletons and learns the frame's definitions
+    first, so one table fed every frame in order resolves every id.
+    """
+    _kind, defs, entries, t_send = item
+    plans.update(defs)
+    cmds = [
+        ExecuteAGS(e[0], e[1], e[2], plans[e[4]], e[5], e[3]) if type(e) is tuple else e
+        for e in entries
+    ]
+    return ("BATCH", cmds, t_send)
+
+
 def run_replica_process(replica_id: int, cmd_conn: Any, reply_conn: Any) -> None:
     """Process entry point for the pipe transport (spawn-safe).
 
@@ -508,18 +525,7 @@ def run_replica_process(replica_id: int, cmd_conn: Any, reply_conn: Any) -> None
             item = pickle.loads(buf)
             kind = item[0]
             if kind == "PLANNED":
-                _kind, defs, entries, t_send = item
-                plans.update(defs)
-                return (
-                    "BATCH",
-                    [
-                        ExecuteAGS(e[0], e[1], e[2], plans[e[4]], e[5], e[3])
-                        if type(e) is tuple
-                        else e
-                        for e in entries
-                    ],
-                    t_send,
-                )
+                return expand_batch(item, plans)
             if kind == "QUERY" and item[2] == "plans":
                 emit(("QUERY", item[1], replica_id, len(plans)))
                 continue

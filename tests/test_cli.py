@@ -182,3 +182,40 @@ class TestTraceSubcommand:
         }
         assert {"replica-0", "replica-1", "replica-2", "sequencer"} <= tracks
         assert "consistency OK" in capsys.readouterr().out
+
+
+class TestWalVerify:
+    @staticmethod
+    def verify(d, capsys):
+        assert main(["wal", "verify", d]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return dict(line.strip().split(": ", 1) for line in lines if ": " in line)
+
+    def test_verify_replays_a_group_journal(self, tmp_path, capsys):
+        from repro import AGS, Guard, Op, formal, ref
+        from repro.parallel import ThreadedReplicaRuntime
+
+        d = str(tmp_path / "journal")
+        with ThreadedReplicaRuntime(2, durable_dir=d) as rt:
+            ts = rt.main_ts
+
+            def burst(tag):
+                for i in range(10):
+                    rt.out(ts, tag, i)
+                rt.execute(AGS.single(
+                    Guard.in_(ts, tag, formal(int, "v")),
+                    [Op.out(ts, "took", tag, ref("v") * 2)],
+                ))
+                rt.quiesce()
+                return rt.journal_status()[0], rt.fingerprints()[0]
+
+            st, fingerprint = burst("x")
+            report = self.verify(d, capsys)
+            assert report["replayed"] == str(st["journal_slot"]) == "11"
+            assert report["fingerprint"] == str(fingerprint)
+            assert rt.compact_journal() == [11]
+            st, fingerprint = burst("y")
+            report = self.verify(d, capsys)
+            assert report["snapshot_slot"] == "11"
+            assert report["replayed"] == str(st["journal_slot"] - 11) == "11"
+            assert report["fingerprint"] == str(fingerprint)

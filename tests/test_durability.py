@@ -13,7 +13,8 @@ Covers the claims of the segmented durability plane
 - chunked state transfer survives a donor dying mid-stream (a *second*
   crash during recovery from the first), on both parallel backends;
 - a durable replica group restarted from nothing replays its journal to
-  the last fsynced slot;
+  the last fsynced slot — a journal of by-value records too, and plan ids
+  whose defining record a compaction dropped or a reopen renumbered;
 - the group commit's fence — no acknowledgement before fsync — holds for
   a plain ``out``, for an ``in`` woken by a later ``out``, for a
   fast-path ``rd`` and for ``quiesce``, and survives losing everything
@@ -31,7 +32,7 @@ import time
 
 import pytest
 
-from repro import AGS, Op, TimeoutError_, formal
+from repro import AGS, Guard, Op, TimeoutError_, formal, ref
 from repro.chaos import ChaosMonkey
 from repro.core.spaces import MAIN_TS
 from repro.persist import CRASHPOINT_ENV, SegmentedWALRuntime, replay_dir
@@ -384,6 +385,108 @@ class TestDurableGroup:
             assert not g.alive[donor]
             rt.quiesce()
             assert g.converged()
+
+
+# ---------------------------------------------------------------------- #
+# journal records: one batch each, in the pipe's PLANNED frame
+# ---------------------------------------------------------------------- #
+
+
+def _backend(name):
+    from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
+
+    return ThreadedReplicaRuntime if name == "threaded" else MultiprocessRuntime
+
+
+def _take(ts, key):
+    """``< in(key, ?v) => out("took", key, v + 1) >``: built by hand, so the
+    journal writes it as its skeleton's id and its constants."""
+    return AGS.single(
+        Guard.in_(ts, key, formal(int, "v")), [Op.out(ts, "took", key, ref("v") + 1)]
+    )
+
+
+class TestJournalRecords:
+    def test_by_value_journal_still_opens(self, tmp_path):
+        from repro.core.runtime import LocalRuntime
+        from repro.core.statemachine import ExecuteAGS
+        from repro.parallel import ThreadedReplicaRuntime
+        from repro.replication.group import CLIENT_ORIGIN
+
+        # what the journal held before it wrote frames: one command a record
+        d = str(tmp_path / "journal")
+        statements = [AGS.atomic(Op.out(MAIN_TS, "old", i)) for i in range(10)]
+        statements += [_take(MAIN_TS, "old")] * 3
+        cmds = [
+            ExecuteAGS(i + 1, CLIENT_ORIGIN, 0, ags) for i, ags in enumerate(statements)
+        ]
+        log = SegmentedLog(d, fsync=False)
+        log.append_many((i + 1, cmd) for i, cmd in enumerate(cmds))
+        log.close()
+        local = LocalRuntime()
+        for cmd in cmds:
+            local.state_machine.apply(cmd)
+
+        with ThreadedReplicaRuntime(1, durable_dir=d) as rt:
+            assert rt.group.journal_replayed == len(cmds)
+            assert rt.fingerprints() == [local.state_machine.fingerprint()]
+            rt.out(rt.main_ts, "new", 1)
+            assert rt.execute(_take(rt.main_ts, "new")).bindings == {"v": 1}
+            rt.quiesce()
+            prints = rt.fingerprints()
+        payloads = [payload for _slot, payload in replay_dir(d).records]
+        assert all(type(p) is ExecuteAGS for p in payloads[: len(cmds)])
+        assert [p[0] for p in payloads[len(cmds) :]] == ["PLANNED", "PLANNED"]
+        with ThreadedReplicaRuntime(1, durable_dir=d) as rt:
+            assert rt.fingerprints() == prints
+            assert rt.inp(rt.main_ts, "took", "new", 2) == ("took", "new", 2)
+
+    @pytest.mark.parametrize("backend", ["threaded", "multiproc"])
+    def test_plan_defined_before_compaction_used_after(self, tmp_path, backend):
+        cls, d = _backend(backend), str(tmp_path / "journal")
+        with cls(2, durable_dir=d) as rt:
+            ts = rt.main_ts
+            rt.out(ts, "a", 1)
+            rt.execute(_take(ts, "a"))  # the records that define both plans
+            assert rt.compact_journal() == [2]
+            rt.out(ts, "b", 5)
+            rt.execute(_take(ts, "b"))  # plan ids only: defined in the snapshot
+            rt.quiesce()
+            prints = rt.fingerprints()
+        with cls(2, durable_dir=d) as rt:
+            assert rt.group.journal_replayed == 3  # the snapshot and two records
+            assert rt.fingerprints() == prints
+            assert rt.inp(rt.main_ts, "took", "b", 6) == ("took", "b", 6)
+
+    @pytest.mark.parametrize("backend", ["threaded", "multiproc"])
+    def test_reopen_twice_with_new_shapes_between(self, tmp_path, backend):
+        cls, d = _backend(backend), str(tmp_path / "journal")
+        with cls(2, durable_dir=d) as rt:
+            ts = rt.main_ts
+            rt.out(ts, "a", 1)  # out/2 is the journal's plan 0, the take plan 1
+            rt.execute(_take(ts, "a"))
+            rt.compact_journal()
+            rt.out(ts, "a", 2)  # plan 0, defined only in the snapshot
+            rt.quiesce()
+            prints = rt.fingerprints()
+        with cls(2, durable_dir=d) as rt:
+            ts = rt.main_ts
+            assert rt.fingerprints() == prints
+            # the reopened journal numbers afresh: out/3 is now plan 0,
+            # out/2 plan 1, the take plan 2 — each defined again here
+            rt.out(ts, "b", 1, 2)
+            rt.out(ts, "c", 4)
+            rt.execute(_take(ts, "c"))
+            rt.quiesce()
+            prints = rt.fingerprints()
+        with cls(2, durable_dir=d) as rt:
+            ts = rt.main_ts
+            assert rt.group.journal_replayed == 5  # the snapshot, then 1 + 3
+            assert rt.fingerprints() == prints
+            assert rt.execute(_take(ts, "a")).bindings == {"v": 2}
+            assert rt.inp(ts, "b", 1, formal(int)) == ("b", 1, 2)
+            assert rt.inp(ts, "took", "c", 5) == ("took", "c", 5)
+            assert rt.converged()
 
 
 # ---------------------------------------------------------------------- #

@@ -17,7 +17,8 @@ from repro.core.spaces import MAIN_TS
 from repro.core.statemachine import ExecuteAGS
 from repro.obs.events import get_log
 from repro.obs.metrics import MetricsRegistry
-from repro.replication.journal import GroupJournal
+from repro.persist.segments import replay_dir
+from repro.replication.journal import GroupJournal, replay_commands
 from repro.replication.liveness import Liveness, LivenessPolicy
 from repro.replication.requests import DONOR_LOST, Requests
 from repro.replication.sequencer import Sequencer
@@ -264,6 +265,23 @@ class TestGroupJournal:
         journal.barrier(nullcontext, 0.0)
         journal.start()
         assert journal._thread is None
+        journal.close()
+
+    def test_a_record_is_a_batch_read_back_past_the_snapshot(self, tmp_path):
+        journal = _journal(tmp_path, [], fsync=False)
+        journal.write([(_out(1, "a"), None), (_out(2, "b"), None)])  # defines out/2
+        journal.write([(_out(3, "c"), None)])  # uses it by id only
+        records = replay_dir(journal.dir).records
+        assert [(slot, frame[0]) for slot, frame in records] == [
+            (2, "PLANNED"), (3, "PLANNED")
+        ]
+        # covered at 1: the first record straddles the snapshot and yields
+        # its tail; covered at 2: only the snapshot defines the plan
+        for covered, tail in ((1, [(2, "b"), (3, "c")]), (2, [(3, "c")])):
+            journal.compact(covered, {})
+            cmds = replay_commands(replay_dir(journal.dir))
+            assert [(slot, cmd.actuals[-1]) for slot, cmd in cmds] == tail
+            assert [cmd.request_id for _slot, cmd in cmds] == [s for s, _ in tail]
         journal.close()
 
     def test_no_directory_is_inert(self):

@@ -22,6 +22,7 @@ from repro.core.statemachine import ExecuteAGS
 from repro.parallel import MultiprocessRuntime
 from repro.persist.segments import replay_dir
 from repro.replication import LivenessPolicy
+from repro.replication.journal import replay_commands
 
 POLICY = LivenessPolicy(
     probe_interval=0.05,
@@ -124,13 +125,13 @@ def test_durable_reopen_replays_planned_commands(tmp_path):
         prints = rt.fingerprints()
         assert sizes == (30, 0)
     with MultiprocessRuntime(n_replicas=2, durable_dir=journal) as rt:
-        # every journal record is a plan and its actuals, by value; the
-        # replay broadcasts them, so they cross the pipe as plan ids again
+        # every journal record is plan ids and actuals under the journal's
+        # own numbering; the replay expands and broadcasts them, so they
+        # cross the pipe as the sender's plan ids again
         assert rt.group.journal_replayed > 0
         assert (rt.space_size(ts), rt.space_size(scratch)) == sizes
         assert rt.fingerprints() == prints
-        # each record unpickled to a statement of its own; equal ones
-        # share a plan id: out/2, out/3, in/2 and the move
+        # equal statements share a plan id: out/2, out/3, in/2 and the move
         assert _plans_known(rt) == [4, 4]
         assert len(rt.group.transport._announced) == 4
         rt.out(ts, "k", 99)
@@ -239,10 +240,13 @@ def test_durable_reopen_replays_hand_built_statements(tmp_path):
         rt.quiesce()
         size, prints = rt.space_size(ts), rt.fingerprints()
         assert size == 20
-    # the journal holds the statements as they were submitted, by value
-    records = [cmd for _slot, cmd in replay_dir(journal).records]
+    # the journal holds the statements as the pipe does, as skeleton ids and
+    # actuals; they read back as 30 statements, each its skeleton and constants
+    res = replay_dir(journal)
+    assert all(payload[0] == "PLANNED" for _slot, payload in res.records)
+    records = [cmd for _slot, cmd in replay_commands(res)]
     assert len(records) == 30
-    assert all(type(cmd) is ExecuteAGS and cmd.actuals == () for cmd in records)
+    assert all(type(cmd) is ExecuteAGS and cmd.actuals for cmd in records)
     with MultiprocessRuntime(n_replicas=2, durable_dir=journal) as rt:
         # the replay broadcasts them, through the one rule: two skeletons
         assert rt.group.journal_replayed == 30

@@ -474,6 +474,17 @@ class TestAlertEngine:
             engine.evaluate(_ctx(metrics=shallow))
         assert "backpressure" not in engine.firing()
 
+    def test_backpressure_rule_reads_journal_lag(self):
+        engine = AlertEngine(
+            rules=default_rules(backpressure_depth=100), events=EventLog()
+        )
+        behind = {"gauges": {"journal_lag": 500, "sequencer_inbox_depth": 3}}
+        for _ in range(2):
+            rows = engine.evaluate(_ctx(metrics=behind))
+        assert "backpressure" in engine.firing()
+        (row,) = [r for r in rows if r["rule"] == "backpressure"]
+        assert row["detail"].startswith("journal_lag=500 over 100")
+
 
 # --------------------------------------------------------------------------- #
 # env flags
