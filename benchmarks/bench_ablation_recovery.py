@@ -166,8 +166,9 @@ def _populate(rt, n_ops: int, compact_every: int | None) -> None:
 
     First fills the space to KEEP live tuples, then runs out/in pairs so
     the space size stays put while the log keeps growing.  Compaction is
-    invoked deterministically from this loop (not the background thread)
-    so every run of a given configuration journals the same history.
+    invoked deterministically from this loop (the runtime has no trigger
+    of its own), so every run of a given configuration journals the same
+    history.
     """
     from repro.core.spaces import MAIN_TS
 

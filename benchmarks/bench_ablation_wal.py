@@ -11,9 +11,11 @@ logging alternative (:mod:`repro.persist`) and measure what each costs:
 - **recovery**: log replay time as the log grows, and what compaction
   buys.
 
-The logging arm is :class:`~repro.persist.SegmentedWALRuntime` with no
-compaction trigger: every command journaled, nothing ever snapshotted
-unless the benchmark asks — the O(history) reference.
+The logging arm is :class:`~repro.persist.SegmentedWALRuntime`: a
+LocalRuntime over the replica groups' journal, one record (a PLANNED
+frame of one command) per command.  It compacts only when asked, so
+every command is journaled and nothing is snapshotted unless the
+benchmark calls ``compact()`` — the O(history) reference.
 
 The replication side's costs are E2/E4's (one multicast, ~3 ms on the
 simulated testbed); the comparison the table's note draws is the paper's:
@@ -24,6 +26,7 @@ replication gives every processor local access *and* failure resilience.
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro import AGS, Guard, LocalRuntime, Op, formal, ref
@@ -76,6 +79,7 @@ def test_a5_logging_overhead(benchmark, tmp_path):
             "remain single-host either way — replication (E2: ~3 ms/AGS "
             "simulated) shares them"
         )
+        table.note(f"{N_OPS} updates a window, best of 3; nproc={os.cpu_count()}")
         save_table(table, "ablation_wal_overhead")
         return plain, buffered, durable
 
@@ -111,6 +115,7 @@ def test_a5_recovery_replay(benchmark, tmp_path):
             table.add(n, replay_ms, compact_ms)
         table.note("replay is linear in the log; a snapshot head makes "
                    "recovery O(state) instead of O(history)")
+        table.note(f"one out per record, 50 distinct tuples; nproc={os.cpu_count()}")
         save_table(table, "ablation_wal_recovery")
         return rows
 

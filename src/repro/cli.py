@@ -989,7 +989,7 @@ def _wal_main(argv: list[str]) -> int:
     """``python -m repro.cli wal status|verify``: inspect a durability dir.
 
     Operates on the segmented WAL layout (:mod:`repro.persist.segments`)
-    shared by :class:`~repro.persist.segments.SegmentedWALRuntime` and the
+    shared by :class:`~repro.persist.runtime.SegmentedWALRuntime` and the
     replica groups' durable journal — purely offline, so it is safe to
     point at a directory whose owner crashed mid-write: torn tails, torn
     snapshots and damaged manifests are reported, never repaired.

@@ -49,6 +49,7 @@ from repro.core.ags import (
 )
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
 from repro.core.statemachine import (
+    CancelRequest,
     Command,
     Completion,
     CreateSpace,
@@ -666,7 +667,10 @@ class LocalRuntime(BaseRuntime):
             while rid not in self._results:
                 remaining = None if deadline is None else deadline - _now()
                 if remaining is not None and remaining <= 0:
-                    self._cancel_blocked(rid)
+                    # withdrawn through the total order, as the replica
+                    # groups do, so a journal replays the withdrawal too;
+                    # its "cancelled" completion has no one to go to
+                    self._apply(CancelRequest(next(self._req_ids), _LOCAL_ORIGIN, rid))
                     raise TimeoutError_(
                         f"in/rd guard not satisfied within {timeout}s"
                     )
@@ -688,9 +692,6 @@ class LocalRuntime(BaseRuntime):
                 trace_id=trace_id,
                 args={"request_id": rid},
             )
-
-    def _cancel_blocked(self, rid: int) -> None:
-        self._sm.unpark(rid)
 
     def _apply(self, command: Command) -> list[Completion]:
         """Every command reaches the machine here, under the runtime lock.
@@ -764,12 +765,7 @@ class LocalRuntime(BaseRuntime):
         snap = empty_snapshot(type(self).__name__)
         with self._lock:
             snap["sm"] = self._sm.introspection()
-            snap["wal_bytes"] = self._wal_bytes()
         return snap
-
-    def _wal_bytes(self) -> int | None:
-        """WAL size gauge; overridden by the persistent runtime."""
-        return None
 
     def space_size(self, handle: TSHandle) -> int:
         with self._lock:

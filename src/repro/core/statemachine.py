@@ -539,18 +539,6 @@ class TSStateMachine:
                 del self.completed[evicted]
         self.completed[request_id] = result
 
-    def unpark(self, request_id: int) -> None:
-        """Drop a parked statement without completing it (local timeout).
-
-        The single-host runtimes cancel under their own lock instead of
-        sequencing a :class:`CancelRequest`; this keeps the blocked list
-        and the duplicate-suppression index in step for them.
-        """
-        self.blocked = [
-            b for b in self.blocked if b.command.request_id != request_id
-        ]
-        self._blocked_rids.discard(request_id)
-
     def try_read(
         self, ags: AGS, process_id: int, actuals: tuple = ()
     ) -> AGSResult | None:

@@ -7,27 +7,27 @@ processors — as is the case here — replication is a more appropriate
 choice."  This package implements the road not taken — once — so the
 choice can be measured instead of asserted:
 
-- :class:`~repro.persist.segments.SegmentedWALRuntime` — a LocalRuntime
-  whose command stream is journaled before execution into a directory of
-  rotated segments, with copy-on-write snapshots taken by a background
-  compactor.  Its constructor *is* recovery: it replays whatever the
-  directory holds (the state machine's determinism does the heavy
-  lifting — replay is re-execution) and journals on from there, so
-  recovery is bounded by the snapshot cadence instead of the full
-  history.  With no compaction trigger it is also the O(history)
-  reference arm of the A5 ablations;
+- :class:`~repro.persist.runtime.SegmentedWALRuntime` — a LocalRuntime
+  whose command stream is journaled before execution, through the same
+  :class:`~repro.replication.journal.GroupJournal` as the durable replica
+  groups: the same records, the same replay, the same compaction.  Its
+  constructor *is* recovery: it replays whatever the directory holds (the
+  state machine's determinism does the heavy lifting — replay is
+  re-execution) and journals on from there, so recovery is bounded by
+  how often :meth:`~repro.persist.runtime.SegmentedWALRuntime.compact` is
+  called instead of by the full history.  Never compacted, it is the
+  O(history) reference arm of the A5 ablations;
 - :class:`~repro.persist.segments.SegmentedLog` — the payload-agnostic
-  segment/snapshot/manifest layout underneath, which the replica groups
-  reuse for their durable journal (``durable_dir=``);
+  segment/snapshot/manifest layout underneath that journal;
 - env-gated SIGKILL crash points (:mod:`repro.persist.crashpoints`) so
   the crash-safety argument is exercised, not assumed.
 """
 
 from repro.persist.crashpoints import CRASHPOINT_ENV, crash_here
+from repro.persist.runtime import SegmentedWALRuntime
 from repro.persist.segments import (
     ReplayResult,
     SegmentedLog,
-    SegmentedWALRuntime,
     fsync_dir,
     replay_dir,
 )

@@ -12,7 +12,9 @@ In production the environment variable is unset and every crash point
 costs one cached string comparison.
 
 Planted points (the first five in :mod:`repro.persist.segments`, the
-last in :class:`repro.replication.group.ReplicaGroup`'s journal thread):
+last in :meth:`repro.replication.journal.GroupJournal.sync`, which a
+durable group's journal thread and the single-host
+:class:`~repro.persist.runtime.SegmentedWALRuntime` both reach):
 
 ===============================  =======================================
 name                             instant of death
@@ -26,10 +28,12 @@ name                             instant of death
                                  not yet unlinked
 ``prune_partial``                first covered segment unlinked, rest
                                  still on disk
-``journal_before_fsync``         a durable group's batch is written,
+``journal_before_fsync``         a record is written but not yet
+                                 fsynced: a durable group's batch,
                                  broadcast and perhaps applied by every
-                                 replica, but not yet fsynced — nothing
-                                 it produced may have been acknowledged
+                                 replica, or a single-host command not
+                                 yet applied — nothing it produced may
+                                 have been acknowledged
 ===============================  =======================================
 """
 

@@ -1,4 +1,4 @@
-"""Segmented WAL: rotated segments, background compaction, bounded recovery.
+"""Segmented WAL: rotated segments, snapshots, bounded recovery.
 
 A log kept as one file makes both compaction and recovery O(history).
 This module bounds recovery time by *structure* instead:
@@ -26,34 +26,32 @@ Crash-safety is testable, not just argued: five
 a naive implementation corrupts state (mid-record, before/after the
 snapshot rename, before and during prune), and the chaos tests SIGKILL
 subprocess victims at each one, then require fingerprint-identical
-recovery.  (A sixth sits in the replica group's journal thread, between
-the write and the fsync.)
+recovery.  (A sixth sits in the journal's fsync, between the write and
+the sync.)
 
-The segment format is payload-agnostic — :class:`SegmentedWALRuntime`
-journals single-host commands through it, one record each, and the
-replication layer reuses the same :class:`SegmentedLog` for the durable
-replica-group journal, one batch frame a record
-(:mod:`repro.replication.journal` reads them back).
+The segment format is payload-agnostic.  Its one writer is
+:class:`~repro.replication.journal.GroupJournal` — a replica group's
+durable journal and the single-host
+:class:`~repro.persist.runtime.SegmentedWALRuntime` alike — one batch
+frame a record, read back by
+:func:`~repro.replication.journal.replay_commands`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import pickle
 import struct
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Any, BinaryIO
 
-from repro.core.runtime import LocalRuntime
-from repro.core.statemachine import Command, Completion, TSStateMachine
 from repro.persist.crashpoints import armed, crash_here
 
 __all__ = [
     "SegmentedLog",
-    "SegmentedWALRuntime",
     "ReplayResult",
     "replay_dir",
     "fsync_dir",
@@ -384,9 +382,8 @@ class SegmentedLog:
         """Install *snapshot* as covering everything up to *slot*; prune.
 
         The one compaction routine — snapshot, manifest, prune, in the
-        order the crash points assume — shared by the journaling runtime
-        and the replica-group journal.  *owner* tags the events (the
-        group passes its name).  Returns the files removed.
+        order the crash points assume.  *owner* tags the events (the
+        journal passes its owner's name).  Returns the files removed.
         """
         from repro.obs.events import emit
 
@@ -446,29 +443,18 @@ class SegmentedLog:
             self._retire_segment()
 
 
+@dataclass
 class ReplayResult:
     """What :func:`replay_dir` found: snapshot, delta records, damage."""
 
-    __slots__ = (
-        "snapshot",
-        "snapshot_slot",
-        "records",
-        "torn_bytes",
-        "torn_records",
-        "torn_snapshots",
-        "manifest_ok",
-        "segments_read",
-    )
-
-    def __init__(self) -> None:
-        self.snapshot: dict[str, Any] | None = None
-        self.snapshot_slot = 0
-        self.records: list[tuple[int, Any]] = []
-        self.torn_bytes = 0
-        self.torn_records = 0
-        self.torn_snapshots = 0
-        self.manifest_ok = False
-        self.segments_read = 0
+    snapshot: dict[str, Any] | None = None
+    snapshot_slot: int = 0
+    records: list[tuple[int, Any]] = field(default_factory=list)
+    torn_bytes: int = 0
+    torn_records: int = 0
+    torn_snapshots: int = 0
+    manifest_ok: bool = False
+    segments_read: int = 0
 
     def highest_request_id(self) -> int:
         """The largest request id anywhere in the replayed history.
@@ -533,228 +519,3 @@ def replay_dir(dir: str) -> ReplayResult:
                 continue
             res.records.append((slot, payload))
     return res
-
-
-class SegmentedWALRuntime(LocalRuntime):
-    """A LocalRuntime journaling through a :class:`SegmentedLog`.
-
-    The total order on a single host is the submission order under the
-    runtime lock; every command — probes and statements that end up
-    parked included, so replay is literally identical — is durably framed
-    before it applies.  Because the state machine is deterministic,
-    recovery is re-execution: the same argument that makes replica state
-    transfer sound makes log replay sound.
-
-    **Construction is recovery.**  The constructor replays whatever
-    :func:`replay_dir` finds in *dir* — the newest readable snapshot plus
-    the delta records after it; an empty or absent directory is a fresh
-    start — and then journals from the recovered slot.  Replay costs one
-    snapshot load plus the delta since it: bounded by the snapshot
-    cadence, or O(history) for a runtime that never compacts.  Torn tails
-    (records, snapshots, manifest) are tolerated and reported: a torn
-    record was never acknowledged, so discarding it is correct.
-    Statements parked before the crash stay parked — the tuples and
-    obligations survive, the processes do not.
-
-    Parameters
-    ----------
-    dir:
-        Log directory (created as needed).
-    fsync:
-        Force every record (and rotation) to disk before the command
-        executes — real stable storage, at real cost.  When False the OS
-        buffers writes (fast, but a crash can lose the tail).
-    segment_bytes:
-        Rotate the active segment once it exceeds this size.
-    compact_every:
-        Take a snapshot after this many records (None = no count-based
-        trigger).
-    compact_interval:
-        Take a snapshot at least this often, in seconds (None = no
-        time-based trigger).  Either trigger starts the compactor thread,
-        which snapshots copy-on-write off the apply path.
-    """
-
-    def __init__(
-        self,
-        dir: str,
-        *,
-        fsync: bool = True,
-        segment_bytes: int = 1 << 20,
-        compact_every: int | None = None,
-        compact_interval: float | None = None,
-    ):
-        super().__init__()
-        self.dir = dir
-        self.fsync = fsync
-        self.compact_every = compact_every
-        self.compact_interval = compact_interval
-        res = replay_dir(dir)
-        if res.snapshot is not None:
-            self._sm = TSStateMachine.from_snapshot(res.snapshot)
-        for _slot, command in res.records:
-            # completions are dropped: their clients died with the crash
-            self._sm.apply(command)
-        self._req_ids = itertools.count(res.highest_request_id() + 1)
-        self.records_written = 0
-        self.replayed = len(res.records) + (1 if res.snapshot is not None else 0)
-        self.torn_bytes = res.torn_bytes
-        self.torn_records = res.torn_records
-        self.torn_snapshots = res.torn_snapshots
-        self.snapshots_written = 0
-        self.snapshot_slot = res.snapshot_slot
-        self._snapshot_time: float | None = None
-        self._records_since_snapshot = 0
-        if res.torn_bytes or res.torn_snapshots:
-            from repro.obs.events import emit
-
-            emit(
-                "wal_torn_tail",
-                severity="warning",
-                path=dir,
-                torn_bytes=res.torn_bytes,
-                torn_records=res.torn_records,
-                torn_snapshots=res.torn_snapshots,
-                replayed=self.replayed,
-            )
-        self.log = SegmentedLog(dir, fsync=fsync, segment_bytes=segment_bytes)
-        self._g_segments = self.metrics.gauge("wal_segments")
-        self._g_wal_bytes = self.metrics.gauge("wal_bytes")
-        self._g_snapshot_slot = self.metrics.gauge("wal_snapshot_slot")
-        self._g_snapshot_age = self.metrics.gauge("wal_snapshot_age_s")
-        self._compact_lock = threading.Lock()
-        self._wake = threading.Event()
-        self._stop_compactor = threading.Event()
-        self._compactor: threading.Thread | None = None
-        if compact_every is not None or compact_interval is not None:
-            self._compactor = threading.Thread(
-                target=self._compaction_loop, name="wal-compactor", daemon=True
-            )
-            self._compactor.start()
-
-    @classmethod
-    def recover(cls, dir: str, **kwargs: Any) -> "SegmentedWALRuntime":
-        """Rebuild a runtime from *dir* — the constructor, by its other name."""
-        return cls(dir, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # the journaling hook
-    # ------------------------------------------------------------------ #
-
-    def _apply(self, command: Command) -> list[Completion]:
-        # applied_count is the machine's position in the total order and
-        # advances by exactly one per apply; _apply runs under the
-        # submission lock, so this command will land at applied_count + 1.
-        self.log.append(self._sm.applied_count + 1, command)
-        self.records_written += 1
-        self._records_since_snapshot += 1
-        if (
-            self.compact_every is not None
-            and self._records_since_snapshot >= self.compact_every
-        ):
-            self._wake.set()
-        return self._sm.apply(command)
-
-    def _wal_bytes(self) -> int | None:
-        try:
-            return self.log.status()["total_bytes"]
-        except OSError:
-            return None
-
-    # ------------------------------------------------------------------ #
-    # compaction
-    # ------------------------------------------------------------------ #
-
-    def _compaction_loop(self) -> None:
-        while True:
-            self._wake.wait(self.compact_interval)
-            if self._stop_compactor.is_set():
-                return
-            self._wake.clear()
-            if self._records_since_snapshot == 0:
-                continue
-            try:
-                self.compact()
-            except Exception as exc:  # noqa: BLE001 - must not kill the thread
-                from repro.obs.events import emit
-
-                emit(
-                    "wal_compaction_failed",
-                    severity="error",
-                    dir=self.dir,
-                    error=repr(exc),
-                )
-
-    def compact(self) -> int | None:
-        """Snapshot the machine and prune covered segments.
-
-        The submission lock is held only for the O(dirty-buckets)
-        copy-on-write image; serialization, the snapshot fsync, the
-        manifest rewrite and pruning all run off the apply path.  Returns
-        the covered slot, or None when nothing new had applied.
-        """
-        with self._compact_lock:
-            with self._lock:
-                image = self._sm.cow_snapshot(retain=False)
-                self._records_since_snapshot = 0
-            slot = image.applied_count
-            if slot <= self.snapshot_slot:
-                return None
-            self.log.compact(slot, image.to_snapshot())
-            self.snapshots_written += 1
-            self.snapshot_slot = slot
-            self._snapshot_time = time.monotonic()
-            self._update_gauges()
-            return slot
-
-    def _update_gauges(self) -> None:
-        st = self.log.status()
-        self._g_segments.set(st["segments"])
-        self._g_wal_bytes.set(st["total_bytes"])
-        self._g_snapshot_slot.set(self.snapshot_slot)
-        if self._snapshot_time is not None:
-            self._g_snapshot_age.set(time.monotonic() - self._snapshot_time)
-
-    def wal_status(self) -> dict[str, Any]:
-        """Everything the ``cli wal`` subcommand shows, as plain data."""
-        st = self.log.status()
-        st["records_written"] = self.records_written
-        st["replayed"] = self.replayed
-        st["torn_bytes"] = self.torn_bytes
-        st["torn_records"] = self.torn_records
-        st["torn_snapshots"] = self.torn_snapshots
-        st["snapshots_written"] = self.snapshots_written
-        st["snapshot_slot"] = max(st["snapshot_slot"], self.snapshot_slot)
-        st["applied"] = self._sm.applied_count
-        st["fsync"] = self.fsync
-        st["snapshot_age_s"] = (
-            time.monotonic() - self._snapshot_time
-            if self._snapshot_time is not None
-            else None
-        )
-        self._update_gauges()
-        return st
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Stop the compactor and close the log (idempotent).
-
-        Nothing is flushed here that an append had not already flushed,
-        so this is also what a crash leaves behind: everything volatile
-        dropped, only the directory kept — hence :meth:`crash` below.
-        """
-        if self._compactor is not None:
-            self._stop_compactor.set()
-            self._wake.set()
-            self._compactor.join(timeout=5.0)
-            self._compactor = None
-        self.log.close()
-
-    crash = close
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        self.close()

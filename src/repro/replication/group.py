@@ -201,12 +201,14 @@ class ReplicaGroup:
             self.liveness.start()
         if self.journal.durable:
             with self.seq.in_band() as order:
-                res = self.journal.replay(order, self.transfer.install_everywhere)
-            if res is not None:
-                self._c_cmds.inc(len(res.records))  # they shipped in a batch
-                # fast-forward past everything replayed, so a fresh command
-                # can never collide with a memoized completion
-                self._req_ids = itertools.count(res.highest_request_id() + 1)
+                res = self.journal.replay(
+                    self.transfer.install_everywhere,
+                    lambda cmds: order.broadcast([(c, None) for c in cmds]),
+                )
+            self._c_cmds.inc(len(res.records))  # they shipped in a batch
+            # fast-forward past everything replayed, so a fresh command
+            # can never collide with a memoized completion
+            self._req_ids = itertools.count(res.highest_request_id() + 1)
         self.journal_replayed = self.journal.replayed
 
     # ------------------------------------------------------------------ #

@@ -23,10 +23,13 @@ count and passes :meth:`GroupJournal.admit` only once the journal is
 fsynced that far, so nothing a client has observed can be lost to a
 crash.  What waits for the disk is the completion, never the command.
 
-One class, three shapes: no directory (a volatile group: nothing written,
+One class, four shapes: no directory (a volatile group: nothing written,
 the instruments read zero), fsync off (written, never forced: no thread,
 the two slots move as one, nothing is ever parked), fsync on (the thread
-and the fence).
+and the fence), and the single-host runtime's
+(:class:`~repro.persist.runtime.SegmentedWALRuntime`): one command a
+record, fsynced by :meth:`GroupJournal.sync` on the submitting thread
+before the command applies — no thread, and nothing to fence.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ class GroupJournal:
     """Owns the log, the journal thread, both slot counters and what is held.
 
     *complete* is the group's delivery of one completion, which a parked
-    frame is released through; *on_fatal* is told why when the journal
-    thread dies — nothing could ever be acknowledged again.
+    frame is released through (None for an owner that never calls
+    :meth:`admit`); *on_fatal* is told why when the journal thread dies —
+    nothing could ever be acknowledged again.
     """
 
     def __init__(
@@ -87,11 +91,12 @@ class GroupJournal:
         fsync: bool,
         metrics: MetricsRegistry,
         clock: Callable[[], float],
-        complete: Callable[[int, int, Any], None],
+        complete: Callable[[int, int, Any], None] | None,
         *,
         role: str = "journal",
         owner: str = "group",
         on_fatal: Callable[[str], None] | None = None,
+        segment_bytes: int = 1 << 20,
     ):
         self.dir = dir
         self._clock = clock
@@ -124,12 +129,12 @@ class GroupJournal:
         self._h_fsync = metrics.histogram("journal_fsync")
         self._h_commit_wait = metrics.histogram("journal_commit_wait")
         self._g_lag = metrics.gauge("journal_lag")
-        self._log = None
+        self.log = None
         self._thread: threading.Thread | None = None
         if dir is not None:
             from repro.persist.segments import SegmentedLog
 
-            self._log = SegmentedLog(dir, fsync=fsync)
+            self.log = SegmentedLog(dir, fsync=fsync, segment_bytes=segment_bytes)
         #: True when there is a log: the sequencer must :meth:`write`.
         self.durable = dir is not None
         #: True when completions must pass :meth:`admit` (fsync on).
@@ -149,8 +154,9 @@ class GroupJournal:
 
     def write(self, batch: list[tuple[Any, Any]]) -> None:
         """Append *batch* as one record at its last slot.  Caller holds the
-        order, and broadcasts only afterwards — written and flushed to the
-        OS here, forced to disk by the journal thread."""
+        order (a single host's is its runtime lock), and broadcasts or
+        applies only afterwards — written and flushed to the OS here,
+        forced to disk by :meth:`sync`."""
         if self._replaying:
             return  # a replayed record is already on disk
         frame = compact_batch(
@@ -159,58 +165,55 @@ class GroupJournal:
         if frame[0] == "PLANNED":
             self._plans.update(frame[1])
         last = self._slot + len(batch)
-        self._log.write_many(((last, frame),))
+        self.log.write_many(((last, frame),))
         self._slot = last
         if self.fenced:
             self._kick.set()
         else:
             self._durable = self._slot
 
-    def replay(self, order: Any, install: Callable[[Any, int], None]) -> Any:
-        """Feed what the directory holds back into the (fresh) replicas.
+    def replay(self, install: Callable[[Any, int], None], feed: Callable[[list], None]) -> Any:
+        """Feed what the directory holds back into its fresh owner.
 
-        Runs once, at construction, under the order and before any client
-        can submit: the newest readable snapshot goes to *install*, then
-        the delta's commands are re-broadcast through the normal batch path
-        with journaling suppressed (they are already on disk — durable
-        before the replicas answer, so the replayed completions find no
-        waiter and are dropped, not parked: their clients died with the
+        Runs once, at construction, before any client can submit: the
+        newest readable snapshot goes to *install* with its slot, then the
+        delta's commands to *feed*, in order, with journaling suppressed
+        (they are already on disk — so the completions they produce find
+        no waiter and are dropped, not parked: their clients died with the
         previous incarnation, exactly the WAL recovery semantics).
         Returns the :class:`~repro.persist.segments.ReplayResult`, its
-        ``records`` those of :func:`replay_commands`, or ``None`` when
-        there was nothing to replay.
+        ``records`` those of :func:`replay_commands`.
         """
         from repro.persist.segments import replay_dir
 
-        res = replay_dir(self.dir)
-        if res.snapshot is None and not res.records:
-            return None
         t0 = self._clock()
+        res = replay_dir(self.dir)
         res.records = replay_commands(res)
         self._replaying = True
         try:
             if res.snapshot is not None:
                 install(res.snapshot, res.snapshot_slot)
                 self._slot = self._durable = res.snapshot_slot
-                # replicas resume at applied == snapshot_slot, so read
-                # floors must count from there too
-                order.resume_at(res.snapshot_slot)
             if res.records:
                 self._slot = self._durable = res.records[-1][0]
-                order.broadcast([(cmd, None) for _slot, cmd in res.records])
+                feed([cmd for _slot, cmd in res.records])
         finally:
             self._replaying = False
         self.replayed = len(res.records) + (1 if res.snapshot is not None else 0)
-        emit_event(
-            "journal_recovered",
-            group=self._owner,
-            dir=self.dir,
-            snapshot_slot=res.snapshot_slot,
-            records=len(res.records),
-            torn_records=res.torn_records,
-            torn_snapshots=res.torn_snapshots,
-            seconds=round(self._clock() - t0, 4),
-        )
+        torn = res.torn_records or res.torn_snapshots
+        if self.replayed or torn:
+            emit_event(
+                "journal_recovered",
+                severity="warning" if torn else "info",
+                group=self._owner,
+                dir=self.dir,
+                snapshot_slot=res.snapshot_slot,
+                records=len(res.records),
+                torn_records=res.torn_records,
+                torn_bytes=res.torn_bytes,
+                torn_snapshots=res.torn_snapshots,
+                seconds=round(self._clock() - t0, 4),
+            )
         return res
 
     # ------------------------------------------------------------------ #
@@ -252,9 +255,11 @@ class GroupJournal:
         from repro.persist.crashpoints import crash_here
 
         target = self._slot
+        if target <= self._durable:
+            return  # nothing written since the last one: a replayed command
         crash_here("journal_before_fsync")
         t0 = self._clock()
-        self._log.sync()
+        self.log.sync()
         now = self._clock()
         self._h_fsync.record(now - t0, now)
         self._commit(target, now)
@@ -342,13 +347,13 @@ class GroupJournal:
         every plan of the records up to *applied*: a replica applied them.
         """
         snapshot = {**snapshot, PLANS: dict(self._plans)}
-        self._log.compact(applied, snapshot, group=self._owner)
+        self.log.compact(applied, snapshot, group=self._owner)
 
     def status(self) -> dict[str, Any] | None:
         """Journal directory status for the ``cli wal`` subcommand."""
-        if self._log is None:
+        if self.log is None:
             return None
-        st = self._log.status()
+        st = self.log.status()
         st["journal_slot"] = self._slot
         st["durable_slot"] = self._durable
         st["replayed"] = self.replayed
@@ -366,5 +371,5 @@ class GroupJournal:
             self._thread.join(timeout=30.0)
 
     def close(self) -> None:
-        if self._log is not None:
-            self._log.close()
+        if self.log is not None:
+            self.log.close()

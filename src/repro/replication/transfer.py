@@ -118,13 +118,16 @@ class StateTransfer:
             )
 
     def install_everywhere(self, snapshot: Any, applied: int) -> None:
-        """Install one image on every live replica (journal replay)."""
+        """Install one image on every live replica (journal replay, under
+        the order), and sequence on from *applied*: the replicas resume
+        there, so read floors must count from there too."""
         chunks = split_state(snapshot, applied, self.chunk_bytes)
         installs = [
             self.install(i, chunks) for i, up in enumerate(self._alive) if up
         ]
         for pending in installs:
             self.installed(pending, 30.0)
+        self._seq.resume_at(applied)
 
     # ------------------------------------------------------------------ #
     # donor side

@@ -186,10 +186,41 @@ class TestTraceSubcommand:
 
 class TestWalVerify:
     @staticmethod
-    def verify(d, capsys):
-        assert main(["wal", "verify", d]) == 0
+    def verify(d, capsys, action="verify"):
+        assert main(["wal", action, d]) == 0
         lines = capsys.readouterr().out.splitlines()
         return dict(line.strip().split(": ", 1) for line in lines if ": " in line)
+
+    def test_verify_and_status_on_a_journaling_runtime(self, tmp_path, capsys):
+        from repro.core.spaces import MAIN_TS
+        from repro.persist import SegmentedWALRuntime
+
+        d = str(tmp_path / "wal")
+        rt = SegmentedWALRuntime(d, fsync=False, segment_bytes=512)
+        try:
+            for i in range(30):
+                rt.out(MAIN_TS, "x", i)
+            for i in range(10):
+                rt.in_(MAIN_TS, "x", i)
+            report = self.verify(d, capsys)
+            assert report["replayed"] == str(rt.state_machine.applied_count) == "40"
+            assert report["fingerprint"] == str(rt.state_machine.fingerprint())
+            status = self.verify(d, capsys, "status")
+            assert int(status["segments"]) > 1
+            assert status["snapshots"] == "0"
+
+            assert rt.compact() == 40
+            for i in range(5):
+                rt.out(MAIN_TS, "y", i)
+            report = self.verify(d, capsys)
+            assert report["snapshot_slot"] == "40"
+            assert report["replayed"] == "5"
+            assert report["fingerprint"] == str(rt.state_machine.fingerprint())
+            status = self.verify(d, capsys, "status")
+            assert status["snapshots"] == "1"
+            assert status["snapshot_slot"] == "40"
+        finally:
+            rt.close()
 
     def test_verify_replays_a_group_journal(self, tmp_path, capsys):
         from repro import AGS, Guard, Op, formal, ref

@@ -7,7 +7,8 @@ Covers the claims of the segmented durability plane
 - a SIGKILL at any planted crash point (mid-record, either side of the
   snapshot rename, before and during prune) recovers to a
   fingerprint-identical state — exercised in real subprocesses via
-  ``REPRO_CRASHPOINT``;
+  ``REPRO_CRASHPOINT`` — and one between a record's write and its fsync
+  loses nothing acknowledged, on a single host and in a durable group;
 - ``read_at`` views are snapshot-isolated no matter how much the live
   space churns;
 - chunked state transfer survives a donor dying mid-stream (a *second*
@@ -23,6 +24,7 @@ Covers the claims of the segmented durability plane
 
 import os
 import pickle
+import shutil
 import signal
 import struct
 import subprocess
@@ -41,8 +43,9 @@ from repro.persist.segments import SegmentedLog
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Subprocess victim: phase "populate" builds a clean directory and
-#: prints the fingerprint; phase "compact"/"append" re-opens it (with a
-#: crash point armed by the parent) and runs the action that crosses it.
+#: prints the fingerprint; phase "compact"/"append"/"before_fsync"
+#: re-opens it (with a crash point armed by the parent) and runs the
+#: action that crosses it.
 _VICTIM = """
 import sys
 from repro.core.spaces import MAIN_TS
@@ -62,6 +65,10 @@ elif phase == "compact":
 elif phase == "append":
     rt = SegmentedWALRuntime.recover(dir, segment_bytes=512)
     rt.out(MAIN_TS, "extra", 1)   # dies mid-record
+    print("survived", flush=True)
+elif phase == "before_fsync":
+    rt = SegmentedWALRuntime.recover(dir, segment_bytes=512)
+    rt.out(MAIN_TS, "extra", 1)   # dies between the write and its fsync
     print("survived", flush=True)
 """
 
@@ -95,7 +102,7 @@ class TestSegmentedRuntime:
         for i in range(80):
             rt.out(MAIN_TS, "x", i)
         before = rt.state_machine.fingerprint()
-        assert rt.log.status()["segments"] > 1  # really rotated
+        assert rt.journal.log.status()["segments"] > 1  # really rotated
         rt.crash()
         back = SegmentedWALRuntime.recover(d, fsync=False)
         assert back.state_machine.fingerprint() == before
@@ -146,7 +153,7 @@ class TestSegmentedRuntime:
         rt = SegmentedWALRuntime(d, segment_bytes=512, fsync=False)
         for i in range(100):
             rt.out(MAIN_TS, "x", i)
-        segs_before = rt.log.status()["segments"]
+        segs_before = rt.journal.log.status()["segments"]
         rt.compact()
         st = rt.wal_status()
         assert st["segments"] < segs_before
@@ -180,7 +187,7 @@ class TestSegmentedRuntime:
         before = rt.state_machine.fingerprint()
         # a newer snapshot lands on disk (no prune), then gets torn —
         # e.g. the machine died while the page cache held its tail
-        rt.log.write_snapshot(30, pickle.dumps(rt.state_machine.snapshot()))
+        rt.journal.log.write_snapshot(30, pickle.dumps(rt.state_machine.snapshot()))
         rt.crash()
         snap = sorted(p for p in os.listdir(d) if p.startswith("snapshot-"))[-1]
         path = os.path.join(d, snap)
@@ -193,19 +200,40 @@ class TestSegmentedRuntime:
         assert back.state_machine.fingerprint() == before
         back.close()
 
-    def test_background_compactor_count_trigger(self, tmp_path):
+    def test_by_value_directory_still_opens(self, tmp_path):
+        """What this runtime wrote before its records were frames — one
+        by-value command a record, a snapshot with no plan table — opens
+        unchanged, and the statements after it append PLANNED frames."""
+        from repro.core.statemachine import ExecuteAGS, TSStateMachine
+
         d = str(tmp_path / "wal")
-        rt = SegmentedWALRuntime(
-            d, segment_bytes=512, fsync=False, compact_every=20
-        )
-        for i in range(25):
-            rt.out(MAIN_TS, "x", i)
-        deadline = time.monotonic() + 10.0
-        while rt.snapshots_written == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert rt.snapshots_written >= 1
-        assert rt.snapshot_slot >= 20
+        statements = [AGS.atomic(Op.out(MAIN_TS, "old", i)) for i in range(12)]
+        statements += [_take(MAIN_TS, "old")] * 3
+        sm = TSStateMachine()
+        log = SegmentedLog(d, fsync=False)
+        for slot, ags in enumerate(statements, 1):
+            cmd = ExecuteAGS(slot, -1, 0, ags)
+            sm.apply(cmd)
+            log.append(slot, cmd)
+            if slot == 5:
+                log.write_snapshot(5, pickle.dumps(sm.snapshot()))
+        log.close()
+
+        rt = SegmentedWALRuntime(d, fsync=False)
+        assert rt.replayed == 1 + 10  # the snapshot and the records after it
+        assert rt.state_machine.fingerprint() == sm.fingerprint()
+        rt.out(MAIN_TS, "new", 1)
+        assert rt.execute(_take(MAIN_TS, "new")).bindings == {"v": 1}
+        live = rt.state_machine.fingerprint()
         rt.close()
+        payloads = [payload for _slot, payload in replay_dir(d).records]
+        assert all(type(p) is ExecuteAGS for p in payloads[:10])
+        assert [p[0] for p in payloads[10:]] == ["PLANNED", "PLANNED"]
+
+        back = SegmentedWALRuntime(d, fsync=False)
+        assert back.state_machine.fingerprint() == live
+        assert back.inp(MAIN_TS, "took", "new", 2) == ("took", "new", 2)
+        back.close()
 
     def test_read_at_isolation_under_churn(self, tmp_path):
         d = str(tmp_path / "wal")
@@ -263,6 +291,40 @@ class TestCrashPoints:
         assert res.snapshot is None  # the rename never happened
         back = SegmentedWALRuntime.recover(str(tmp_path / "wal"))
         assert back.state_machine.fingerprint() == before
+        back.close()
+
+    def test_single_host_before_fsync_keeps_or_loses_the_unacknowledged_out(
+        self, tmp_path
+    ):
+        """The sixth crash point on the journaling runtime: killed between
+        an ``out``'s write and its fsync, before it applied.  Recovery may
+        keep that statement (the OS held the write) or lose it (power
+        loss) — and nothing else."""
+        pop = _run_victim(tmp_path, "populate")
+        assert pop.returncode == 0, pop.stderr
+        populated = int(pop.stdout.strip())
+        d = str(tmp_path / "wal")
+        twin = str(tmp_path / "twin")
+        shutil.copytree(d, twin)
+        rt = SegmentedWALRuntime(twin, fsync=False)
+        rt.out(MAIN_TS, "extra", 1)
+        with_out = rt.state_machine.fingerprint()
+        rt.close()
+        assert with_out != populated
+
+        victim = _run_victim(tmp_path, "before_fsync", "journal_before_fsync")
+        assert victim.returncode == -signal.SIGKILL, (
+            f"expected SIGKILL, got rc={victim.returncode} "
+            f"out={victim.stdout!r} err={victim.stderr!r}"
+        )
+        assert "survived" not in victim.stdout
+        back = SegmentedWALRuntime.recover(d)
+        assert back.state_machine.fingerprint() in (populated, with_out)
+        back.close()
+        # the plug pulled too: the un-synced record is gone, the rest is not
+        assert _drop_records_past(d, 60) == 1
+        back = SegmentedWALRuntime.recover(d)
+        assert back.state_machine.fingerprint() == populated
         back.close()
 
 

@@ -20,7 +20,7 @@ class TestLogging:
         rt = SegmentedWALRuntime(wal_dir, fsync=False)
         rt.out(MAIN_TS, "x", 1)
         assert rt.in_(MAIN_TS, "x", formal(int)) == ("x", 1)
-        assert rt.records_written == 2
+        assert rt.wal_status()["journal_slot"] == 2  # two records
         rt.close()
 
     def test_crash_and_recover_restores_tuples(self, wal_dir):
@@ -83,7 +83,7 @@ class TestLogging:
         rt = SegmentedWALRuntime(wal_dir, fsync=False)
         rt.out(MAIN_TS, "a", 1)
         rt.out(MAIN_TS, "b", 2)
-        segment = rt.log.active_segment
+        segment = rt.journal.log.active_segment
         rt.crash()
         # simulate a crash mid-write: truncate the last few bytes
         with open(segment, "r+b") as f:
@@ -113,6 +113,37 @@ class TestLogging:
         assert len(rt.state_machine.blocked) == 0
         rt.out(MAIN_TS, "never")
         assert rt.inp(MAIN_TS, "never") is not None
+        rt.close()
+
+    @pytest.mark.parametrize("out_before_restart", [True, False])
+    def test_timed_out_in_stays_withdrawn_after_recovery(
+        self, wal_dir, out_before_restart
+    ):
+        # the cancellation is journaled like any command, so replay does
+        # not park the withdrawn in_ again to eat the next matching out —
+        # whether that out came before the restart or after it
+        from repro import TimeoutError_
+
+        rt = SegmentedWALRuntime(wal_dir, fsync=False)
+        with pytest.raises(TimeoutError_):
+            rt.in_(MAIN_TS, "job", 1, timeout=0.05)
+        if out_before_restart:
+            rt.out(MAIN_TS, "job", 1)
+        live = rt.state_machine.fingerprint()
+        rt.crash()
+        back = SegmentedWALRuntime.recover(wal_dir)
+        assert back.state_machine.fingerprint() == live
+        if not out_before_restart:
+            back.out(MAIN_TS, "job", 1)
+        assert back.rdp(MAIN_TS, "job", 1) == ("job", 1)
+        back.close()
+
+    def test_fsyncs_show_in_journal_fsync(self, wal_dir):
+        rt = SegmentedWALRuntime(wal_dir, fsync=True)
+        for i in range(3):
+            rt.out(MAIN_TS, "durable", i)
+        # one fsync per command, on the submitting thread
+        assert rt.metrics_snapshot()["histograms"]["journal_fsync"]["count"] == 3
         rt.close()
 
 
