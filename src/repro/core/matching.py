@@ -31,7 +31,6 @@ from repro.core.tuples import Formal, LindaTuple, Pattern, type_name
 __all__ = [
     "ANY_FIRST",
     "Match",
-    "StoreImage",
     "TupleStore",
     "pattern_key",
     "shard_key",
@@ -156,43 +155,6 @@ class _StoreStats:
         self.hits: dict[str, int] = {}
 
 
-class StoreImage:
-    """Immutable copy-on-write image of a :class:`TupleStore`.
-
-    Per-signature bucket tuples of ``(seqno, fields)`` pairs, each sorted
-    by seqno.  Successive images share the bucket tuples of every bucket
-    that was not mutated between them — the incremental-snapshot
-    mechanism: building an image costs O(dirty buckets), holding one
-    costs only the delta against its predecessor.
-    """
-
-    __slots__ = ("next_seq", "buckets")
-
-    def __init__(
-        self,
-        next_seq: int,
-        buckets: dict[tuple[str, ...], tuple[tuple[int, tuple], ...]],
-    ):
-        self.next_seq = next_seq
-        self.buckets = buckets
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
-
-    def to_snapshot(self) -> dict[str, Any]:
-        """The canonical flat snapshot dict (``TupleStore.snapshot`` shape).
-
-        This is the O(n) merge step; callers run it *off* the apply
-        loop's lock — the image itself is immutable, so serialization
-        never contends with writers.
-        """
-        entries: list[tuple[int, tuple]] = []
-        for bucket in self.buckets.values():
-            entries.extend(bucket)
-        entries.sort(key=lambda e: e[0])
-        return {"next_seq": self.next_seq, "entries": entries}
-
-
 class TupleStore:
     """A multiset of tuples with indexed, deterministic associative lookup.
 
@@ -201,10 +163,7 @@ class TupleStore:
     machine and runtimes.
     """
 
-    __slots__ = (
-        "_next_seq", "_by_sig", "_key_index", "_size", "_stats",
-        "_dirty", "_image",
-    )
+    __slots__ = ("_next_seq", "_by_sig", "_key_index", "_size", "_stats")
 
     def __init__(self) -> None:
         self._next_seq = 0
@@ -214,11 +173,6 @@ class TupleStore:
         self._key_index: dict[tuple[tuple[str, ...], Any], dict[int, LindaTuple]] = {}
         self._size = 0
         self._stats = _StoreStats() if STATS_ENABLED else None
-        # Buckets mutated since the last cow_image(); cleared there.  Every
-        # mutation path (add/_remove_entry/reinsert) marks its signature,
-        # so "not dirty" is a proof the cached bucket image is still exact.
-        self._dirty: set[tuple[str, ...]] = set()
-        self._image: StoreImage | None = None
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -232,7 +186,6 @@ class TupleStore:
         self._by_sig.setdefault(sig, {})[seq] = tup
         self._key_index.setdefault((sig, tup.fields[0]), {})[seq] = tup
         self._size += 1
-        self._dirty.add(sig)
         return seq
 
     def _remove_entry(self, sig: tuple[str, ...], seqno: int, tup: LindaTuple) -> None:
@@ -246,7 +199,6 @@ class TupleStore:
         if not kbucket:
             del self._key_index[kkey]
         self._size -= 1
-        self._dirty.add(sig)
 
     def reinsert(self, seqno: int, tup: LindaTuple) -> None:
         """Undo support: put back a withdrawn tuple under its original id.
@@ -271,7 +223,6 @@ class TupleStore:
             kbucket.clear()
             kbucket.update(ordered)
         self._size += 1
-        self._dirty.add(sig)
 
     def remove_seqno(self, seqno: int, tup: LindaTuple) -> None:
         """Undo support: withdraw the specific tuple deposited as *seqno*."""
@@ -433,34 +384,6 @@ class TupleStore:
                 entries.append((seqno, tup.fields))
         entries.sort(key=lambda e: e[0])
         return {"next_seq": self._next_seq, "entries": entries}
-
-    def cow_image(self) -> StoreImage:
-        """Incremental copy-on-write image; O(buckets mutated since last).
-
-        Buckets untouched since the previous ``cow_image`` call reuse the
-        previous image's bucket tuples by reference; only dirty buckets
-        are re-copied.  Callers run this *under* whatever lock serializes
-        mutations (the apply-loop lock) — it is the cheap half of
-        snapshotting; the expensive merge/serialize half lives on the
-        returned immutable image and runs lock-free.
-        """
-        prev = self._image
-        if prev is not None and not self._dirty:
-            return prev
-        buckets: dict[tuple[str, ...], tuple[tuple[int, tuple], ...]] = {}
-        for sig, bucket in self._by_sig.items():
-            if prev is not None and sig not in self._dirty:
-                cached = prev.buckets.get(sig)
-                if cached is not None:
-                    buckets[sig] = cached
-                    continue
-            buckets[sig] = tuple(
-                (seqno, tup.fields) for seqno, tup in bucket.items()
-            )
-        image = StoreImage(self._next_seq, buckets)
-        self._image = image
-        self._dirty.clear()
-        return image
 
     @classmethod
     def from_snapshot(cls, snap: Mapping[str, Any]) -> "TupleStore":

@@ -69,6 +69,10 @@ __all__ = ["BaseRuntime", "LocalRuntime", "ProcessView", "SnapshotView"]
 #: failed host — the runtime's own statements must never match.
 _LOCAL_ORIGIN = -1
 
+#: How many snapshots :meth:`LocalRuntime.retain_snapshot` keeps for
+#: :meth:`LocalRuntime.read_at`; the oldest slot is dropped first.
+_RETAINED_SNAPSHOTS = 4
+
 _RT = TypeVar("_RT", bound="BaseRuntime")
 
 
@@ -604,6 +608,8 @@ class LocalRuntime(BaseRuntime):
         self._cond = threading.Condition(self._lock)
         self._req_ids = itertools.count(1)
         self._results: dict[int, AGSResult] = {}
+        #: slot -> TSStateMachine.snapshot() taken there, for read_at()
+        self._retained: dict[int, dict[str, Any]] = {}
         self.metrics = MetricsRegistry()
         self.tracer = tracer
         self._h_submit = self.metrics.histogram("submit_to_order")
@@ -780,28 +786,38 @@ class LocalRuntime(BaseRuntime):
     # ------------------------------------------------------------------ #
 
     def retain_snapshot(self) -> int:
-        """Take (and retain) a COW snapshot at the current slot boundary.
+        """Take (and retain) a snapshot at the current slot boundary.
 
-        Only the O(dirty-buckets) image capture runs under the runtime
-        lock; returns the slot the image is pinned at, usable with
-        :meth:`read_at`.  Nothing else retains one: a compaction's image
-        is taken with ``retain=False`` and dropped once it is on disk.
+        The snapshot is taken under the runtime lock; returns the slot it
+        is pinned at, usable with :meth:`read_at`.  Only the newest
+        ``_RETAINED_SNAPSHOTS`` slots are kept.
         """
         with self._lock:
-            return self._sm.cow_snapshot(retain=True).applied_count
+            snap = self._sm.snapshot()
+            slot = snap["applied_count"]
+            self._retained[slot] = snap
+            while len(self._retained) > _RETAINED_SNAPSHOTS:
+                del self._retained[min(self._retained)]
+            return slot
 
     def read_at(self, slot: int | None = None) -> "SnapshotView":
         """Snapshot-isolated reads at a retained slot (newest by default).
 
-        The returned view is materialized from an immutable snapshot
-        image on the *caller's* thread — it holds no runtime lock and
-        shares no mutable structure with the live state machine, so
-        reads against it never contend with concurrent ``out``/``in``
-        traffic, and always observe exactly the state at the slot
-        boundary the snapshot was taken at.
+        The slot is chosen under the runtime lock; the view is built from
+        its snapshot on the *caller's* thread after the lock is released.
+        A retained snapshot is never mutated, so the view shares nothing
+        with the live state machine: reads against it never contend with
+        concurrent ``out``/``in`` traffic, and always observe exactly the
+        state at the slot boundary the snapshot was taken at.  Raises
+        ``KeyError`` when the slot is not (or no longer) retained.
         """
-        view, actual = self._sm.read_view(slot)
-        return SnapshotView(view, actual, self._plan)
+        with self._lock:
+            if not self._retained:
+                raise KeyError("no retained snapshots (call retain_snapshot first)")
+            if slot is None:
+                slot = max(self._retained)
+            snap = self._retained[slot]
+        return SnapshotView(TSStateMachine.from_snapshot(snap), slot, self._plan)
 
 
 class SnapshotView:
@@ -809,7 +825,7 @@ class SnapshotView:
 
     Produced by :meth:`LocalRuntime.read_at`; every method evaluates
     against a private state machine materialized from the retained
-    snapshot image, so results are stable no matter how much the live
+    snapshot, so results are stable no matter how much the live
     space churns underneath.
     """
 

@@ -26,7 +26,7 @@ import functools
 from typing import Any, Iterator, Mapping
 
 from repro._errors import ScopeError, SpaceError
-from repro.core.matching import StoreImage, TupleStore
+from repro.core.matching import TupleStore
 from repro.core.tuples import register_field_type
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Scope",
     "TSHandle",
     "SpaceRegistry",
-    "RegistryImage",
     "MAIN_TS",
 ]
 
@@ -259,28 +258,6 @@ class SpaceRegistry:
             )
         return {"next_id": self._next_id, "spaces": spaces}
 
-    def cow_image(self, *, stable_only: bool = False) -> "RegistryImage":
-        """Copy-on-write registry image; O(dirty buckets + live spaces).
-
-        Per-space metadata is tiny and rebuilt every call; the tuple data
-        — the part that scales — goes through each store's
-        :meth:`~repro.core.matching.TupleStore.cow_image`, so spaces (and
-        buckets) untouched since the previous image are shared, not
-        copied.  The result serializes to exactly :meth:`snapshot`'s
-        shape via :meth:`RegistryImage.to_snapshot`.
-        """
-        spaces: list[tuple[tuple, StoreImage]] = []
-        for hid in sorted(self._spaces):
-            h = self._handles[hid]
-            if stable_only and not h.stable:
-                continue
-            meta = (
-                h.id, h.name, h.resilience.value, h.scope.value,
-                self._owners[hid],
-            )
-            spaces.append((meta, self._spaces[hid].cow_image()))
-        return RegistryImage(self._next_id, tuple(spaces))
-
     @classmethod
     def from_snapshot(cls, snap: Mapping[str, Any]) -> "SpaceRegistry":
         reg = cls(create_main=False)
@@ -306,31 +283,3 @@ class SpaceRegistry:
             )
             acc ^= self._spaces[hid].fingerprint() * (hid + 1)
         return acc
-
-
-class RegistryImage:
-    """Immutable COW image of a :class:`SpaceRegistry` (see ``cow_image``)."""
-
-    __slots__ = ("next_id", "spaces")
-
-    def __init__(self, next_id: int, spaces: tuple):
-        self.next_id = next_id
-        #: ``((id, name, resilience, scope, owner), StoreImage)`` pairs in
-        #: ascending handle-id order.
-        self.spaces = spaces
-
-    def to_snapshot(self) -> dict[str, Any]:
-        """The canonical :meth:`SpaceRegistry.snapshot` dict (O(n) merge)."""
-        spaces = []
-        for (hid, name, resilience, scope, owner), image in self.spaces:
-            spaces.append(
-                {
-                    "id": hid,
-                    "name": name,
-                    "resilience": resilience,
-                    "scope": scope,
-                    "owner": owner,
-                    "store": image.to_snapshot(),
-                }
-            )
-        return {"next_id": self.next_id, "spaces": spaces}

@@ -49,7 +49,6 @@ from repro.core.ags import ACTUALS, AGS, AGSResult, GuardKind, Op, OpCode
 from repro.core.matching import TupleStore
 from repro.core.spaces import (
     MAIN_TS,
-    RegistryImage,
     Resilience,
     Scope,
     SpaceRegistry,
@@ -69,7 +68,6 @@ __all__ = [
     "FAILURE_TAG",
     "HostFailed",
     "HostRecovered",
-    "MachineImage",
     "TSStateMachine",
 ]
 
@@ -391,12 +389,6 @@ class TSStateMachine:
         #: recent deposit.  Only maintained while introspection is enabled;
         #: local observability data, not part of snapshots or fingerprints.
         self.last_out: dict[tuple[int, str, int], float] = {}
-        #: Retained COW snapshot images keyed by the slot (applied_count)
-        #: they were taken at, plus lazily materialized read-only views.
-        #: Bounded by _retain_limit; see cow_snapshot()/read_view().
-        self._retained: dict[int, "MachineImage"] = {}
-        self._views: dict[int, "TSStateMachine"] = {}
-        self._retain_limit = 4
 
     # ------------------------------------------------------------------ #
     # command dispatch
@@ -835,69 +827,22 @@ class TSStateMachine:
         replica must wake the same statements at the same points in the
         order as everyone else.  The completed-request memo travels too,
         in completion order, so a recovered replica suppresses the same
-        duplicate submissions as its donor.
+        duplicate submissions as its donor.  Later commands mutate nothing
+        the dict holds, so a caller takes it under its lock and serialises
+        it after releasing that lock.
         """
         return {
             "registry": self.registry.snapshot(stable_only=False),
-            "blocked": list(self._parked()),
+            # what ExecuteAGS is built from, in park order
+            "blocked": [
+                (c.request_id, c.origin_host, c.process_id, c.ags, c.actuals)
+                for c in (b.command for b in self.blocked)
+            ],
             "applied_count": self.applied_count,
             "completed": [
                 (rid, self.completed[rid]) for rid in self._completed_order
             ],
         }
-
-    def _parked(self) -> tuple:
-        """The blocked statements as a snapshot holds them: what
-        :class:`ExecuteAGS` is built from, in park order."""
-        return tuple(
-            (c.request_id, c.origin_host, c.process_id, c.ags, c.actuals)
-            for c in (b.command for b in self.blocked)
-        )
-
-    def cow_snapshot(self, *, retain: bool = True) -> "MachineImage":
-        """Incremental snapshot at the current slot boundary; O(dirty).
-
-        The returned :class:`MachineImage` is immutable and structurally
-        shares every tuple bucket unmutated since the previous call, so
-        taking one under the apply-loop lock costs only the delta; the
-        O(n) serialization (:meth:`MachineImage.to_snapshot`) runs later,
-        lock-free.  ``retain=True`` additionally parks the image in the
-        bounded retained set so :meth:`read_view` can answer
-        snapshot-isolated reads at this slot.
-        """
-        image = MachineImage(
-            self.registry.cow_image(stable_only=False),
-            self._parked(),
-            self.applied_count,
-            tuple((rid, self.completed[rid]) for rid in self._completed_order),
-        )
-        if retain:
-            self._retained[image.applied_count] = image
-            while len(self._retained) > self._retain_limit:
-                oldest = min(self._retained)
-                del self._retained[oldest]
-                self._views.pop(oldest, None)
-        return image
-
-    def read_view(self, slot: int | None = None) -> tuple["TSStateMachine", int]:
-        """A read-only machine frozen at a retained snapshot slot.
-
-        Returns ``(machine, slot)``.  ``slot=None`` picks the newest
-        retained image.  Materialization is lazy and cached per slot; it
-        builds private stores from the immutable image, so reads against
-        the view never touch — and never contend with — live writer
-        state.  Raises ``KeyError`` when the slot is not retained.
-        """
-        if not self._retained:
-            raise KeyError("no retained snapshots (call cow_snapshot first)")
-        if slot is None:
-            slot = max(self._retained)
-        image = self._retained[slot]
-        view = self._views.get(slot)
-        if view is None:
-            view = TSStateMachine.from_snapshot(image.to_snapshot())
-            self._views[slot] = view
-        return view, slot
 
     @classmethod
     def from_snapshot(cls, snap: Mapping[str, Any], **kwargs: Any) -> "TSStateMachine":
@@ -930,40 +875,6 @@ class TSStateMachine:
         for i, b in enumerate(self.blocked):
             acc ^= stable_hash((i, b.command.request_id, b.command.origin_host))
         return acc
-
-
-class MachineImage:
-    """Immutable COW snapshot of a :class:`TSStateMachine` at one slot.
-
-    Produced by :meth:`TSStateMachine.cow_snapshot` under the apply-loop
-    lock in O(dirty); consumed lock-free — :meth:`to_snapshot` performs
-    the O(n) merge into the canonical dict that
-    :meth:`TSStateMachine.from_snapshot` (and the WAL snapshot files, and
-    replica state transfer) all speak.
-    """
-
-    __slots__ = ("registry_image", "blocked", "applied_count", "completed")
-
-    def __init__(
-        self,
-        registry_image: "RegistryImage",
-        blocked: tuple,
-        applied_count: int,
-        completed: tuple,
-    ):
-        self.registry_image = registry_image
-        self.blocked = blocked
-        self.applied_count = applied_count
-        self.completed = completed
-
-    def to_snapshot(self) -> dict[str, Any]:
-        """The canonical :meth:`TSStateMachine.snapshot` dict."""
-        return {
-            "registry": self.registry_image.to_snapshot(),
-            "blocked": list(self.blocked),
-            "applied_count": self.applied_count,
-            "completed": list(self.completed),
-        }
 
 
 class _BodyAbort(Exception):

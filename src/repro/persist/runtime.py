@@ -95,18 +95,18 @@ class SegmentedWALRuntime(LocalRuntime):
     def compact(self) -> int | None:
         """Snapshot the machine and prune covered segments.
 
-        The runtime lock is held only for the O(dirty-buckets)
-        copy-on-write image; serialization, the snapshot fsync, the
-        manifest rewrite and pruning all run off the apply path.  One
-        caller at a time.  Returns the covered slot, or None when nothing
-        new had applied.
+        The runtime lock is held only while :meth:`TSStateMachine.snapshot`
+        copies the state, as a replica does when it answers a state
+        transfer; serialization, the snapshot fsync, the manifest rewrite
+        and pruning all run off the apply path.  One caller at a time.
+        Returns the covered slot, or None when nothing new had applied.
         """
         with self._lock:
-            image = self._sm.cow_snapshot(retain=False)
-        slot = image.applied_count
-        if slot <= self.snapshot_slot:
-            return None
-        self.journal.compact(slot, image.to_snapshot())
+            slot = self._sm.applied_count
+            if slot <= self.snapshot_slot:
+                return None
+            snapshot = self._sm.snapshot()
+        self.journal.compact(slot, snapshot)
         self.snapshot_slot = slot
         return slot
 

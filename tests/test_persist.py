@@ -1,6 +1,7 @@
 """Tests for the journaled stable tuple space (the A5 design alternative)."""
 
 import os
+import threading
 
 import pytest
 
@@ -171,4 +172,39 @@ class TestCompaction:
         back = SegmentedWALRuntime.recover(wal_dir)
         names = sorted(t[0] for t in back.space_tuples(MAIN_TS))
         assert names == ["new", "old"]
+        back.close()
+
+    def test_compaction_under_concurrent_churn(self, wal_dir):
+        # small segments, so rotation and pruning race the churning writer
+        rt = SegmentedWALRuntime(wal_dir, fsync=False, segment_bytes=4096)
+        for i in range(100):
+            rt.out(MAIN_TS, "resident", i)
+        errors = []
+
+        def churn():
+            try:
+                for i in range(1500):
+                    rt.out(MAIN_TS, "churn", i)
+                    if i % 3:  # every third out is left behind
+                        assert rt.inp(MAIN_TS, "churn", i) == ("churn", i)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        t = threading.Thread(target=churn)
+        t.start()
+        slots = []
+        while t.is_alive():
+            slot = rt.compact()
+            if slot is not None:
+                slots.append(slot)
+        t.join(timeout=60)
+        assert not t.is_alive() and errors == []
+        assert len(slots) > 1 and slots == sorted(slots)
+        rt.out(MAIN_TS, "after", 1)  # a delta past the last snapshot
+        live = rt.state_machine.fingerprint()
+        rt.crash()
+        back = SegmentedWALRuntime.recover(wal_dir)
+        assert back.snapshot_slot == slots[-1]
+        assert back.state_machine.fingerprint() == live
+        assert back.space_size(MAIN_TS) == 100 + 500 + 1
         back.close()

@@ -1,5 +1,7 @@
 """Unit/integration tests for the single-host LocalRuntime."""
 
+import gc
+import sys
 import threading
 import time
 
@@ -17,6 +19,7 @@ from repro import (
     formal,
     ref,
 )
+from repro.core.statemachine import TSStateMachine
 
 
 @pytest.fixture
@@ -233,3 +236,68 @@ class TestStatementPlans:
         assert view.rdp(rt.main_ts, "k", formal(int)) == ("k", 1)
         assert rt.rdp(rt.main_ts, "k", formal(int)) is None
         assert len(rt._plans) == 3  # out/2, in/2, rdp/2 — the view added none
+
+
+class TestRetainedSnapshots:
+    def test_read_at_under_concurrent_retains(self, rt):
+        slots = []
+        for i in range(5):
+            rt.out(rt.main_ts, "n", i)
+            slots.append(rt.retain_snapshot())
+        with pytest.raises(KeyError):
+            rt.read_at(slots[0])  # only the newest four are kept
+        assert rt.read_at().slot == slots[-1]
+        assert rt.read_at(slots[1]).size(rt.main_ts) == 2
+        for i in range(5):
+            rt.inp(rt.main_ts, "n", i)
+        for i in range(200):  # enough to make building a view take a while
+            rt.out(rt.main_ts, "resident", i, "r")
+
+        # One thread retains fresh slots while this one reads the newest;
+        # a tiny switch interval makes the interleaving dense.  Retained
+        # slot base + 2i + 1 holds the residents and ("n", i), nothing else;
+        # the slot retained just before base holds ("n", -1).
+        rt.out(rt.main_ts, "n", -1)
+        rt.retain_snapshot()
+        rt.inp(rt.main_ts, "n", -1)
+        base = rt.state_machine.applied_count
+
+        def retain():
+            for i in range(1000):
+                rt.out(rt.main_ts, "n", i)
+                rt.retain_snapshot()
+                rt.inp(rt.main_ts, "n", i)
+
+        def machines():
+            gc.collect()
+            return sum(isinstance(o, TSStateMachine) for o in gc.get_objects())
+
+        before = machines()
+        errors: dict[str, int] = {}
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        t = threading.Thread(target=retain)
+        t.start()
+        try:
+            for _ in range(20_000):
+                if not t.is_alive():
+                    break
+                try:
+                    view = rt.read_at()
+                except Exception as exc:  # noqa: BLE001 - counted, then asserted
+                    name = type(exc).__name__
+                    errors[name] = errors.get(name, 0) + 1
+                    continue
+                i = -1 if view.slot < base else (view.slot - base - 1) // 2
+                if view.size(rt.main_ts) != 201 or view.rdp(rt.main_ts, "n", i) is None:
+                    wrong.append(view.slot)
+        finally:
+            t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+        assert errors == {}
+        assert wrong == []
+        # the runtime holds no more machine copies than the slots it keeps
+        view = None
+        assert machines() - before <= 4
