@@ -87,12 +87,11 @@ def _warmup(rt: Any) -> None:
 def _pipelined_out(rt: Any, per_client: int) -> float:
     """Pipelined out/s over CHANNELS distinct first fields."""
     _warmup(rt)
-    sharded = rt.sharded
 
     def body(c: int) -> None:
         for k in range(per_client):
             chan = f"ch{(c + k) % CHANNELS}"
-            sharded.post_ags(AGS.atomic(Op.out(rt.main_ts, chan, c, k)))
+            rt.post_ags(AGS.atomic(Op.out(rt.main_ts, chan, c, k)))
 
     elapsed = _spawn_clients(CLIENTS, body)
     t0 = time.perf_counter()

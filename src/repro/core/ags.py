@@ -30,9 +30,9 @@ communication.  Concretely, this module enforces:
 
 The classes here are the *compiled* representation — what the paper's
 FT-lcc precompiler emits as "opcode/operand" request blocks (Sec. 5.2).
-The textual front end lives in :mod:`repro.lcc`; a Pythonic builder DSL
-lives in :mod:`repro.dsl`.  Everything is picklable so requests can cross
-process boundaries in the multiprocessing backend.
+The textual front end lives in :mod:`repro.lcc`.  Everything is
+picklable so requests can cross process boundaries in the
+multiprocessing backend.
 """
 
 from __future__ import annotations

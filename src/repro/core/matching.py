@@ -71,7 +71,7 @@ def shard_key(space_id: int, first_field: Any) -> int:
     """Stable partition key of ``(space, first-field signature)``.
 
     Every component that maps a tuple or template to a shard — the AGS
-    classifier, the ShardedGroup router, the cross-shard scatter path —
+    classifier, the replicated runtime's router, the cross-shard scatter path —
     MUST derive the shard through this helper (or :func:`shard_of`), never
     through builtin ``hash()``: clients and replicas live in different
     processes, and ``hash(str)`` is salted per process (PYTHONHASHSEED),

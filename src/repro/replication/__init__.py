@@ -16,9 +16,9 @@ pipeline, factored out of any particular delivery mechanism:
   :class:`~repro.replication.liveness.LivenessPolicy`) and
   :mod:`~repro.replication.transfer` (restart + chunked state transfer)
   — over :mod:`~repro.replication.requests`, the one in-band round trip;
-- :class:`~repro.replication.sharding.ShardedGroup` — the
-  content-partitioned router: N independent ReplicaGroups (one sequencer
-  each), single-shard statements delegated whole, cross-shard statements
+- :class:`~repro.replication.sharding.ReplicatedRuntime` — the runtime
+  over N content-partitioned ReplicaGroups (one sequencer each):
+  single-shard statements go whole to their shard, cross-shard statements
   run as a deterministic extract/execute/scatter rung;
 - :class:`~repro.replication.transport.Transport` — the seam a delivery
   mechanism implements: FIFO delivery of opaque items to N replica
@@ -28,12 +28,11 @@ pipeline, factored out of any particular delivery mechanism:
   protocol: four received tags, five emitted, one table of request kinds.
 
 The threads and multiprocessing backends in :mod:`repro.parallel` are
-thin adapters over this package; a future asyncio or socket backend is
-one new Transport implementation.
+ReplicatedRuntime with a transport chosen; a future asyncio or socket
+backend is one new Transport implementation.
 """
 
 from repro.replication.group import LivenessPolicy, ReplicaGroup
-from repro.replication.sharding import ShardedGroup
 from repro.replication.transport import (
     InMemoryTransport,
     PipeTransport,
@@ -45,6 +44,5 @@ __all__ = [
     "LivenessPolicy",
     "PipeTransport",
     "ReplicaGroup",
-    "ShardedGroup",
     "Transport",
 ]

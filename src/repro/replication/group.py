@@ -108,7 +108,6 @@ class ReplicaGroup:
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
         liveness: LivenessPolicy | None = None,
-        name: str = "",
         shard_info: tuple[int, int] | None = None,
         durable_dir: str | None = None,
         durable_fsync: bool = True,
@@ -116,18 +115,16 @@ class ReplicaGroup:
         self.transport = transport
         self.n_replicas = transport.n_replicas
         self.read_fastpath = read_fastpath
-        #: Display name when this group is one shard of a ShardedGroup
-        #: ("shard0", …); empty for the classic single-group deployment.
-        #: Prefixes replica trace tracks ("shard0/replica-1") so the
-        #: consistency checker can partition the total-order comparison
-        #: per shard — shards are independently sequenced, and comparing
-        #: their slot counters across shards would report false forks.
-        self.name = name
         #: ``(shard_index, n_shards)`` when sharded, stamped onto the
         #: HostFailed/HostRecovered commands this group sequences so each
         #: shard deposits failure/recovery tuples only into the partitions
         #: it owns (one tuple per space globally, not one per shard).
         self.shard_info = shard_info
+        #: Prefixes replica trace tracks ("shard0/replica-1") so the
+        #: consistency checker can partition the total-order comparison
+        #: per shard — shards are independently sequenced, and comparing
+        #: their slot counters across shards would report false forks.
+        self.name = f"shard{shard_info[0]}" if shard_info is not None else ""
         #: The live mask.  One list for the group's whole life, shared by
         #: reference with every component; flipped only under the order.
         self.alive = [True] * self.n_replicas
@@ -157,7 +154,7 @@ class ReplicaGroup:
         #: re-checked via the waiter sweep in _mark_failed).
         self._group_error: str | None = None
         self._stopped = False
-        self._owner = owner = name or "group"  # what events call this group
+        self._owner = owner = self.name or "group"  # what events call this group
         self.requests = Requests(transport, self.alive, clock)
         self.journal = GroupJournal(
             durable_dir, durable_fsync, metrics, clock, self._complete,
@@ -650,7 +647,7 @@ class ReplicaGroup:
 
         On per-process-worker transports each live replica starts its own
         sampler, driven by an in-band ``profile_start`` query; on
-        in-process transports the :class:`ShardedGroup`'s ONE process-wide
+        in-process transports the runtime's ONE process-wide
         sampler already sees the replica threads, as it does this group's
         registered threads.  Strictly opt-in — until called, nothing samples.
         """

@@ -1,10 +1,19 @@
-"""ShardedGroup: content-partitioned shard groups over independent sequencers.
+"""ReplicatedRuntime: FT-Linda over content-partitioned replica groups.
+
+One class, :class:`ReplicatedRuntime`, binds the
+:class:`~repro.core.runtime.BaseRuntime` API to the shared replication
+core.  It owns N :class:`~repro.replication.group.ReplicaGroup`
+pipelines (the *shards*), routes every statement to them, fans space
+lifecycle and membership out to all of them, and merges their metrics,
+introspection and profiles into one view.  Its two backends, in
+:mod:`repro.parallel.runtime`, differ only in the transport each shard's
+group is built on.
 
 The classic deployment totally orders *every* AGS through one sequencer
-(:class:`~repro.replication.group.ReplicaGroup`), so write throughput is
-capped at a single thread's ordering rate no matter how many replicas or
-cores exist.  This module lifts that cap by partitioning the tuple space
-by content: tuples live on the shard selected by a stable hash of
+(one :class:`ReplicaGroup`), so write throughput is capped at a single
+thread's ordering rate no matter how many replicas or cores exist.
+``shards=N`` lifts that cap by partitioning the tuple space by content:
+tuples live on the shard selected by a stable hash of
 ``(space, first-field value)`` (:func:`repro.core.matching.shard_of` —
 never builtin ``hash()``, which is salted per process), and each shard is
 a full, independently sequenced :class:`ReplicaGroup` with its own
@@ -54,21 +63,24 @@ Invariants
   notification only into the ``(space, tag)`` partitions it owns — one
   failure tuple per space globally, at an ordered point in each shard.
 
-With ``n_shards=1`` every call delegates straight to the single wrapped
-group — byte-for-byte the pre-sharding behaviour.
+With ``shards=1`` (the default) there is one group and nothing to
+route: every statement goes straight to it, and ``fingerprints``,
+``metrics_snapshot`` and ``introspection_snapshot`` are that group's own.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro._errors import TimeoutError_
 from repro.core.ags import AGS, AGSResult
 from repro.core.matching import ANY_FIRST, shard_of, stable_hash
-from repro.core.spaces import Resilience, Scope, SpaceRegistry, TSHandle
+from repro.core.runtime import BaseRuntime
+from repro.core.spaces import MAIN_TS, Resilience, Scope, SpaceRegistry, TSHandle
 from repro.core.statemachine import (
     CreateSpace,
     DepositTuples,
@@ -77,13 +89,13 @@ from repro.core.statemachine import (
     ExtractTuples,
     TSStateMachine,
 )
-from repro.obs.metrics import MetricsRegistry, merged
+from repro.obs.metrics import merged
 from repro.obs.profile import DEFAULT_HZ, SamplingProfiler, merge_folded
 from repro.obs.tracing import FlightRecorder
 from repro.replication.group import CLIENT_ORIGIN, LivenessPolicy, ReplicaGroup
 from repro.replication.transport import Transport
 
-__all__ = ["ShardedGroup"]
+__all__ = ["ReplicatedRuntime"]
 
 #: Cross-shard retry backoff (seconds): first wait and cap.  A blocking
 #: cross-shard AGS polls — it cannot park inside any single shard's order
@@ -92,51 +104,84 @@ _CROSS_RETRY_INITIAL = 0.002
 _CROSS_RETRY_MAX = 0.05
 
 
-class ShardedGroup:
-    """N content-partitioned :class:`ReplicaGroup` shards behind one façade.
+class ReplicatedRuntime(BaseRuntime):
+    """FT-Linda over N replicas in one or more shards (see module docstring).
 
-    *transport_factory* is called once per shard to build that shard's
-    private transport (each shard needs its own FIFOs and replica
-    workers).  The remaining knobs mirror :class:`ReplicaGroup` and apply
-    to every shard; the tracer is shared so one flight recorder sees all
-    shards (replica tracks are shard-prefixed).
+    Clients are ordinary threads (``eval_`` spawns them) that park until
+    their shard's group reports a completion.  Read-only statements
+    (``rd``/``rdp``) skip sequencing by default — one replica answers
+    them at a consistent session floor (pass ``read_fastpath=False`` to
+    force every operation through the total order).
+
+    ``detect_failures`` turns on each group's liveness plane — a monitor
+    thread combining in-band heartbeats with transport probes, so even a
+    replica killed behind the runtime's back is noticed and converted to
+    fail-stop.  Pass True for the default
+    :class:`~repro.replication.LivenessPolicy` or a policy instance to
+    tune it; ``auto_recover`` additionally restarts the dead replica and
+    installs a donor snapshot, with capped exponential backoff and a
+    max-restarts budget.
+
+    ``shards`` partitions the tuple space into that many independently
+    sequenced replica groups, each with *n_replicas* replicas on a
+    transport of its own.  The remaining knobs apply to every shard; the
+    tracer is shared, so one flight recorder sees all shards (replica
+    tracks are shard-prefixed).
     """
 
     def __init__(
         self,
-        transport_factory: Callable[[], Transport],
-        n_shards: int = 1,
+        n_replicas: int = 3,
         *,
+        shards: int = 1,
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
-        liveness: LivenessPolicy | None = None,
+        detect_failures: bool | LivenessPolicy = False,
+        auto_recover: bool = False,
         durable_dir: str | None = None,
         durable_fsync: bool = True,
     ):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = n_shards
+        super().__init__()
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        # The group takes a policy or None; bool | policy is this layer's
+        # convenience.  The runtime works on its own copy of a caller's
+        # policy and never writes to the caller's object, which may be
+        # shared with other runtimes.
+        liveness = None
+        if isinstance(detect_failures, LivenessPolicy):
+            liveness = copy.copy(detect_failures)
+        elif detect_failures or auto_recover:
+            liveness = LivenessPolicy()  # a supervisor with no detector never fires
+        if liveness is not None and auto_recover:
+            # the runtime kwarg is the more explicit request: it overrides
+            # the flag on a caller-built policy
+            liveness.auto_recover = True
+        self.n_shards = shards
         self.tracer = tracer
-        self.groups: list[ReplicaGroup] = []
-        for k in range(n_shards):
+        self.shard_groups: list[ReplicaGroup] = []
+        for k in range(shards):
             # each shard journals its own ordered stream: shards are
             # independently sequenced, so they recover independently too
             shard_dir = durable_dir
-            if durable_dir is not None and n_shards > 1:
+            if durable_dir is not None and shards > 1:
                 shard_dir = os.path.join(durable_dir, f"shard{k}")
-            self.groups.append(
+            self.shard_groups.append(
                 ReplicaGroup(
-                    transport_factory(),
+                    self._transport(n_replicas),
                     read_fastpath=read_fastpath,
                     tracer=tracer,
                     liveness=liveness,
-                    name=f"shard{k}" if n_shards > 1 else "",
-                    shard_info=(k, n_shards) if n_shards > 1 else None,
+                    shard_info=(k, shards) if shards > 1 else None,
                     durable_dir=shard_dir,
                     durable_fsync=durable_fsync,
                 )
             )
-        self.n_replicas = self.groups[0].n_replicas
+        #: The first shard's group — the whole pipeline when ``shards=1``.
+        self.group = self.shard_groups[0]
+        #: The runtime-facing registry is shard 0's; the merged view
+        #: across shards is :meth:`metrics_snapshot`.
+        self.metrics = self.group.metrics
         #: Serializes space lifecycle fan-out so every shard's registry
         #: sees create/destroy in the same order (identical handle ids).
         self._space_lock = threading.Lock()
@@ -146,12 +191,25 @@ class ShardedGroup:
         #: Live handles, maintained at the router (the coordinator needs
         #: the full space list for dynamic-space statements).  Guarded by
         #: _space_lock.
-        self._spaces: dict[int, TSHandle] = {}
-        #: The façade's own process-wide sampler (see start_profiling).
+        self._spaces: dict[int, TSHandle] = {MAIN_TS.id: MAIN_TS}
+        #: The runtime's own process-wide sampler (see start_profiling).
         self._profiler: SamplingProfiler | None = None
-        from repro.core.spaces import MAIN_TS
+        from repro.obs.server import maybe_serve_from_env
 
-        self._spaces[MAIN_TS.id] = MAIN_TS
+        self._telemetry = maybe_serve_from_env(self)
+
+    def _transport(self, n_replicas: int) -> Transport:
+        """A fresh transport for one shard's group — the backend's one choice."""
+        raise NotImplementedError
+
+    @property
+    def sharded(self) -> ReplicatedRuntime:
+        """This runtime, under the name the repo benchmark's adapters use.
+
+        Kept only for ``benchmarks/suite``, which is frozen: everything
+        else calls ``post_ags``, ``n_shards`` and ``query`` on the runtime.
+        """
+        return self
 
     # ------------------------------------------------------------------ #
     # routing
@@ -168,19 +226,20 @@ class ShardedGroup:
             return next(iter(shards))
         return None
 
-    def execute(
+    def _submit(
         self,
         ags: AGS,
         process_id: int,
+        *,
         timeout: float | None = None,
         actuals: tuple = (),
     ) -> AGSResult:
         """Route one AGS: single-shard fast path or the cross-shard rung."""
         if self.n_shards == 1:
-            return self._call_on(self.groups[0], ags, process_id, timeout, actuals)
+            return self._call_on(self.group, ags, process_id, timeout, actuals)
         shards = ags.shard_set(self.n_shards, actuals)
         if shards is not None and len(shards) == 1:
-            group = self.groups[next(iter(shards))]
+            group = self.shard_groups[next(iter(shards))]
             return self._call_on(group, ags, process_id, timeout, actuals)
         return self._execute_cross(ags, process_id, timeout, shards, actuals)
 
@@ -192,7 +251,7 @@ class ShardedGroup:
                 "post_ags requires a statically single-shard statement; "
                 "cross-shard statements must go through execute()"
             )
-        group = self.groups[shard]
+        group = self.shard_groups[shard]
         group.post(
             ExecuteAGS(
                 group.next_request_id(), CLIENT_ORIGIN, process_id, ags, actuals
@@ -311,7 +370,7 @@ class ShardedGroup:
             sels = selectors[k]
             if not sels:
                 continue
-            group = self.groups[k]
+            group = self.shard_groups[k]
             reply = group.call(
                 ExtractTuples(group.next_request_id(), CLIENT_ORIGIN, sels)
             )
@@ -373,7 +432,7 @@ class ShardedGroup:
             k = shard_of(handle.id, fields[0], self.n_shards)
             by_shard.setdefault(k, []).append((handle, fields))
         for k in sorted(by_shard):
-            group = self.groups[k]
+            group = self.shard_groups[k]
             group.post(
                 DepositTuples(group.next_request_id(), CLIENT_ORIGIN, by_shard[k])
             )
@@ -391,7 +450,7 @@ class ShardedGroup:
     ) -> TSHandle:
         with self._space_lock:
             results = []
-            for group in self.groups:
+            for group in self.shard_groups:
                 results.append(
                     group.call(
                         CreateSpace(
@@ -409,7 +468,7 @@ class ShardedGroup:
     def destroy_space(self, handle: TSHandle) -> None:
         with self._space_lock:
             results = []
-            for group in self.groups:
+            for group in self.shard_groups:
                 results.append(
                     group.call(
                         DestroySpace(group.next_request_id(), CLIENT_ORIGIN, handle)
@@ -432,23 +491,18 @@ class ShardedGroup:
         globally while every shard still drops the dead origin's parked
         statements at an ordered point.
         """
-        for group in self.groups:
+        for group in self.shard_groups:
             group.crash_replica(replica_id, notify=notify)
 
     def recover_replica(self, replica_id: int, *, timeout: float = 30.0) -> None:
-        for group in self.groups:
+        """Restart a halted replica in every shard and transfer state into it."""
+        for group in self.shard_groups:
             group.recover_replica(replica_id, timeout=timeout)
 
     def inject_failure(self, host_id: int) -> None:
-        for group in self.groups:
+        """Deposit a failure tuple for a *logical* host (worker) id."""
+        for group in self.shard_groups:
             group.inject_failure(host_id)
-
-    @property
-    def alive(self) -> list[bool]:
-        """Replica liveness across shards (live = live in every shard)."""
-        return [
-            all(g.alive[i] for g in self.groups) for i in range(self.n_replicas)
-        ]
 
     # ------------------------------------------------------------------ #
     # durability (fanned out: every shard compacts/reports its journal)
@@ -456,12 +510,12 @@ class ShardedGroup:
 
     def compact_journal(self, *, timeout: float = 30.0) -> list[int | None]:
         """Compact every shard's journal; per-shard covered slots."""
-        return [g.compact_journal(timeout=timeout) for g in self.groups]
+        return [g.compact_journal(timeout=timeout) for g in self.shard_groups]
 
     def journal_status(self) -> list[dict[str, Any]]:
         """Per-shard journal status (empty when not durable)."""
         statuses = []
-        for g in self.groups:
+        for g in self.shard_groups:
             st = g.journal_status()
             if st is not None:
                 st["shard"] = g.name or "group"
@@ -481,11 +535,13 @@ class ShardedGroup:
         *,
         shard: int = 0,
     ) -> Any:
-        """In-band query against one shard's replica (default shard 0)."""
-        return self.groups[shard].query(replica_id, what, arg, timeout=timeout)
+        """In-band query against one shard's replica (default shard 0),
+        answered after all previously sequenced commands."""
+        return self.shard_groups[shard].query(replica_id, what, arg, timeout=timeout)
 
     def quiesce(self, timeout: float = 30.0) -> None:
-        for group in self.groups:
+        """Wait until every live replica has applied every broadcast."""
+        for group in self.shard_groups:
             group.quiesce(timeout=timeout)
 
     def fingerprints(self) -> list[int]:
@@ -497,14 +553,14 @@ class ShardedGroup:
         contract tests make is preserved verbatim.
         """
         if self.n_shards == 1:
-            return self.groups[0].fingerprints()
+            return self.group.fingerprints()
         prints: list[int] = []
-        for i in range(self.n_replicas):
-            if not all(g.alive[i] for g in self.groups):
+        for i in range(self.group.n_replicas):
+            if not all(g.alive[i] for g in self.shard_groups):
                 continue
             parts: list[int] = []
             dead_race = False
-            for g in self.groups:
+            for g in self.shard_groups:
                 try:
                     parts.append(g.query(i, "fingerprint"))
                 except TimeoutError_:
@@ -520,16 +576,17 @@ class ShardedGroup:
         return len(set(self.fingerprints())) <= 1
 
     def space_size(self, handle: TSHandle) -> int:
-        return sum(group.space_size(handle) for group in self.groups)
+        return sum(group.space_size(handle) for group in self.shard_groups)
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """Merged instruments, plus per-shard sub-snapshots when sharded."""
+        self._sample_plans(self.metrics)
         if self.n_shards == 1:
-            return self.groups[0].metrics_snapshot()
+            return self.group.metrics_snapshot()
         # each group's snapshot refreshes its own backpressure gauges
         # before the merged view is assembled
-        per_shard = {g.name: g.metrics_snapshot() for g in self.groups}
-        snap = merged([g.metrics for g in self.groups]).snapshot()
+        per_shard = {g.name: g.metrics_snapshot() for g in self.shard_groups}
+        snap = merged([g.metrics for g in self.shard_groups]).snapshot()
         snap["shards"] = per_shard
         return snap
 
@@ -538,37 +595,35 @@ class ShardedGroup:
     # ------------------------------------------------------------------ #
 
     def start_profiling(self, hz: float = DEFAULT_HZ) -> None:
-        """Sample every shard's threads (and replica processes) at *hz*.
+        """Begin continuous sampling of the runtime at *hz* (opt-in).
 
-        One process-wide local sampler covers all shards' in-process
-        threads — their roles are already shard-qualified
-        ("shard0/sequencer", …) — while each shard group independently
-        drives its replica-process samplers, so a shard losing a replica
-        mid-profile affects only its own remote stacks.
+        One process-wide local sampler covers every shard's registered
+        roles (sequencers, read flushers, monitors, replica threads — all
+        shard-qualified, "shard0/sequencer", …) plus client threads by
+        name, while each shard group drives its own replica-process
+        samplers over the in-band query lane, incarnation-fenced: a
+        replica SIGKILLed mid-profile just drops out of the merge, and a
+        shard losing one affects only its own remote stacks.  See
+        :mod:`repro.obs.profile`.
         """
         if self._profiler is None:
             self._profiler = SamplingProfiler(hz=hz).start()
-        for group in self.groups:
+        for group in self.shard_groups:
             group.start_profiling(hz)
 
     def stop_profiling(self) -> dict[str, int]:
-        """Stop sampling; return folded stacks merged across all shards."""
+        """Stop sampling everywhere; return folded stacks (``role;frame;... -> n``)
+        merged across all shards."""
         folded: dict[str, int] = {}
         prof = self._profiler
         self._profiler = None
         if prof is not None:
             folded = prof.stop()
-        for group in self.groups:
+        for group in self.shard_groups:
             folded = merge_folded(folded, group.stop_profiling())
         return folded
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The runtime-facing registry: shard 0's when single, merged view
-        is available via :meth:`metrics_snapshot`."""
-        return self.groups[0].metrics
-
-    def introspection_snapshot(self, backend: str = "ShardedGroup") -> dict[str, Any]:
+    def introspection_snapshot(self) -> dict[str, Any]:
         """One live-state image across shards (shape of ``empty_snapshot``).
 
         Sharded deployments add two things to the uniform shape: every
@@ -578,15 +633,16 @@ class ShardedGroup:
         max-shard tuples over mean-shard tuples, 1.0 meaning the
         partitioner is spreading content evenly.
         """
+        backend = type(self).__name__
         if self.n_shards == 1:
-            return self.groups[0].introspection_snapshot(backend)
+            return self.group.introspection_snapshot(backend)
         from repro.obs.inspect import empty_snapshot
 
         out = empty_snapshot(backend)
         sm_out = out["sm"]
         shard_rows: list[dict[str, Any]] = []
         spaces_by_id: dict[int, dict[str, Any]] = {}
-        for group in self.groups:
+        for group in self.shard_groups:
             snap = group.introspection_snapshot(backend)
             for row in snap["replicas"]:
                 row = dict(row)
@@ -649,8 +705,9 @@ class ShardedGroup:
     # ------------------------------------------------------------------ #
 
     def shutdown(self) -> None:
+        super().shutdown()
         if self._profiler is not None:
             self._profiler.stop()
             self._profiler = None
-        for group in self.groups:
+        for group in self.shard_groups:
             group.shutdown()

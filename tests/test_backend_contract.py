@@ -242,7 +242,7 @@ class TestMetrics:
             pytest.skip("no sequencer to post to on this backend")
         ts, w = rt.main_ts, 1
         for tid in range(100):
-            rt.sharded.post_ags(AGS.atomic(Op.out(ts, "task", tid, 3 * tid)))
+            rt.post_ags(AGS.atomic(Op.out(ts, "task", tid, 3 * tid)))
         rt.quiesce()
         for _ in range(100):
             tid = rt.execute(AGS.single(

@@ -1,88 +1,16 @@
-"""The three AGS front ends (builder, DSL, text) must agree exactly."""
+"""The FT-lcc pretty-printer: printed text compiles back to the same AGS."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro import AGS, AGSError, Guard, LocalRuntime, Op, formal, ref
+from repro import AGS, Guard, Op, formal, ref
 from repro.core.ags import Param
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
-from repro.dsl import atomic, copy, in_, inp, move, out, rd, rdp, true, var, when
 from repro.lcc import compile_ags, print_ags, printable
 
 NAMES = {MAIN_TS: "main"}
 SPACES = {"main": MAIN_TS}
-
-
-class TestDSL:
-    def test_simple_increment_equals_builder(self):
-        dsl = (
-            when(in_(MAIN_TS, "count", ("old", int)))
-            .do(out(MAIN_TS, "count", var("old") + 1))
-            .build()
-        )
-        built = AGS.single(
-            Guard.in_(MAIN_TS, "count", formal(int, "old")),
-            [Op.out(MAIN_TS, "count", ref("old") + 1)],
-        )
-        assert dsl == built
-
-    def test_equals_text_front_end(self):
-        dsl = (
-            when(in_(MAIN_TS, "count", ("old", int)))
-            .do(out(MAIN_TS, "count", var("old") + 1))
-            .build()
-        )
-        text = compile_ags(
-            '< in(main, "count", ?old:int) => out(main, "count", old + 1) >',
-            SPACES,
-        )
-        assert dsl == text
-
-    def test_disjunction(self):
-        stmt = (
-            when(inp(MAIN_TS, "job", ("j", int)))
-            .do(out(MAIN_TS, "taken", var("j")))
-            .orelse(true().do(out(MAIN_TS, "idle", 1)))
-            .build()
-        )
-        assert len(stmt.branches) == 2
-        rt = LocalRuntime()
-        assert rt.execute(stmt).fired == 1
-        rt.out(MAIN_TS, "job", 5)
-        assert rt.execute(stmt).fired == 0
-
-    def test_anonymous_formals_by_bare_type(self):
-        stmt = when(in_(MAIN_TS, "x", int)).do().build()
-        rt = LocalRuntime()
-        rt.out(MAIN_TS, "x", 3)
-        assert rt.execute(stmt).succeeded
-
-    def test_move_copy(self):
-        rt = LocalRuntime()
-        dst = rt.create_space("dst")
-        rt.out(MAIN_TS, "t", 1)
-        rt.execute(atomic(copy(MAIN_TS, dst, "t", int)))
-        rt.execute(atomic(move(MAIN_TS, dst, "t", int)))
-        assert rt.space_size(dst) == 2
-        assert rt.space_size(MAIN_TS) == 0
-
-    def test_rd_and_rdp_guards(self):
-        rt = LocalRuntime()
-        rt.out(MAIN_TS, "x", 1)
-        assert rt.execute(when(rd(MAIN_TS, "x", int)).do().build()).succeeded
-        assert rt.execute(when(rdp(MAIN_TS, "x", int)).do().build()).succeeded
-        assert rt.space_size(MAIN_TS) == 1  # both left the tuple in place
-
-    def test_out_cannot_guard(self):
-        with pytest.raises(AGSError):
-            when(out(MAIN_TS, "x", 1))
-
-    def test_empty_builder_rejected(self):
-        from repro.dsl import AGSBuilder
-
-        with pytest.raises(AGSError):
-            AGSBuilder().build()
 
 
 class TestPrinter:

@@ -403,6 +403,43 @@ class TestDurableGroup:
         assert len(back.journal_status()) == 2
         back.shutdown()
 
+    def test_sharded_compaction_restart(self, tmp_path):
+        from repro.core.matching import shard_of
+        from repro.parallel import ThreadedReplicaRuntime
+
+        d = str(tmp_path / "journal")
+        rt = ThreadedReplicaRuntime(2, shards=2, durable_dir=d)
+        ts = rt.main_ts
+        keys = [f"k{i}" for i in range(30)]
+        for i, key in enumerate(keys):
+            rt.out(ts, key, i)
+        rt.quiesce()
+        homes = [shard_of(ts.id, key, 2) for key in keys]
+        # one covered slot per shard: the outs that shard ordered
+        slots = rt.compact_journal()
+        assert slots == [homes.count(0), homes.count(1)]
+        assert 0 not in slots  # the keys reach both shards
+        rows = rt.journal_status()
+        assert [row["shard"] for row in rows] == ["shard0", "shard1"]
+        assert [row["snapshot_slot"] for row in rows] == slots
+        # shard 1 read directly, as the benchmark's adapters read it
+        held = rt.query(0, "space_tuples", ts, shard=1)
+        assert sorted(held) == sorted(
+            (key, i) for i, key in enumerate(keys) if homes[i] == 1
+        )
+        rt.out(ts, "after", 1)
+        rt.quiesce()
+        size = rt.space_size(ts)
+        before = set(rt.fingerprints())
+        rt.shutdown()
+
+        back = ThreadedReplicaRuntime(2, shards=2, durable_dir=d)
+        back.quiesce()
+        assert back.space_size(back.main_ts) == size == 31
+        assert set(back.fingerprints()) == before
+        assert [row["snapshot_slot"] for row in back.journal_status()] == slots
+        back.shutdown()
+
     def test_transfer_interrupted_by_second_crash_threaded(self):
         from repro.parallel import ThreadedReplicaRuntime
 
@@ -605,7 +642,7 @@ def _applied(rt):
 
 
 def _post_out(rt, *fields):
-    rt.sharded.post_ags(AGS.atomic(Op.out(rt.main_ts, *fields)))
+    rt.post_ags(AGS.atomic(Op.out(rt.main_ts, *fields)))
 
 
 @pytest.fixture

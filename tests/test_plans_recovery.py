@@ -147,8 +147,8 @@ def test_sharded_plan_routes_where_the_statement_by_value_did():
             home = shard_of(ts.id, key, 4)  # what the by-value classifier computes
             homes.add(home)
             plan, actuals = rt._plan(OpCode.OUT, (ts,), (key, 1))
-            assert rt.sharded.shard_of_ags(plan.ags, actuals) == home
-            assert rt.sharded.shard_of_ags(plan.ags) is None  # the holes decide it
+            assert rt.shard_of_ags(plan.ags, actuals) == home
+            assert rt.shard_of_ags(plan.ags) is None  # the holes decide it
             rt.out(ts, key, 1)
             assert [g.space_size(ts) for g in rt.shard_groups] == [
                 int(k == home) for k in range(4)
@@ -158,7 +158,7 @@ def test_sharded_plan_routes_where_the_statement_by_value_did():
         assert len(homes) > 1  # the keys above do spread
         # a wildcard first field pins nothing: still the cross-shard rung
         plan, actuals = rt._plan(OpCode.INP, (ts,), (formal(), 2))
-        assert rt.sharded.shard_of_ags(plan.ags, actuals) is None
+        assert rt.shard_of_ags(plan.ags, actuals) is None
         rt.out(ts, "alpha", 2)
         assert rt.inp(ts, formal(), 2) == ("alpha", 2)
         assert rt.inp(ts, formal(), 2) is None
@@ -271,8 +271,8 @@ def test_sharded_hand_built_statement_routes_where_it_did_by_value():
             take = AGS.single(
                 Guard.in_(ts, key, formal(int, "v")), [Op.out(ts, key, "seen", ref("v") + n)]
             )
-            assert rt.sharded.shard_of_ags(_out(ts, key, n)) == home
-            assert rt.sharded.shard_of_ags(take) == home
+            assert rt.shard_of_ags(_out(ts, key, n)) == home
+            assert rt.shard_of_ags(take) == home
             rt.execute(_out(ts, key, n))
             assert [g.space_size(ts) for g in rt.shard_groups] == [
                 int(k == home) for k in range(4)

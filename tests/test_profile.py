@@ -235,9 +235,9 @@ class TestBackendProfiling:
             _churn(rt, 10)
             names = {t.name for t in threading.enumerate()}
             assert "profile-sampler" not in names
-            for g in rt.sharded.groups:
+            for g in rt.shard_groups:
                 assert not g._remote_profiling
-            assert rt.sharded._profiler is None
+            assert rt._profiler is None
             # the registrations themselves are plain dict entries
             assert any(
                 role.endswith("sequencer") for role in registered_roles().values()

@@ -172,7 +172,7 @@ class TestShardedRuntime:
         for _ in range(50):
             assert rt4.inp(rt4.main_ts, formal(str), formal(int)) is not None
         for shard in range(4):
-            snapshot, _applied = rt4.sharded.query(0, "snapshot", shard=shard)
+            snapshot, _applied = rt4.query(0, "snapshot", shard=shard)
             kept = [
                 result
                 for _rid, result in snapshot["completed"]

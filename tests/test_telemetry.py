@@ -267,7 +267,7 @@ class TestWindowRegistry:
         assert after["histograms"]["ags_e2e"]["count"] == 1
 
     def test_merge_across_replica_registries(self):
-        """ShardedGroup's runtime-wide view: windows merge through
+        """A sharded runtime's merged view: windows merge through
         MetricsRegistry.merge like every cumulative instrument."""
         regs = [MetricsRegistry() for _ in range(3)]
         for i, reg in enumerate(regs):
