@@ -23,10 +23,9 @@ promises to survive:
   (an in-band ``sleep`` request), creating lag and false-suspicion pressure
   without killing anything: the detector must NOT fire (the probe still
   passes).
-- :meth:`ChaosMonkey.kill_read_flusher` / :meth:`ChaosMonkey.
-  kill_sequencer` — feed an internal group thread an item it cannot
-  process.  The flusher's death must degrade reads to direct sends; the
-  sequencer's death must mark the group failed and wake every waiter.
+- :meth:`ChaosMonkey.kill_sequencer` — feed the sequencer thread an
+  item it cannot process.  Its death must mark the group failed and
+  wake every waiter.
 
 Faults can be scripted (:meth:`ChaosMonkey.run_script`) or generated
 from a seed (:meth:`ChaosMonkey.random_script`) — seeded, so a failing
@@ -176,13 +175,6 @@ class ChaosMonkey:
         """Stall one replica's delivery lane for *seconds* (in-band)."""
         self.group.requests.tell(replica_id, "sleep", seconds)
         self._note("delay_replica", replica_id, seconds)
-
-    def kill_read_flusher(self) -> None:
-        """Feed the read-flusher thread an item it cannot unpack."""
-        lane = self.group.reads
-        lane._pending.append(("BOOM",))  # type: ignore[arg-type]
-        lane._kick.set()
-        self._note("kill_read_flusher")
 
     def kill_sequencer(self) -> None:
         """Feed the sequencer thread a batch entry it cannot process.

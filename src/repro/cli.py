@@ -44,7 +44,7 @@ the panel ends with the "where does a millisecond go" budget.
 
 The ``profile`` subcommand runs the continuous sampling profiler over a
 churn workload: hot runtime threads appear under their registered role
-names (``sequencer``, ``replica-2``, ``read-flusher``, ...; shard-
+names (``sequencer``, ``replica-2``, ``journal``, ...; shard-
 qualified on sharded runtimes), and on the multiprocess backend each
 replica OS process is sampled in situ via the in-band query lane.  The
 folded profile is exported as speedscope JSON (``--format speedscope``,
@@ -977,7 +977,7 @@ def _profile_main(argv: list[str]) -> int:
     named = [
         role
         for role, _n, _s in role_summary(folded)
-        if any(tag in role for tag in ("sequencer", "replica-", "read-flusher"))
+        if any(tag in role for tag in ("sequencer", "replica-"))
     ]
     if total == 0 or not named:
         print("SMOKE FAIL: no samples attributed to named runtime roles")

@@ -6,7 +6,7 @@ slower than threaded (``bench_reads.txt``) without knowing where the time
 goes.  This module is the missing instrument:
 
 - :func:`register_thread` — the runtime's hot threads (sequencer, replica
-  apply loops, read flusher, liveness monitor, chaos injectors) announce
+  apply loops, journal, liveness monitor, chaos injectors) announce
   themselves under **stable role names** at thread start.  Registration
   is one dict store per thread lifetime — nothing on any per-operation
   path — so the profiler's off-path cost is structurally zero, the same
@@ -78,7 +78,7 @@ def register_thread(role: str, ident: int | None = None) -> None:
     """Register the calling thread (or *ident*) under a stable role name.
 
     Called once at the top of each runtime thread's loop ("sequencer",
-    "replica-2", "read-flusher", "liveness-monitor", "chaos").  Idents of
+    "replica-2", "journal", "liveness-monitor", "chaos").  Idents of
     dead threads may be reused by the OS; re-registration simply
     overwrites, which is the behaviour a reincarnated replica slot wants.
     """

@@ -307,7 +307,6 @@ def default_rules(
             name: gauges[name]
             for name in (
                 "sequencer_inbox_depth",
-                "read_lane_depth",
                 "replica_inbox_max_depth",
                 "journal_lag",
             )

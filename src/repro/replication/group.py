@@ -35,7 +35,7 @@ left here is what they meet on:
   recorder attached (the default) every emit site is a single
   ``is not None`` check and commands carry ``trace_id=None``;
 - **profiling** — this group's threads register their roles (sequencer,
-  read flusher, monitor, journal, in-process replicas) for the
+  monitor, journal, in-process replicas) for the
   :mod:`repro.obs.profile` sampler, and on per-process transports
   :meth:`ReplicaGroup.start_profiling` drives per-replica samplers
   through the in-band query lane (strictly opt-in).
@@ -171,7 +171,6 @@ class ReplicaGroup:
         self.reads = ReadLane(
             transport, self.alive, self.seq, metrics, clock,
             parked=self._waiters.get, unpark=self._unpark,
-            role=self._role("read-flusher"),
         )
         self.transfer = StateTransfer(
             transport, self.alive, self.seq, self.requests,
@@ -192,8 +191,6 @@ class ReplicaGroup:
         self.journal.start()
         transport.start(self._on_worker_item)
         self.seq.start()
-        if read_fastpath:
-            self.reads.start()
         if self.liveness is not None:
             self.liveness.start()
         if self.journal.durable:
@@ -631,7 +628,6 @@ class ReplicaGroup:
         # hot path never touches them.  Queue sizes are approximate by
         # nature (qsize races the consumers); that is fine for a gauge.
         self.seq.depth()  # leaves it in the sequencer's gauge
-        self.reads.sample()
         self.journal.sample()
         self._g_apply_depth.set(
             max((self.transport.depth(i) for i in self.live_replicas()), default=0)
@@ -727,7 +723,6 @@ class ReplicaGroup:
         if self.liveness is not None:
             self.liveness.close()
         self.seq.close()
-        self.reads.close()
         # after the sequencer's last flush, so the last fsync covers it
         self.journal.stop()
         self.transport.shutdown(self.alive)

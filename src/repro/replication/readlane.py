@@ -10,11 +10,9 @@ floor, then evaluates the guard on local state — read-your-writes
 consistency with no sequencing, no broadcast and one guard evaluation
 instead of N.
 
-The read lane gets the same amortization as the write lane: a flusher
-thread drains concurrently submitted reads and ships them per replica as
-one ``READS`` item, and replicas answer each served batch with one
-``COMPS`` — so under read-heavy load the per-operation transport cost
-(pickle + queue wakeup, both ways) is shared.
+Each read is one ``("READS", [(floor, cmd)])`` send from the reader's
+own thread (the transport serialises concurrent writers into one
+replica's FIFO), and the replica answers it with one ``COMPS``.
 
 A blocking read whose guard cannot fire locally (``READMISS``), and any
 read stranded by a replica crash, falls back transparently to the ordered
@@ -27,20 +25,18 @@ reroute, the client's timeout} pops it and owns what happens next.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Any, Callable, Sequence
 
 from repro._errors import TimeoutError_
 from repro.core.statemachine import ExecuteAGS
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import register_thread
 from repro.replication.transport import Transport
 
 __all__ = ["ReadLane"]
 
 
 class ReadLane:
-    """Owns the read registry, the lane lock, the flusher and its queue.
+    """Owns the read registry and its lock.
 
     *seq* is the sequencer — ``floor()`` for a read's session floor,
     ``ship(cmd, w)`` for its fallback into the order.  The waiters are the
@@ -59,7 +55,6 @@ class ReadLane:
         *,
         parked: Callable[[int], Any],
         unpark: Callable[[int], None],
-        role: str = "read-flusher",
     ):
         self._transport = transport
         self._alive = alive
@@ -67,37 +62,12 @@ class ReadLane:
         self._clock = clock
         self._parked = parked
         self._unpark = unpark
-        self._role = role
         self._lock = threading.Lock()
         #: Outstanding fast-path reads: request_id -> (replica_id, command).
         self._reads: dict[int, tuple[int, ExecuteAGS]] = {}
-        #: The lane's pending queue: (replica, floor, cmd) triples drained
-        #: by the flusher into one READS item per replica — the same batch
-        #: amortization the sequencer gives writes, minus the ordering.
-        #: deque append/popleft are atomic; no lock needed.
-        self._pending: deque[tuple[int, int, ExecuteAGS]] = deque()
-        self._kick = threading.Event()
-        #: Contention detector for the read lane: a reader that gets this
-        #: uncontended sends its read itself (lowest latency); one that
-        #: finds it held leaves the read for the flusher to batch.
-        self._read_send_lock = threading.Lock()
         self._h_read = metrics.histogram("read_latency")
         self._c_fast = metrics.counter("read_fastpath")
         self._c_fallback = metrics.counter("read_fallback")
-        #: Sampled by sample(), never maintained on the hot path.
-        self._g_depth = metrics.gauge("read_lane_depth")
-        self._stopped = False
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        """Launch the flusher; without one every read is sent directly."""
-        self._thread = threading.Thread(
-            target=self._loop, name="read-flusher", daemon=True
-        )
-        self._thread.start()
-
-    def sample(self) -> None:
-        self._g_depth.set(len(self._pending))
 
     # ------------------------------------------------------------------ #
     # the client's side
@@ -133,20 +103,7 @@ class ReadLane:
         w.fellback = threading.Event()
         with self._lock:
             self._reads[cmd.request_id] = (replica, cmd)
-        if self._read_send_lock.acquire(blocking=False):
-            # idle lane: send directly — one thread hop fewer, which is
-            # most of a fast read's latency at low concurrency
-            try:
-                self._transport.send(replica, ("READS", [(floor, cmd)]))
-            finally:
-                self._read_send_lock.release()
-        elif self._thread is not None:
-            # another reader holds the lane: join the flusher's next
-            # per-replica batch instead of queueing up a send per read
-            self._pending.append((replica, floor, cmd))
-            self._kick.set()
-        else:
-            self._transport.send(replica, ("READS", [(floor, cmd)]))
+        self._transport.send(replica, ("READS", [(floor, cmd)]))
         if not self._alive[replica] and self._claim(cmd.request_id):
             # Raced the death declaration: whoever pops the registration
             # owns the reroute.  Had reroute() got there first, the
@@ -220,62 +177,3 @@ class ReadLane:
         """Forget every registration: the group failed its waiters."""
         with self._lock:
             self._reads.clear()
-
-    # ------------------------------------------------------------------ #
-    # the flusher
-    # ------------------------------------------------------------------ #
-
-    def _loop(self) -> None:
-        """Drain the read lane into per-replica READS batches until shutdown.
-
-        The write lane's amortization argument, replayed: while this
-        thread is shipping one batch, concurrently submitting readers
-        keep appending — so each transport send (and, on the pickling
-        transport, each marshalling pass) carries as many reads as the
-        previous send was slow.  A read enqueued for a replica that
-        crashed after registration still gets shipped here; the dead
-        FIFO drops it, and the crash handler's reroute owns the outcome.
-
-        Unlike the sequencer, this thread's death is survivable: the fast
-        path degrades to direct sends (``_thread`` is cleared, which is
-        exactly the condition :meth:`send` already checks), and any read
-        stranded on the queue is rerouted through the total order.
-        """
-        register_thread(self._role)
-        pending = self._pending
-        try:
-            while True:
-                self._kick.wait()
-                self._kick.clear()
-                while pending:
-                    by_replica: dict[int, list[tuple[int, ExecuteAGS]]] = {}
-                    try:
-                        while True:
-                            replica, floor, cmd = pending.popleft()
-                            by_replica.setdefault(replica, []).append((floor, cmd))
-                    except IndexError:
-                        pass
-                    # hold the lane lock while shipping so concurrent readers
-                    # keep feeding the next batch instead of racing us
-                    with self._read_send_lock:
-                        for replica, reads in by_replica.items():
-                            self._transport.send(replica, ("READS", reads))
-                if self._stopped:
-                    return
-        except Exception:  # noqa: BLE001 - degrade, don't strand readers
-            self._thread = None
-            while True:
-                try:
-                    entry = pending.popleft()
-                except IndexError:
-                    break
-                if len(entry) != 3:
-                    continue  # the malformed item that killed the loop
-                self.miss(entry[2].request_id)
-
-    def close(self) -> None:
-        self._stopped = True
-        thread = self._thread
-        if thread is not None:
-            self._kick.set()
-            thread.join(timeout=5.0)

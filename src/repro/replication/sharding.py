@@ -598,7 +598,7 @@ class ReplicatedRuntime(BaseRuntime):
         """Begin continuous sampling of the runtime at *hz* (opt-in).
 
         One process-wide local sampler covers every shard's registered
-        roles (sequencers, read flushers, monitors, replica threads — all
+        roles (sequencers, journals, monitors, replica threads — all
         shard-qualified, "shard0/sequencer", …) plus client threads by
         name, while each shard group drives its own replica-process
         samplers over the in-band query lane, incarnation-fenced: a

@@ -21,9 +21,8 @@ received                              meaning
                                       read-only ExecuteAGS on local state
                                       once ``applied >= floor`` (parked
                                       until then), mutating nothing; the
-                                      group's read flusher batches many
-                                      reads into one item, mirroring the
-                                      write lane's batch amortization
+                                      group's read lane sends one read
+                                      per item, from the reader's thread
 ``("QUERY", qid, what, arg)``         one in-band request of kind *what*
                                       (the table below), handled after
                                       everything sequenced before it; a

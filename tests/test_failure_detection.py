@@ -298,18 +298,6 @@ class TestInternalThreadDeath:
             threaded.out(threaded.main_ts, "x", 1)
         assert time.monotonic() - t0 < 1.0
 
-    def test_read_flusher_death_degrades_to_direct_sends(self, threaded):
-        monkey = ChaosMonkey(threaded)
-        threaded.out(threaded.main_ts, "k", 1)
-        monkey.kill_read_flusher()
-        deadline = time.monotonic() + 5.0
-        while threaded.group.reads._thread is not None:
-            assert time.monotonic() < deadline, "flusher death not observed"
-            time.sleep(0.01)
-        # reads still answer (fallback path), repeatedly
-        for _ in range(5):
-            assert threaded.rd(threaded.main_ts, "k", formal(int)) == ("k", 1)
-
 
 class TestRetries:
     """client retry helper: at-most-once even across resubmission."""

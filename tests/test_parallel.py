@@ -3,8 +3,11 @@
 The semantics shared by every backend (Linda ops, AGS atomicity, crash
 tolerance, convergence, metrics) live in ``test_backend_contract.py``;
 this file keeps only behaviour unique to one backend — ordered
-cancellation, cross-process pickling, snapshot recovery.
+cancellation, cross-process pickling, snapshot recovery — and the
+threads each configuration starts (DESIGN.md's component table).
 """
+
+import threading
 
 import pytest
 
@@ -72,3 +75,40 @@ class TestMultiprocess:
         rt.out(rt.main_ts, "later", 4)
         assert h.join(timeout=30) == ("later", 4)
         assert rt.converged()
+
+
+def _threads_started(make):
+    """The names of the threads that constructing a runtime starts."""
+    before = set(threading.enumerate())
+    rt = make()
+    try:
+        return sorted(t.name for t in threading.enumerate() if t not in before)
+    finally:
+        rt.shutdown()
+
+
+class TestThreadsStarted:
+    REPLICAS = ["replica-0.0", "replica-1.0", "replica-2.0"]
+
+    def test_threaded(self):
+        assert _threads_started(lambda: ThreadedReplicaRuntime(3)) == [
+            *self.REPLICAS, "sequencer"
+        ]
+
+    def test_failure_detection_adds_the_monitor(self):
+        started = _threads_started(
+            lambda: ThreadedReplicaRuntime(3, detect_failures=True)
+        )
+        assert started == ["liveness-monitor", *self.REPLICAS, "sequencer"]
+
+    def test_fsynced_journal_adds_its_thread(self, tmp_path):
+        started = _threads_started(
+            lambda: ThreadedReplicaRuntime(3, durable_dir=str(tmp_path))
+        )
+        assert started == ["journal", *self.REPLICAS, "sequencer"]
+
+    def test_multiproc(self):
+        assert _threads_started(lambda: MultiprocessRuntime(3)) == [
+            "mp-collector-0.0", "mp-collector-1.0", "mp-collector-2.0",
+            "mp-pipe-drain", "sequencer",
+        ]

@@ -342,7 +342,6 @@ class TestStageBudget:
             gauges = rt.metrics_snapshot()["gauges"]
             for name in (
                 "sequencer_inbox_depth",
-                "read_lane_depth",
                 "replica_inbox_max_depth",
             ):
                 assert name in gauges

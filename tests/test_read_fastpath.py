@@ -7,11 +7,12 @@ lane's registrations and the pending requests must be empty after every
 way a call or query can end.
 """
 
+import sys
 import threading
 
 import pytest
 
-from repro import AGS, Guard, Op, TimeoutError_, formal
+from repro import AGS, Guard, Op, TimeoutError_, formal, ref
 from repro.core.spaces import MAIN_TS
 from repro.core.statemachine import CancelRequest, ExecuteAGS
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
@@ -325,3 +326,60 @@ class TestCrashRaces:
             assert rt.converged()
             assert len(rt.fingerprints()) == 3
             assert_clean(rt.group)
+
+
+class TestConcurrentReaders:
+    """More reader threads than CPUs, so several share one replica's lane
+    and their sends into it interleave, beside an ordered writer."""
+
+    READERS, READS, KEYS, INCREMENTS = 8, 200, 16, 50
+
+    def test_every_read_answered_on_the_fast_path(self, rt):
+        for k in range(self.KEYS):
+            rt.out(rt.main_ts, "res", k, k * k)
+        rt.out(rt.main_ts, "ctr", 0)
+        bump = AGS.single(
+            Guard.in_(rt.main_ts, "ctr", formal(int, "v")),
+            [Op.out(rt.main_ts, "ctr", ref("v") + 1)],
+        )
+        errors: list[BaseException] = []
+
+        def reader(r):
+            try:
+                for i in range(self.READS):
+                    k = (r + i) % self.KEYS
+                    got = rt.rd(rt.main_ts, "res", k, formal(int))
+                    assert got == ("res", k, k * k), got
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def writer():
+            try:
+                for _ in range(self.INCREMENTS):
+                    assert rt.execute(bump).succeeded
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(r,))
+            for r in range(self.READERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the sends inside one lane
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        counters = rt.metrics_snapshot()["counters"]
+        assert counters.get("read_fastpath", 0) == self.READERS * self.READS
+        assert counters.get("read_fallback", 0) == 0
+        assert rt.inp(rt.main_ts, "ctr", formal(int)) == ("ctr", self.INCREMENTS)
+        rt.quiesce()
+        assert rt.converged()
+        assert len(rt.fingerprints()) == 3
+        assert_clean(rt.group)
