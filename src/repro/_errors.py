@@ -58,6 +58,10 @@ class HostFailedError(RuntimeFailure):
         super().__init__(message or f"host {host_id} has failed")
 
 
+class OperandError(AGSError):
+    """A registered function raised evaluating an operand: the statement aborts."""
+
+
 class NotDeterministicError(AGSError):
     """An expression used inside an AGS body is not marked deterministic."""
 

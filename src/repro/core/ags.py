@@ -44,10 +44,13 @@ from repro._errors import (
     AGSError,
     FormalBindingError,
     NotDeterministicError,
+    OperandError,
 )
 from repro.core.matching import ANY_FIRST, shard_of
 from repro.core.spaces import TSHandle
-from repro.core.tuples import Formal, Pattern, is_valid_field
+from repro.core.tuples import (
+    CHECKED, CONST, REF, Formal, Pattern, Recipe, is_valid_field, type_name, typed_value,
+)
 
 __all__ = [
     "AGS",
@@ -82,13 +85,14 @@ class Operand:
     """
 
     __slots__ = ()
+    _kind = CHECKED  # how a Recipe takes it: evaluated and checked per call
 
     def evaluate(self, env: Mapping[str, Any]) -> Any:
         raise NotImplementedError
 
     def free_names(self) -> frozenset[str]:
         """Formal names this operand reads (for bind-before-use checking)."""
-        raise NotImplementedError
+        return frozenset()
 
     # -- operator sugar ------------------------------------------------- #
     def _binop(self, fn: str, other: Any, *, swap: bool = False) -> "Expr":
@@ -131,6 +135,7 @@ class Const(Operand):
     """A literal operand, fixed when the AGS is built."""
 
     __slots__ = ("value",)
+    _kind = CONST
 
     def __init__(self, value: Any):
         if not (is_valid_field(value) or isinstance(value, TSHandle)):
@@ -140,9 +145,6 @@ class Const(Operand):
     def evaluate(self, env: Mapping[str, Any]) -> Any:
         return self.value
 
-    def free_names(self) -> frozenset[str]:
-        return frozenset()
-
     def __repr__(self) -> str:
         return repr(self.value)
 
@@ -150,17 +152,10 @@ class Const(Operand):
         # by exact type, as matching compares fields: ``out(ts, 1)`` and
         # ``out(ts, True)`` are different statements, and equal statements
         # share a plan id on the wire
-        return isinstance(other, Const) and _typed(other.value) == _typed(self.value)
+        return isinstance(other, Const) and typed_value(other.value) == typed_value(self.value)
 
     def __hash__(self) -> int:
         return hash(("Const", self.value))
-
-
-def _typed(value: Any) -> tuple:
-    """*value* paired with its exact type, nested tuples walked."""
-    if type(value) is tuple:
-        return (tuple, tuple(map(_typed, value)))
-    return (type(value), value)
 
 
 #: Environment key the statement's actuals ride under while a branch
@@ -196,9 +191,6 @@ class Param(Operand):
                 f"the statement was given no actual {self.index}"
             ) from None
 
-    def free_names(self) -> frozenset[str]:
-        return frozenset()
-
     def __repr__(self) -> str:
         return f"%{self.index}"
 
@@ -218,6 +210,7 @@ class FormalRef(Operand):
     """
 
     __slots__ = ("name",)
+    _kind = REF
 
     def __init__(self, name: str):
         self.name = name
@@ -305,7 +298,11 @@ class Expr(Operand):
         self.args = tuple(as_operand(a) for a in args)
 
     def evaluate(self, env: Mapping[str, Any]) -> Any:
-        return _FUNCTIONS[self.fn](*(a.evaluate(env) for a in self.args))
+        args = [a.evaluate(env) for a in self.args]
+        try:
+            return _FUNCTIONS[self.fn](*args)
+        except Exception as exc:  # the function's, deterministic: an abort
+            raise OperandError(f"{self.fn}: {type(exc).__name__}: {exc}") from None
 
     def free_names(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -396,7 +393,7 @@ class Op:
     which tuples to transfer (the paper's ``move(from, to, pattern)``).
     """
 
-    __slots__ = ("code", "ts", "fields", "ts2")
+    __slots__ = ("code", "ts", "fields", "ts2", "_recipe")
 
     def __init__(
         self,
@@ -435,6 +432,10 @@ class Op:
                         f"{code.value} patterns may not contain named formals"
                     )
         self.fields = tuple(norm)
+
+    def __getstate__(self) -> tuple:
+        # the bytes an operation always pickled as: its recipe stays behind
+        return (None, {"code": self.code, "ts": self.ts, "fields": self.fields, "ts2": self.ts2})
 
     # -- constructors, mirroring the paper's syntax --------------------- #
 
@@ -499,16 +500,17 @@ class Op:
                 out |= f.free_names()
         return out
 
+    def compiled(self) -> Recipe:
+        """The fields as a :class:`Recipe`: compiled on first use, kept, never pickled."""
+        try:
+            return self._recipe
+        except AttributeError:
+            recipe = self._recipe = Recipe(self.fields)
+            return recipe
+
     def resolve_pattern(self, env: Mapping[str, Any]) -> Pattern:
         """Evaluate operand fields under *env*, producing a match pattern."""
-        fields = [
-            f if isinstance(f, Formal) else f.evaluate(env) for f in self.fields
-        ]
-        return Pattern(fields)
-
-    def resolve_values(self, env: Mapping[str, Any]) -> tuple[Any, ...]:
-        """Evaluate all fields to concrete values (OUT only)."""
-        return tuple(f.evaluate(env) for f in self.fields)  # type: ignore[union-attr]
+        return self.compiled().pattern(env)
 
     # -- introspection ---------------------------------------------------- #
     #
@@ -531,8 +533,6 @@ class Op:
         one of the plan's *actuals*.  Operands whose value is only known
         at execution time (formal refs, expressions) render as ``*``.
         """
-        from repro.core.tuples import type_name
-
         parts = []
         for f in self.fields:
             if isinstance(f, Formal):

@@ -58,7 +58,7 @@ from repro.core.statemachine import (
     TSStateMachine,
 )
 from repro.core.tuples import Formal, LindaTuple
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Joint, MetricsRegistry
 from repro.obs.tracing import FlightRecorder
 
 __all__ = ["BaseRuntime", "LocalRuntime", "ProcessView", "SnapshotView"]
@@ -74,6 +74,8 @@ _LOCAL_ORIGIN = -1
 _RETAINED_SNAPSHOTS = 4
 
 _RT = TypeVar("_RT", bound="BaseRuntime")
+
+_now = time.monotonic
 
 
 def _autoname(fields: Sequence[Any]) -> list[Any]:
@@ -100,7 +102,8 @@ def _rebuild(
     Worked out once per pattern: the returned function takes a result's
     bindings (and, for a plan, the call's actuals) and reads each field
     from the formal that bound it, the actual that filled its hole, or
-    the operand that computes it.
+    the operand that computes it.  Nothing is checked again: the fields
+    equal those of the tuple that matched.
     """
     steps = [
         (0, f.name) if isinstance(f, Formal)
@@ -110,14 +113,10 @@ def _rebuild(
     ]
 
     def rebuild(bindings: Mapping[str, Any], actuals: Sequence[Any] = ()) -> LindaTuple:
-        return LindaTuple(
-            [
-                bindings[x] if how == 0
-                else actuals[x] if how == 1
-                else x.evaluate(bindings)
-                for how, x in steps
-            ]
-        )
+        return LindaTuple.trusted(tuple([
+            bindings[x] if how == 0 else actuals[x] if how == 1 else x.evaluate(bindings)
+            for how, x in steps
+        ]))
 
     return rebuild
 
@@ -599,11 +598,9 @@ class LocalRuntime(BaseRuntime):
     deterministic wake-up scan whenever any statement completes.
     """
 
-    def __init__(
-        self, *, op_stats: bool = False, tracer: FlightRecorder | None = None
-    ):
+    def __init__(self, *, tracer: FlightRecorder | None = None):
         super().__init__()
-        self._sm = TSStateMachine(op_stats=op_stats)
+        self._sm = TSStateMachine()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._req_ids = itertools.count(1)
@@ -612,10 +609,12 @@ class LocalRuntime(BaseRuntime):
         self._retained: dict[int, dict[str, Any]] = {}
         self.metrics = MetricsRegistry()
         self.tracer = tracer
-        self._h_submit = self.metrics.histogram("submit_to_order")
-        self._h_apply = self.metrics.histogram("order_to_apply")
-        self._h_e2e = self.metrics.histogram("ags_e2e")
-        self._c_cmds = self.metrics.counter("commands_submitted")
+        # a statement's three latencies and its count: one write when it
+        # completes at once; a parked one is counted as it parks
+        self._timings = Joint(
+            [self.metrics.histogram(n) for n in ("submit_to_order", "order_to_apply", "ags_e2e")],
+            [self.metrics.counter("commands_submitted")],
+        )
 
     # ------------------------------------------------------------------ #
     # BaseRuntime implementation
@@ -631,18 +630,18 @@ class LocalRuntime(BaseRuntime):
     ) -> AGSResult:
         t_submit = _now()
         tracer = self.tracer
-        self._c_cmds.inc(1, t_submit)
         with self._cond:
             # lock acquisition is this runtime's total order: waiting for
             # the lock is the submit->order leg, executing is order->apply
             t_ordered = _now()
-            self._h_submit.record(t_ordered - t_submit, t_ordered)
             rid = next(self._req_ids)
-            completions = self._apply(
-                ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags, actuals)
-            )
+            try:
+                completions = self._apply(ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags, actuals))
+            except BaseException:  # a journal's I/O error: submitted and ordered all the same
+                self._timings.record((t_ordered - t_submit, None, None), t_ordered)
+                raise
             t_applied = _now()
-            self._h_apply.record(t_applied - t_ordered, t_applied)
+            legs = (t_ordered - t_submit, t_applied - t_ordered)
             trace_id = None
             if tracer is not None:
                 # same span vocabulary as the replica group: one trace per
@@ -661,15 +660,16 @@ class LocalRuntime(BaseRuntime):
                 )
             for c in completions:
                 self._results[c.request_id] = c.result
-            if any(c.request_id != rid for c in completions):
-                # our statement unblocked someone else's — wake their threads
+            if len(completions) > 1:
+                # the first is ours; the rest it woke, and their threads wait
                 self._cond.notify_all()
-            if rid in self._results:
-                result = self._results.pop(rid)
-                self._finish_e2e(t_submit, rid, trace_id)
-                return result
-            # parked: wait until some later statement completes ours
-            deadline = None if timeout is None else _now() + timeout
+            events = 1
+            if rid not in self._results:
+                # parked: counted now, while it waits; its e2e comes when a
+                # later statement completes it
+                self._timings.record((*legs, None), t_applied)
+                legs, events = (None, None), 0
+                deadline = None if timeout is None else t_applied + timeout
             while rid not in self._results:
                 remaining = None if deadline is None else deadline - _now()
                 if remaining is not None and remaining <= 0:
@@ -682,22 +682,14 @@ class LocalRuntime(BaseRuntime):
                     )
                 self._cond.wait(remaining)
             result = self._results.pop(rid)
-            self._finish_e2e(t_submit, rid, trace_id)
+            now = _now()
+            self._timings.record((*legs, now - t_submit), now, events)
+            if trace_id is not None:
+                tracer.record_span(
+                    t_submit, track, "client", "e2e",
+                    dur=now - t_submit, trace_id=trace_id, args={"request_id": rid},
+                )
             return result
-
-    def _finish_e2e(self, t_submit: float, rid: int, trace_id: int | None) -> None:
-        now = _now()
-        self._h_e2e.record(now - t_submit, now)
-        if self.tracer is not None and trace_id is not None:
-            self.tracer.record_span(
-                t_submit,
-                f"client:{threading.current_thread().name}",
-                "client",
-                "e2e",
-                dur=now - t_submit,
-                trace_id=trace_id,
-                args={"request_id": rid},
-            )
 
     def _apply(self, command: Command) -> list[Completion]:
         """Every command reaches the machine here, under the runtime lock.
@@ -863,7 +855,3 @@ class SnapshotView:
 
     def fingerprint(self) -> int:
         return self._sm.fingerprint()
-
-
-def _now() -> float:
-    return time.monotonic()

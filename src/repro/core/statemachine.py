@@ -43,7 +43,7 @@ import time
 from collections import deque
 from typing import Any, Mapping, Sequence
 
-from repro._errors import FormalBindingError, SpaceError, TupleError
+from repro._errors import AGSError, SpaceError, TupleError
 from repro.core import matching as _matching
 from repro.core.ags import ACTUALS, AGS, AGSResult, GuardKind, Op, OpCode
 from repro.core.matching import TupleStore
@@ -592,7 +592,7 @@ class TSStateMachine:
 
     def _drain_blocked(self, completions: list[Completion]) -> None:
         """Wake blocked statements, oldest first, until a fixpoint."""
-        progress = True
+        progress = bool(self.blocked)
         while progress:
             progress = False
             for i, blocked in enumerate(self.blocked):
@@ -612,10 +612,6 @@ class TSStateMachine:
     # ------------------------------------------------------------------ #
     # AGS execution
     # ------------------------------------------------------------------ #
-
-    def _count_op(self, code: OpCode) -> None:
-        if self.op_counts is not None:
-            self.op_counts[code.value] = self.op_counts.get(code.value, 0) + 1
 
     def _resolve_ts(
         self, operand: Any, env: Mapping[str, Any], accessor: int | None
@@ -638,9 +634,10 @@ class TSStateMachine:
         Returns ``None`` when every guard is blocking and none can fire
         (caller parks the statement).  Otherwise returns the result —
         including the no-branch-fired result for probe guards and the
-        aborted-and-rolled-back result for body failures.  Deterministic
-        execution errors (unknown space, scope violation) become aborted
-        results, never exceptions: every replica computes the same outcome.
+        aborted-and-rolled-back result for failures.  Deterministic errors
+        (an operand that fails to evaluate, an unknown space, a scope
+        violation) become aborted results, never exceptions: every replica
+        computes the same outcome.
         """
         for index, branch in enumerate(ags.branches):
             guard = branch.guard
@@ -651,11 +648,12 @@ class TSStateMachine:
             else:
                 op = guard.op
                 assert op is not None
-                self._count_op(op.code)
+                if self.op_counts is not None:
+                    self.op_counts[op.code.value] = self.op_counts.get(op.code.value, 0) + 1
                 try:
                     store = self._resolve_ts(op.ts, env, process_id)
                     pattern = op.resolve_pattern(env)
-                except (SpaceError, FormalBindingError) as exc:
+                except (AGSError, SpaceError, TupleError) as exc:
                     return AGSResult(index, {}, {}, error=exc)
                 m = store.find(pattern, remove=op.code.withdraws)
                 if m is None:
@@ -676,7 +674,7 @@ class TSStateMachine:
                 except _BodyAbort as abort:
                     error = str(abort)
                     break
-                except (FormalBindingError, SpaceError) as exc:
+                except (AGSError, SpaceError, TupleError) as exc:
                     error = exc
                     break
             if error is not None:
@@ -699,12 +697,13 @@ class TSStateMachine:
         op_index: int,
         process_id: int | None = None,
     ) -> None:
-        self._count_op(op.code)
         code = op.code
+        if self.op_counts is not None:
+            self.op_counts[code.value] = self.op_counts.get(code.value, 0) + 1
         if code is OpCode.OUT:
             store = self._resolve_ts(op.ts, env, process_id)
             try:
-                tup = LindaTuple(op.resolve_values(env))
+                tup = op.compiled().tuple_(env)
             except TupleError as exc:
                 raise _BodyAbort(str(exc)) from None
             seqno = store.add(tup)

@@ -9,9 +9,9 @@ equals the type of the value in its position.
 
 The paper's FT-lcc precompiler catalogs the *signature* of every pattern —
 "an ordered list of the types for each distinct pattern … used primarily
-for matching purposes" (Sec. 5.2).  :func:`signature_of` and
-:func:`pattern_signature` reproduce that: signatures are the primary key
-of the matching index in :mod:`repro.core.matching`.
+for matching purposes" (Sec. 5.2).  :func:`signature_of` and each
+operation's :class:`Recipe` reproduce that: signatures are the primary
+key of the matching index in :mod:`repro.core.matching`.
 
 Field types are restricted to immutable values so tuples can be hashed,
 replicated and compared deterministically: ``bool``, ``int``, ``float``,
@@ -33,9 +33,9 @@ __all__ = [
     "is_valid_field",
     "make_tuple",
     "match",
-    "pattern_signature",
     "signature_of",
     "type_name",
+    "typed_value",
 ]
 
 #: Exact runtime types a tuple field may have.  ``bool`` is listed before
@@ -49,6 +49,15 @@ ALLOWED_FIELD_TYPES = (bool, int, float, str, bytes, type(None), tuple)
 _EXTRA_FIELD_TYPES: set[type] = set()
 
 _ANY = object  # sentinel type for untyped formals
+
+#: What a :class:`Recipe` does with a field, named by its class's ``_kind``:
+#: a formal's type and name are fixed at compile, a constant was checked
+#: when made, a formal reference's value came out of a matched tuple, and
+#: a checked operand (a hole, an expression) is checked on every call.
+FORMAL, CONST, REF, CHECKED = range(4)
+
+#: The field types :func:`is_valid_field` accepts without looking inside.
+_SCALAR_TYPES = frozenset((bool, int, float, str, bytes, type(None)))
 
 
 def register_field_type(t: type) -> None:
@@ -68,6 +77,13 @@ def type_name(t: type) -> str:
     return t.__name__
 
 
+def typed_value(value: Any) -> tuple:
+    """*value* paired with its exact type, nested tuples walked."""
+    if type(value) is tuple:
+        return (tuple, tuple(map(typed_value, value)))
+    return (type(value), value)
+
+
 def is_valid_field(value: Any) -> bool:
     """Return True when *value* may appear as a tuple field.
 
@@ -78,7 +94,7 @@ def is_valid_field(value: Any) -> bool:
     if type(value) is tuple:
         return all(is_valid_field(v) for v in value)
     t = type(value)
-    return t in (bool, int, float, str, bytes, type(None)) or t in _EXTRA_FIELD_TYPES
+    return t in _SCALAR_TYPES or t in _EXTRA_FIELD_TYPES
 
 
 class Formal:
@@ -99,6 +115,7 @@ class Formal:
     """
 
     __slots__ = ("ftype", "name")
+    _kind = FORMAL
 
     def __init__(self, ftype: type = object, name: str | None = None):
         if (
@@ -168,6 +185,16 @@ class LindaTuple:
         self.fields = fields
         self.signature = tuple(type_name(type(v)) for v in fields)
         self._hash = hash(fields)
+
+    @classmethod
+    def trusted(cls, fields: tuple, signature: tuple | None = None) -> "LindaTuple":
+        """A tuple of *fields* known valid already: none is checked again."""
+        t = object.__new__(cls)
+        t.fields, t._hash = fields, hash(fields)
+        if signature is None:
+            signature = tuple(map(type_name, map(type, fields)))
+        t.signature = signature
+        return t
 
     @property
     def arity(self) -> int:
@@ -262,6 +289,15 @@ class Pattern:
         self.names = tuple(names)
         self._first_actual = fields[0] if actuals and actuals[0][0] == 0 else None
 
+    @classmethod
+    def _trusted(cls, fields, signature, exact, actuals, formals, names) -> "Pattern":
+        """A pattern whose parts a :class:`Recipe` knows already: none is worked out again."""
+        p = object.__new__(cls)
+        p.fields, p.arity, p.signature, p.exact_signature = fields, len(fields), signature, exact
+        p.actual_positions, p.formal_positions, p.names = actuals, formals, names
+        p._first_actual = fields[0] if actuals and actuals[0][0] == 0 else None
+        return p
+
     @property
     def first_actual(self) -> Any:
         """Value of field 0 when it is an actual, else ``None``.
@@ -305,14 +341,92 @@ class Pattern:
         return f"Pattern({inner})"
 
 
+class Recipe:
+    """One operation's fields, compiled once: what each call builds its
+    :class:`Pattern` or :class:`LindaTuple` from — FT-lcc's catalog entry
+    (Sec. 5.2).  Each field's ``_kind`` says what a call does with it
+    (DESIGN.md, "What is checked where"); a checked value that is no field
+    value, or a name used twice, sends the call to the public constructor,
+    whose rule and message hold.  Threads share it: only ``_kept``, a
+    cache, is written after it is made.
+    """
+
+    __slots__ = (
+        "_template", "_signature", "_actuals", "_dynamic", "_formals", "_names", "_exact", "_kept",
+    )
+
+    def __init__(self, fields: Sequence[Any]):
+        template, signature, actuals, dynamic, formals, names, exact = [], [], [], [], [], [], True
+        for i, f in enumerate(fields):
+            kind = f._kind
+            if kind == FORMAL:
+                template.append(f)
+                signature.append(type_name(f.ftype))
+                formals.append((i, f))
+                exact = exact and f.typed
+                if f.name is not None:
+                    names.append(f.name)
+            elif kind == CONST:
+                template.append(f.value)
+                signature.append(type_name(type(f.value)))
+                actuals.append((i, f.value))
+            else:
+                template.append(None)
+                signature.append(None)
+                dynamic.append((i, len(actuals), f, kind == CHECKED))
+                actuals.append(None)
+        self._template, self._signature, self._actuals = template, signature, actuals
+        self._dynamic, self._formals, self._exact = tuple(dynamic), tuple(formals), exact
+        # a name used twice: the public constructor raises, after evaluating
+        self._names = tuple(names) if len(set(names)) == len(names) else None
+        self._kept: tuple | None = None  # the last tuple's signature
+
+    def _build(self, env: Mapping[Any, Any]) -> tuple[list, list, list, bool]:
+        """Fields, signature, actual positions under *env*; whether all are valid."""
+        if not self._dynamic:
+            return self._template, self._signature, self._actuals, self._names is not None
+        fields = self._template.copy()
+        signature = self._signature.copy()
+        actuals = self._actuals.copy()
+        valid = self._names is not None
+        # every operand is evaluated before any value is judged, as the
+        # public constructors see them: an evaluation error comes first
+        for i, k, operand, checked in self._dynamic:
+            value = fields[i] = operand.evaluate(env)
+            t = type(value)
+            if checked and t not in _SCALAR_TYPES and not is_valid_field(value):
+                valid = False
+            signature[i] = type_name(t)
+            actuals[k] = (i, value)
+        return fields, signature, actuals, valid
+
+    def pattern(self, env: Mapping[Any, Any]) -> Pattern:
+        """The operation's pattern under *env*."""
+        fields, signature, actuals, valid = self._build(env)
+        if not valid:
+            return Pattern(fields)
+        return Pattern._trusted(
+            tuple(fields), tuple(signature), self._exact, tuple(actuals), self._formals, self._names
+        )
+
+    def tuple_(self, env: Mapping[Any, Any]) -> LindaTuple:
+        """The operation's tuple under *env* (an ``out``'s fields)."""
+        fields, signature, _actuals, valid = self._build(env)
+        if not valid:
+            return LindaTuple(fields)
+        # the run of tuples a store keeps share one signature object; the
+        # one kept is read once, so a thread uses its own or an equal one
+        signature, kept = tuple(signature), self._kept
+        if signature == kept:
+            signature = kept
+        else:
+            self._kept = signature
+        return LindaTuple.trusted(tuple(fields), signature)
+
+
 def signature_of(fields: Iterable[Any]) -> tuple[str, ...]:
     """Signature (ordered type-name list) of a sequence of actual values."""
     return tuple(type_name(type(v)) for v in fields)
-
-
-def pattern_signature(pattern: Pattern) -> tuple[str, ...]:
-    """Signature of a pattern (formals contribute their declared type)."""
-    return pattern.signature
 
 
 def match(pattern: Pattern, tup: LindaTuple) -> Mapping[str, Any] | None:

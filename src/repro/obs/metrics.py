@@ -36,7 +36,8 @@ everything (the window really is empty of recent samples) and a slice
 stamped in the "future" after a backward step is ignored rather than
 double-counted; the cumulative view loses no sample either way.
 Hot-path callers that already hold a ``time.monotonic`` stamp pass it as
-``now``, so a record reads no clock of its own.
+``now``, so a record reads no clock of its own; instruments recorded at
+one site at one moment share one lock and one write (:class:`Joint`).
 
 Units: the real-time backends record **seconds**; the simulated cluster
 records virtual microseconds divided by 1e6, i.e. virtual seconds — the
@@ -58,6 +59,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Joint",
     "MetricsRegistry",
     "format_snapshot",
     "merged",
@@ -158,13 +160,16 @@ class Counter(_Sliced):
     def inc(self, n: int = 1, now: float | None = None) -> None:
         sec = int(self._clock() if now is None else now)
         with self._lock:
-            slices = self._slices
-            try:
-                slices[sec] += n
-            except KeyError:  # first event of this second: open its slice
-                for k in self._expired(sec):
-                    self._retired += slices.pop(k)
-                slices[sec] = n
+            self._put(n, sec)
+
+    def _put(self, n: int, sec: int) -> None:  # lock held
+        slices = self._slices
+        try:
+            slices[sec] += n
+        except KeyError:  # first event of this second: open its slice
+            for k in self._expired(sec):
+                self._retired += slices.pop(k)
+            slices[sec] = n
 
     @property
     def value(self) -> int:
@@ -283,6 +288,11 @@ class Histogram(_Sliced):
         self._bounds = bounds
 
     def record(self, value: float, now: float | None = None) -> None:
+        sec = int(self._clock() if now is None else now)
+        with self._lock:
+            self._put(value, sec)
+
+    def _put(self, value: float, sec: int) -> None:  # lock held
         # A NaN would poison the running sum forever and a negative value
         # (e.g. from a clock source stepping backwards) would land in the
         # lowest bucket while dragging the sum down.  Clamp both to zero
@@ -290,24 +300,21 @@ class Histogram(_Sliced):
         clamped = not (value >= 0.0)  # False for NaN too, hence the inversion
         if clamped:
             value = 0.0
-        idx = bisect_left(self._bounds, value)
-        sec = int(self._clock() if now is None else now)
-        with self._lock:
-            try:
-                s = self._slices[sec]
-            except KeyError:  # first sample of this second: open its slice
-                for k in self._expired(sec):
-                    self._retired.add(self._slices.pop(k))
-                s = self._slices[sec] = self._empty()
-            s.buckets[idx] += 1
-            s.count += 1
-            s.sum += value
-            if clamped:
-                s.clamped += 1
-            if value < s.min:
-                s.min = value
-            if value > s.max:
-                s.max = value
+        try:
+            s = self._slices[sec]
+        except KeyError:  # first sample of this second: open its slice
+            for k in self._expired(sec):
+                self._retired.add(self._slices.pop(k))
+            s = self._slices[sec] = self._empty()
+        s.buckets[bisect_left(self._bounds, value)] += 1
+        s.count += 1
+        s.sum += value
+        if clamped:
+            s.clamped += 1
+        if value < s.min:
+            s.min = value
+        if value > s.max:
+            s.max = value
 
     def _empty(self) -> _Slice:
         return _Slice(len(self._bounds) + 1)
@@ -428,6 +435,31 @@ class Histogram(_Sliced):
             **self._quantiles(total),
             "rate": count / window_s,
         }
+
+
+class Joint:
+    """Instruments recorded at one site at one moment: re-pointed at one
+    shared lock, which :meth:`record` takes once for all of them.  Each
+    keeps its name, slices and snapshot, and reads or records on its own."""
+
+    __slots__ = ("_lock", "_histograms", "_counters")
+
+    def __init__(self, histograms: Iterable[Histogram], counters: Iterable[Counter] = ()):
+        self._histograms, self._counters = tuple(histograms), tuple(counters)
+        self._lock = threading.Lock()
+        for instrument in (*self._histograms, *self._counters):
+            instrument._lock = self._lock
+
+    def record(self, values: Iterable[float | None], now: float, events: int = 1) -> None:
+        """A sample per histogram (``None``: none), *events* per counter."""
+        sec = int(now)
+        with self._lock:
+            for histogram, value in zip(self._histograms, values):
+                if value is not None:
+                    histogram._put(value, sec)
+            if events:
+                for counter in self._counters:
+                    counter._put(events, sec)
 
 
 def _live(per_name: dict[str, dict[str, dict[str, Any]]]) -> dict[str, Any]:

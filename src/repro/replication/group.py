@@ -59,7 +59,7 @@ from repro.core.statemachine import (
     HostRecovered,
 )
 from repro.obs.events import emit as emit_event
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Joint, MetricsRegistry
 from repro.obs.profile import DEFAULT_HZ, merge_folded
 from repro.obs.tracing import FlightRecorder
 from repro.replication.journal import GroupJournal
@@ -135,8 +135,7 @@ class ReplicaGroup:
         self._req_ids = itertools.count(1)
         self._state_lock = threading.Lock()  # the waiter map
         self._waiters: dict[int, Waiter] = {}
-        self._h_apply = metrics.histogram("order_to_apply")
-        self._h_e2e = metrics.histogram("ags_e2e")
+        self._timings = Joint([metrics.histogram("order_to_apply"), metrics.histogram("ags_e2e")])
         self._c_cmds = metrics.counter("commands_submitted")
         self._g_live = metrics.gauge("live_replicas")
         self._g_live.set(self.n_replicas)
@@ -370,9 +369,8 @@ class ReplicaGroup:
             w = self._waiters.pop(rid, None)
         if w is not None:
             now = self._clock()
-            if w.t_ordered is not None:
-                self._h_apply.record(now - w.t_ordered, now)
-            self._h_e2e.record(now - w.t_submit, now)
+            apply = None if w.t_ordered is None else now - w.t_ordered
+            self._timings.record((apply, now - w.t_submit), now)
             tracer = self.tracer
             if tracer is not None and w.trace_id is not None:
                 tracer.record_span(

@@ -108,7 +108,7 @@ class TestOp:
         pat = op.resolve_pattern({"k": 5})
         assert pat.fields[1] == 5
         out = Op.out(MAIN_TS, "t", ref("v") + 1)
-        assert out.resolve_values({"v": 9}) == ("t", 10)
+        assert out.compiled().tuple_({"v": 9}) == ("t", 10)
 
 
 class TestGuard:

@@ -1,10 +1,13 @@
 """Unit tests for the obs metrics layer (counters, histograms, registry)."""
 
 import threading
+import time
 
 import pytest
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, format_snapshot
+from repro import LocalRuntime, TimeoutError_, formal
+from repro.obs.metrics import Counter, Histogram, Joint, MetricsRegistry, format_snapshot
+from repro.parallel import ThreadedReplicaRuntime
 
 
 class TestCounter:
@@ -177,3 +180,97 @@ class TestRegistry:
         assert format_snapshot({"counters": {}, "histograms": {}}) == (
             "(no metrics recorded)"
         )
+
+
+def _counts(snap, names):
+    """How many samples each named histogram holds (0 for none yet)."""
+    return {n: snap["histograms"].get(n, {}).get("count", 0) for n in names}
+
+
+class TestJoint:
+    """Instruments recorded at one site at one moment share one write."""
+
+    def test_one_lock_one_write_same_views(self):
+        reg, alone = MetricsRegistry(), MetricsRegistry()
+        joint = Joint([reg.histogram("a"), reg.histogram("b")], [reg.counter("n")])
+        joint.record((0.5, None), 100.0)  # None: no sample for "b"
+        joint.record((0.25, 2.0), 101.5)
+        locks = {reg.histogram("a")._lock, reg.histogram("b")._lock, reg.counter("n")._lock}
+        assert locks == {joint._lock}
+        alone.histogram("a").record(0.5, 100.0)
+        alone.histogram("a").record(0.25, 101.5)
+        alone.histogram("b").record(2.0, 101.5)
+        alone.counter("n").inc(1, 100.0)
+        alone.counter("n").inc(1, 101.5)
+        # the windowed view reads the clock, so compare the cumulative one
+        want, got = alone.snapshot(), reg.snapshot()
+        assert got["counters"] == want["counters"] == {"n": 2}
+        assert got["histograms"] == want["histograms"]
+        reg.histogram("a").record(1.0)  # and each still records on its own
+        assert reg.histogram("a").count == 3
+
+    def test_local_runtime_writes_a_statement_once(self):
+        with LocalRuntime() as rt:
+            names = ("submit_to_order", "order_to_apply", "ags_e2e")
+            locks = {rt.metrics.histogram(n)._lock for n in names}
+            assert locks == {rt.metrics.counter("commands_submitted")._lock}
+            rt.out(rt.main_ts, "a", 1)
+            with pytest.raises(TimeoutError_):
+                rt.in_(rt.main_ts, "never", formal(int), timeout=0.01)
+            snap = rt.metrics_snapshot()
+            # the timed-out statement counts and was ordered and applied;
+            # it has no end-to-end latency
+            assert snap["counters"]["commands_submitted"] == 2
+            counts = {n: snap["histograms"][n]["count"] for n in names}
+            assert counts == {"submit_to_order": 2, "order_to_apply": 2, "ags_e2e": 1}
+
+    def test_a_parked_statement_counts_while_it_waits(self):
+        with LocalRuntime() as rt:
+            names = ("submit_to_order", "order_to_apply", "ags_e2e")
+            got = []
+            waiter = threading.Thread(
+                target=lambda: got.append(rt.in_(rt.main_ts, "late", formal(int), timeout=30)),
+                daemon=True,
+            )
+            waiter.start()
+            try:
+                deadline = time.monotonic() + 10
+                while not rt.metrics_snapshot()["counters"].get("commands_submitted"):
+                    assert time.monotonic() < deadline, "a parked in was never counted"
+                    time.sleep(0.001)
+                snap = rt.metrics_snapshot()
+                assert _counts(snap, names) == {
+                    "submit_to_order": 1, "order_to_apply": 1, "ags_e2e": 0
+                }
+            finally:
+                rt.out(rt.main_ts, "late", 1)
+                waiter.join(10)
+            assert got == [("late", 1)]
+            snap = rt.metrics_snapshot()
+            assert snap["counters"]["commands_submitted"] == 2  # counted once each
+            assert _counts(snap, names) == dict.fromkeys(names, 2)
+
+    def test_a_statement_whose_apply_raises_is_counted(self):
+        class Failing(LocalRuntime):
+            def _apply(self, command):
+                raise OSError("journal write failed")
+
+        with Failing() as rt:
+            with pytest.raises(OSError):
+                rt.out(rt.main_ts, "a", 1)
+            snap = rt.metrics_snapshot()
+            assert snap["counters"]["commands_submitted"] == 1
+            assert _counts(snap, ("submit_to_order", "order_to_apply", "ags_e2e")) == {
+                "submit_to_order": 1, "order_to_apply": 0, "ags_e2e": 0
+            }
+
+    def test_group_collector_writes_a_completion_once(self):
+        with ThreadedReplicaRuntime(2) as rt:
+            group = rt.group
+            assert group.metrics.histogram("order_to_apply")._lock is (
+                group.metrics.histogram("ags_e2e")._lock
+            )
+            rt.out(rt.main_ts, "a", 1)
+            assert rt.in_(rt.main_ts, "a", formal(int)) == ("a", 1)
+            hists = rt.metrics_snapshot()["histograms"]
+            assert hists["order_to_apply"]["count"] == hists["ags_e2e"]["count"] == 2
