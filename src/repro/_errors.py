@@ -53,9 +53,9 @@ class RuntimeFailure(LindaError):
 class HostFailedError(RuntimeFailure):
     """The host a process was running on (or talking to) has crashed."""
 
-    def __init__(self, host_id: int, message: str | None = None):
+    def __init__(self, host_id: int):
         self.host_id = host_id
-        super().__init__(message or f"host {host_id} has failed")
+        super().__init__(f"host {host_id} has failed")
 
 
 class OperandError(AGSError):

@@ -37,7 +37,7 @@ from repro.consul.network import BROADCAST, EthernetSegment, NIC
 from repro.sim.kernel import SimEvent, Simulator
 from repro.xkernel.message import Message
 
-__all__ = ["TwoPhaseCluster", "TwoPhaseConfig", "TwoPhaseStats"]
+__all__ = ["TwoPhaseCluster", "TwoPhaseConfig"]
 
 
 @dataclasses.dataclass

@@ -27,9 +27,11 @@ promises to survive:
   item it cannot process.  Its death must mark the group failed and
   wake every waiter.
 
-Faults can be scripted (:meth:`ChaosMonkey.run_script`) or generated
-from a seed (:meth:`ChaosMonkey.random_script`) — seeded, so a failing
-chaos run reproduces exactly.
+- :meth:`ChaosMonkey.kill_donor_mid_transfer` — arm a one-shot kill of
+  the next state transfer's donor, mid-transfer.
+
+The monkey's RNG is seeded, so a caller that draws its victims from
+``monkey.rng`` (``cli chaos`` does) reproduces a failing run exactly.
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ import os
 import random
 import signal
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro._errors import RuntimeFailure
 from repro.core.statemachine import Command
 from repro.replication.group import CLIENT_ORIGIN, ReplicaGroup
 from repro.replication.transport import InMemoryTransport, PipeTransport
 
-__all__ = ["ChaosMonkey", "Detonate"]
+__all__ = ["ChaosMonkey"]
 
 
 class Detonate(Command):
@@ -62,7 +64,7 @@ class Detonate(Command):
 
 
 class ChaosMonkey:
-    """Scriptable fault injection against one parallel runtime.
+    """Fault injection against one parallel runtime.
 
     Parameters
     ----------
@@ -70,8 +72,9 @@ class ChaosMonkey:
         A ``ThreadedReplicaRuntime`` or ``MultiprocessRuntime`` (anything
         exposing a ``group`` attribute bound to a ReplicaGroup).
     seed:
-        Seeds the private RNG used by :meth:`random_script`; runs with
-        the same seed inject the same faults at the same offsets.
+        Seeds :attr:`rng`, which picks the ``shard="random"`` target and
+        which callers draw their victims from; runs with the same seed
+        inject the same faults.
     shard:
         Which shard group to torment on a sharded runtime: an int index,
         a name like ``"shard2"``, or ``"random"`` to pick one with the
@@ -154,7 +157,7 @@ class ChaosMonkey:
             )
         self._note("kill_replica", replica_id)
 
-    def poison_command(self, timeout: float = 30.0) -> Any:
+    def poison_command(self) -> Any:
         """Submit a command whose apply raises on every replica.
 
         Returns the exception the group surfaced (expected:
@@ -164,7 +167,7 @@ class ChaosMonkey:
         cmd = Detonate(self.group.next_request_id(), CLIENT_ORIGIN)
         self._note("poison_command", cmd.request_id)
         try:
-            result = self.group.call(cmd, timeout)
+            result = self.group.call(cmd, 30.0)
         except RuntimeFailure as exc:
             return exc
         raise AssertionError(
@@ -217,61 +220,6 @@ class ChaosMonkey:
         transfer.chunk_hook = hook
         self._note("arm_donor_kill", at_chunk)
         return lambda: victim[0] if victim else None
-
-    # ------------------------------------------------------------------ #
-    # scripting
-    # ------------------------------------------------------------------ #
-
-    def run_script(
-        self, steps: Sequence[tuple[float, str, tuple]], *, on_step: Callable | None = None
-    ) -> None:
-        """Run ``(delay_s, action, args)`` steps, sleeping between them.
-
-        ``action`` names any fault method above.  Runs on the calling
-        thread; wrap in a thread to chaos a live workload.
-        """
-        from repro.obs.profile import register_thread
-
-        register_thread("chaos")
-        for delay, action, args in steps:
-            if delay > 0:
-                time.sleep(delay)
-            getattr(self, action)(*args)
-            if on_step is not None:
-                on_step(action, args)
-
-    def random_script(
-        self,
-        n_steps: int,
-        *,
-        actions: Sequence[str] = ("kill_replica", "delay_replica"),
-        max_delay: float = 0.5,
-    ) -> list[tuple[float, str, tuple]]:
-        """Generate a seeded fault script (deterministic per seed).
-
-        Kills avoid repeating a victim (the group only has so many
-        replicas) and never target replica 0, keeping at least one
-        survivor as snapshot donor for recovery-enabled runs.
-        """
-        steps: list[tuple[float, str, tuple]] = []
-        killable = list(range(1, self.group.n_replicas))
-        for _ in range(n_steps):
-            action = self.rng.choice(list(actions))
-            delay = self.rng.uniform(0.05, max_delay)
-            if action == "kill_replica":
-                if not killable:
-                    continue
-                victim = self.rng.choice(killable)
-                killable.remove(victim)
-                steps.append((delay, action, (victim,)))
-            elif action == "delay_replica":
-                victim = self.rng.randrange(self.group.n_replicas)
-                steps.append(
-                    (delay, action, (victim, self.rng.uniform(0.05, 0.2)))
-                )
-            else:
-                steps.append((delay, action, ()))
-        return steps
 
     # ------------------------------------------------------------------ #
     # observation helpers (used by tests and the failover benchmark)

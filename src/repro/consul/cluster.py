@@ -34,15 +34,14 @@ from repro.consul.membership import MembershipLayer
 from repro.consul.network import EthernetSegment
 from repro.consul.ordering import OrderingLayer
 from repro.consul.replica import ReplicaLayer
-from repro.core.ags import AGS, AGSResult, Guard, Op
+from repro.core.ags import AGS, Guard, Op
 from repro.core.runtime import _autoname, _rebuild
 from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
-from repro.core.tuples import LindaTuple
 from repro.sim.kernel import SimEvent, Simulator
 from repro.sim.process import SimProcess
 from repro.xkernel.protocol import ProtocolStack
 
-__all__ = ["ClusterConfig", "SimCluster", "SimView"]
+__all__ = ["ClusterConfig", "SimCluster"]
 
 
 @dataclasses.dataclass

@@ -20,12 +20,12 @@ experiment E4.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.sim.kernel import Simulator
 from repro.xkernel.message import Message
 
-__all__ = ["BROADCAST", "EthernetSegment", "NetworkStats", "NIC"]
+__all__ = ["BROADCAST", "EthernetSegment", "NIC"]
 
 #: Destination id meaning "every host on the segment".
 BROADCAST = -1

@@ -27,7 +27,7 @@ from repro._errors import AGSError
 from repro.consul.config import ConsulConfig
 from repro.consul.hosts import SimHost
 from repro.consul.membership import MembershipLayer
-from repro.core.ags import AGS, OpCode
+from repro.core.ags import AGS
 from repro.core.spaces import Resilience, Scope, SpaceRegistry, TSHandle
 from repro.core.statemachine import (
     Command,
@@ -43,7 +43,7 @@ from repro.sim.kernel import SimEvent
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
 
-__all__ = ["ReplicaLayer", "ags_domain", "ags_op_count"]
+__all__ = ["ReplicaLayer"]
 
 #: Base id for host-local volatile tuple spaces (disjoint from stable ids).
 _VOLATILE_ID_BASE = 1_000_000_000

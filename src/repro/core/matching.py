@@ -30,7 +30,6 @@ from repro.core.tuples import Formal, LindaTuple, Pattern, type_name
 
 __all__ = [
     "ANY_FIRST",
-    "Match",
     "TupleStore",
     "pattern_key",
     "shard_key",

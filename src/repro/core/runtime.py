@@ -61,7 +61,7 @@ from repro.core.tuples import Formal, LindaTuple
 from repro.obs.metrics import Joint, MetricsRegistry
 from repro.obs.tracing import FlightRecorder
 
-__all__ = ["BaseRuntime", "LocalRuntime", "ProcessView", "SnapshotView"]
+__all__ = ["BaseRuntime", "LocalRuntime", "ProcessView"]
 
 #: Origin-host id LocalRuntime stamps on its own commands.  It is reserved:
 #: failure injection uses non-negative *logical* host ids (worker ids), and
@@ -565,9 +565,9 @@ class ProcessHandle:
 
     __slots__ = ("process_id", "_thread", "_result", "_error")
 
-    def __init__(self, process_id: int, thread: threading.Thread | None = None):
+    def __init__(self, process_id: int):
         self.process_id = process_id
-        self._thread = thread
+        self._thread: threading.Thread | None = None
         self._result: Any = None
         self._error: BaseException | None = None
 

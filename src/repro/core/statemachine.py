@@ -353,17 +353,12 @@ class TSStateMachine:
     failure_spaces:
         Handles that receive the distinguished failure/recovery tuples.
         Defaults to ``[MAIN_TS]``.
-    op_stats:
-        When True, counts per-opcode execution totals in ``op_counts``
-        (the tests use it to confirm what actually ran).
     """
 
     def __init__(
         self,
         registry: SpaceRegistry | None = None,
         failure_spaces: Sequence[TSHandle] | None = None,
-        *,
-        op_stats: bool = False,
     ):
         self.registry = registry if registry is not None else SpaceRegistry()
         self.failure_spaces = list(failure_spaces) if failure_spaces else [MAIN_TS]
@@ -381,7 +376,6 @@ class TSStateMachine:
         #: Request ids currently parked in ``blocked`` — duplicates of a
         #: parked statement are dropped instead of double-parked.
         self._blocked_rids: set[int] = set()
-        self.op_counts: dict[str, int] | None = {} if op_stats else None
         #: Local clock used for waiter/last-out stamps only (never state
         #: transitions).  The simulated cluster repoints it at virtual time.
         self.clock = time.monotonic
@@ -648,8 +642,6 @@ class TSStateMachine:
             else:
                 op = guard.op
                 assert op is not None
-                if self.op_counts is not None:
-                    self.op_counts[op.code.value] = self.op_counts.get(op.code.value, 0) + 1
                 try:
                     store = self._resolve_ts(op.ts, env, process_id)
                     pattern = op.resolve_pattern(env)
@@ -698,8 +690,6 @@ class TSStateMachine:
         process_id: int | None = None,
     ) -> None:
         code = op.code
-        if self.op_counts is not None:
-            self.op_counts[code.value] = self.op_counts.get(code.value, 0) + 1
         if code is OpCode.OUT:
             store = self._resolve_ts(op.ts, env, process_id)
             try:

@@ -25,7 +25,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro._errors import MatchTypeError, TupleError
 
 __all__ = [
-    "ALLOWED_FIELD_TYPES",
     "Formal",
     "LindaTuple",
     "Pattern",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["EnvFlag", "TELEMETRY_ENV", "int_env", "telemetry_port"]
+__all__ = ["EnvFlag", "int_env", "telemetry_port"]
 
 #: Set to a port number to auto-serve the HTTP telemetry endpoint from
 #: every parallel runtime constructed afterwards (``0`` = ephemeral).

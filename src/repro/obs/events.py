@@ -37,18 +37,17 @@ import time
 from collections import deque
 from typing import Any, IO
 
-__all__ = ["EventLog", "emit", "get_log", "reset_default_log"]
+__all__ = ["EventLog", "emit", "get_log"]
 
 
 class EventLog:
     """A bounded, thread-safe ring of structured events."""
 
-    def __init__(self, capacity: int = 4096, *, clock=time.time):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._seq = 0
-        self._clock = clock
         self._lock = threading.Lock()
         self._sink: IO[str] | None = None
         self._sink_owned = False
@@ -64,7 +63,7 @@ class EventLog:
         """Append one event; returns the stored record (with its seq)."""
         event: dict[str, Any] = {
             "seq": 0,  # assigned under the lock
-            "ts": self._clock(),
+            "ts": time.time(),
             "kind": kind,
             "severity": severity,
         }
@@ -86,7 +85,7 @@ class EventLog:
                     self._detach_locked()
                     self._events.append({
                         "seq": self._seq + 1,
-                        "ts": self._clock(),
+                        "ts": time.time(),
                         "kind": "event_sink_failed",
                         "severity": "warning",
                     })
@@ -131,10 +130,6 @@ class EventLog:
             except OSError:
                 pass
 
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-
 
 _DEFAULT = EventLog()
 
@@ -148,8 +143,3 @@ def emit(kind: str, **kwargs: Any) -> dict[str, Any]:
     """Emit into the process-wide default log (see :meth:`EventLog.emit`)."""
     return _DEFAULT.emit(kind, **kwargs)
 
-
-def reset_default_log() -> None:
-    """Drop the default log's contents and sink (test isolation)."""
-    _DEFAULT.detach_sink()
-    _DEFAULT.clear()

@@ -448,16 +448,19 @@ def _fmt_age(seconds: float) -> str:
         return f"{seconds:.0f}s"
     return f"{seconds / 60:.1f}m"
 
+#: Rows per table in one :func:`render_top` frame.
+MAX_ROWS = 10
+
 
 def render_top(
     snapshot: Mapping[str, Any],
     metrics: Mapping[str, Any] | None = None,
     stalls: list[dict[str, Any]] | None = None,
     alerts: list[dict[str, Any]] | None = None,
-    *,
-    max_rows: int = 10,
 ) -> str:
-    """Render one dashboard frame (pure string; the CLI owns the refresh)."""
+    """Render one dashboard frame (pure string; the CLI owns the refresh).
+
+    Each table shows at most :data:`MAX_ROWS` rows."""
     sm = snapshot.get("sm", {})
     waiters = sm.get("waiters", [])
     stalled_ids = {s["request_id"] for s in (stalls or [])}
@@ -478,7 +481,7 @@ def render_top(
     if firing:
         lines.append("")
         lines.append(f"{'ALERT':<22} {'SEV':<9} {'FOR':>8}  DETAIL")
-        for a in firing[:max_rows]:
+        for a in firing[:MAX_ROWS]:
             lines.append(
                 f"{a['rule']:<22} {a['severity']:<9} "
                 f"{_fmt_age(a.get('for', 0.0)):>8}  {a.get('detail', '')}"
@@ -521,7 +524,7 @@ def render_top(
             f"{'SPACE':<16} {'TUPLES':>8} {'BYTES':>9} {'BUCKETS':>8} "
             f"{'MAXBKT':>7} {'SKEW':>6}"
         )
-        for sp in spaces[:max_rows]:
+        for sp in spaces[:MAX_ROWS]:
             lines.append(
                 f"{sp['name'] + '#' + str(sp['id']):<16} {sp['tuples']:>8} "
                 f"{_fmt_bytes(sp['bytes']):>9} {sp['buckets']:>8} "
@@ -539,7 +542,7 @@ def render_top(
             f"{'HOT TEMPLATE':<40} {'SPACE':<12} {'ATTEMPTS':>9} "
             f"{'HITS':>8} {'HIT%':>6}"
         )
-        for space, t in hot[:max_rows]:
+        for space, t in hot[:MAX_ROWS]:
             pct = 100.0 * t["hits"] / t["attempts"] if t["attempts"] else 0.0
             lines.append(
                 f"{t['template']:<40.40} {space:<12} {t['attempts']:>9} "
@@ -551,7 +554,7 @@ def render_top(
         lines.append(
             f"{'WAITER':>8} {'PROC':>6} {'HOST':>6} {'BLOCKED':>9}  BLOCKED ON"
         )
-        for w in sorted(waiters, key=lambda w: -w["blocked_for"])[:max_rows]:
+        for w in sorted(waiters, key=lambda w: -w["blocked_for"])[:MAX_ROWS]:
             what = "; ".join(
                 f"{e['op']} {e['space']} {e['template']}"
                 for e in w.get("waiting_on", [])
@@ -568,7 +571,7 @@ def render_top(
 
     if stalls:
         lines.append("")
-        for s in stalls[:max_rows]:
+        for s in stalls[:MAX_ROWS]:
             lines.append(f"!! waiter #{s['request_id']}: {s['reason']}")
 
     if metrics:
@@ -606,7 +609,7 @@ def render_top(
                 f"{'WINDOWED':<16} {'WIN':>5} {'N':>8} {'RATE/S':>8} "
                 f"{'P50':>10} {'P99':>10} {'P999':>10}"
             )
-            for name, per_window in wshown[:max_rows]:
+            for name, per_window in wshown[:MAX_ROWS]:
                 for label, w in per_window.items():
                     if not w["count"]:
                         continue

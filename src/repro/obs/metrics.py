@@ -55,15 +55,12 @@ from operator import add
 from typing import Any, Callable, Iterable
 
 __all__ = [
-    "WINDOWS",
     "Counter",
-    "Gauge",
     "Histogram",
     "Joint",
     "MetricsRegistry",
     "format_snapshot",
     "merged",
-    "window_label",
 ]
 
 #: The trailing windows every instrument reports, in seconds.

@@ -78,16 +78,16 @@ def register_thread(role: str, ident: int | None = None) -> None:
     """Register the calling thread (or *ident*) under a stable role name.
 
     Called once at the top of each runtime thread's loop ("sequencer",
-    "replica-2", "journal", "liveness-monitor", "chaos").  Idents of
+    "replica-2", "journal", "liveness-monitor").  Idents of
     dead threads may be reused by the OS; re-registration simply
     overwrites, which is the behaviour a reincarnated replica slot wants.
     """
     _roles[threading.get_ident() if ident is None else ident] = role
 
 
-def thread_role(ident: int, fallback: str = "") -> str:
-    """The registered role of a thread ident, or *fallback*."""
-    return _roles.get(ident, fallback)
+def thread_role(ident: int) -> str:
+    """The registered role of a thread ident, or ``""``."""
+    return _roles.get(ident, "")
 
 
 def registered_roles() -> dict[int, str]:
@@ -130,8 +130,8 @@ class SamplingProfiler:
     from replica processes still merge in).  The sampler thread excludes
     itself from its own samples.
 
-    *clock*, *frames*, and *threads* are injectable for deterministic
-    tests: *frames* must mimic ``sys._current_frames`` (ident -> frame),
+    *frames* and *threads* are injectable for deterministic tests:
+    *frames* must mimic ``sys._current_frames`` (ident -> frame),
     *threads* must yield objects with ``ident``/``name`` attributes.
     """
 
@@ -171,7 +171,13 @@ class SamplingProfiler:
             if ident == skip_ident:
                 continue
             role = _roles.get(ident) or names.get(ident) or f"thread-{ident}"
-            folded.append(_fold_stack(role, frame))
+            try:
+                folded.append(_fold_stack(role, frame))
+            except AttributeError:
+                # A thread's stack can read as something other than a frame
+                # (a function object was seen): leave that thread out of
+                # this sample rather than let the sampler thread die.
+                continue
         with self._lock:
             for stack in folded:
                 self._folded[stack] = self._folded.get(stack, 0) + 1

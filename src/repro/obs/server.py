@@ -100,21 +100,16 @@ class TelemetryServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        alerts: bool = True,
         stall_threshold: float = 5.0,
-        alert_rules=None,
     ):
         self.rt = rt
         self.stall_threshold = stall_threshold
-        self.engine: AlertEngine | None = None
-        if alerts:
-            metrics = getattr(rt, "metrics", None)
-            self.engine = AlertEngine(
-                runtime_context(rt, stall_threshold=stall_threshold),
-                alert_rules if alert_rules is not None else default_rules(),
-                metrics=metrics,
-            )
-            self.engine.start()
+        self.engine = AlertEngine(
+            runtime_context(rt, stall_threshold=stall_threshold),
+            default_rules(),
+            metrics=getattr(rt, "metrics", None),
+        )
+        self.engine.start()
         self._profile_lock = threading.Lock()
         server = self
 
@@ -153,8 +148,7 @@ class TelemetryServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
-        if self.engine is not None:
-            self.engine.stop()
+        self.engine.stop()
         self.httpd.shutdown()
         self.httpd.server_close()
         self._thread.join(timeout=5.0)
@@ -215,11 +209,11 @@ class TelemetryServer:
     # route bodies
     # ---------------------------------------------------------------- #
 
-    def _observe(self) -> "tuple[dict, dict, list, list | None]":
+    def _observe(self) -> "tuple[dict, dict, list, list]":
         snap = self.rt.introspection_snapshot()
         metrics = self.rt.metrics_snapshot()
         stalls = detect_stalls(snap, self.stall_threshold)
-        alerts = self.engine.snapshot() if self.engine is not None else None
+        alerts = self.engine.snapshot()
         return snap, metrics, stalls, alerts
 
     def _metrics_text(self) -> str:
@@ -240,7 +234,7 @@ class TelemetryServer:
             err = getattr(group, "_group_error", None)
             if err is not None:
                 problems.append(f"shard {shard_idx}: failed: {err}")
-        if self.engine is not None and self.engine.has_critical():
+        if self.engine.has_critical():
             problems.append(
                 f"critical alerts firing: {', '.join(self.engine.firing())}"
             )

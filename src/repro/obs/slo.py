@@ -97,15 +97,11 @@ class AlertEngine:
         source: Callable[[], Mapping[str, Any]] | None = None,
         rules: "list[AlertRule] | None" = None,
         *,
-        interval: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
         events=None,
     ):
         self._source = source
         self.rules: list[AlertRule] = list(rules or [])
-        self.interval = interval
-        self._clock = clock
         self._metrics = metrics
         self._events = events if events is not None else get_log()
         self._states: dict[str, _RuleState] = {}
@@ -126,7 +122,7 @@ class AlertEngine:
             if self._source is None:
                 raise ValueError("no context given and no source configured")
             ctx = self._source()
-        now = self._clock()
+        now = time.monotonic()
         transitions: list[tuple[str, AlertRule, str]] = []
         with self._lock:
             for rule in self.rules:
@@ -178,7 +174,7 @@ class AlertEngine:
 
     def snapshot(self) -> list[dict[str, Any]]:
         """One row per rule: name/severity/firing/detail/firing-for."""
-        now = self._clock()
+        now = time.monotonic()
         with self._lock:
             rows = []
             for rule in self.rules:
@@ -199,7 +195,7 @@ class AlertEngine:
     # ---------------------------------------------------------------- #
 
     def start(self) -> None:
-        """Evaluate every ``interval`` seconds on a daemon thread."""
+        """Evaluate once a second on a daemon thread."""
         if self._source is None:
             raise ValueError("cannot start an engine without a source")
         if self._thread is not None:
@@ -218,7 +214,7 @@ class AlertEngine:
         self._thread = None
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval):
+        while not self._stop.wait(1.0):
             try:
                 self.evaluate()
             except Exception:
@@ -249,12 +245,13 @@ def _window_rate_count(metrics: Mapping[str, Any], name: str, window: str) -> in
 def default_rules(
     *,
     p99_slo_s: float = 0.5,
-    window: str = "10s",
     min_samples: int = 20,
-    fallback_ratio: float = 0.5,
     backpressure_depth: int = 1000,
 ) -> list[AlertRule]:
     """The built-in production rule set over the standard context shape.
+
+    The latency and fallback rules read the 10 s window; the fallback rule
+    fires when more than half of that window's reads fell back.
 
     Context keys: ``introspection`` (a runtime introspection snapshot),
     ``metrics`` (a registry snapshot, windows included), ``stalls`` (a
@@ -276,28 +273,27 @@ def default_rules(
         return False, ""
 
     def slo_burn(ctx: Mapping[str, Any]):
-        w = _window_hist(ctx.get("metrics") or {}, "ags_e2e", window)
+        w = _window_hist(ctx.get("metrics") or {}, "ags_e2e", "10s")
         if not w or w["count"] < min_samples:
             return False, ""
         if w["p99"] > p99_slo_s:
             return True, (
-                f"ags_e2e p99[{window}]={w['p99']:.4f}s over "
+                f"ags_e2e p99[10s]={w['p99']:.4f}s over "
                 f"objective {p99_slo_s:g}s (n={w['count']})"
             )
         return False, ""
 
     def fallback(ctx: Mapping[str, Any]):
         metrics = ctx.get("metrics") or {}
-        fast = _window_rate_count(metrics, "read_fastpath", window)
-        fb = _window_rate_count(metrics, "read_fallback", window)
+        fast = _window_rate_count(metrics, "read_fastpath", "10s")
+        fb = _window_rate_count(metrics, "read_fallback", "10s")
         total = fast + fb
         if total < min_samples:
             return False, ""
         ratio = fb / total
-        if ratio > fallback_ratio:
+        if ratio > 0.5:
             return True, (
-                f"read fallback ratio[{window}]={ratio:.2f} "
-                f"({fb}/{total}) over {fallback_ratio:g}"
+                f"read fallback ratio[10s]={ratio:.2f} ({fb}/{total}) over 0.5"
             )
         return False, ""
 

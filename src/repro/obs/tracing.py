@@ -42,7 +42,6 @@ Usage::
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Any, Iterable
 
 __all__ = [
@@ -155,7 +154,6 @@ class FlightRecorder:
         name: str | None = None,
         *,
         track: str | None = None,
-        cat: str | None = None,
         trace_id: int | None = None,
     ) -> list[SpanEvent]:
         """Filtered view of :meth:`events`."""
@@ -164,7 +162,6 @@ class FlightRecorder:
             for e in self.events()
             if (name is None or e.name == name)
             and (track is None or e.track == track)
-            and (cat is None or e.cat == cat)
             and (trace_id is None or e.trace_id == trace_id)
         ]
 
@@ -258,7 +255,7 @@ def to_chrome_trace(events: Iterable[SpanEvent]) -> dict[str, Any]:
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def render_events(events: Iterable[SpanEvent], limit: int = 200) -> str:
-    """A printable text timeline (most recent *limit* events, in order)."""
-    picked = list(events)[-limit:]
+def render_events(events: Iterable[SpanEvent]) -> str:
+    """A printable text timeline (the most recent 200 events, in order)."""
+    picked = list(events)[-200:]
     return "\n".join(repr(e) for e in picked)

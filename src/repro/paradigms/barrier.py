@@ -43,10 +43,6 @@ class Barrier:
         self.api.out(self.ts, self.name, "count", 0)
         self.api.out(self.ts, self.name, "gen", 0)
 
-    def teardown(self) -> None:
-        self.api.in_(self.ts, self.name, "count", formal(int))
-        self.api.in_(self.ts, self.name, "gen", formal(int))
-
     def arrive(self, api: Any | None = None) -> int:
         """Block until all *n* parties arrive; returns the new generation.
 

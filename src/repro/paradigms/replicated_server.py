@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 from repro.core.ags import AGS, Guard, Op, ref
 from repro.core.runtime import BaseRuntime, ProcessView
-from repro.core.spaces import TSHandle
 from repro.core.statemachine import FAILURE_TAG
 from repro.core.tuples import formal
 
@@ -148,19 +147,20 @@ class ReplicatedServer:
         payloads: Callable[[int], Any],
         *,
         crash_after: int,
-        primary_host: int = 101,
-        backup_host: int = 102,
     ) -> dict[str, Any]:
         """Serve *n_requests* with the primary crashing mid-run.
+
+        The primary runs as host 101 and the backup as host 102.
 
         Returns ``{"replies", "primary_answered", "backup_answered"}``.
         """
         rt = self.runtime
+        primary_host = 101
         hp = rt.eval_(
             lambda proc, h: self.serve(proc, h, crash_after=crash_after),
             primary_host,
         )
-        hb = rt.eval_(self.backup, primary_host, backup_host)
+        hb = rt.eval_(self.backup, primary_host, 102)
 
         replies: dict[int, Any] = {}
         client_done: list[int] = []

@@ -33,12 +33,12 @@ __all__ = ["collector", "failure_monitor", "ft_worker", "seed_bag"]
 STOP = "stop"
 
 
-def seed_bag(view, payloads: Sequence[Any], handle_tag: str = "bag-handle"):
-    """Create the bag space, fill it, and publish its handle."""
+def seed_bag(view, payloads: Sequence[Any]):
+    """Create the bag space, fill it, and publish its handle as ``bag-handle``."""
     bag = yield view.create_space("bag")
     for p in payloads:
         yield view.out(bag, "task", p)
-    yield view.out(view.main_ts, handle_tag, bag)
+    yield view.out(view.main_ts, "bag-handle", bag)
     return bag
 
 
@@ -47,7 +47,6 @@ def ft_worker(
     bag,
     wid: int,
     *,
-    compute_us: float = 2_000.0,
     compute: Callable[[Any], Any] | None = None,
     freeze_after: int | None = None,
 ):
@@ -78,7 +77,7 @@ def ft_worker(
             return done
         if freeze_after is not None and done >= freeze_after:
             yield hold(10_000_000_000.0)  # the crash window, frozen open
-        yield hold(compute_us)
+        yield hold(2_000.0)  # 2 ms of simulated compute per task
         yield view.execute(AGS.single(
             Guard.in_(prog, "task", t),
             [Op.out(view.main_ts, "result", t, fn(t))],

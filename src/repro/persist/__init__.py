@@ -28,7 +28,6 @@ from repro.persist.runtime import SegmentedWALRuntime
 from repro.persist.segments import (
     ReplayResult,
     SegmentedLog,
-    fsync_dir,
     replay_dir,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "SegmentedLog",
     "ReplayResult",
     "replay_dir",
-    "fsync_dir",
     "CRASHPOINT_ENV",
     "crash_here",
 ]

@@ -54,7 +54,6 @@ __all__ = [
     "SegmentedLog",
     "ReplayResult",
     "replay_dir",
-    "fsync_dir",
 ]
 
 _LEN = struct.Struct(">I")

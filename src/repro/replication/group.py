@@ -168,12 +168,12 @@ class ReplicaGroup:
         # parked= is a single dict.get: the lane asks whether a read's
         # client still waits, and the map is only ever mutated in place
         self.reads = ReadLane(
-            transport, self.alive, self.seq, metrics, clock,
+            transport, self.alive, self.seq, metrics,
             parked=self._waiters.get, unpark=self._unpark,
         )
         self.transfer = StateTransfer(
             transport, self.alive, self.seq, self.requests,
-            self._readmit, self._declare_dead, metrics, owner=owner,
+            self._readmit, self._declare_dead, owner=owner,
         )
         self.liveness: Liveness | None = None
         if liveness is not None:
@@ -221,7 +221,6 @@ class ReplicaGroup:
         timeout: float | None = None,
         *,
         retries: int = 0,
-        backoff: float = 0.05,
     ) -> Any:
         """Sequence *cmd*, park until its completion, return the result.
 
@@ -238,7 +237,7 @@ class ReplicaGroup:
 
         With ``retries`` > 0, a :class:`TimeoutError_` or
         :class:`HostFailedError` triggers transparent resubmission (up to
-        that many extra attempts, sleeping a doubling ``backoff`` between
+        that many extra attempts, sleeping 50 ms, doubling, between
         them) **with the same request id**: the replicas' completed-request
         memo replays a result that already applied instead of executing
         twice, and a statement the ordered cancel provably withdrew is
@@ -264,8 +263,7 @@ class ReplicaGroup:
                 if attempt >= retries:
                     return result
             attempt += 1
-            if backoff > 0:
-                time.sleep(min(backoff * (2 ** (attempt - 1)), 1.0))
+            time.sleep(min(0.05 * (2 ** (attempt - 1)), 1.0))
 
     def _call_once(self, cmd: Command, timeout: float | None = None) -> Any:
         """One submission attempt of :meth:`call` (no retry policy)."""

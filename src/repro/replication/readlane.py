@@ -51,7 +51,6 @@ class ReadLane:
         alive: Sequence[bool],
         seq: Any,
         metrics: MetricsRegistry,
-        clock: Callable[[], float],
         *,
         parked: Callable[[int], Any],
         unpark: Callable[[int], None],
@@ -59,13 +58,11 @@ class ReadLane:
         self._transport = transport
         self._alive = alive
         self._seq = seq
-        self._clock = clock
         self._parked = parked
         self._unpark = unpark
         self._lock = threading.Lock()
         #: Outstanding fast-path reads: request_id -> (replica_id, command).
         self._reads: dict[int, tuple[int, ExecuteAGS]] = {}
-        self._h_read = metrics.histogram("read_latency")
         self._c_fast = metrics.counter("read_fastpath")
         self._c_fallback = metrics.counter("read_fallback")
 
@@ -121,8 +118,6 @@ class ReadLane:
         fast path."""
         if w.event.wait(timeout):
             self._claim(request_id)  # answered: drop the registration
-            now = self._clock()
-            self._h_read.record(now - w.t_submit, now)
             return True
         if self._claim(request_id):
             # Still on the fast path: nothing is parked in the total order

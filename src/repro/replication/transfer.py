@@ -25,7 +25,6 @@ from typing import Any, Callable
 
 from repro._errors import TimeoutError_
 from repro.obs.events import emit as emit_event
-from repro.obs.metrics import MetricsRegistry
 from repro.replication.requests import DONOR_LOST, Requests
 from repro.replication.transport import Transport
 from repro.replication.worker import split_state
@@ -53,7 +52,6 @@ class StateTransfer:
         requests: Requests,
         readmit: Callable[[int, Any], None],
         declare_dead: Callable[[int, str], bool],
-        metrics: MetricsRegistry,
         *,
         owner: str = "group",
     ):
@@ -68,7 +66,6 @@ class StateTransfer:
         #: (donor, idx, total) — lets the chaos harness kill the donor
         #: mid-transfer at a precise chunk boundary.
         self.chunk_hook: Callable[[int, int, int], None] | None = None
-        self._c_chunks = metrics.counter("state_transfer_chunks")
 
     def recover(self, replica_id: int, timeout: float) -> int:
         """Restart *replica_id* and transfer state into it.
@@ -189,7 +186,6 @@ class StateTransfer:
                     lost = True
                     break
                 chunks.append(chunk)
-                self._c_chunks.inc()
                 emit_event(
                     "state_transfer_chunk",
                     group=self._owner,

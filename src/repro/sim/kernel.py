@@ -6,21 +6,19 @@ broken by a monotonically increasing sequence number, never by object
 identity or hash order.
 
 Time is a float in **microseconds** to match the units of the paper's
-Table 1; helpers :data:`MS` and :data:`SEC` make call sites readable.
+Table 1; the helper :data:`MS` makes call sites readable.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-__all__ = ["MS", "SEC", "SimEvent", "Simulator"]
+__all__ = ["MS", "SimEvent", "Simulator"]
 
 #: One millisecond in simulator time units (microseconds).
 MS = 1000.0
-#: One second in simulator time units.
-SEC = 1_000_000.0
 
 
 class _Scheduled:
@@ -88,17 +86,13 @@ class Simulator:
     seed:
         Seeds :attr:`rng`, the single source of randomness every simulated
         component must draw from (network jitter, workload generators, …).
-    trace:
-        Optional callback ``(time, label)`` invoked by components that emit
-        trace points; useful in tests.
     """
 
-    def __init__(self, seed: int = 0, trace: Callable[[float, str], None] | None = None):
+    def __init__(self, seed: int = 0):
         self.now = 0.0
         self.rng = random.Random(seed)
         self._queue: list[_Scheduled] = []
         self._seq = 0
-        self._trace = trace
         self.events_processed = 0
 
     # ------------------------------------------------------------------ #
@@ -119,11 +113,6 @@ class Simulator:
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh one-shot event bound to this simulator."""
         return SimEvent(self, name)
-
-    def trace(self, label: str) -> None:
-        """Emit a trace point (no-op unless a trace callback was given)."""
-        if self._trace is not None:
-            self._trace(self.now, label)
 
     # ------------------------------------------------------------------ #
     # execution

@@ -16,11 +16,11 @@ network-of-workstations experiments.  A process can be :meth:`killed
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterator
+from typing import Any, Generator
 
 from repro.sim.kernel import SimEvent, Simulator
 
-__all__ = ["Hold", "SimProcess", "hold", "spawn"]
+__all__ = ["SimProcess", "hold", "spawn"]
 
 
 class _ProcError:

@@ -35,7 +35,7 @@ from typing import Any, Callable
 
 from repro.obs.tracing import SpanEvent, to_chrome_trace
 
-__all__ = ["TraceEvent", "Tracer"]
+__all__ = ["Tracer"]
 
 
 class TraceEvent(SpanEvent):

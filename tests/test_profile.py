@@ -97,6 +97,15 @@ class TestFoldingDeterministic:
         assert sampler.sample_once(skip_ident=2) == 1
         assert list(sampler.folded()) == ["r1;a:f"]
 
+    def test_a_stack_that_is_not_a_frame_is_left_out_of_the_sample(self):
+        # sys._current_frames once handed the sampler a function object
+        frames = {1: _chain(("a", "f")), 2: lambda: None}
+        sampler = _make_sampler(frames, roles={1: "r1", 2: "r2"})
+        assert sampler.sample_once() == 1
+        assert sampler.sample_once() == 1
+        assert sampler.folded() == {"r1;a:f": 2}
+        assert sampler.samples == 2
+
     def test_role_reregistration_overwrites(self):
         register_thread("old-role", ident=424242)
         register_thread("new-role", ident=424242)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 
 from repro import AGS, Branch, Guard, Op, formal, ref
 from repro.core.spaces import MAIN_TS
+from repro.core.ags import OpCode
 from repro.core.statemachine import ExecuteAGS, HostFailed, TSStateMachine
 from repro.core.tuples import Pattern
 
@@ -139,35 +140,34 @@ def test_aborted_ags_is_invisible(seeds, missing_ch):
 @given(command_stream())
 @settings(max_examples=100, deadline=None)
 def test_conservation_across_streams(cmds):
-    """Integer tuples are conserved: outs − ins == tuples present.
+    """Tuples are conserved: the spaces hold exactly what was minted.
 
-    Every statement in the stream moves or renames tuples; only explicit
-    out ops mint them and only in/inp withdrawals destroy them.  We track
-    mint/destroy counts from the completions and compare with the store.
+    Counted from the completions: a statement that committed withdrew one
+    tuple if its fired guard is an ``in``/``inp`` and deposited one per
+    ``out`` in the fired branch's body; a parked or aborted statement
+    changed nothing.  Each ``HostFailed`` deposits one failure tuple, which
+    no statement in the stream can withdraw.
     """
-    sm = TSStateMachine(op_stats=True)
+    sm = TSStateMachine()
+    statements = {c.request_id: c.ags for c in cmds if isinstance(c, ExecuteAGS)}
+    completed: list[int] = []
+    deposits = sum(isinstance(c, HostFailed) for c in cmds)
+    withdrawals = 0
     for cmd in cmds:
-        sm.apply(cmd)
-    store_count = sum(len(store) for _h, store in sm.registry)
-    blocked = len(sm.blocked)
-    outs = sm.op_counts.get("out", 0)
-    # ins/inps that *succeeded* withdrew one tuple each; count via store
-    # arithmetic instead: withdrawals = outs + failure/recovery deposits
-    # − remaining.  It must never be negative.
-    deposits = outs + _notification_count(sm)
-    withdrawals = deposits - store_count
-    assert withdrawals >= 0
-    assert blocked >= 0
-
-
-def _notification_count(sm: TSStateMachine) -> int:
-    # HostFailed commands deposit one failure tuple each into MAIN_TS; they
-    # may since have been withdrawn, so recompute from applied history is
-    # impossible — instead count them as the difference is already covered
-    # by scanning the op counts of the state machine's own deposits.
-    # Failure deposits bypass op counting, so derive them from the command
-    # effects: every failure tuple ever present was deposited exactly once.
-    # We conservatively count current + withdrawn failure tuples as >= 0.
-    return sum(
-        1 for t in sm.registry.store(MAIN_TS) if t.fields[0] == "ft_failure"
-    )
+        for comp in sm.apply(cmd):
+            if comp.request_id not in statements:
+                continue
+            completed.append(comp.request_id)
+            result = comp.result
+            if result.fired is None or result.error is not None:
+                continue
+            branch = statements[comp.request_id].branches[result.fired]
+            guard = branch.guard.op
+            withdrawals += guard is not None and guard.code.withdraws
+            deposits += sum(op.code is OpCode.OUT for op in branch.body)
+    assert sum(len(store) for _h, store in sm.registry) == deposits - withdrawals
+    # each statement completes at most once, and only a statement that has
+    # not completed can still be parked
+    assert len(completed) == len(set(completed))
+    parked = {b.command.request_id for b in sm.blocked}
+    assert parked.isdisjoint(completed)

@@ -290,10 +290,3 @@ class TestDeterminismAndSnapshots:
         c2 = clone.apply(ExecuteAGS(3, 0, 0, AGS.atomic(Op.out(MAIN_TS, "never"))))
         assert [c.request_id for c in c1] == [c.request_id for c in c2]
         assert sm.fingerprint() == clone.fingerprint()
-
-    def test_op_stats(self):
-        sm = TSStateMachine(op_stats=True)
-        run_ags(sm, AGS.atomic(Op.out(MAIN_TS, "x", 1)))
-        run_ags(sm, AGS.single(Guard.in_(MAIN_TS, "x", formal(int, "v"))), rid=2)
-        assert sm.op_counts["out"] == 1
-        assert sm.op_counts["in"] == 1
