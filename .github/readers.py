@@ -16,7 +16,10 @@ with one line per name that nothing reads:
   workflow (its Prometheus exports are greps there);
 - exports: a name in a src/ module's __all__ (not a package __init__'s)
   is referenced by another module.  A package __init__ re-exporting it
-  is not a reader.
+  is not a reader;
+- imports: a name a module imports is loaded in that module, as a name
+  or in a string that is not a docstring.  A package __init__'s imports
+  (its re-exports) and __future__ imports are exempt.
 
 Docstrings, comments and __all__ entries never count as readers.  A name
 kept without a reader on purpose goes in the allowlists below, with the
@@ -87,6 +90,26 @@ def references(tree):
                 yield word, node.lineno, "string"
 
 
+def unread_imports(tree):
+    """Yield (name, line) for every name *tree* imports and never loads."""
+    skip = docstrings(tree)
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            loaded.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in skip):
+            loaded.update(WORD.findall(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in bound if name not in loaded)
+
+
 def check(root: pathlib.Path) -> list[str]:
     files = {p: ast.parse(p.read_text(), str(p))
              for r in ROOTS for p in sorted((root / r).rglob("*.py"))}
@@ -147,6 +170,12 @@ def check(root: pathlib.Path) -> list[str]:
                     if c.value not in EXPORTS and not (readers.get(c.value, set()) - {p}):
                         bad.append(f"{p.relative_to(root)}:{node.lineno}: {c.value} is in "
                                    f"__all__ and no other module reads it")
+
+    # Imports: loaded in the module that imports them.
+    for p, tree in files.items():
+        if p.name != "__init__.py":
+            bad += [f"{p.relative_to(root)}:{line}: {name} is imported and nothing reads it"
+                    for name, line in unread_imports(tree)]
     return bad
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.bench import Table, save_table
 from repro.bench.workloads import make_cluster, mean
-from repro.core.ags import AGS, Op
 
 N_SAMPLES = 30
 

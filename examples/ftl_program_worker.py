@@ -12,7 +12,7 @@ Run:  python examples/ftl_program_worker.py
 
 import pathlib
 
-from repro import LocalRuntime, formal
+from repro import LocalRuntime
 from repro.lcc import compile_program
 
 

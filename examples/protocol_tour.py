@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""A guided tour of the protocol stack, narrated by the tracer.
+"""A guided tour of the protocol stack, narrated by its trace.
 
 Runs a tiny cluster through the full lifecycle — normal ordering,
 sequencer crash and takeover, restart and state transfer — and prints the
-structured event timeline each phase produced.  Useful for understanding
+structured event timeline each phase recorded into a flight recorder.  Useful for understanding
 *how* the implementation realizes the paper's guarantees, layer by layer.
 
 Run:  python examples/protocol_tour.py
@@ -11,7 +11,8 @@ Run:  python examples/protocol_tour.py
 
 from repro import formal
 from repro.consul import ClusterConfig, SimCluster
-from repro.sim.trace import Tracer
+from repro.obs.tracing import FlightRecorder, render_events
+from repro.sim.trace import attach
 
 
 def banner(title: str) -> None:
@@ -20,7 +21,14 @@ def banner(title: str) -> None:
 
 def main() -> None:
     cluster = SimCluster(ClusterConfig(n_hosts=3, seed=7))
-    tracer = Tracer().attach(cluster)
+    recorder = attach(cluster, FlightRecorder())
+
+    def show(since: float, layer: str, event: str | None = None) -> None:
+        """Print one layer's events (of one kind) from virtual µs *since*."""
+        print(render_events(
+            e for e in recorder.events()
+            if e.ts * 1e6 >= since and e.cat == layer and event in (None, e.name)
+        ))
 
     # ---- phase 1: one out(), totally ordered --------------------------- #
     banner("phase 1: one out() from host 2 (host 0 is the sequencer)")
@@ -31,7 +39,7 @@ def main() -> None:
     mark = cluster.sim.now
     p = cluster.spawn(2, client)
     cluster.run_until(p.finished, limit=60_000_000)
-    print(tracer.render(since=mark, layer="ord"))
+    show(mark, "ord")
     print("  → one sequence event at host 0, one delivery per host.")
 
     # ---- phase 2: crash the sequencer ------------------------------------ #
@@ -39,8 +47,8 @@ def main() -> None:
     mark = cluster.sim.now
     cluster.crash(0)
     cluster.settle(2_000_000)
-    print(tracer.render(since=mark, layer="mem"))
-    print(tracer.render(since=mark, layer="ord", event="start_takeover_sync"))
+    show(mark, "mem")
+    show(mark, "ord", "start_takeover_sync")
     print("  → suspicion on both survivors, ONE ordered exclusion "
           "(announce-leader dedup), takeover sync at host 1.")
 
@@ -62,21 +70,21 @@ def main() -> None:
 
     p = cluster.spawn(2, writer)
     cluster.run_until(p.finished, limit=60_000_000)
-    print(tracer.render(since=mark, layer="ord", event="sequence"))
+    show(mark, "ord", "sequence")
 
     # ---- phase 4: restart and state transfer ------------------------------- #
     banner("phase 4: restart host 0 — rejoin + snapshot")
     mark = cluster.sim.now
     cluster.recover(0)
     cluster.run_until(cluster.replica(0).recovered_event, limit=120_000_000)
-    print(tracer.render(since=mark, layer="mem"))
-    print(tracer.render(since=mark, layer="replica"))
+    show(mark, "mem")
+    show(mark, "replica")
     cluster.settle(2_000_000)
     prints = [cluster.replica(h).stable_fingerprint() for h in range(3)]
     print(f"  → all three replicas identical again: {len(set(prints)) == 1}")
 
     banner("totals")
-    print(f"  events traced : {len(tracer)}")
+    print(f"  events traced : {len(recorder)}")
     s = cluster.segment.stats.snapshot()
     print(f"  wire          : {s['frames']} frames "
           f"({s['broadcast_frames']} broadcasts), {s['bytes']} bytes")

@@ -57,6 +57,10 @@ class HostFailedError(RuntimeFailure):
         self.host_id = host_id
         super().__init__(f"host {host_id} has failed")
 
+    def __reduce__(self):
+        # Exception's own would pass the message back as host_id
+        return (type(self), (self.host_id,))
+
 
 class OperandError(AGSError):
     """A registered function raised evaluating an operand: the statement aborts."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = ["Table", "results_dir", "save_table"]
 

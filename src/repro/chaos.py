@@ -189,7 +189,7 @@ class ChaosMonkey:
         seq = self.group.seq
         with seq._pending_lock:
             seq._pending.append(("BOOM",))  # type: ignore[arg-type]
-        seq._kick.set()
+        seq.thread.kick()
         self._note("kill_sequencer")
 
     def kill_donor_mid_transfer(self, at_chunk: int = 1) -> Callable[[], int | None]:

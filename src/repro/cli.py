@@ -92,7 +92,7 @@ from typing import Any, Iterator, TextIO
 from repro._errors import LindaError
 from repro.core.ags import AGSResult
 from repro.core.runtime import LocalRuntime
-from repro.core.spaces import MAIN_TS, Resilience, Scope, TSHandle
+from repro.core.spaces import MAIN_TS, Resilience, TSHandle
 from repro.lcc import SignatureCatalog, compile_ags
 from repro.lcc.program import Program, compile_program
 

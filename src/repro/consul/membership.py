@@ -33,7 +33,7 @@ from repro.consul.config import ConsulConfig
 from repro.consul.hosts import SimHost
 from repro.consul.network import BROADCAST
 from repro.consul.ordering import OrderingLayer
-from repro.core.statemachine import Command, HostFailed, HostRecovered
+from repro.core.statemachine import HostFailed, HostRecovered
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
 

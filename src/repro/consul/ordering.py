@@ -30,7 +30,7 @@ must *not* be ordered.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.consul.config import ConsulConfig
 from repro.consul.hosts import SimHost

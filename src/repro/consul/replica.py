@@ -129,7 +129,7 @@ class ReplicaLayer(Protocol):
         self._submit_t: dict[int, float] = {}
         self._order_t: dict[int, float] = {}
         #: Apply-stream hook: called as ``(host_id, slot, request_id)`` for
-        #: every ordered command (the sim Tracer plants it; ``None`` = off).
+        #: every ordered command (``sim.trace.attach`` plants it; ``None`` = off).
         #: The slot is ``sm.applied_count`` — part of the snapshot, so a
         #: recovered host resumes counting exactly where its donor stood.
         self.trace_apply: Any | None = None

@@ -33,7 +33,6 @@ from typing import Any
 
 from repro.consul.config import ConsulConfig
 from repro.consul.hosts import SimHost
-from repro.consul.network import BROADCAST
 from repro.consul.ordering import OrderingLayer
 from repro.xkernel.message import Message
 

@@ -44,7 +44,6 @@ from repro.lcc.ast_nodes import (
     AGSNode,
     ArgNode,
     BinOpNode,
-    BranchNode,
     CallNode,
     FormalNode,
     GuardNode,

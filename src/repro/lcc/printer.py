@@ -22,7 +22,6 @@ from repro.core.ags import (
     Const,
     Expr,
     FormalRef,
-    Guard,
     GuardKind,
     Op,
     Operand,

@@ -12,6 +12,11 @@ goes.  This module is the missing instrument:
   path — so the profiler's off-path cost is structurally zero, the same
   discipline as ``enable_introspection()``;
 
+- :class:`Daemon` — the one lifecycle of every background loop (the
+  sequencer, the journal, the liveness monitor, this sampler, the alert
+  engine): a registered thread that steps when kicked or on a period,
+  stops the same way, and dies by one rule;
+
 - :class:`SamplingProfiler` — a sampler thread walking
   ``sys._current_frames()`` at a configurable rate and folding each
   thread's stack under its role (``role;outer;...;leaf``).  Sampling is
@@ -52,8 +57,11 @@ import sys
 import threading
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.obs.events import emit as emit_event
+
 __all__ = [
     "DEFAULT_HZ",
+    "Daemon",
     "SamplingProfiler",
     "merge_folded",
     "register_thread",
@@ -93,6 +101,86 @@ def thread_role(ident: int) -> str:
 def registered_roles() -> dict[int, str]:
     """A copy of the live ident -> role map (tests, diagnostics)."""
     return dict(_roles)
+
+
+class Daemon:
+    """One background loop: a thread named and registered by *role*.
+
+    *step* runs when :meth:`kick`-ed or, given *every*, every *every*
+    seconds.  :meth:`stop` ends the loop and does not wait: a kicked loop
+    steps one last time, so whatever was asked of it before the stop (a
+    flush, an fsync) is covered, while a timed loop takes no step after
+    it.  :meth:`close` stops, then joins — never its own thread.
+
+    One death rule: a step that raises ends the loop, and *on_fatal* is
+    handed the reason, or, with none, a ``thread_died`` event is emitted.
+    The thread's body is :meth:`run`, which a test may call on its own
+    thread.
+    """
+
+    def __init__(
+        self,
+        role: str,
+        step: Callable[[], Any],
+        *,
+        every: float | None = None,
+        on_fatal: Callable[[str], None] | None = None,
+    ):
+        self.role = role
+        #: the thread's name: the role without its shard ("shard0/sequencer")
+        self.name = role.rpartition("/")[2]
+        self._step = step
+        self._every = every
+        self._on_fatal = on_fatal
+        self._wake = threading.Event()
+        self._stopped = False
+        self._thread: threading.Thread | None = None
+
+    @property
+    def running(self) -> bool:
+        t = self._thread
+        return t is not None and t.is_alive()
+
+    def start(self) -> "Daemon":
+        """Launch the thread; a second start on a running loop is a no-op."""
+        if not self.running:
+            self._stopped = False
+            self._wake.clear()
+            self._thread = threading.Thread(target=self.run, name=self.name, daemon=True)
+            self._thread.start()
+        return self
+
+    def kick(self) -> None:
+        self._wake.set()
+
+    def stop(self) -> None:
+        self._stopped = True
+        self._wake.set()
+
+    def close(self, timeout: float = 5.0) -> None:
+        self.stop()
+        t = self._thread
+        if t is not None and t is not threading.current_thread():
+            t.join(timeout)
+
+    def run(self) -> None:
+        register_thread(self.role)
+        timed = self._every is not None
+        try:
+            while True:
+                self._wake.wait(self._every)
+                self._wake.clear()
+                stopping = self._stopped  # read before the step it covers
+                if not (stopping and timed):
+                    self._step()
+                if stopping:
+                    return
+        except Exception as exc:  # noqa: BLE001 - one rule for every loop
+            reason = f"{self.name} thread died: {type(exc).__name__}: {exc}"
+            if self._on_fatal is not None:
+                self._on_fatal(reason)
+            else:
+                emit_event("thread_died", severity="error", role=self.role, reason=reason)
 
 
 def _frame_label(frame: Any) -> str:
@@ -151,8 +239,11 @@ class SamplingProfiler:
         self._folded: dict[str, int] = {}
         self._samples = 0
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self.thread = Daemon(
+            "profile-sampler",
+            lambda: self.sample_once(skip_ident=threading.get_ident()),
+            every=self.interval,
+        )
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -184,20 +275,9 @@ class SamplingProfiler:
             self._samples += 1
         return len(folded)
 
-    def _run(self) -> None:
-        me = threading.get_ident()
-        register_thread("profile-sampler")
-        while not self._stop.wait(self.interval):
-            self.sample_once(skip_ident=me)
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-
-    @property
-    def running(self) -> bool:
-        t = self._thread
-        return t is not None and t.is_alive()
 
     @property
     def samples(self) -> int:
@@ -205,22 +285,12 @@ class SamplingProfiler:
 
     def start(self) -> "SamplingProfiler":
         """Begin sampling.  A second start on a running profiler is a no-op."""
-        if self.running:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="profile-sampler", daemon=True
-        )
-        self._thread.start()
+        self.thread.start()
         return self
 
     def stop(self) -> dict[str, int]:
         """Stop sampling and return the folded stacks (idempotent)."""
-        self._stop.set()
-        t = self._thread
-        if t is not None:
-            t.join(timeout=5.0)
-            self._thread = None
+        self.thread.close()
         return self.folded()
 
     def ingest(self, folded: Mapping[str, int]) -> None:
@@ -247,7 +317,7 @@ _process_sampler: SamplingProfiler | None = None
 def process_profile_start(hz: float = DEFAULT_HZ) -> str:
     """Start (or keep) this process's sampler — the profile_start query."""
     global _process_sampler
-    if _process_sampler is None or not _process_sampler.running:
+    if _process_sampler is None or not _process_sampler.thread.running:
         _process_sampler = SamplingProfiler(hz=hz)
         _process_sampler.start()
     return "profiling"

@@ -109,7 +109,7 @@ class TelemetryServer:
             default_rules(),
             metrics=getattr(rt, "metrics", None),
         )
-        self.engine.start()
+        self.engine.thread.start()
         self._profile_lock = threading.Lock()
         server = self
 
@@ -148,7 +148,7 @@ class TelemetryServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
-        self.engine.stop()
+        self.engine.thread.close()
         self.httpd.shutdown()
         self.httpd.server_close()
         self._thread.join(timeout=5.0)

@@ -11,11 +11,13 @@ This module closes that loop over the signals the repo already has:
   thresholds, description — is declarative.
 
 - :class:`AlertEngine` — evaluates a rule set at a low frequency (its
-  own daemon thread, or caller-driven via :meth:`evaluate` for tests and
-  the ``cli top`` refresh loop).  **Hysteresis** keeps it quiet: a rule
-  must breach ``fire_after`` consecutive evaluations to fire and pass
-  ``resolve_after`` consecutive clean ones to resolve, so a single noisy
-  sample neither pages nor flaps.  Transitions emit ``alert_fired`` /
+  :attr:`~AlertEngine.thread`, a once-a-second
+  :class:`~repro.obs.profile.Daemon`, or caller-driven via
+  :meth:`evaluate` for tests and the ``cli top`` refresh loop).
+  **Hysteresis** keeps it quiet: a rule must breach ``fire_after``
+  consecutive evaluations to fire and pass ``resolve_after`` consecutive
+  clean ones to resolve, so a single noisy sample neither pages nor
+  flaps.  Transitions emit ``alert_fired`` /
   ``alert_resolved`` events into :mod:`repro.obs.events` and the count
   of firing rules is kept in an ``alerts_firing`` gauge (exported as
   ``linda_alerts_firing``).
@@ -40,6 +42,7 @@ from typing import Any, Callable, Mapping
 
 from .events import get_log
 from .metrics import MetricsRegistry
+from .profile import Daemon
 
 __all__ = ["AlertEngine", "AlertRule", "default_rules", "runtime_context"]
 
@@ -106,8 +109,8 @@ class AlertEngine:
         self._events = events if events is not None else get_log()
         self._states: dict[str, _RuleState] = {}
         self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        #: Evaluates once a second, once started.
+        self.thread = Daemon("alert-engine", self._tick, every=1.0)
 
     # ---------------------------------------------------------------- #
     # evaluation
@@ -190,36 +193,11 @@ class AlertEngine:
                 })
             return rows
 
-    # ---------------------------------------------------------------- #
-    # background evaluation
-    # ---------------------------------------------------------------- #
-
-    def start(self) -> None:
-        """Evaluate once a second on a daemon thread."""
-        if self._source is None:
-            raise ValueError("cannot start an engine without a source")
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="alert-engine", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        t = self._thread
-        if t is not None:
-            t.join(timeout=5.0)
-        self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(1.0):
-            try:
-                self.evaluate()
-            except Exception:
-                # the health loop outlives a flaky snapshot source
-                continue
+    def _tick(self) -> None:
+        try:
+            self.evaluate()
+        except Exception:  # noqa: BLE001 - the health loop outlives a flaky source
+            pass
 
 
 # --------------------------------------------------------------------------- #

@@ -6,9 +6,9 @@ and only on the simulated cluster (``repro.sim.trace``).  This module
 gives the *real* backends the same footing:
 
 - :class:`SpanEvent` — the one event schema shared by every producer:
-  the flight recorder on the threaded/multiproc/local runtimes and the
-  simulated cluster's :class:`~repro.sim.trace.Tracer` (whose events are
-  a subclass), so simulated and real runs render identically;
+  the threaded/multiproc/local runtimes and the simulated cluster
+  (:func:`repro.sim.trace.attach`) record into the same recorder, so
+  simulated and real runs render identically;
 - :class:`FlightRecorder` — a bounded ring buffer of span events.  The
   record path is lock-free under the GIL (one atomic counter bump + one
   list slot store), so it is cheap enough to leave on during fault
@@ -22,7 +22,7 @@ gives the *real* backends the same footing:
 
 Tracing is **opt-in and zero-overhead when disabled**: every emit site
 is guarded by a ``tracer is not None`` check (the same discipline as the
-sim tracer's hook), and commands carry ``trace_id=None`` until a
+simulated replica's apply hook), and commands carry ``trace_id=None`` until a
 recorder is attached to the replica group.
 
 Timestamps are ``time.monotonic()`` seconds.  On Linux CLOCK_MONOTONIC

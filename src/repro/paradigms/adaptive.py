@@ -26,7 +26,6 @@ from typing import Any, Callable, Sequence
 
 from repro.core.ags import AGS, Branch, Guard, Op, ref
 from repro.core.runtime import BaseRuntime, ProcessView
-from repro.core.spaces import TSHandle
 from repro.core.tuples import formal
 from repro.paradigms.bag_of_tasks import STOP, WORKER_TAG
 

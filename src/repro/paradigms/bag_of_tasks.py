@@ -35,7 +35,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.ags import AGS, Guard, Op, ref
 from repro.core.runtime import BaseRuntime, ProcessView
-from repro.core.spaces import Resilience, Scope, TSHandle
+from repro.core.spaces import TSHandle
 from repro.core.statemachine import FAILURE_TAG
 from repro.core.tuples import formal
 

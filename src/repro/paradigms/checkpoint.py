@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.ags import AGS, Branch, Guard, Op, ref
+from repro.core.ags import AGS, Branch, Guard, Op
 from repro.core.runtime import BaseRuntime
 from repro.core.spaces import Resilience, Scope, TSHandle
 from repro.core.tuples import formal

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.ags import AGS, Guard, Op, Operand, as_operand, ref
-from repro.core.runtime import ProcessView
 from repro.core.spaces import TSHandle
 from repro.core.tuples import Formal, formal
 

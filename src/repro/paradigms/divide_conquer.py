@@ -30,7 +30,6 @@ from typing import Any, Callable, Sequence
 from repro._errors import AGSError
 from repro.core.ags import AGS, Const, Expr, Guard, Op, ref, register_function
 from repro.core.runtime import BaseRuntime, ProcessView
-from repro.core.statemachine import FAILURE_TAG
 from repro.core.tuples import formal
 from repro.paradigms.bag_of_tasks import STOP, WORKER_TAG, failure_monitor
 

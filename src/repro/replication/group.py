@@ -48,7 +48,7 @@ import threading
 import time
 from typing import Any, Iterator
 
-from repro._errors import HostFailedError, RuntimeFailure, TimeoutError_
+from repro._errors import RuntimeFailure, TimeoutError_
 from repro.core.ags import AGSResult
 from repro.core.spaces import TSHandle
 from repro.core.statemachine import (
@@ -187,11 +187,12 @@ class ReplicaGroup:
         #: The journal's fence, when there is one: every COMPS frame is
         #: shown to it before it is delivered.
         self._admit = self.journal.admit if self.journal.fenced else None
-        self.journal.start()
+        if self.journal.thread is not None:
+            self.journal.thread.start()
         transport.start(self._on_worker_item)
-        self.seq.start()
+        self.seq.thread.start()
         if self.liveness is not None:
-            self.liveness.start()
+            self.liveness.thread.start()
         if self.journal.durable:
             with self.seq.in_band() as order:
                 res = self.journal.replay(
@@ -235,19 +236,19 @@ class ReplicaGroup:
         race — completion or cancellation — is taken, so a timed-out
         ``in`` can never consume a tuple it did not report.
 
-        With ``retries`` > 0, a :class:`TimeoutError_` or
-        :class:`HostFailedError` triggers transparent resubmission (up to
-        that many extra attempts, sleeping 50 ms, doubling, between
-        them) **with the same request id**: the replicas' completed-request
-        memo replays a result that already applied instead of executing
-        twice, and a statement the ordered cancel provably withdrew is
-        simply re-executed — at-most-once either way.
+        With ``retries`` > 0, a :class:`TimeoutError_` triggers transparent
+        resubmission (up to that many extra attempts, sleeping 50 ms,
+        doubling, between them) **with the same request id**: the
+        replicas' completed-request memo replays a result that already
+        applied instead of executing twice, and a statement the ordered
+        cancel provably withdrew is simply re-executed — at-most-once
+        either way.
         """
         attempt = 0
         while True:
             try:
                 result = self._call_once(cmd, timeout)
-            except (TimeoutError_, HostFailedError):
+            except TimeoutError_:
                 if attempt >= retries:
                     raise
             else:
@@ -347,7 +348,7 @@ class ReplicaGroup:
         self.requests.fail()
         self.reads.clear()
         if self.liveness is not None:
-            self.liveness.stop()
+            self.liveness.thread.stop()
         for w in waiters:
             w.slot.append(RuntimeFailure(reason))
             w.event.set()
@@ -717,9 +718,10 @@ class ReplicaGroup:
             return
         self._stopped = True
         if self.liveness is not None:
-            self.liveness.close()
-        self.seq.close()
+            self.liveness.thread.close()
+        self.seq.thread.close()
         # after the sequencer's last flush, so the last fsync covers it
-        self.journal.stop()
+        if self.journal.thread is not None:
+            self.journal.thread.close(30.0)
         self.transport.shutdown(self.alive)
         self.journal.close()

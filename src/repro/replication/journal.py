@@ -41,7 +41,7 @@ from repro._errors import RuntimeFailure, TimeoutError_
 from repro.core.statemachine import Command
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import register_thread
+from repro.obs.profile import Daemon
 from repro.replication.worker import compact_batch, expand_batch
 
 __all__ = ["GroupJournal", "replay_commands"]
@@ -82,7 +82,9 @@ class GroupJournal:
     *complete* is the group's delivery of one completion, which a parked
     frame is released through (None for an owner that never calls
     :meth:`admit`); *on_fatal* is told why when the journal thread dies —
-    nothing could ever be acknowledged again.
+    nothing could ever be acknowledged again.  The thread, when this
+    journal fsyncs, is :attr:`thread`, a kicked
+    :class:`~repro.obs.profile.Daemon`; otherwise :attr:`thread` is None.
     """
 
     def __init__(
@@ -101,7 +103,6 @@ class GroupJournal:
         self.dir = dir
         self._clock = clock
         self._complete = complete
-        self._role = role
         self._owner = owner
         self._on_fatal = on_fatal
         #: Slots written (by the sequencer, under the order) and slots
@@ -124,13 +125,10 @@ class GroupJournal:
         #: (applied, replica_id, comps, t_parked).
         self._held: list[tuple[int, int, list, float]] = []
         self._failed: str | None = None
-        self._kick = threading.Event()
-        self._stop = False
         self._h_fsync = metrics.histogram("journal_fsync")
         self._h_commit_wait = metrics.histogram("journal_commit_wait")
         self._g_lag = metrics.gauge("journal_lag")
         self.log = None
-        self._thread: threading.Thread | None = None
         if dir is not None:
             from repro.persist.segments import SegmentedLog
 
@@ -139,14 +137,7 @@ class GroupJournal:
         self.durable = dir is not None
         #: True when completions must pass :meth:`admit` (fsync on).
         self.fenced = self.durable and fsync
-
-    def start(self) -> None:
-        """Launch the journal thread, if this journal fsyncs."""
-        if self.fenced:
-            self._thread = threading.Thread(
-                target=self._loop, name="journal", daemon=True
-            )
-            self._thread.start()
+        self.thread = Daemon(role, self._drain, on_fatal=self._died) if self.fenced else None
 
     # ------------------------------------------------------------------ #
     # the sequencer's side: write under the order
@@ -168,7 +159,7 @@ class GroupJournal:
         self.log.write_many(((last, frame),))
         self._slot = last
         if self.fenced:
-            self._kick.set()
+            self.thread.kick()
         else:
             self._durable = self._slot
 
@@ -220,30 +211,22 @@ class GroupJournal:
     # the journal thread: fsync, then release
     # ------------------------------------------------------------------ #
 
-    def _loop(self) -> None:
+    def _drain(self) -> None:
         """Group commit: fsync whatever the sequencer has written so far,
-        back to back while anything is un-synced.  Like the sequencer's,
-        this thread's death is fatal to the group."""
-        register_thread(self._role)
-        try:
-            while True:
-                self._kick.wait()
-                self._kick.clear()
-                # read before the drain: stop() sets it after the
-                # sequencer's last flush, so that flush is covered below
-                stopping = self._stop
-                while self._durable < self._slot:
-                    self.sync()
-                if stopping:
-                    return
-        except Exception as exc:  # noqa: BLE001 - the group must not wedge
-            reason = f"journal thread died: {type(exc).__name__}: {exc}"
-            if self._on_fatal is not None:
-                self._on_fatal(reason)
-            with self._journal_cv:
-                self._failed = reason
-                self._held.clear()  # their waiters were just failed
-                self._journal_cv.notify_all()
+        back to back while anything is un-synced.  The thread's last step
+        runs after its stop, which the group asks for after the
+        sequencer's last flush, so that flush is covered."""
+        while self._durable < self._slot:
+            self.sync()
+
+    def _died(self, reason: str) -> None:
+        """Like the sequencer's, this thread's death is fatal to the group."""
+        if self._on_fatal is not None:
+            self._on_fatal(reason)
+        with self._journal_cv:
+            self._failed = reason
+            self._held.clear()  # their waiters were just failed
+            self._journal_cv.notify_all()
 
     def sync(self) -> None:
         """One group commit: fsync, then release what that covers.
@@ -361,14 +344,6 @@ class GroupJournal:
 
     def sample(self) -> None:
         self._g_lag.set(self._slot - self._durable)
-
-    def stop(self) -> None:
-        """Join the journal thread after one last fsync.  Call after the
-        sequencer's last flush, so that fsync covers it."""
-        if self._thread is not None:
-            self._stop = True
-            self._kick.set()
-            self._thread.join(timeout=30.0)
 
     def close(self) -> None:
         if self.log is not None:

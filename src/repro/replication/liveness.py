@@ -12,12 +12,11 @@ checked in virtual time.  What a decision *does* is handed in: the group's
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import register_thread
+from repro.obs.profile import Daemon
 from repro.obs.tracing import FlightRecorder
 from repro.replication.transport import Transport
 
@@ -75,8 +74,9 @@ class Liveness:
 
     *declare_dead(replica, cause)* returns False when the replica was
     already dead (someone else owned the death); *recover(replica)*
-    raises when a restart fails.  Until :meth:`start` there is no thread,
-    and :meth:`tick` is the caller's to drive.
+    raises when a restart fails.  The monitor thread is :attr:`thread`, a
+    :class:`~repro.obs.profile.Daemon` ticking every ``probe_interval``;
+    until it is started, :meth:`tick` is the caller's to drive.
     """
 
     def __init__(
@@ -100,7 +100,6 @@ class Liveness:
         self._recover = recover
         self._clock = clock
         self._tracer = tracer
-        self._role = role
         self._owner = owner
         #: When each replica last said anything on the feedback lane —
         #: completions double as heartbeats, and the tick's own in-band
@@ -110,8 +109,9 @@ class Liveness:
         #: replica -> earliest time its next restart may run.
         self._recover_pending: dict[int, float] = {}
         self._c_failures, self._c_autorec, self._h_detect = self.instruments(metrics)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self.thread = Daemon(
+            role, lambda: self.tick(clock()), every=policy.probe_interval
+        )
 
     @staticmethod
     def instruments(metrics: MetricsRegistry) -> tuple:
@@ -122,12 +122,6 @@ class Liveness:
             metrics.counter("auto_recoveries"),
             metrics.histogram("detection_latency"),
         )
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._loop, name="liveness-monitor", daemon=True
-        )
-        self._thread.start()
 
     def heard(self, replica_id: int, now: float) -> None:
         """*replica_id* said something: any emission proves its apply
@@ -140,11 +134,6 @@ class Liveness:
         monitor would re-suspect it instantly."""
         self._last_seen[replica_id] = now
         self._recover_pending.pop(replica_id, None)
-
-    def _loop(self) -> None:
-        register_thread(self._role)
-        while not self._stop.wait(self.policy.probe_interval):
-            self.tick(self._clock())
 
     def tick(self, now: float) -> None:
         """Detect dead replicas; drive the restarts that have fallen due.
@@ -242,12 +231,3 @@ class Liveness:
                             "attempt": self._restarts[replica_id],
                         },
                     )
-
-    def stop(self) -> None:
-        """No more ticks (the group stopped, or failed); does not wait."""
-        self._stop.set()
-
-    def close(self) -> None:
-        self.stop()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)

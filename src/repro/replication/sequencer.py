@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator
 
 from repro.core.statemachine import Command
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import register_thread
+from repro.obs.profile import Daemon
 from repro.obs.stages import STAGE_SAMPLE_EVERY
 from repro.obs.tracing import FlightRecorder
 from repro.replication.transport import Transport
@@ -69,7 +69,10 @@ class Sequencer:
     *alive* is the group's live mask (read here while broadcasting,
     flipped by the group inside :meth:`in_band`); *journal*, when given,
     is written under the order; *on_fatal* is told why when the
-    sequencer thread dies — nothing can be ordered any more.
+    sequencer thread dies — nothing can be ordered any more.  The thread
+    is :attr:`thread`, a kicked :class:`~repro.obs.profile.Daemon` whose
+    step is :meth:`_drain`: its last step, after a stop, flushes what is
+    still pending.
     """
 
     def __init__(
@@ -90,8 +93,6 @@ class Sequencer:
         self._clock = clock
         self._journal = journal
         self._tracer = tracer
-        self._role = role
-        self._on_fatal = on_fatal
         self._seq_lock = threading.Lock()  # holding this IS the total order
         self._pending: deque[Entry] = deque()
         self._pending_lock = threading.Lock()
@@ -113,16 +114,7 @@ class Sequencer:
         #: Backpressure gauge — *sampled* by depth(), never maintained
         #: on the hot path, so it costs nothing per operation.
         self._g_depth = metrics.gauge("sequencer_inbox_depth")
-        self._kick = threading.Event()
-        self._stopped = False
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        """Launch the sequencer thread."""
-        self._thread = threading.Thread(
-            target=self._loop, name="sequencer", daemon=True
-        )
-        self._thread.start()
+        self.thread = Daemon(role, self._drain, on_fatal=on_fatal)
 
     # ------------------------------------------------------------------ #
     # submission
@@ -132,7 +124,7 @@ class Sequencer:
         """Hand *cmd* (and its parked client, if any) to the order."""
         with self._pending_lock:
             self._pending.append((cmd, w))
-        self._kick.set()
+        self.thread.kick()
 
     def floor(self) -> int:
         """The highest slot sequenced so far (a read's session floor)."""
@@ -197,8 +189,8 @@ class Sequencer:
         self._broadcast_batch(batch)
         return True
 
-    def _loop(self) -> None:
-        """Drain the pending queue into ordered batches until shutdown.
+    def _drain(self) -> None:
+        """Ship the pending queue as ordered batches until it is empty.
 
         A dedicated thread rather than drain-on-submit: while it is
         marshalling one batch, every concurrently submitting client simply
@@ -210,24 +202,10 @@ class Sequencer:
         parked client with :class:`RuntimeFailure` instead of leaving
         them to hang forever against a dead bus.
         """
-        register_thread(self._role)
-        try:
-            while True:
-                self._kick.wait()
-                self._kick.clear()
-                while True:
-                    with self._seq_lock:
-                        if not self._flush_pending():
-                            break
-                if self._stopped:
-                    with self._seq_lock:
-                        self._flush_pending()
+        while True:
+            with self._seq_lock:
+                if not self._flush_pending():
                     return
-        except Exception as exc:  # noqa: BLE001 - the group must not wedge
-            if self._on_fatal is not None:
-                self._on_fatal(
-                    f"sequencer thread died: {type(exc).__name__}: {exc}"
-                )
 
     def _broadcast_batch(self, batch: list[Entry]) -> None:
         # Durable mode: write the ordered stream to the journal BEFORE it
@@ -309,10 +287,3 @@ class Sequencer:
         # the reply stage: how long the replica's answer took to reach
         # the collector — the same hop a completion takes to wake its client
         self._h_stage_reply.record(now - t_emit, now)
-
-    def close(self) -> None:
-        """Stop the thread after one last flush of what is pending."""
-        self._stopped = True
-        if self._thread is not None:
-            self._kick.set()
-            self._thread.join(timeout=5.0)

@@ -14,6 +14,5 @@ and the :func:`~repro.sim.process.hold` helper.
 
 from repro.sim.kernel import SimEvent, Simulator
 from repro.sim.process import SimProcess, hold
-from repro.sim.trace import Tracer
 
-__all__ = ["SimEvent", "SimProcess", "Simulator", "Tracer", "hold"]
+__all__ = ["SimEvent", "SimProcess", "Simulator", "hold"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AGS, AGSError, Guard, LocalRuntime, Op, formal, ref
+from repro import AGS, AGSError, Guard, Op, formal, ref
 from repro.baselines import PlainLindaRuntime, TwoPhaseCluster, TwoPhaseConfig
 from repro.core.tuples import Pattern
 

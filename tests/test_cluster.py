@@ -7,7 +7,7 @@ Ethernet — including crash, takeover, recovery and state transfer.
 
 import pytest
 
-from repro import AGS, FAILURE_TAG, Guard, Op, Resilience, Scope, formal, ref
+from repro import AGS, FAILURE_TAG, Guard, Op, Resilience, formal, ref
 from repro.consul import ClusterConfig, SimCluster
 from repro.core.spaces import MAIN_TS
 
@@ -291,8 +291,6 @@ class TestSpacesDistributed:
         h, t = run_proc(cluster, 1, prog)
         assert t == ("v", 1)
         # volatile traffic generates no frames beyond membership chatter
-        from repro.consul.network import BROADCAST  # noqa: F401
-
         data_frames = cluster.segment.stats.frames - baseline
         # allow heartbeat frames only: none of them are unicast REQs
         assert cluster.segment.stats.unicast_frames == 0

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro import LocalRuntime, formal
+from repro import LocalRuntime
 from repro.paradigms import Consensus, TupleStream
 
 

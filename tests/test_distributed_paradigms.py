@@ -8,8 +8,6 @@ actual end-to-end story.  The worker/monitor/collector roles come from
 :mod:`repro.paradigms.simstyle`.
 """
 
-import pytest
-
 from repro import AGS, Guard, Op, formal, ref
 from repro.consul import ClusterConfig, SimCluster
 from repro.paradigms import simstyle

@@ -814,7 +814,7 @@ class TestGroupCommitFence:
             2, durable_dir=str(tmp_path / "journal"), durable_fsync=False
         )
         try:
-            assert rt.group.journal._thread is None and not rt.group.journal.fenced
+            assert rt.group.journal.thread is None and not rt.group.journal.fenced
             for i in range(10):
                 rt.out(rt.main_ts, "m", i)
             st = rt.journal_status()[0]

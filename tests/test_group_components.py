@@ -263,8 +263,7 @@ class TestGroupJournal:
         assert st["durable_slot"] == st["journal_slot"] == 2
         assert journal.admit(2, 0, [(2, None)], 0.0) is True
         journal.barrier(nullcontext, 0.0)
-        journal.start()
-        assert journal._thread is None
+        assert journal.thread is None
         journal.close()
 
     def test_a_record_is_a_batch_read_back_past_the_snapshot(self, tmp_path):
@@ -289,7 +288,7 @@ class TestGroupJournal:
         assert not journal.durable and not journal.fenced
         assert journal.status() is None
         journal.barrier(nullcontext, 0.0)
-        journal.stop()
+        assert journal.thread is None
         journal.close()
 
 
@@ -428,9 +427,8 @@ class TestSequencerInBand:
             Recorder(1), [True], MetricsRegistry(), Clock(), on_fatal=reasons.append
         )
         seq._pending.append(("BOOM",))
-        seq._stopped = True
-        seq._kick.set()
-        seq._loop()  # on this thread: dies on the malformed entry
+        seq.thread.stop()
+        seq.thread.run()  # on this thread: dies on the malformed entry
         assert len(reasons) == 1 and "sequencer thread died" in reasons[0]
 
 

@@ -1,8 +1,5 @@
 """Focused membership-layer tests (leaders, dedup, views, gossip)."""
 
-import pytest
-
-from repro import formal
 from repro.consul import ClusterConfig, SimCluster
 from repro.consul.config import ConsulConfig
 from repro.core.statemachine import FAILURE_TAG, HostFailed

@@ -15,8 +15,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.obs.events import get_log
 from repro.obs.profile import (
-    DEFAULT_HZ,
+    Daemon,
     SamplingProfiler,
     merge_folded,
     register_thread,
@@ -112,19 +113,96 @@ class TestFoldingDeterministic:
         assert thread_role(424242) == "new-role"
 
 
+def _threads_named(name):
+    return {t for t in threading.enumerate() if t.name == name}
+
+
+class TestDaemon:
+    """The one lifecycle of every background loop."""
+
+    def test_a_step_that_raises_calls_on_fatal_once_and_ends(self):
+        reasons, steps = [], []
+
+        def step():
+            steps.append(1)
+            raise ValueError("boom")
+
+        loop = Daemon("shard1/stepper", step, on_fatal=reasons.append)
+        loop.kick()
+        loop.run()  # on this thread: the first step raises, and run returns
+        assert steps == [1]
+        assert reasons == ["stepper thread died: ValueError: boom"]
+
+    def test_with_no_on_fatal_a_death_is_one_thread_died_event(self):
+        log = get_log()
+        since = log.last_seq
+        loop = Daemon("dying-loop", lambda: 1 / 0)
+        loop.kick()
+        loop.run()
+        died = [e for e in log.events(since) if e["kind"] == "thread_died"
+                and e["role"] == "dying-loop"]
+        assert len(died) == 1
+        assert died[0]["severity"] == "error"
+        assert "ZeroDivisionError" in died[0]["reason"]
+
+    def test_a_kicked_loop_steps_once_more_after_a_stop(self):
+        steps = []
+        loop = Daemon("kicked", lambda: steps.append(1))
+        loop.stop()
+        loop.run()  # the stop's own wake-up is the last step
+        assert steps == [1]
+
+    def test_a_timed_loop_takes_no_step_after_close(self):
+        steps = []
+        loop = Daemon("timed", lambda: steps.append(1), every=0.001)
+        loop.stop()
+        loop.run()  # stopped before its first period: no step at all
+        assert steps == []
+        loop.start()
+        deadline = time.monotonic() + 5.0
+        while len(steps) < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        loop.close()
+        assert not loop.running and len(steps) >= 3
+        taken = len(steps)
+        time.sleep(0.02)  # twenty periods
+        assert len(steps) == taken
+
+    def test_close_from_its_own_thread_does_not_join_it(self):
+        log = get_log()
+        since = log.last_seq
+        loop = Daemon("self-closing", lambda: loop.close())
+        loop.start().kick()
+        deadline = time.monotonic() + 5.0
+        while loop.running and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not loop.running  # its close was a stop: one more step, and out
+        assert not [e for e in log.events(since) if e["kind"] == "thread_died"]
+
+    def test_the_thread_is_named_and_registered_by_its_role(self):
+        seen = []
+        loop = Daemon(
+            "shard2/named",
+            lambda: seen.append((threading.current_thread().name,
+                                 thread_role(threading.get_ident()))),
+        ).start()
+        loop.close()
+        assert seen == [("named", "shard2/named")]
+
+
 class TestSamplerLifecycle:
     def test_start_stop_idempotent(self):
         sampler = _make_sampler({1: _chain(("m", "f"))}, roles={1: "x"})
-        assert not sampler.running
+        assert not sampler.thread.running
         sampler.start()
-        first_thread = sampler._thread
+        first_thread = _threads_named("profile-sampler")
         sampler.start()  # second start is a no-op
-        assert sampler._thread is first_thread
+        assert _threads_named("profile-sampler") == first_thread
         deadline = time.monotonic() + 5.0
         while sampler.samples == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         folded = sampler.stop()
-        assert not sampler.running
+        assert not sampler.thread.running
         assert folded and folded == sampler.stop()  # stop again: same answer
 
     def test_bad_rate_rejected(self):

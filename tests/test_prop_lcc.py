@@ -9,12 +9,11 @@ valid programs, and randomized valid statements.
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro import CompileError, LocalRuntime, formal
 from repro.core.spaces import MAIN_TS
-from repro.lcc import compile_ags, compile_program, parse_ags, print_ags, tokenize
+from repro.lcc import compile_ags, compile_program, print_ags, tokenize
 
 SPACES = {"main": MAIN_TS}
 NAMES = {MAIN_TS: "main"}

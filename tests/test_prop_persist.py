@@ -11,10 +11,8 @@ and all.
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
-from repro.core.spaces import MAIN_TS
 from repro.core.statemachine import ExecuteAGS, HostFailed
 from repro.persist import SegmentedWALRuntime
 from tests.test_prop_statemachine import ags_statement

@@ -22,7 +22,6 @@ from repro import AGS, Branch, Guard, Op, formal, ref
 from repro.core.spaces import MAIN_TS
 from repro.core.ags import OpCode
 from repro.core.statemachine import ExecuteAGS, HostFailed, TSStateMachine
-from repro.core.tuples import Pattern
 
 # -- command stream strategy ------------------------------------------------- #
 

@@ -46,9 +46,15 @@ def test_every_unread_name_is_reported_and_nothing_else(tmp_path):
                 pass
 
             x = Unread()
+
+            import json
+            from typing import Any, Callable
+            y: "Any" = x
         ''',
         "tests/test_mod.py": """
+            from __future__ import annotations
             from pkg import used
+            import os as system
             assert used is not None and "read_me"
         """,
     })
@@ -56,4 +62,7 @@ def test_every_unread_name_is_reported_and_nothing_else(tmp_path):
         "src/pkg/mod.py:13: orphan is defined and nothing reads it",
         "src/pkg/mod.py:7: instrument 'nobody_reads_me' is registered and nothing reads it",
         "src/pkg/mod.py:3: Unread is in __all__ and no other module reads it",
+        "src/pkg/mod.py:22: json is imported and nothing reads it",
+        "src/pkg/mod.py:23: Callable is imported and nothing reads it",
+        "tests/test_mod.py:4: system is imported and nothing reads it",
     ]

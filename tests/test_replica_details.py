@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AGS, Guard, Op, Resilience, Scope, SpaceError, formal, ref
+from repro import AGS, Guard, Op, Resilience, Scope, formal, ref
 from repro.consul import ClusterConfig, SimCluster
 from repro.core.spaces import MAIN_TS
 

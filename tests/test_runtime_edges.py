@@ -1,5 +1,7 @@
 """Edge cases of the runtime API and AGS execution semantics."""
 
+import pickle
+
 import pytest
 
 from repro import (
@@ -7,6 +9,7 @@ from repro import (
     AGSResult,
     Branch,
     Guard,
+    HostFailedError,
     LocalRuntime,
     Op,
     Resilience,
@@ -32,6 +35,12 @@ class TestErrorSurfacing:
         h = rt.create_space("p", Resilience.STABLE, Scope.PRIVATE, owner=1)
         with pytest.raises(ScopeError):
             rt.view(2).out(h, "x", 1)
+
+    def test_host_failed_error_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(HostFailedError(3)))
+        assert type(back) is HostFailedError
+        assert back.host_id == 3
+        assert str(back) == "host 3 has failed"
 
     def test_execute_returns_aborted_without_raising(self, rt):
         res = rt.execute(AGS.single(Guard.true(), [Op.in_(MAIN_TS, "missing")]))

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro import AGS, FAILURE_TAG, Guard, Op, formal, ref
-from repro.core.matching import ANY_FIRST, shard_key, shard_of
+from repro.core.matching import shard_key, shard_of
 from repro.core.spaces import MAIN_TS
 from repro.obs.check import check_consistency
 from repro.obs.tracing import FlightRecorder

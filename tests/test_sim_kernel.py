@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimEvent, SimProcess, Simulator, hold
+from repro.sim import SimProcess, Simulator, hold
 from repro.sim.kernel import MS
 
 

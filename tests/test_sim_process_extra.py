@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimProcess, Simulator, hold
+from repro.sim import Simulator, hold
 from repro.sim.process import spawn
 from repro.xkernel.message import Message, payload_size
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro import AGS, AGSError, Guard, LocalRuntime, Op, formal, ref
+from repro import AGS, Guard, LocalRuntime, Op, formal, ref
 from repro.core.spaces import MAIN_TS
-from repro.core.tuples import LindaTuple, Pattern
 from repro.lcc import compile_ags
 
 

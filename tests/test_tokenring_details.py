@@ -1,8 +1,5 @@
 """Focused token-ring ordering tests (beyond the shared protocol suite)."""
 
-import pytest
-
-from repro import formal
 from repro.consul import ClusterConfig, SimCluster
 from repro.consul.config import ConsulConfig
 from repro.consul.tokenring import TokenRingLayer

@@ -28,7 +28,7 @@ from repro.obs.tracing import (
     to_chrome_trace,
 )
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
-from repro.sim.trace import Tracer
+from repro.sim.trace import attach
 
 
 def span(ts, track, name, **args):
@@ -298,7 +298,7 @@ class TestSimTracerUnified:
 
     def _run(self, n_hosts=3, seed=77, writes=4):
         c = SimCluster(ClusterConfig(n_hosts=n_hosts, seed=seed))
-        tracer = Tracer().attach(c)
+        tracer = attach(c, FlightRecorder())
 
         def writer(view, n):
             for i in range(n):
@@ -311,7 +311,7 @@ class TestSimTracerUnified:
 
     def test_sim_apply_stream_feeds_checker(self):
         c, tracer = self._run()
-        report = check_consistency(tracer.events)
+        report = check_consistency(tracer.events())
         assert report.ok, report.summary()
         assert set(report.streams) == {"host-0", "host-1", "host-2"}
         assert report.compared_slots >= 4
@@ -331,11 +331,3 @@ class TestSimTracerUnified:
             if e.get("name") == "apply" and e.get("cat") == "replica"
         ]
         assert applies and all("slot" in e["args"] for e in applies)
-
-    def test_legacy_event_accessors_still_work(self):
-        c, tracer = self._run()
-        ev = tracer.select(layer="ord", event="sequence")[0]
-        assert ev.layer == "ord" and ev.event == "sequence"
-        assert ev.host == ev.args["host"]
-        assert ev.time == pytest.approx(ev.ts * 1e6)
-        assert "uid=" in ev.detail
