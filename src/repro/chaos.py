@@ -149,7 +149,7 @@ class ChaosMonkey:
             # unhandled exception looks like from outside; the probe
             # (halted check) now fails while the group still counts the
             # replica as alive
-            transport._halted[replica_id].set()
+            transport._halted[replica_id] = True
             transport._fifos[replica_id].put(("STOP",))
         else:  # pragma: no cover - future transports
             raise TypeError(

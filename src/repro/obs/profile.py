@@ -110,7 +110,9 @@ class Daemon:
     seconds.  :meth:`stop` ends the loop and does not wait: a kicked loop
     steps one last time, so whatever was asked of it before the stop (a
     flush, an fsync) is covered, while a timed loop takes no step after
-    it.  :meth:`close` stops, then joins — never its own thread.
+    it.  :meth:`close` stops, then joins — never its own thread.  The wake
+    is a lock a kick releases and the loop's acquire takes back, so kicks
+    before a step coalesce into one.
 
     One death rule: a step that raises ends the loop, and *on_fatal* is
     handed the reason, or, with none, a ``thread_died`` event is emitted.
@@ -130,9 +132,10 @@ class Daemon:
         #: the thread's name: the role without its shard ("shard0/sequencer")
         self.name = role.rpartition("/")[2]
         self._step = step
-        self._every = every
+        self._period = -1 if every is None else every  # -1: block for a kick
         self._on_fatal = on_fatal
-        self._wake = threading.Event()
+        self._wake = threading.Lock()
+        self._wake.acquire()
         self._stopped = False
         self._thread: threading.Thread | None = None
 
@@ -145,17 +148,20 @@ class Daemon:
         """Launch the thread; a second start on a running loop is a no-op."""
         if not self.running:
             self._stopped = False
-            self._wake.clear()
+            self._wake.acquire(False)  # drop a stale kick
             self._thread = threading.Thread(target=self.run, name=self.name, daemon=True)
             self._thread.start()
         return self
 
     def kick(self) -> None:
-        self._wake.set()
+        try:
+            self._wake.release()
+        except RuntimeError:
+            pass  # already kicked: this one coalesces into it
 
     def stop(self) -> None:
         self._stopped = True
-        self._wake.set()
+        self.kick()
 
     def close(self, timeout: float = 5.0) -> None:
         self.stop()
@@ -165,11 +171,10 @@ class Daemon:
 
     def run(self) -> None:
         register_thread(self.role)
-        timed = self._every is not None
+        timed = self._period != -1
         try:
             while True:
-                self._wake.wait(self._every)
-                self._wake.clear()
+                self._wake.acquire(True, self._period)
                 stopping = self._stopped  # read before the step it covers
                 if not (stopping and timed):
                     self._step()

@@ -292,7 +292,7 @@ class ReplicaGroup:
             # fell back and is parked in the order: withdraw it through it
             return self._finish_ordered_timeout(cmd, w, timeout)
         self.seq.ship(cmd, w)
-        if w.event.wait(timeout):
+        if w.latch.wait(timeout):
             return _resolve(w.slot[0])
         return self._finish_ordered_timeout(cmd, w, timeout)
 
@@ -306,7 +306,7 @@ class ReplicaGroup:
     ) -> Any:
         """The ordered cancel dance after a parked call's guard timeout."""
         self.post(CancelRequest(self.next_request_id(), CLIENT_ORIGIN, cmd.request_id))
-        if not w.event.wait(_CANCEL_GRACE_S):
+        if not w.latch.wait(_CANCEL_GRACE_S):
             self._unpark(cmd.request_id)
             # neither the completion nor the cancel reported back: the
             # command may yet apply, and only the request-id memo makes a
@@ -351,7 +351,7 @@ class ReplicaGroup:
             self.liveness.thread.stop()
         for w in waiters:
             w.slot.append(RuntimeFailure(reason))
-            w.event.set()
+            w.latch.set()
         if self.tracer is not None:
             self.tracer.record_span(
                 self._clock(), "sequencer", "group", "group_failed",
@@ -382,7 +382,7 @@ class ReplicaGroup:
                     args={"request_id": rid, "replica": replica_id},
                 )
             w.slot.append(result)
-            w.event.set()
+            w.latch.set()
 
     def _on_worker_item(self, replica_id: int, item: tuple) -> None:
         now = self._clock()

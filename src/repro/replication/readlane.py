@@ -30,6 +30,7 @@ from typing import Any, Callable, Sequence
 from repro._errors import TimeoutError_
 from repro.core.statemachine import ExecuteAGS
 from repro.obs.metrics import MetricsRegistry
+from repro.replication.sequencer import Latch
 from repro.replication.transport import Transport
 
 __all__ = ["ReadLane"]
@@ -97,7 +98,7 @@ class ReadLane:
         floor = self._seq.floor()
         # set once the read has been reshipped through the total order, so
         # a concurrently timing-out client never cancels ahead of the reship
-        w.fellback = threading.Event()
+        w.fellback = Latch()
         with self._lock:
             self._reads[cmd.request_id] = (replica, cmd)
         self._transport.send(replica, ("READS", [(floor, cmd)]))
@@ -116,7 +117,7 @@ class ReadLane:
         parked there — the caller withdraws it like any ordered statement.
         Raises :class:`TimeoutError_` for a guard still unsatisfied on the
         fast path."""
-        if w.event.wait(timeout):
+        if w.latch.wait(timeout):
             self._claim(request_id)  # answered: drop the registration
             return True
         if self._claim(request_id):
@@ -124,7 +125,7 @@ class ReadLane:
             # and reads consume nothing, so no ordered cancel is needed.
             self._unpark(request_id)
             raise TimeoutError_(f"guard not satisfied within {timeout}s")
-        if w.event.is_set():
+        if w.latch.wait(0):
             return True  # completion won the race with the deadline
         # The read fell back before the deadline — wait for the reship to
         # actually be enqueued (miss()'s claim and its ship are not

@@ -21,6 +21,7 @@ import threading
 from typing import Any, Callable, Sequence
 
 from repro._errors import TimeoutError_
+from repro.replication.sequencer import Latch
 from repro.replication.transport import Transport
 
 __all__ = ["DONOR_LOST", "Requests"]
@@ -42,12 +43,12 @@ Send = Callable[[int, tuple], None]
 class _Pending:
     """One registered request: where its answer lands."""
 
-    __slots__ = ("qid", "replica", "event", "slot")
+    __slots__ = ("qid", "replica", "latch", "slot")
 
     def __init__(self, qid: int, replica: int):
         self.qid = qid
         self.replica = replica
-        self.event = threading.Event()
+        self.latch = Latch()
         self.slot: list[Any] = []
 
 
@@ -107,7 +108,7 @@ class Requests:
         """
         if probe:
             deadline = self._clock() + timeout
-            while not p.event.wait(_PROBE_POLL_S):
+            while not p.latch.wait(_PROBE_POLL_S):
                 if not self._transport.probe(p.replica):
                     self._reap(p)
                     return DONOR_LOST
@@ -116,7 +117,7 @@ class Requests:
                     raise TimeoutError_(
                         f"replica {p.replica} did not answer {what}"
                     )
-        elif not p.event.wait(timeout):
+        elif not p.latch.wait(timeout):
             self._reap(p)
             raise TimeoutError_(f"replica {p.replica} did not answer {what}")
         if p.slot[0] is _REPLICA_CRASHED:
@@ -148,7 +149,7 @@ class Requests:
             if probe:
                 return DONOR_LOST  # a dying lane is itself the signal
             raise
-        if not probe and not self._alive[replica] and not p.event.is_set():
+        if not probe and not self._alive[replica] and not p.latch.wait(0):
             # raced the death declaration past its fail() sweep
             self._reap(p)
             raise TimeoutError_(f"replica {replica} has crashed")
@@ -165,7 +166,7 @@ class Requests:
             p = self._pending.pop((qid, replica), None)
         if p is not None:
             p.slot.append(answer)
-            p.event.set()
+            p.latch.set()
 
     def fail(self, replica: int | None = None) -> None:
         """Answer every request pending on *replica* (``None``: on any
@@ -177,4 +178,4 @@ class Requests:
             victims = [self._pending.pop(k) for k in keys]
         for p in victims:
             p.slot.append(_REPLICA_CRASHED)
-            p.event.set()
+            p.latch.set()

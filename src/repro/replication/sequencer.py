@@ -32,31 +32,53 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.core.statemachine import Command
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profile import Daemon
 from repro.obs.stages import STAGE_SAMPLE_EVERY
 from repro.obs.tracing import FlightRecorder
 from repro.replication.transport import Transport
 
-__all__ = ["Sequencer", "Waiter"]
+__all__ = ["Latch", "Sequencer", "Waiter"]
+
+
+class Latch:
+    """A one-shot wake on one C lock (an ``Event`` is a Python ``Condition``),
+    held from birth until :meth:`set`.  One waiter, and one setter: whoever
+    pops the registration.  So a second set is a bug: ``RuntimeError``."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def set(self) -> None:
+        self._lock.release()
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """True once set; like ``Event.wait``, 0 or less does not block."""
+        got = self._lock.acquire(True, -1 if timeout is None else max(timeout, 0))
+        if got:
+            self._lock.release()  # every later wait returns True too
+        return got
 
 
 class Waiter:
     """One parked client submission and its latency timestamps."""
 
     __slots__ = (
-        "event", "slot", "t_submit", "t_ordered", "trace_id", "track", "fellback",
+        "latch", "slot", "t_submit", "t_ordered", "trace_id", "track", "fellback",
     )
 
     def __init__(self, t_submit: float):
-        self.event = threading.Event()
+        self.latch = Latch()
         self.slot: list[Any] = []
         self.t_submit = t_submit
         self.t_ordered: float | None = None
         self.trace_id: int | None = None
         self.track = ""
         #: The read lane's, allocated when it takes the read.
-        self.fellback: threading.Event | None = None
+        self.fellback: Latch | None = None
 
 
 #: One submission: the command and its parked client (``None`` for a post).
@@ -107,6 +129,8 @@ class Sequencer:
         self._h_submit = metrics.histogram("submit_to_order")
         self._h_batch = metrics.histogram("batch_size", lo=1.0, n_buckets=12)
         self._c_batches = metrics.counter("batches_shipped")
+        #: Looked up on the first batch a wire measures: no wire, no counter.
+        self._c_bytes: Counter | None = None
         self._h_stage_bcast = metrics.histogram("stage_broadcast")
         self._h_stage_queue = metrics.histogram("stage_replica_queue")
         self._h_stage_apply = metrics.histogram("stage_apply")
@@ -234,9 +258,10 @@ class Sequencer:
         info = self._transport.broadcast(("BATCH", cmds, t_send), self._alive)
         if isinstance(info, int):
             # the marshalled size, from a transport that has one: over
-            # commands_submitted it is wire bytes per command.  Registered
-            # here, so a group with no wire shows no such counter.
-            self._metrics.counter("broadcast_bytes").inc(info, now)
+            # commands_submitted it is wire bytes per command
+            if self._c_bytes is None:
+                self._c_bytes = self._metrics.counter("broadcast_bytes")
+            self._c_bytes.inc(info, now)
         if t_send is not None:
             t_sent = self._clock()
             self._h_stage_bcast.record(t_sent - t_send, t_sent)

@@ -13,8 +13,8 @@ protocol is required: the group reads ``per_process_workers`` and calls
 
 Two implementations ship with the library:
 
-- :class:`InMemoryTransport` — one FIFO + applier thread per replica, the
-  substrate of :class:`~repro.parallel.ThreadedReplicaRuntime`;
+- :class:`InMemoryTransport` — one C ``SimpleQueue`` FIFO + applier
+  thread per replica, the substrate of :class:`~repro.parallel.ThreadedReplicaRuntime`;
 - :class:`PipeTransport` — one spawned OS process per replica, joined to
   the parent by two one-way pipes carrying length-prefixed pickles (the
   same marshalling commands would get on a wire), the substrate of
@@ -131,10 +131,11 @@ class InMemoryTransport:
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         self.n_replicas = n_replicas
-        self._fifos: list["queue.Queue[tuple | None]"] = [
-            queue.Queue() for _ in range(n_replicas)
+        self._fifos: list["queue.SimpleQueue[tuple | None]"] = [
+            queue.SimpleQueue() for _ in range(n_replicas)
         ]
-        self._halted = [threading.Event() for _ in range(n_replicas)]
+        #: Set by a stop or a kill; a stale incarnation's worker halts too.
+        self._halted = [False] * n_replicas
         self._threads: list[threading.Thread | None] = [None] * n_replicas
         self._incarnations = [0] * n_replicas
         self._sink: Sink | None = None
@@ -154,7 +155,7 @@ class InMemoryTransport:
                 lambda item, i=replica_id, inc=incarnation: self._deliver(
                     i, inc, item
                 ),
-                self._halted[replica_id].is_set,
+                lambda i=replica_id, n=incarnation: self._halted[i] or self._incarnations[i] != n,
             ),
             name=f"replica-{replica_id}.{incarnation}",
             daemon=True,
@@ -176,22 +177,21 @@ class InMemoryTransport:
         for i, fifo in enumerate(self._fifos):
             if alive[i]:
                 fifo.put(item)
-        return None
 
     def stop_replica(self, replica_id: int) -> None:
         # fence first, so nothing the dying worker still emits gets
         # through; the halt flag drops anything still queued (mid-stream
         # crash); the STOP sentinel wakes a worker blocked on an empty FIFO
         self._incarnations[replica_id] += 1
-        self._halted[replica_id].set()
+        self._halted[replica_id] = True
         self._fifos[replica_id].put(("STOP",))
 
     def restart_replica(self, replica_id: int) -> None:
-        # fresh FIFO and halt flag: the old ones belong to the dead
-        # incarnation (its FIFO may hold undelivered batches that must not
-        # reach the blank restarted state machine)
-        self._fifos[replica_id] = queue.Queue()
-        self._halted[replica_id] = threading.Event()
+        # a fresh FIFO (the dead incarnation's may hold undelivered batches
+        # that must not reach the blank restarted state machine) and a
+        # cleared flag: the stale incarnation still halts its old worker
+        self._fifos[replica_id] = queue.SimpleQueue()
+        self._halted[replica_id] = False
         self._spawn_worker(replica_id)
 
     def probe(self, replica_id: int) -> bool:
@@ -199,14 +199,11 @@ class InMemoryTransport:
         return (
             t is not None
             and t.is_alive()
-            and not self._halted[replica_id].is_set()
+            and not self._halted[replica_id]
         )
 
     def depth(self, replica_id: int) -> int:
-        try:
-            return self._fifos[replica_id].qsize()
-        except Exception:
-            return 0
+        return self._fifos[replica_id].qsize()
 
     def shutdown(self, alive: Sequence[bool]) -> None:
         for i in range(self.n_replicas):

@@ -315,7 +315,7 @@ class TestRequests:
         p = requests.open(0)
         requests.put(p, "fingerprint")
         requests.answer(p.qid, 1, "wrong replica")
-        assert not p.event.is_set()
+        assert not p.latch.wait(0)
         requests.answer(p.qid, 0, 42)
         assert requests.wait(p, 0.0, "query") == 42
         assert requests._pending == {}
@@ -328,7 +328,7 @@ class TestRequests:
         requests.fail(1)
         with pytest.raises(TimeoutError_, match="replica 1 crashed"):
             requests.wait(p, 0.0, "query")
-        assert not other.event.is_set()
+        assert not other.latch.wait(0)
         alive[1] = False
         with pytest.raises(TimeoutError_, match="replica 1 has crashed"):
             requests.ask(1, "applied", timeout=0.0)

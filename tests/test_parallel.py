@@ -3,16 +3,21 @@
 The semantics shared by every backend (Linda ops, AGS atomicity, crash
 tolerance, convergence, metrics) live in ``test_backend_contract.py``;
 this file keeps only behaviour unique to one backend — ordered
-cancellation, cross-process pickling, snapshot recovery — and the
-threads each configuration starts (DESIGN.md's component table).
+cancellation, cross-process pickling, snapshot recovery — the threads
+each configuration starts (DESIGN.md's component table), and the wait
+objects a statement parks on: a ``Latch``, never a Python-level
+``Event``, ``Condition`` or ``Queue``.
 """
 
+import queue
 import threading
+import time
 
 import pytest
 
 from repro import AGS, Guard, Op, TimeoutError_, formal, ref
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
+from repro.replication.sequencer import Latch
 
 
 class TestThreadedReplicas:
@@ -112,3 +117,89 @@ class TestThreadsStarted:
             "mp-collector-0.0", "mp-collector-1.0", "mp-collector-2.0",
             "mp-pipe-drain", "sequencer",
         ]
+
+
+class TestLatch:
+    """What a parked statement waits on: ``Event.wait``'s contract, one setter."""
+
+    def test_a_set_from_another_thread_wakes_the_waiter(self):
+        latch = Latch()
+        timer = threading.Timer(0.01, latch.set)
+        timer.start()
+        assert latch.wait(5.0)
+        timer.join(5.0)
+
+    def test_every_wait_after_the_set_returns_true(self):
+        latch = Latch()
+        latch.set()
+        assert [latch.wait(t) for t in (None, 0, -1, 0.01, None)] == [True] * 5
+
+    def test_a_timed_wait_returns_false(self):
+        latch = Latch()
+        t0 = time.monotonic()
+        assert latch.wait(0.02) is False
+        assert time.monotonic() - t0 >= 0.015
+
+    def test_zero_and_negative_return_at_once_and_none_blocks_as_event_does(self):
+        for timeout in (0, 0.0, -1, -0.5):
+            assert Latch().wait(timeout) is threading.Event().wait(timeout) is False
+        latch, woke = Latch(), []
+        waiter = threading.Thread(target=lambda: woke.append(latch.wait(None)))
+        waiter.start()
+        waiter.join(0.05)
+        assert waiter.is_alive() and woke == []
+        latch.set()
+        waiter.join(5.0)
+        assert woke == [True]
+
+    def test_a_second_set_raises(self):
+        # every setter pops the registration first, so a second set is a bug
+        latch = Latch()
+        latch.set()
+        with pytest.raises(RuntimeError):
+            latch.set()
+        assert latch.wait(0)
+
+
+def _statement_mix(rt, rounds):
+    """*rounds* × (``out``, fast-path ``rd``, ``in_``, one AGS)."""
+    ts = rt.main_ts
+    bump = AGS.single(
+        Guard.in_(ts, "ctr", formal(int, "v")), [Op.out(ts, "ctr", ref("v") + 1)]
+    )
+    for i in range(rounds):
+        rt.out(ts, "hot", i)
+        assert rt.rd(ts, "hot", i) == ("hot", i)
+        assert rt.in_(ts, "hot", i) == ("hot", i)
+        assert rt.execute(bump).succeeded
+
+
+class TestHotPathAllocations:
+    """No statement builds a Python-level ``Event``, ``Condition`` or ``Queue``."""
+
+    @pytest.mark.parametrize(
+        "make", [ThreadedReplicaRuntime, MultiprocessRuntime], ids=["threaded", "multiproc"]
+    )
+    def test_200_statements_build_none(self, make, monkeypatch):
+        built = []
+
+        def counting(mod, name):
+            cls = getattr(mod, name)
+
+            def __init__(self, *args, **kwargs):
+                built.append((name, threading.current_thread().name))
+                cls.__init__(self, *args, **kwargs)
+
+            monkeypatch.setattr(mod, name, type(name, (cls,), {"__init__": __init__}))
+
+        with make(3) as rt:
+            rt.out(rt.main_ts, "ctr", 0)
+            _statement_mix(rt, 2)  # warm: every plan compiled
+            fast = rt.metrics_snapshot()["counters"]["read_fastpath"]
+            counting(threading, "Event")
+            counting(threading, "Condition")
+            counting(queue, "Queue")
+            _statement_mix(rt, 50)
+            monkeypatch.undo()
+            assert rt.metrics_snapshot()["counters"]["read_fastpath"] == fast + 50
+        assert built == []

@@ -189,6 +189,56 @@ class TestDaemon:
         loop.close()
         assert seen == [("named", "shard2/named")]
 
+    def test_two_kicks_before_a_step_give_one_step(self):
+        steps = _Steps()
+        loop = Daemon("coalesced", steps)
+        loop.kick()
+        loop.kick()
+        runner = threading.Thread(target=loop.run, daemon=True)
+        runner.start()
+        assert steps.took(1)
+        assert not steps.took(1, timeout=0.05)  # the second kick was the first's
+        loop.stop()
+        runner.join(5.0)
+        assert not runner.is_alive() and steps.n == 2  # and the stop's last step
+
+    def test_kicks_during_a_step_give_exactly_one_more(self):
+        steps = _Steps(during=lambda n: n == 1 and (loop.kick(), loop.kick()))
+        loop = Daemon("rekicked", steps).start()
+        loop.kick()
+        assert steps.took(2)
+        assert not steps.took(1, timeout=0.05)
+        loop.close()
+        assert steps.n == 3
+
+    def test_start_drops_a_stale_kick(self):
+        steps = _Steps()
+        loop = Daemon("stale", steps)
+        loop.kick()  # nobody was running to take it
+        loop.start()
+        assert not steps.took(1, timeout=0.05)
+        loop.kick()
+        assert steps.took(1)
+        loop.close()
+        assert steps.n == 2
+
+
+class _Steps:
+    """A Daemon step that counts itself; ``took(k)`` waits for k more."""
+
+    def __init__(self, during=lambda n: None):
+        self.n = 0
+        self._during = during
+        self._done = threading.Semaphore(0)
+
+    def __call__(self):
+        self.n += 1
+        self._during(self.n)
+        self._done.release()
+
+    def took(self, k, timeout=5.0):
+        return all(self._done.acquire(timeout=timeout) for _ in range(k))
+
 
 class TestSamplerLifecycle:
     def test_start_stop_idempotent(self):
