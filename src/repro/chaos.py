@@ -39,9 +39,9 @@ from __future__ import annotations
 import os
 import random
 import signal
-import time
 from typing import Any, Callable
 
+from repro import sync
 from repro._errors import RuntimeFailure
 from repro.core.statemachine import Command
 from repro.replication.group import CLIENT_ORIGIN, ReplicaGroup
@@ -95,10 +95,10 @@ class ChaosMonkey:
         self.group: ReplicaGroup = self._resolve_shard(runtime, shard)
         #: Everything injected, in order: (t_offset_s, action, args).
         self.log: list[tuple[float, str, tuple]] = []
-        self._t0 = time.monotonic()
+        self._t0 = sync.now()
 
     def _note(self, action: str, *args: Any) -> None:
-        self.log.append((time.monotonic() - self._t0, action, args))
+        self.log.append((sync.now() - self._t0, action, args))
         # chaos actions share the telemetry plane's event timeline, so a
         # postmortem reads injections and detections in one stream
         from repro.obs.events import emit
@@ -227,24 +227,18 @@ class ChaosMonkey:
 
     def wait_detected(self, replica_id: int, timeout: float = 10.0) -> float:
         """Block until the group declares *replica_id* dead; return seconds."""
-        t0 = time.monotonic()
-        deadline = t0 + timeout
-        while self.group.alive[replica_id]:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"replica {replica_id} not declared dead within {timeout}s"
-                )
-            time.sleep(0.005)
-        return time.monotonic() - t0
+        return self._wait_alive(replica_id, False, timeout, "declared dead")
 
     def wait_recovered(self, replica_id: int, timeout: float = 30.0) -> float:
         """Block until *replica_id* rejoins the live set; return seconds."""
-        t0 = time.monotonic()
+        return self._wait_alive(replica_id, True, timeout, "recovered")
+
+    def _wait_alive(self, replica_id: int, alive: bool, timeout: float, what: str) -> float:
+        """Poll every 5 ms until the live mask reads *alive* for *replica_id*."""
+        t0 = sync.now()
         deadline = t0 + timeout
-        while not self.group.alive[replica_id]:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"replica {replica_id} not recovered within {timeout}s"
-                )
-            time.sleep(0.005)
-        return time.monotonic() - t0
+        while self.group.alive[replica_id] != alive:
+            if sync.now() > deadline:
+                raise TimeoutError(f"replica {replica_id} not {what} within {timeout}s")
+            sync.sleep(0.005)
+        return sync.now() - t0

@@ -1222,9 +1222,9 @@ def main(argv: list[str] | None = None) -> int:
     if opts.backend == "local":
         rt = _build_runtime(opts)
     else:
-        rt = _build_runtime(
-            opts, detect_failures=True, auto_recover=opts.auto_recover
-        )
+        from repro.replication import LivenessPolicy
+
+        rt = _build_runtime(opts, detect_failures=LivenessPolicy(auto_recover=opts.auto_recover))
     shell = FtlShell(rt=rt)
     try:
         if opts.program:

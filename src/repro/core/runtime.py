@@ -30,9 +30,9 @@ from __future__ import annotations
 import abc
 import itertools
 import threading
-import time
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
+from repro import sync
 from repro._errors import AGSError, RuntimeFailure, TimeoutError_
 from repro.core.ags import (
     AGS,
@@ -74,8 +74,6 @@ _LOCAL_ORIGIN = -1
 _RETAINED_SNAPSHOTS = 4
 
 _RT = TypeVar("_RT", bound="BaseRuntime")
-
-_now = time.monotonic
 
 
 def _autoname(fields: Sequence[Any]) -> list[Any]:
@@ -229,9 +227,7 @@ class BaseRuntime(abc.ABC):
             except BaseException as exc:  # noqa: BLE001 - reported via join()
                 handle._error = exc
 
-        t = threading.Thread(target=run, name=f"linda-proc-{pid}", daemon=True)
-        handle._thread = t
-        t.start()
+        handle._thread = sync.spawn(run, name=f"linda-proc-{pid}")
         return handle
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -601,8 +597,8 @@ class LocalRuntime(BaseRuntime):
     def __init__(self, *, tracer: FlightRecorder | None = None):
         super().__init__()
         self._sm = TSStateMachine()
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._lock = sync.Lock()
+        self._cond = sync.Cond(self._lock)
         self._req_ids = itertools.count(1)
         self._results: dict[int, AGSResult] = {}
         #: slot -> TSStateMachine.snapshot() taken there, for read_at()
@@ -628,19 +624,19 @@ class LocalRuntime(BaseRuntime):
         timeout: float | None = None,
         actuals: tuple = (),
     ) -> AGSResult:
-        t_submit = _now()
+        t_submit = sync.now()
         tracer = self.tracer
         with self._cond:
             # lock acquisition is this runtime's total order: waiting for
             # the lock is the submit->order leg, executing is order->apply
-            t_ordered = _now()
+            t_ordered = sync.now()
             rid = next(self._req_ids)
             try:
                 completions = self._apply(ExecuteAGS(rid, _LOCAL_ORIGIN, process_id, ags, actuals))
             except BaseException:  # a journal's I/O error: submitted and ordered all the same
                 self._timings.record((t_ordered - t_submit, None, None), t_ordered)
                 raise
-            t_applied = _now()
+            t_applied = sync.now()
             legs = (t_ordered - t_submit, t_applied - t_ordered)
             trace_id = None
             if tracer is not None:
@@ -671,7 +667,7 @@ class LocalRuntime(BaseRuntime):
                 legs, events = (None, None), 0
                 deadline = None if timeout is None else t_applied + timeout
             while rid not in self._results:
-                remaining = None if deadline is None else deadline - _now()
+                remaining = None if deadline is None else deadline - sync.now()
                 if remaining is not None and remaining <= 0:
                     # withdrawn through the total order, as the replica
                     # groups do, so a journal replays the withdrawal too;
@@ -682,7 +678,7 @@ class LocalRuntime(BaseRuntime):
                     )
                 self._cond.wait(remaining)
             result = self._results.pop(rid)
-            now = _now()
+            now = sync.now()
             self._timings.record((*legs, now - t_submit), now, events)
             if trace_id is not None:
                 tracer.record_span(

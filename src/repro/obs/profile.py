@@ -38,8 +38,10 @@ goes.  This module is the missing instrument:
   format, pipe into ``flamegraph.pl``) and :func:`to_speedscope` (load
   the JSON at https://www.speedscope.app or in ``speedscope`` locally).
 
-The clock, frame source, and thread enumerator are injectable so tests
-drive the sampler deterministically without timing assumptions.
+The frame source and thread enumerator are injectable, and
+:meth:`SamplingProfiler.sample_once` takes one sample on the caller's
+thread, so tests drive the sampler deterministically without timing
+assumptions.
 
 Usage::
 
@@ -57,6 +59,7 @@ import sys
 import threading
 from typing import Any, Callable, Iterable, Mapping
 
+from repro import sync
 from repro.obs.events import emit as emit_event
 
 __all__ = [
@@ -134,7 +137,7 @@ class Daemon:
         self._step = step
         self._period = -1 if every is None else every  # -1: block for a kick
         self._on_fatal = on_fatal
-        self._wake = threading.Lock()
+        self._wake = sync.Lock()
         self._wake.acquire()
         self._stopped = False
         self._thread: threading.Thread | None = None
@@ -149,8 +152,7 @@ class Daemon:
         if not self.running:
             self._stopped = False
             self._wake.acquire(False)  # drop a stale kick
-            self._thread = threading.Thread(target=self.run, name=self.name, daemon=True)
-            self._thread.start()
+            self._thread = sync.spawn(self.run, name=self.name)
         return self
 
     def kick(self) -> None:
@@ -243,7 +245,7 @@ class SamplingProfiler:
         self._threads = threads if threads is not None else threading.enumerate
         self._folded: dict[str, int] = {}
         self._samples = 0
-        self._lock = threading.Lock()
+        self._lock = sync.Lock()
         self.thread = Daemon(
             "profile-sampler",
             lambda: self.sample_once(skip_ident=threading.get_ident()),

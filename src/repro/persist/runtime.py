@@ -5,7 +5,6 @@ compaction, on the :mod:`repro.persist.segments` layout."""
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Any
 
 from repro.core.runtime import LocalRuntime
@@ -54,7 +53,7 @@ class SegmentedWALRuntime(LocalRuntime):
         self.dir = dir
         self.fsync = fsync
         self.journal = GroupJournal(
-            dir, fsync, self.metrics, time.monotonic, None,
+            dir, fsync, self.metrics, None,
             owner="local", segment_bytes=segment_bytes,
         )
 

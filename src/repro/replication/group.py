@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Any, Iterator
 
+from repro import sync
 from repro._errors import RuntimeFailure, TimeoutError_
 from repro.core.ags import AGSResult
 from repro.core.spaces import TSHandle
@@ -128,12 +128,10 @@ class ReplicaGroup:
         #: The live mask.  One list for the group's whole life, shared by
         #: reference with every component; flipped only under the order.
         self.alive = [True] * self.n_replicas
-        #: Every component reads time through the clock it is handed.
-        self._clock = clock = time.monotonic
         self.metrics = metrics = MetricsRegistry()
         self.tracer = tracer
         self._req_ids = itertools.count(1)
-        self._state_lock = threading.Lock()  # the waiter map
+        self._state_lock = sync.Lock()  # the waiter map
         self._waiters: dict[int, Waiter] = {}
         self._timings = Joint([metrics.histogram("order_to_apply"), metrics.histogram("ags_e2e")])
         self._c_cmds = metrics.counter("commands_submitted")
@@ -154,13 +152,13 @@ class ReplicaGroup:
         self._group_error: str | None = None
         self._stopped = False
         self._owner = owner = self.name or "group"  # what events call this group
-        self.requests = Requests(transport, self.alive, clock)
+        self.requests = Requests(transport, self.alive)
         self.journal = GroupJournal(
-            durable_dir, durable_fsync, metrics, clock, self._complete,
+            durable_dir, durable_fsync, metrics, self._complete,
             role=self._role("journal"), owner=owner, on_fatal=self._mark_failed,
         )
         self.seq = Sequencer(
-            transport, self.alive, metrics, clock,
+            transport, self.alive, metrics,
             journal=self.journal if self.journal.durable else None,
             tracer=tracer,
             role=self._role("sequencer"), on_fatal=self._mark_failed,
@@ -179,7 +177,7 @@ class ReplicaGroup:
         if liveness is not None:
             self.liveness = Liveness(
                 liveness, transport, self.alive,
-                self._declare_dead, self.recover_replica, metrics, clock,
+                self._declare_dead, self.recover_replica, metrics,
                 tracer=tracer, role=self._role("liveness-monitor"), owner=owner,
             )
         else:
@@ -263,12 +261,12 @@ class ReplicaGroup:
                 # run, so retrying it is safe.
                 if attempt >= retries:
                     return result
+            sync.sleep(sync.backoff(attempt, 0.05, 1.0))
             attempt += 1
-            time.sleep(min(0.05 * (2 ** (attempt - 1)), 1.0))
 
     def _call_once(self, cmd: Command, timeout: float | None = None) -> Any:
         """One submission attempt of :meth:`call` (no retry policy)."""
-        w = Waiter(self._clock())
+        w = Waiter(sync.now())
         tracer = self.tracer
         if tracer is not None:
             cmd.trace_id = w.trace_id = tracer.next_trace_id()
@@ -354,7 +352,7 @@ class ReplicaGroup:
             w.latch.set()
         if self.tracer is not None:
             self.tracer.record_span(
-                self._clock(), "sequencer", "group", "group_failed",
+                sync.now(), "sequencer", "group", "group_failed",
                 args={"reason": reason, "waiters_failed": len(waiters)},
             )
 
@@ -367,7 +365,7 @@ class ReplicaGroup:
         with self._state_lock:
             w = self._waiters.pop(rid, None)
         if w is not None:
-            now = self._clock()
+            now = sync.now()
             apply = None if w.t_ordered is None else now - w.t_ordered
             self._timings.record((apply, now - w.t_submit), now)
             tracer = self.tracer
@@ -385,7 +383,7 @@ class ReplicaGroup:
             w.latch.set()
 
     def _on_worker_item(self, replica_id: int, item: tuple) -> None:
-        now = self._clock()
+        now = sync.now()
         if self.liveness is not None:
             # any emission proves the apply loop is running: completions
             # (and everything else on the feedback lane) double as heartbeats
@@ -498,7 +496,7 @@ class ReplicaGroup:
         self.reads.reroute(replica_id)
         if self.tracer is not None:
             self.tracer.record_span(
-                self._clock(), self._role(f"replica-{replica_id}"),
+                sync.now(), self._role(f"replica-{replica_id}"),
                 "membership", "crash",
                 args={"cause": cause},
             )
@@ -532,7 +530,7 @@ class ReplicaGroup:
         applied = self.transfer.recover(replica_id, timeout)
         if self.tracer is not None:
             self.tracer.record_span(
-                self._clock(), self._role(f"replica-{replica_id}"),
+                sync.now(), self._role(f"replica-{replica_id}"),
                 "membership", "recover",
                 args={"applied": applied},
             )
@@ -546,7 +544,7 @@ class ReplicaGroup:
         self.alive[replica_id] = True
         self._g_live.set(len(self.live_replicas()))
         if self.liveness is not None:
-            self.liveness.rejoined(replica_id, self._clock())
+            self.liveness.rejoined(replica_id, sync.now())
         # broadcast the recovery tuple before anyone can observe the
         # flipped alive mask: a caller polling ``alive`` must never
         # fingerprint the group with HostRecovered applied on some

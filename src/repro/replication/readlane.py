@@ -27,10 +27,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Sequence
 
+from repro import sync
 from repro._errors import TimeoutError_
 from repro.core.statemachine import ExecuteAGS
 from repro.obs.metrics import MetricsRegistry
-from repro.replication.sequencer import Latch
 from repro.replication.transport import Transport
 
 __all__ = ["ReadLane"]
@@ -61,7 +61,7 @@ class ReadLane:
         self._seq = seq
         self._parked = parked
         self._unpark = unpark
-        self._lock = threading.Lock()
+        self._lock = sync.Lock()
         #: Outstanding fast-path reads: request_id -> (replica_id, command).
         self._reads: dict[int, tuple[int, ExecuteAGS]] = {}
         self._c_fast = metrics.counter("read_fastpath")
@@ -98,7 +98,7 @@ class ReadLane:
         floor = self._seq.floor()
         # set once the read has been reshipped through the total order, so
         # a concurrently timing-out client never cancels ahead of the reship
-        w.fellback = Latch()
+        w.fellback = sync.Latch()
         with self._lock:
             self._reads[cmd.request_id] = (replica, cmd)
         self._transport.send(replica, ("READS", [(floor, cmd)]))

@@ -17,11 +17,10 @@ or the liveness monitor's qid 0, which is never registered) is dropped.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Any, Callable, Sequence
 
+from repro import sync
 from repro._errors import TimeoutError_
-from repro.replication.sequencer import Latch
 from repro.replication.transport import Transport
 
 __all__ = ["DONOR_LOST", "Requests"]
@@ -48,7 +47,7 @@ class _Pending:
     def __init__(self, qid: int, replica: int):
         self.qid = qid
         self.replica = replica
-        self.latch = Latch()
+        self.latch = sync.Latch()
         self.slot: list[Any] = []
 
 
@@ -60,16 +59,10 @@ class Requests:
     declaration past its :meth:`fail` sweep is caught after the send.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        alive: Sequence[bool],
-        clock: Callable[[], float],
-    ):
+    def __init__(self, transport: Transport, alive: Sequence[bool]):
         self._transport = transport
         self._alive = alive
-        self._clock = clock
-        self._lock = threading.Lock()
+        self._lock = sync.Lock()
         self._pending: dict[tuple[int, int], _Pending] = {}
         self._qids = itertools.count(1)
 
@@ -107,12 +100,12 @@ class Requests:
         has released the order.
         """
         if probe:
-            deadline = self._clock() + timeout
+            deadline = sync.now() + timeout
             while not p.latch.wait(_PROBE_POLL_S):
                 if not self._transport.probe(p.replica):
                     self._reap(p)
                     return DONOR_LOST
-                if self._clock() >= deadline:
+                if sync.now() >= deadline:
                     self._reap(p)
                     raise TimeoutError_(
                         f"replica {p.replica} did not answer {what}"

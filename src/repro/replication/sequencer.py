@@ -26,11 +26,11 @@ latency into broadcast / inbox / apply / reply histograms
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro import sync
 from repro.core.statemachine import Command
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profile import Daemon
@@ -38,29 +38,7 @@ from repro.obs.stages import STAGE_SAMPLE_EVERY
 from repro.obs.tracing import FlightRecorder
 from repro.replication.transport import Transport
 
-__all__ = ["Latch", "Sequencer", "Waiter"]
-
-
-class Latch:
-    """A one-shot wake on one C lock (an ``Event`` is a Python ``Condition``),
-    held from birth until :meth:`set`.  One waiter, and one setter: whoever
-    pops the registration.  So a second set is a bug: ``RuntimeError``."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._lock.acquire()
-
-    def set(self) -> None:
-        self._lock.release()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """True once set; like ``Event.wait``, 0 or less does not block."""
-        got = self._lock.acquire(True, -1 if timeout is None else max(timeout, 0))
-        if got:
-            self._lock.release()  # every later wait returns True too
-        return got
+__all__ = ["Sequencer", "Waiter"]
 
 
 class Waiter:
@@ -71,14 +49,14 @@ class Waiter:
     )
 
     def __init__(self, t_submit: float):
-        self.latch = Latch()
+        self.latch = sync.Latch()
         self.slot: list[Any] = []
         self.t_submit = t_submit
         self.t_ordered: float | None = None
         self.trace_id: int | None = None
         self.track = ""
         #: The read lane's, allocated when it takes the read.
-        self.fellback: Latch | None = None
+        self.fellback: sync.Latch | None = None
 
 
 #: One submission: the command and its parked client (``None`` for a post).
@@ -102,7 +80,6 @@ class Sequencer:
         transport: Transport,
         alive: list[bool],
         metrics: MetricsRegistry,
-        clock: Callable[[], float],
         *,
         journal: Any = None,
         tracer: FlightRecorder | None = None,
@@ -112,12 +89,11 @@ class Sequencer:
         self._transport = transport
         self._alive = alive
         self._metrics = metrics
-        self._clock = clock
         self._journal = journal
         self._tracer = tracer
-        self._seq_lock = threading.Lock()  # holding this IS the total order
+        self._seq_lock = sync.Lock()  # holding this IS the total order
         self._pending: deque[Entry] = deque()
-        self._pending_lock = threading.Lock()
+        self._pending_lock = sync.Lock()
         #: Count of commands sequenced so far — the session floor for
         #: reads.  Incremented (under _pending_lock) *before* a batch is
         #: broadcast, so by the time any completion reaches a client the
@@ -239,7 +215,7 @@ class Sequencer:
         # order, so journal order is exactly the total order.
         if self._journal is not None:
             self._journal.write(batch)
-        now = self._clock()
+        now = sync.now()
         cmds = []
         for cmd, w in batch:
             cmds.append(cmd)
@@ -254,7 +230,7 @@ class Sequencer:
         # Linux, making the stamp comparable across processes.
         sampled = self._batches_shipped % STAGE_SAMPLE_EVERY == 0
         self._batches_shipped += 1
-        t_send = self._clock() if sampled else None
+        t_send = sync.now() if sampled else None
         info = self._transport.broadcast(("BATCH", cmds, t_send), self._alive)
         if isinstance(info, int):
             # the marshalled size, from a transport that has one: over
@@ -263,7 +239,7 @@ class Sequencer:
                 self._c_bytes = self._metrics.counter("broadcast_bytes")
             self._c_bytes.inc(info, now)
         if t_send is not None:
-            t_sent = self._clock()
+            t_sent = sync.now()
             self._h_stage_bcast.record(t_sent - t_send, t_sent)
         tracer = self._tracer
         if tracer is not None:
@@ -300,7 +276,7 @@ class Sequencer:
             "sequencer",
             "group",
             "broadcast",
-            dur=self._clock() - t_ordered,
+            dur=sync.now() - t_ordered,
             args=args,
         )
 

@@ -70,12 +70,10 @@ route: every statement goes straight to it, and ``fingerprints``,
 
 from __future__ import annotations
 
-import copy
 import os
-import threading
-import time
 from typing import Any
 
+from repro import sync
 from repro._errors import TimeoutError_
 from repro.core.ags import AGS, AGSResult
 from repro.core.matching import ANY_FIRST, shard_of, stable_hash
@@ -97,12 +95,6 @@ from repro.replication.transport import Transport
 
 __all__ = ["ReplicatedRuntime"]
 
-#: Cross-shard retry backoff (seconds): first wait and cap.  A blocking
-#: cross-shard AGS polls — it cannot park inside any single shard's order
-#: without pinning the tuples of other shards.
-_CROSS_RETRY_INITIAL = 0.002
-_CROSS_RETRY_MAX = 0.05
-
 
 class ReplicatedRuntime(BaseRuntime):
     """FT-Linda over N replicas in one or more shards (see module docstring).
@@ -118,9 +110,9 @@ class ReplicatedRuntime(BaseRuntime):
     replica killed behind the runtime's back is noticed and converted to
     fail-stop.  Pass True for the default
     :class:`~repro.replication.LivenessPolicy` or a policy instance to
-    tune it; ``auto_recover`` additionally restarts the dead replica and
-    installs a donor snapshot, with capped exponential backoff and a
-    max-restarts budget.
+    tune it; a policy's ``auto_recover`` additionally restarts the dead
+    replica and installs a donor snapshot, with capped exponential
+    backoff and a max-restarts budget.
 
     ``shards`` partitions the tuple space into that many independently
     sequenced replica groups, each with *n_replicas* replicas on a
@@ -137,7 +129,6 @@ class ReplicatedRuntime(BaseRuntime):
         read_fastpath: bool = True,
         tracer: FlightRecorder | None = None,
         detect_failures: bool | LivenessPolicy = False,
-        auto_recover: bool = False,
         durable_dir: str | None = None,
         durable_fsync: bool = True,
     ):
@@ -145,18 +136,11 @@ class ReplicatedRuntime(BaseRuntime):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         # The group takes a policy or None; bool | policy is this layer's
-        # convenience.  The runtime works on its own copy of a caller's
-        # policy and never writes to the caller's object, which may be
-        # shared with other runtimes.
-        liveness = None
-        if isinstance(detect_failures, LivenessPolicy):
-            liveness = copy.copy(detect_failures)
-        elif detect_failures or auto_recover:
-            liveness = LivenessPolicy()  # a supervisor with no detector never fires
-        if liveness is not None and auto_recover:
-            # the runtime kwarg is the more explicit request: it overrides
-            # the flag on a caller-built policy
-            liveness.auto_recover = True
+        # convenience.  A caller's policy is shared as it is: nothing
+        # writes to it.
+        liveness = detect_failures
+        if not isinstance(liveness, LivenessPolicy):
+            liveness = LivenessPolicy() if liveness else None
         self.n_shards = shards
         self.tracer = tracer
         self.shard_groups: list[ReplicaGroup] = []
@@ -184,10 +168,10 @@ class ReplicatedRuntime(BaseRuntime):
         self.metrics = self.group.metrics
         #: Serializes space lifecycle fan-out so every shard's registry
         #: sees create/destroy in the same order (identical handle ids).
-        self._space_lock = threading.Lock()
+        self._space_lock = sync.Lock()
         #: Serializes cross-shard rungs against each other.  Single-shard
         #: traffic never takes this lock.
-        self._cross_lock = threading.Lock()
+        self._cross_lock = sync.Lock()
         #: Live handles, maintained at the router (the coordinator needs
         #: the full space list for dynamic-space statements).  Guarded by
         #: _space_lock.
@@ -285,8 +269,8 @@ class ReplicatedRuntime(BaseRuntime):
         shard_set: frozenset[int] | None,
         actuals: tuple,
     ) -> AGSResult:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        delay = _CROSS_RETRY_INITIAL
+        deadline = None if timeout is None else sync.now() + timeout
+        attempt = 0
         while True:
             with self._cross_lock:
                 outcome = self._cross_attempt(ags, process_id, shard_set, actuals)
@@ -294,14 +278,16 @@ class ReplicatedRuntime(BaseRuntime):
                 return outcome
             # every guard is blocking and none could fire: the state was
             # scattered back unchanged; poll again after a short backoff
-            if deadline is not None and time.monotonic() >= deadline:
+            if deadline is not None and sync.now() >= deadline:
                 # nothing is parked anywhere — the rung restored all
                 # tuples — so this timeout is as clean as an ordered cancel
                 raise TimeoutError_(
                     f"guard not satisfied within {timeout}s", outcome="cancelled"
                 )
-            time.sleep(delay)
-            delay = min(delay * 2, _CROSS_RETRY_MAX)
+            # a blocking cross-shard AGS polls: it cannot park inside any
+            # single shard's order without pinning other shards' tuples
+            sync.sleep(sync.backoff(attempt, 0.002, 0.05))
+            attempt += 1
 
     def _cross_selectors(
         self, ags: AGS, involved: list[int], actuals: tuple

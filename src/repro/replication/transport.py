@@ -37,13 +37,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import queue
 import select
 import struct
 import threading
 from collections import deque
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
+from repro import sync
 from repro.replication.worker import compact_batch, replica_loop, run_replica_process
 
 __all__ = ["InMemoryTransport", "PipeTransport", "Transport"]
@@ -131,9 +131,7 @@ class InMemoryTransport:
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         self.n_replicas = n_replicas
-        self._fifos: list["queue.SimpleQueue[tuple | None]"] = [
-            queue.SimpleQueue() for _ in range(n_replicas)
-        ]
+        self._fifos: list[sync.Fifo] = [sync.Fifo() for _ in range(n_replicas)]
         #: Set by a stop or a kill; a stale incarnation's worker halts too.
         self._halted = [False] * n_replicas
         self._threads: list[threading.Thread | None] = [None] * n_replicas
@@ -147,21 +145,14 @@ class InMemoryTransport:
 
     def _spawn_worker(self, replica_id: int) -> None:
         incarnation = self._incarnations[replica_id]
-        t = threading.Thread(
-            target=replica_loop,
-            args=(
-                replica_id,
-                self._fifos[replica_id].get,
-                lambda item, i=replica_id, inc=incarnation: self._deliver(
-                    i, inc, item
-                ),
-                lambda i=replica_id, n=incarnation: self._halted[i] or self._incarnations[i] != n,
-            ),
+        self._threads[replica_id] = sync.spawn(
+            replica_loop,
+            replica_id,
+            self._fifos[replica_id].get,
+            lambda item, i=replica_id, inc=incarnation: self._deliver(i, inc, item),
+            lambda i=replica_id, n=incarnation: self._halted[i] or self._incarnations[i] != n,
             name=f"replica-{replica_id}.{incarnation}",
-            daemon=True,
         )
-        self._threads[replica_id] = t
-        t.start()
 
     def _deliver(self, replica_id: int, incarnation: int, item: tuple) -> None:
         if self._incarnations[replica_id] != incarnation:
@@ -190,7 +181,7 @@ class InMemoryTransport:
         # a fresh FIFO (the dead incarnation's may hold undelivered batches
         # that must not reach the blank restarted state machine) and a
         # cleared flag: the stale incarnation still halts its old worker
-        self._fifos[replica_id] = queue.SimpleQueue()
+        self._fifos[replica_id] = sync.Fifo()
         self._halted[replica_id] = False
         self._spawn_worker(replica_id)
 
@@ -238,7 +229,7 @@ class _Lane:
         os.set_blocking(conn.fileno(), False)
         self.conn = conn
         self.fd = conn.fileno()
-        self.lock = threading.Lock()
+        self.lock = sync.Lock()
         self.backlog: deque[memoryview] = deque()
         self.closed = False
 
@@ -304,10 +295,7 @@ class PipeTransport:
             proc, lane = self._spawn(i)
             self.processes.append(proc)
             self._lanes.append(lane)
-        self._drainer = threading.Thread(
-            target=self._drain_loop, name="mp-pipe-drain", daemon=True
-        )
-        self._drainer.start()
+        self._drainer = sync.spawn(self._drain_loop, name="mp-pipe-drain")
 
     def _spawn(self, replica_id: int) -> tuple[Any, _Lane]:
         """Start one replica process on fresh pipes, with its collector."""
@@ -327,14 +315,10 @@ class PipeTransport:
             cmd_r.close()
             reply_w.close()
         incarnation = self._incarnations[replica_id]
-        t = threading.Thread(
-            target=self._collect,
-            args=(replica_id, reply_r, incarnation),
+        self._collectors.append(sync.spawn(
+            self._collect, replica_id, reply_r, incarnation,
             name=f"mp-collector-{replica_id}.{incarnation}",
-            daemon=True,
-        )
-        self._collectors.append(t)
-        t.start()
+        ))
         return proc, _Lane(cmd_w)
 
     def _collect(self, replica_id: int, conn: Any, incarnation: int) -> None:

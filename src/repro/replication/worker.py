@@ -156,9 +156,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
-import time
 from typing import Any, Callable
 
+from repro import sync
 from repro._errors import CommandFailed
 from repro.core.ags import AGS, Branch, Const, Expr, Guard, Op, Param
 from repro.core.statemachine import Completion, ExecuteAGS, TSStateMachine
@@ -270,7 +270,7 @@ class Replica:
         # CLOCK_MONOTONIC — system-wide on Linux, so it subtracts
         # cleanly even across the process boundary.
         t_send = item[2]
-        t_dequeue = time.monotonic() if t_send is not None else 0.0
+        t_dequeue = sync.now() if t_send is not None else 0.0
         spans: list[tuple] | None = None
         # Completions for the whole batch travel as one COMPS item:
         # with process transports every emitted item is a pickled
@@ -288,14 +288,14 @@ class Replica:
             else:
                 # traced: time the apply and record this replica's
                 # (slot, request_id) coordinate in the total order
-                t0 = time.monotonic()
+                t0 = sync.now()
                 completions = _apply_hardened(sm, cmd)
                 applied += 1
                 if spans is None:
                     spans = []
                 spans.append(
                     (trace_id, cmd.request_id, applied,
-                     t0, time.monotonic() - t0)
+                     t0, sync.now() - t0)
                 )
             comps.extend((c.request_id, c.result) for c in completions)
         self.applied = applied
@@ -304,7 +304,7 @@ class Replica:
         if spans is not None:
             emit(("SPANS", spans))
         if t_send is not None:
-            now = time.monotonic()
+            now = sync.now()
             emit(
                 ("STAGES",
                  t_dequeue - t_send,
@@ -372,7 +372,7 @@ class Replica:
         return "installed"
 
     def _sleep(self, _qid: int, seconds: float) -> Any:
-        time.sleep(seconds)
+        sync.sleep(seconds)
         return _NO_ANSWER
 
 

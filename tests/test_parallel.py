@@ -17,7 +17,7 @@ import pytest
 
 from repro import AGS, Guard, Op, TimeoutError_, formal, ref
 from repro.parallel import MultiprocessRuntime, ThreadedReplicaRuntime
-from repro.replication.sequencer import Latch
+from repro.sync import Latch
 
 
 class TestThreadedReplicas:
